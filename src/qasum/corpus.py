@@ -8,12 +8,14 @@ A sidecar manifest uses the same shape minus article/reference plus a
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 import json
 import math
 import random
+from types import MappingProxyType
 
-from .metrics import tokenize
+from .metrics import has_tokens
 
 DEFAULT_DOMAINS = ("Commonsense", "Dialogue", "News", "Public Places", "Reviews", "Research")
 
@@ -90,6 +92,11 @@ class DomainRegistry:
 class Corpus:
     instances: tuple[TaskInstance, ...]
     registry: DomainRegistry = field(default_factory=DomainRegistry)
+    _index: Mapping[str, TaskInstance] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = {inst.id: inst for inst in self.instances}
+        object.__setattr__(self, "_index", MappingProxyType(index))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -97,8 +104,9 @@ class Corpus:
     def __getitem__(self, instance_id: str) -> TaskInstance:
         return self.by_id()[instance_id]
 
-    def by_id(self) -> dict[str, TaskInstance]:
-        return {inst.id: inst for inst in self.instances}
+    def by_id(self) -> Mapping[str, TaskInstance]:
+        """Read-only id index, built once per corpus."""
+        return self._index
 
     def domain_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in self.registry.names}
@@ -147,9 +155,9 @@ def load_corpus(path, registry: DomainRegistry | None = None) -> Corpus:
                 raise DuplicateId(rec["id"], line_no)
             if rec["domain"] not in registry:
                 raise UnknownDomain(rec["domain"], line_no)
-            if not tokenize(rec["article"]):
+            if not has_tokens(rec["article"]):
                 raise MalformedRecord(line_no, "article is empty after tokenization")
-            if not tokenize(rec["reference"]):
+            if not has_tokens(rec["reference"]):
                 raise MalformedRecord(line_no, "reference is empty after tokenization")
             seen.add(rec["id"])
             instances.append(TaskInstance(**rec))

@@ -18,13 +18,23 @@ import random
 import time
 
 from .corpus import Corpus, CorpusSplit, DomainRegistry, load_corpus, sample_icl_examples, split_corpus
-from .lm import CacheStats, CompletionClient, LmConfig, LmError, ReplayMiss, compute_max_tokens
-from .metrics import RougeScore, ScoreRow, aggregate, rouge_l, rouge_n
+from .lm import (
+    BackendUnreachable,
+    CacheStats,
+    CompletionClient,
+    LmConfig,
+    LmError,
+    RateLimited,
+    ReplayMiss,
+    compute_max_tokens,
+)
+from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
 from .prompting import (
     DEFAULT_TEMPLATES,
     IclExample,
     PARSE_FAILED,
     ParsedOutput,
+    PromptBundle,
     PromptTemplates,
     build_icl_prompt,
     build_qa_prompt,
@@ -240,17 +250,28 @@ def _select_eval_ids(corpus: Corpus, split: CorpusSplit, cfg: ExperimentConfig) 
     return selected
 
 
+_FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
+# Errors that would fail every row alike abort the run instead of
+# degrading to a table of failed rows.
+_FATAL_LM_ERRORS = (ReplayMiss, BackendUnreachable, RateLimited)
+
+
 def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     """Evaluate the configured method over the eval set and k sweep.
 
-    Per-instance LM failures degrade to failed rows; only configuration
-    and I/O problems (including replay fixture gaps) abort the run.
+    The run resolves inputs shared across rows once (ICL examples per
+    (domain, task), question lists per k, example answers per (example,
+    question)), then issues one completion per (instance, k) and scores
+    instance by instance. A per-request LM error degrades to failed rows;
+    configuration and I/O problems, an unreachable or rate-limiting
+    backend and replay fixture gaps abort the run.
     """
     started = time.monotonic()
     corpus = load_corpus(cfg.corpus, _registry(cfg))
     split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
     by_id = corpus.by_id()
     eval_ids = _select_eval_ids(corpus, split, cfg)
+    instances = [by_id[i] for i in eval_ids]
 
     table: RankingTable | None = None
     global_rank: GlobalRanking | None = None
@@ -266,67 +287,110 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
 
     k_values = tuple(sorted(set(cfg.k_values))) if cfg.method == "qa" else (0,)
 
-    def questions_for(domain: str, k: int):
-        if k == 0:
-            return []
-        if cfg.scope == "global":
-            return top_k(global_rank, k)
-        return top_k(table, k, domain=domain)
+    # Stage 1: inputs shared across rows, resolved once per run.
+    examples: dict[tuple[str, str], list] = {}
+    if cfg.method != "vanilla":
+        for group in {(inst.domain, inst.task) for inst in instances}:
+            examples[group] = sample_icl_examples(
+                split, corpus, *group, cfg.icl_examples, cfg.seed
+            )
 
-    def example_answers(example, questions) -> tuple[str, ...]:
-        # Example answers are the model's own single-question answers for
-        # the example article; the cache means ranking already paid for them.
-        answers = []
-        for q in questions:
-            bundle = build_single_qa(example.article, q, cfg.templates)
+    def question_scope(inst) -> str | None:
+        return None if global_rank is not None else inst.domain
+
+    questions: dict[tuple[str | None, int], list] = {}
+    if cfg.method == "qa":
+        for scope in {question_scope(inst) for inst in instances}:
+            for k in k_values:
+                if k == 0:
+                    questions[scope, k] = []
+                elif scope is None:
+                    questions[scope, k] = top_k(global_rank, k)
+                else:
+                    questions[scope, k] = top_k(table, k, domain=scope)
+
+    # Stage 2: each example's answer to each question it is shown with,
+    # requested once. Example answers are the model's own single-question
+    # answers for the example article; the cache means ranking already
+    # paid for them.
+    answer_jobs: dict[tuple[str, str], tuple] = {}
+    for inst in instances:
+        for k in k_values:
+            for example in examples.get((inst.domain, inst.task), ()):
+                for q in questions.get((question_scope(inst), k), ()):
+                    answer_jobs[example.id, q.key] = (example, q)
+
+    def answer(job) -> str | None:
+        example, question = job
+        bundle = build_single_qa(example.article, question, cfg.templates)
+        try:
             gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
-            answers.append(gen.completion.strip())
-        return tuple(answers)
+        except _FATAL_LM_ERRORS:
+            raise
+        except LmError:
+            return None  # fails only the rows whose prompts need this answer
+        return gen.completion.strip()
 
-    def build_bundle(inst, k: int):
+    def build_bundle(inst, k: int) -> PromptBundle | None:
         if cfg.method == "vanilla":
             return build_vanilla(inst.article, cfg.templates)
-        examples = sample_icl_examples(
-            split, corpus, inst.domain, inst.task, cfg.icl_examples, cfg.seed
-        )
+        group = examples[inst.domain, inst.task]
         if cfg.method == "icl":
-            icl = [IclExample(e.article, e.reference) for e in examples]
+            icl = [IclExample(e.article, e.reference) for e in group]
             return build_icl_prompt(inst.article, icl, cfg.templates)
-        questions = questions_for(inst.domain, k)
-        icl = [
-            IclExample(e.article, e.reference, example_answers(e, questions)) for e in examples
-        ]
-        return build_qa_prompt(inst.article, questions, icl, cfg.templates)
+        qs = questions[question_scope(inst), k]
+        icl = []
+        for e in group:
+            example_answers = tuple(answers[e.id, q.key] for q in qs)
+            if None in example_answers:
+                return None
+            icl.append(IclExample(e.article, e.reference, example_answers))
+        return build_qa_prompt(inst.article, qs, icl, cfg.templates)
 
-    def eval_one(job) -> ScoreRow:
+    # Stage 3: one completion per (instance, k), parsed.
+    def summarize(job) -> ParsedOutput:
         inst, k = job
+        bundle = build_bundle(inst, k)
+        if bundle is None:
+            return _FAILED
         try:
-            bundle = build_bundle(inst, k)
             gen = client.generate(
                 bundle.text,
                 max_tokens=compute_max_tokens(k),
                 stop_sequences=bundle.stop_sequences,
             )
-            parsed = parse_output(gen.completion, bundle)
-        except ReplayMiss:
+        except _FATAL_LM_ERRORS:
             raise
         except LmError:
-            parsed = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
-        return ScoreRow(
-            id=inst.id,
-            method=cfg.method,
-            model=cfg.lm.model,
-            domain=inst.domain,
-            k=k,
-            rouge1=rouge_n(parsed.summary, inst.reference, 1),
-            rouge2=rouge_n(parsed.summary, inst.reference, 2),
-            rougeL=rouge_l(parsed.summary, inst.reference),
-            parse_status=parsed.parse_status,
-        )
+            return _FAILED
+        return parse_output(gen.completion, bundle)
 
-    jobs = [(by_id[i], k) for i in eval_ids for k in k_values]
+    jobs = [(inst, k) for inst in instances for k in k_values]
     with ThreadPoolExecutor(max_workers=cfg.lm.max_in_flight) as pool:
-        rows = list(pool.map(eval_one, jobs))
+        answers = dict(zip(answer_jobs, pool.map(answer, answer_jobs.values())))
+        outputs = list(pool.map(summarize, jobs))
+
+    # Stage 4: score instance by instance, so only one reference's token
+    # table is alive at a time.
+    rows = []
+    per_instance = len(k_values)
+    for n, inst in enumerate(instances):
+        reference = Reference.from_text(inst.reference)
+        for k, parsed in zip(k_values, outputs[n * per_instance : (n + 1) * per_instance]):
+            rouge1, rouge2, rougeL = rouge_scores(tokenize(parsed.summary), reference)
+            rows.append(
+                ScoreRow(
+                    id=inst.id,
+                    method=cfg.method,
+                    model=cfg.lm.model,
+                    domain=inst.domain,
+                    k=k,
+                    rouge1=rouge1,
+                    rouge2=rouge2,
+                    rougeL=rougeL,
+                    parse_status=parsed.parse_status,
+                )
+            )
     rows.sort(key=lambda r: (r.id, r.k))
 
     parse_counts = {status: 0 for status in PARSE_STATUSES}

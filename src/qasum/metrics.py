@@ -1,6 +1,8 @@
 """Text-overlap metrics: tokenizer, answer overlap precision, ROUGE-1/2/L, aggregation.
 
-All functions are pure and operate on plain strings; scores are stored as
+All functions are pure. The public ROUGE functions take plain strings,
+except ``rouge_scores``, which takes a candidate's tokens and a Reference
+prepared once, so a run tokenizes each text once. Scores are stored as
 fractions in [0, 1] and rendered x100 only at the reporting layer.
 """
 
@@ -38,6 +40,11 @@ def tokenize(text: str) -> list[str]:
     ``["2023", "04", "report"]``.
     """
     return _TOKEN_RE.findall(text.lower())
+
+
+def has_tokens(text: str) -> bool:
+    """``bool(tokenize(text))``, without building the token list."""
+    return _TOKEN_RE.search(text.lower()) is not None
 
 
 @dataclass(frozen=True)
@@ -100,18 +107,20 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
-    """Clipped n-gram overlap; zero-denominator components score 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cand = _ngrams(tokenize(candidate), n)
-    ref = _ngrams(tokenize(reference), n)
+def _ngram_score(cand: Counter, ref: Counter) -> RougeScore:
     matched = sum(min(c, ref[g]) for g, c in cand.items())
     cand_total = sum(cand.values())
     ref_total = sum(ref.values())
     precision = matched / cand_total if cand_total else 0.0
     recall = matched / ref_total if ref_total else 0.0
     return RougeScore.from_pr(precision, recall)
+
+
+def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
+    """Clipped n-gram overlap; zero-denominator components score 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _ngram_score(_ngrams(tokenize(candidate), n), _ngrams(tokenize(reference), n))
 
 
 def _token_ids(a: list[str], b: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -129,14 +138,43 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     return _kernels.lcs_length(ids_a, ids_b)
 
 
-def rouge_l(candidate: str, reference: str) -> RougeScore:
-    """Whole-text LCS overlap; empty inputs yield all-zero scores."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+def _lcs_score(cand: list[str], ref: list[str]) -> RougeScore:
     if not cand or not ref:
         return RougeScore.zero()
     lcs = lcs_length(cand, ref)
     return RougeScore.from_pr(lcs / len(cand), lcs / len(ref))
+
+
+def rouge_l(candidate: str, reference: str) -> RougeScore:
+    """Whole-text LCS overlap; empty inputs yield all-zero scores."""
+    return _lcs_score(tokenize(candidate), tokenize(reference))
+
+
+@dataclass(frozen=True)
+class Reference:
+    """A reference summary tokenized once, with the 1- and 2-gram counts
+    that ROUGE-1/2 clip against, for scoring several candidates."""
+
+    tokens: list[str]
+    unigrams: Counter
+    bigrams: Counter
+
+    @staticmethod
+    def from_text(text: str) -> "Reference":
+        tokens = tokenize(text)
+        return Reference(tokens, _ngrams(tokens, 1), _ngrams(tokens, 2))
+
+
+def rouge_scores(
+    candidate: list[str], reference: Reference
+) -> tuple[RougeScore, RougeScore, RougeScore]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L of candidate tokens against a reference;
+    equal to ``rouge_n(c, r, 1), rouge_n(c, r, 2), rouge_l(c, r)`` on the texts."""
+    return (
+        _ngram_score(_ngrams(candidate, 1), reference.unigrams),
+        _ngram_score(_ngrams(candidate, 2), reference.bigrams),
+        _lcs_score(candidate, reference.tokens),
+    )
 
 
 @dataclass(frozen=True)

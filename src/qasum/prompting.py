@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .lm import truncate_at_stop
+
 if TYPE_CHECKING:
     from .questions import QuestionSpec
 
@@ -196,16 +198,6 @@ def _strip_template_period(span: str) -> str:
     return span
 
 
-def _cut_at_stops(text: str, stops: tuple[str, ...]) -> str:
-    for stop in stops:
-        if not stop:
-            continue
-        idx = text.find(stop)
-        if idx != -1:
-            text = text[:idx]
-    return text
-
-
 def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
     """Recover answers and summary from a completion.
 
@@ -218,7 +210,7 @@ def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
     k = bundle.k
     if not bundle.answer_markers:
         # vanilla / icl / degenerate qa: the completion is the summary.
-        summary = _cut_at_stops(completion, bundle.stop_sequences).strip()
+        summary = truncate_at_stop(completion, bundle.stop_sequences)[0].strip()
         status = PARSE_OK if summary else PARSE_FAILED
         return ParsedOutput(answers=(), summary=summary, parse_status=status)
 
@@ -254,7 +246,7 @@ def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
         status = PARSE_FALLBACK
 
     answers = tuple(_strip_template_period(s) for s in spans)
-    summary = _strip_template_period(_cut_at_stops(raw_summary, bundle.stop_sequences))
+    summary = _strip_template_period(truncate_at_stop(raw_summary, bundle.stop_sequences)[0])
     if not summary:
         return ParsedOutput(answers=answers, summary="", parse_status=PARSE_FAILED)
     return ParsedOutput(answers=answers, summary=summary, parse_status=status)

@@ -44,6 +44,16 @@ def test_load_small_fixture(tmp_path):
     assert corpus.domain_counts() == {"News": 2, "Reviews": 1}
 
 
+def test_by_id_index_is_built_once():
+    corpus = load_corpus(FIXTURES / "corpus_6.jsonl")
+    index = corpus.by_id()
+    assert corpus.by_id() is index
+    assert list(index) == [inst.id for inst in corpus.instances]
+    assert all(index[inst.id] is inst for inst in corpus.instances)
+    with pytest.raises(TypeError):
+        index["new"] = corpus.instances[0]
+
+
 def test_domain_counts_sum_to_total():
     corpus = load_corpus(FIXTURES / "corpus_6.jsonl")
     assert sum(corpus.domain_counts().values()) == len(corpus)

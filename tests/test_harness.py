@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import json
+import threading
 
 import pytest
 
 from conftest import CORPUS_PATH, MODEL, StubBackend, make_config, make_lm_config
 from qasum.cli import main
+from qasum.corpus import load_corpus, sample_icl_examples, split_corpus
 from qasum.harness import (
     MismatchedEvalSets,
     RunManifest,
@@ -17,9 +21,18 @@ from qasum.harness import (
     run_eval,
     save_manifest,
 )
-from qasum.lm import CacheStats, LmError
+from qasum.lm import CacheStats, LmError, RateLimited
 from qasum.metrics import RougeScore, ScoreRow
-from qasum.questions import RankedQuestion, RankingError, RankingTable, builtin_bank, save_ranking
+from qasum.prompting import SINGLE_QA_INSTRUCTION, build_single_qa
+from qasum.questions import (
+    RankedQuestion,
+    RankingError,
+    RankingTable,
+    builtin_bank,
+    load_ranking,
+    save_ranking,
+    top_k,
+)
 
 
 def synthetic_ranking(path, model=MODEL, domains=("Dialogue", "News", "Reviews")):
@@ -149,6 +162,107 @@ def test_eval_failures_become_failed_rows(tmp_path):
     assert all(r.parse_status == "failed" for r in manifest.rows)
     assert all(r.rougeL.f1 == 0.0 for r in manifest.rows)
     assert manifest.parse_counts == {"ok": 0, "fallback": 0, "failed": 3}
+
+
+def qa_reply(prompt: str) -> str:
+    if prompt.startswith(SINGLE_QA_INSTRUCTION):
+        return " an answer"
+    return " A1: a. A2: b.\nSummary: the mayor announced a budget."
+
+
+def expected_answer_prompts(cfg, k_values):
+    """The single-question prompts a qa run needs: one per distinct
+    (ICL example, question) over the eval set and k sweep."""
+    corpus = load_corpus(cfg.corpus)
+    split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
+    by_id = corpus.by_id()
+    table = load_ranking(cfg.ranking)
+    prompts = set()
+    for i in split.eval_set:
+        inst = by_id[i]
+        for example in sample_icl_examples(split, corpus, inst.domain, inst.task,
+                                           cfg.icl_examples, cfg.seed):
+            for k in k_values:
+                for q in top_k(table, k, domain=inst.domain):
+                    prompts.add(build_single_qa(example.article, q).text)
+    return prompts
+
+
+def test_eval_request_plan_issues_each_request_once(tmp_path):
+    ranking = tmp_path / "ranking.json"
+    synthetic_ranking(ranking)
+    k_values = (0, 1, 2)
+    csvs = {}
+    for in_flight in (4, 1):
+        cache = tmp_path / f"cache-{in_flight}"
+        out = tmp_path / f"run-{in_flight}"
+        cfg = make_config(method="qa", k_values=k_values, ranking=ranking, cache_dir=cache,
+                          out=out, lm=make_lm_config(max_in_flight=in_flight))
+        cold = StubBackend(reply=qa_reply)
+        manifest = run_eval(cfg, out, backend=cold)
+
+        prompts = Counter(r.prompt for r in cold.requests)
+        assert set(prompts.values()) == {1}, "a request was issued more than once"
+        answer_prompts = {p for p in prompts if p.startswith(SINGLE_QA_INSTRUCTION)}
+        assert answer_prompts == expected_answer_prompts(cfg, k_values)
+        main_tokens = Counter(r.max_tokens for r in cold.requests
+                              if not r.prompt.startswith(SINGLE_QA_INSTRUCTION))
+        n_eval = len(manifest.eval_ids)
+        assert main_tokens == {512: n_eval, 544: n_eval, 576: n_eval}
+        planned = len(cold.requests)
+        assert planned == len(answer_prompts) + n_eval * len(k_values)
+
+        warm = StubBackend(reply=qa_reply)
+        rerun = run_eval(cfg, out, backend=warm)
+        assert warm.requests == []
+        assert (rerun.cache.hits, rerun.cache.misses) == (planned, 0)
+        assert rerun.rows == manifest.rows
+        csvs[in_flight] = {name: (out / name).read_bytes() for name in
+                           ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_k.csv")}
+    assert csvs[4] == csvs[1]
+
+
+class FailingQuestionBackend:
+    """Fails every single-question request for one question, answers the rest."""
+
+    def __init__(self, question_text):
+        self.question_text = question_text
+
+    def complete(self, request):
+        if request.prompt.startswith(SINGLE_QA_INSTRUCTION):
+            if f"Q: {self.question_text}\n" in request.prompt:
+                raise LmError("boom")
+        return qa_reply(request.prompt), "stop"
+
+
+def test_eval_example_answer_failure_fails_only_rows_that_need_it(tmp_path):
+    ranking = tmp_path / "ranking.json"
+    synthetic_ranking(ranking)
+    second = builtin_bank()[1]  # ranked second in every domain
+    cfg = make_config(method="qa", k_values=(0, 1, 2), ranking=ranking,
+                      cache_dir=tmp_path / "c", out=tmp_path)
+    manifest = run_eval(cfg, tmp_path, backend=FailingQuestionBackend(second.text))
+    status = {(r.id, r.k): r.parse_status for r in manifest.rows}
+    assert {s for (_, k), s in status.items() if k < 2} == {"ok"}
+    assert {s for (_, k), s in status.items() if k == 2} == {"failed"}
+
+
+class RateLimitedAnswers:
+    def complete(self, request):
+        if request.prompt.startswith(SINGLE_QA_INSTRUCTION):
+            raise RateLimited("slow down")
+        return qa_reply(request.prompt), "stop"
+
+
+def test_eval_rate_limited_example_answers_abort_the_run(tmp_path):
+    ranking = tmp_path / "ranking.json"
+    synthetic_ranking(ranking)
+    out = tmp_path / "run"
+    cfg = make_config(method="qa", k_values=(1,), ranking=ranking,
+                      cache_dir=tmp_path / "c", out=out)
+    with pytest.raises(RateLimited):
+        run_eval(cfg, out, backend=RateLimitedAnswers())
+    assert not out.exists()
 
 
 def test_eval_subsample_is_stable(tmp_path):
@@ -296,6 +410,54 @@ def test_cli_unreachable_backend_exit_code(tmp_path):
     code = main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
                  "--out", str(tmp_path / "r.json")])
     assert code == 4
+
+
+@pytest.fixture
+def rate_limiting_server():
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            payload = b'{"error": "rate limited"}'
+            self.send_response(429)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def run_cli_eval(tmp_path, endpoint):
+    config = write_cli_config(tmp_path, backend="http", endpoint=endpoint,
+                              max_retries=0, timeout=2)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(out_dir)])
+    return code, out_dir
+
+
+def test_cli_eval_unreachable_backend_exit_code(tmp_path, capsys):
+    code, out_dir = run_cli_eval(tmp_path, "http://127.0.0.1:9/v1/completions")
+    assert code == 4
+    assert "backend unreachable" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_eval_rate_limited_exit_code(tmp_path, rate_limiting_server, capsys):
+    code, out_dir = run_cli_eval(tmp_path, rate_limiting_server)
+    assert code == 5
+    assert "rate limited" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_qa_without_ranking_exit_code(tmp_path, replay_dir):

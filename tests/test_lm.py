@@ -7,6 +7,7 @@ import json
 import random
 import threading
 
+from hypothesis import given, strategies as st
 import pytest
 
 from conftest import StubBackend
@@ -151,6 +152,18 @@ def test_truncates_at_first_stop():
     assert truncate_at_stop("keep this STOP drop this", ("STOP",)) == ("keep this ", True)
     assert truncate_at_stop("b second a first", ("a ", "b ")) == ("", True)
     assert truncate_at_stop("no stops here", ("STOP",)) == ("no stops here", False)
+
+
+@given(
+    st.text(alphabet="abcS", max_size=20),
+    st.lists(st.text(alphabet="abcS", max_size=3), max_size=4).map(tuple),
+)
+def test_truncate_at_stop_cuts_at_earliest_occurrence(text, stops):
+    cut, truncated = truncate_at_stop(text, stops)
+    hits = [text.find(s) for s in stops if s and s in text]
+    assert cut == (text[: min(hits)] if hits else text)
+    assert truncated == bool(hits)
+    assert not any(s and s in cut for s in stops)
 
 
 def test_generate_applies_stop_sequences(tmp_path):

@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 from qasum.metrics import (
     EmptyAnswer,
     EmptyInput,
+    Reference,
     RougeScore,
     ScoreRow,
     aggregate,
+    has_tokens,
     lcs_length,
     overlap_precision,
     rouge_l,
     rouge_n,
+    rouge_scores,
     tokenize,
 )
 
@@ -54,6 +57,16 @@ def test_tokenize_keeps_digits():
 
 def test_tokenize_underscore_is_a_separator():
     assert tokenize("snake_case") == ["snake", "case"]
+
+
+@given(st.text())
+def test_has_tokens_agrees_with_tokenize(text):
+    assert has_tokens(text) == bool(tokenize(text))
+
+
+def test_has_tokens_on_separators_only():
+    assert not has_tokens(" _-_ ,. \n")
+    assert has_tokens("__x__")
 
 
 # --- overlap precision -------------------------------------------------------
@@ -172,6 +185,37 @@ def test_lcs_matches_brute_force_oracle():
     for _ in range(300):
         a, b = random_tokens(rng), random_tokens(rng)
         assert lcs_length(a, b) == lcs_brute(a, b)
+
+
+# Words, repeats and punctuation-only fragments, so texts can be empty,
+# tokenless or full of repeated n-grams.
+scorer_texts = st.lists(
+    st.sampled_from(["the", "cat", "sat", "the cat", "Cat!", "...", " - ", "_", "", "2023-04"]),
+    max_size=12,
+).map(" ".join)
+
+
+@settings(deadline=None)
+@given(scorer_texts, scorer_texts)
+def test_row_scorer_equals_public_rouge(candidate, reference):
+    expected = (rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2),
+                rouge_l(candidate, reference))
+    assert rouge_scores(tokenize(candidate), Reference.from_text(reference)) == expected
+
+
+def test_row_scorer_edge_cases():
+    for candidate, reference in [("", ""), ("", "the cat"), ("the cat", ""), ("?!", "..."),
+                                 ("the the the", "the the"), ("cat", "cat")]:
+        expected = (rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2),
+                    rouge_l(candidate, reference))
+        assert rouge_scores(tokenize(candidate), Reference.from_text(reference)) == expected
+
+
+def test_reference_counts_are_reusable():
+    reference = Reference.from_text("the cat sat on the mat")
+    first = rouge_scores(tokenize("the cat"), reference)
+    rouge_scores(tokenize("a dog ran"), reference)
+    assert rouge_scores(tokenize("the cat"), reference) == first
 
 
 # --- cross-metric properties -------------------------------------------------

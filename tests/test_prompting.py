@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 import random
 import string
 
@@ -208,6 +209,11 @@ def test_parse_k0_cuts_at_stop_sentinel():
     completion = " a good summary\n\nSummarize the following article.\nmore stuff"
     parsed = parse_output(completion, bundle)
     assert parsed.summary == "a good summary"
+
+
+def test_parse_cuts_at_earliest_of_overlapping_stops():
+    bundle = replace(build_vanilla(TARGET_ARTICLE), stop_sequences=("END", "xEND"))
+    assert parse_output(" summary xEND tail", bundle).summary == "summary"
 
 
 def test_parse_round_trip_seeded_random():
