@@ -19,13 +19,11 @@ import time
 
 from .corpus import Corpus, CorpusSplit, DomainRegistry, load_corpus, sample_icl_examples, split_corpus
 from .lm import (
-    BackendUnreachable,
+    FATAL_LM_ERRORS,
     CacheStats,
     CompletionClient,
     LmConfig,
     LmError,
-    RateLimited,
-    ReplayMiss,
     compute_max_tokens,
 )
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
@@ -251,9 +249,6 @@ def _select_eval_ids(corpus: Corpus, split: CorpusSplit, cfg: ExperimentConfig) 
 
 
 _FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
-# Errors that would fail every row alike abort the run instead of
-# degrading to a table of failed rows.
-_FATAL_LM_ERRORS = (ReplayMiss, BackendUnreachable, RateLimited)
 
 
 def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
@@ -325,7 +320,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
         bundle = build_single_qa(example.article, question, cfg.templates)
         try:
             gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
-        except _FATAL_LM_ERRORS:
+        except FATAL_LM_ERRORS:
             raise
         except LmError:
             return None  # fails only the rows whose prompts need this answer
@@ -359,7 +354,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
                 max_tokens=compute_max_tokens(k),
                 stop_sequences=bundle.stop_sequences,
             )
-        except _FATAL_LM_ERRORS:
+        except FATAL_LM_ERRORS:
             raise
         except LmError:
             return _FAILED

@@ -39,6 +39,11 @@ class ReplayMiss(LmError):
     reason to fall through to the network."""
 
 
+# Errors that would fail every call alike; callers abort the run on these
+# instead of degrading them to failed rows or dropped ranking samples.
+FATAL_LM_ERRORS = (ReplayMiss, BackendUnreachable, RateLimited)
+
+
 @dataclass(frozen=True)
 class LmConfig:
     model: str

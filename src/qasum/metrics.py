@@ -12,10 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 import re
 
-import numpy as np
-
-from . import _kernels
-
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
 GROUP_FIELDS = ("method", "model", "domain", "k")
@@ -123,19 +119,23 @@ def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
     return _ngram_score(_ngrams(tokenize(candidate), n), _ngrams(tokenize(reference), n))
 
 
-def _token_ids(a: list[str], b: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    vocab: dict[str, int] = {}
-    ids_a = np.fromiter((vocab.setdefault(t, len(vocab)) for t in a), dtype=np.int64, count=len(a))
-    ids_b = np.fromiter((vocab.setdefault(t, len(vocab)) for t in b), dtype=np.int64, count=len(b))
-    return ids_a, ids_b
-
-
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of the longest common subsequence of two token lists."""
-    if not a or not b:
-        return 0
-    ids_a, ids_b = _token_ids(a, b)
-    return _kernels.lcs_length(ids_a, ids_b)
+    """Length of the longest common subsequence of two token lists.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): one Python int ``v``
+    holds a whole row of the DP over ``b``, bit j being 0 exactly where
+    the row steps up by one at column j. Each token of ``a`` updates the
+    row in a few big-int operations, and the LCS is the count of 0 bits.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _lcs_score(cand: list[str], ref: list[str]) -> RougeScore:

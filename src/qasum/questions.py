@@ -17,7 +17,7 @@ import os
 import random
 import time
 
-from .lm import BackendUnreachable, CompletionClient, LmError, ReplayMiss
+from .lm import FATAL_LM_ERRORS, CompletionClient, LmError
 from .metrics import EmptyAnswer, overlap_precision
 
 
@@ -140,8 +140,9 @@ def rank_questions(
     prompt; the answer's overlap precision against the reference is
     averaged per (domain, question). Empty answers score 0; transient
     per-call failures are excluded from the mean (a cell with no
-    successes at all raises EmptyRankingCell). Sorting is by descending
-    mean with ties broken by bank order.
+    successes at all raises EmptyRankingCell), while an unreachable or
+    rate-limiting backend and replay gaps (``FATAL_LM_ERRORS``) abort the
+    ranking. Sorting is by descending mean with ties broken by bank order.
     """
     from .prompting import DEFAULT_TEMPLATES, build_single_qa
 
@@ -166,7 +167,7 @@ def rank_questions(
         bundle = build_single_qa(inst.article, question, templates)
         try:
             gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
-        except (ReplayMiss, BackendUnreachable):
+        except FATAL_LM_ERRORS:
             raise
         except LmError:
             return None  # transient per-call failure; excluded from the mean

@@ -460,6 +460,17 @@ def test_cli_eval_rate_limited_exit_code(tmp_path, rate_limiting_server, capsys)
     assert not out_dir.exists()
 
 
+def test_cli_rank_rate_limited_exit_code(tmp_path, rate_limiting_server, capsys):
+    config = write_cli_config(tmp_path, backend="http", endpoint=rate_limiting_server,
+                              max_retries=0, timeout=2)
+    ranking = tmp_path / "ranking.json"
+    code = main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--out", str(ranking)])
+    assert code == 5
+    assert "rate limited" in capsys.readouterr().err
+    assert not ranking.exists()
+
+
 def test_cli_qa_without_ranking_exit_code(tmp_path, replay_dir):
     config = write_cli_config(tmp_path, replay_dir=replay_dir)
     code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),

@@ -55,7 +55,9 @@ def completion_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_full_flow_over_real_http(tmp_path, completion_server):

@@ -35,6 +35,17 @@ def lcs_brute(a, b):
     return max(lcs_brute(a[:-1], b), lcs_brute(a, b[:-1]))
 
 
+def lcs_dp(a, b):
+    """O(len(a) * len(b)) row-by-row DP, the oracle for long inputs."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
 def random_tokens(rng, max_len=8, alphabet=("a", "b", "c", "d")):
     return [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
 
@@ -185,6 +196,56 @@ def test_lcs_matches_brute_force_oracle():
     for _ in range(300):
         a, b = random_tokens(rng), random_tokens(rng)
         assert lcs_length(a, b) == lcs_brute(a, b)
+
+
+def test_lcs_known_cases():
+    assert lcs_length(["x", "y", "z"], ["x", "z", "y"]) == 2
+    assert lcs_length(["x", "y", "z"], ["x", "y", "z"]) == 3
+    assert lcs_length(["x", "x", "x"], ["x", "x"]) == 2
+    assert lcs_length(["x", "y"], ["z", "w"]) == 0
+    assert lcs_length([], ["x"]) == 0
+    assert lcs_length(["x"], []) == 0
+    assert lcs_length([], []) == 0
+
+
+# Small alphabets make tokens repeat, so matches are dense and the
+# bit-vector carries run long.
+lcs_alphabets = st.sampled_from([("a",), ("a", "b"), ("a", "b", "c", "d"), tuple(WORDS)])
+
+
+@st.composite
+def lcs_pairs(draw):
+    alphabet = draw(lcs_alphabets)
+    tokens = st.lists(st.sampled_from(alphabet), max_size=200)
+    return draw(tokens), draw(tokens)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lcs_pairs())
+def test_lcs_matches_dp_oracle(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_dp(a, b)
+
+
+# CPython stores ints in 30-bit digits; 64 and 128 are machine-word sizes.
+@pytest.mark.parametrize("n", [29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129])
+def test_lcs_at_word_boundaries(n):
+    rng = random.Random(n)
+    a = [rng.choice("ab") for _ in range(n)]
+    b = [rng.choice("ab") for _ in range(n + 1)]
+    assert lcs_length(a, b) == lcs_dp(a, b)
+    assert lcs_length(a, a) == n
+
+
+@pytest.mark.parametrize("seed,len_a,len_b,alphabet", [
+    (1, 1100, 1500, 6), (2, 1500, 1100, 40), (3, 1200, 1200, 500),
+])
+def test_lcs_long_inputs_match_dp_oracle(seed, len_a, len_b, alphabet):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(alphabet)]
+    a = [rng.choice(vocab) for _ in range(len_a)]
+    b = [rng.choice(vocab) for _ in range(len_b)]
+    assert lcs_length(a, b) == lcs_dp(a, b)
 
 
 # Words, repeats and punctuation-only fragments, so texts can be empty,
