@@ -205,9 +205,6 @@ class CorpusSplit:
     eval_set: tuple[str, ...]
     seed: int
 
-    def pool_ids(self) -> frozenset[str]:
-        return frozenset(self.icl_pool)
-
     def eval_ids(self) -> frozenset[str]:
         return frozenset(self.eval_set)
 
@@ -235,6 +232,25 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
         pool.extend(shuffled[:n_pool])
         eval_set.extend(shuffled[n_pool:])
     return CorpusSplit(icl_pool=tuple(sorted(pool)), eval_set=tuple(sorted(eval_set)), seed=seed)
+
+
+def subsample_per_domain(
+    instances, count: int | None, seed: int, label: str
+) -> list[TaskInstance]:
+    """``instances`` by domain (domains sorted, ids sorted within each),
+    keeping ``count`` from each domain that has more: a sample seeded by
+    (seed, label, domain) alone, so reruns pick the same ids."""
+    by_domain: dict[str, list[TaskInstance]] = {}
+    for inst in instances:
+        by_domain.setdefault(inst.domain, []).append(inst)
+    selected: list[TaskInstance] = []
+    for domain in sorted(by_domain):
+        members = sorted(by_domain[domain], key=lambda i: i.id)
+        if count is not None and count < len(members):
+            chosen = _group_rng(seed, label, domain).sample(members, count)
+            members = sorted(chosen, key=lambda i: i.id)
+        selected.extend(members)
+    return selected
 
 
 def sample_icl_examples(

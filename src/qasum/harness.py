@@ -2,30 +2,21 @@
 
 Ranking and evaluation are separate steps joined by the ranking file, so
 the one-time-per-domain ranking cost is paid once and reused. Evaluation
-fans instance work through a bounded worker pool, records per-instance
-ROUGE rows, and emits plot-ready CSV aggregates; compare/report render
-cross-run tables from saved run manifests.
+runs its completion requests through ``CompletionClient.map``, records
+per-instance ROUGE rows, and emits plot-ready CSV aggregates;
+compare/report render cross-run tables from saved run manifests.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 import csv
 import json
 import os
-import random
 import time
 
-from .corpus import Corpus, CorpusSplit, DomainRegistry, load_corpus, sample_icl_examples, split_corpus
-from .lm import (
-    FATAL_LM_ERRORS,
-    CacheStats,
-    CompletionClient,
-    LmConfig,
-    LmError,
-    compute_max_tokens,
-)
+from .corpus import DomainRegistry, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
+from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
 from .prompting import (
     DEFAULT_TEMPLATES,
@@ -36,7 +27,6 @@ from .prompting import (
     PromptTemplates,
     build_icl_prompt,
     build_qa_prompt,
-    build_single_qa,
     build_vanilla,
     parse_output,
 )
@@ -44,6 +34,7 @@ from .questions import (
     GlobalRanking,
     RankingError,
     RankingTable,
+    answer_question,
     ensure_model,
     global_ranking,
     load_ranking,
@@ -55,6 +46,7 @@ from .questions import (
 METHODS = ("vanilla", "icl", "qa")
 SCOPES = ("domain_specific", "global")
 PARSE_STATUSES = ("ok", "fallback", "failed")
+_LM_FIELDS = frozenset(f.name for f in fields(LmConfig))
 
 METRIC_COLUMNS = ("r1_p", "r1_r", "r1_f", "r2_p", "r2_r", "r2_f", "rl_p", "rl_r", "rl_f")
 
@@ -113,8 +105,6 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     doc = dict(doc)
     lm_doc = dict(doc.pop("lm", {}))
-    if "stop_sequences" in lm_doc:
-        lm_doc["stop_sequences"] = tuple(lm_doc["stop_sequences"])
     templates_doc = doc.pop("templates", None)
     templates = PromptTemplates(**templates_doc) if templates_doc else DEFAULT_TEMPLATES
     if "k_values" in doc:
@@ -124,13 +114,13 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key in ("model", "backend", "endpoint", "max_tokens", "greedy", "timeout",
-                   "max_retries", "max_in_flight"):
+        if key in _LM_FIELDS:
             lm_doc[key] = value
         else:
             doc[key] = value
-    cfg = ExperimentConfig(lm=LmConfig(**lm_doc), templates=templates, **doc)
-    return cfg
+    if "stop_sequences" in lm_doc:
+        lm_doc["stop_sequences"] = tuple(lm_doc["stop_sequences"])
+    return ExperimentConfig(lm=LmConfig(**lm_doc), templates=templates, **doc)
 
 
 @dataclass(frozen=True)
@@ -233,21 +223,6 @@ def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
     return table
 
 
-def _select_eval_ids(corpus: Corpus, split: CorpusSplit, cfg: ExperimentConfig) -> list[str]:
-    by_id = corpus.by_id()
-    by_domain: dict[str, list[str]] = {}
-    for i in split.eval_set:
-        by_domain.setdefault(by_id[i].domain, []).append(i)
-    selected: list[str] = []
-    for domain in sorted(by_domain):
-        ids = sorted(by_domain[domain])
-        if cfg.eval_subsample is not None and cfg.eval_subsample < len(ids):
-            rng = random.Random(f"{cfg.seed}|eval|{domain}")
-            ids = sorted(rng.sample(ids, cfg.eval_subsample))
-        selected.extend(ids)
-    return selected
-
-
 _FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
 
 
@@ -265,8 +240,10 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     corpus = load_corpus(cfg.corpus, _registry(cfg))
     split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
     by_id = corpus.by_id()
-    eval_ids = _select_eval_ids(corpus, split, cfg)
-    instances = [by_id[i] for i in eval_ids]
+    instances = subsample_per_domain(
+        [by_id[i] for i in split.eval_set], cfg.eval_subsample, cfg.seed, "eval"
+    )
+    eval_ids = [inst.id for inst in instances]
 
     table: RankingTable | None = None
     global_rank: GlobalRanking | None = None
@@ -305,9 +282,8 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
                     questions[scope, k] = top_k(table, k, domain=scope)
 
     # Stage 2: each example's answer to each question it is shown with,
-    # requested once. Example answers are the model's own single-question
-    # answers for the example article; the cache means ranking already
-    # paid for them.
+    # requested once. A failed answer (None) fails only the rows whose
+    # prompts need it.
     answer_jobs: dict[tuple[str, str], tuple] = {}
     for inst in instances:
         for k in k_values:
@@ -315,16 +291,11 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
                 for q in questions.get((question_scope(inst), k), ()):
                     answer_jobs[example.id, q.key] = (example, q)
 
-    def answer(job) -> str | None:
+    def answer(job) -> str:
         example, question = job
-        bundle = build_single_qa(example.article, question, cfg.templates)
-        try:
-            gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
-        except FATAL_LM_ERRORS:
-            raise
-        except LmError:
-            return None  # fails only the rows whose prompts need this answer
-        return gen.completion.strip()
+        return answer_question(client, example.article, question, cfg.templates)
+
+    answers = dict(zip(answer_jobs, client.map(answer, answer_jobs.values())))
 
     def build_bundle(inst, k: int) -> PromptBundle | None:
         if cfg.method == "vanilla":
@@ -342,28 +313,22 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             icl.append(IclExample(e.article, e.reference, example_answers))
         return build_qa_prompt(inst.article, qs, icl, cfg.templates)
 
-    # Stage 3: one completion per (instance, k), parsed.
+    # Stage 3: one completion per (instance, k), parsed. The prompt is
+    # built inside the worker, so only the prompts in flight are alive.
     def summarize(job) -> ParsedOutput:
         inst, k = job
         bundle = build_bundle(inst, k)
         if bundle is None:
             return _FAILED
-        try:
-            gen = client.generate(
-                bundle.text,
-                max_tokens=compute_max_tokens(k),
-                stop_sequences=bundle.stop_sequences,
-            )
-        except FATAL_LM_ERRORS:
-            raise
-        except LmError:
-            return _FAILED
+        gen = client.generate(
+            bundle.text,
+            max_tokens=compute_max_tokens(k),
+            stop_sequences=bundle.stop_sequences,
+        )
         return parse_output(gen.completion, bundle)
 
     jobs = [(inst, k) for inst in instances for k in k_values]
-    with ThreadPoolExecutor(max_workers=cfg.lm.max_in_flight) as pool:
-        answers = dict(zip(answer_jobs, pool.map(answer, answer_jobs.values())))
-        outputs = list(pool.map(summarize, jobs))
+    outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
 
     # Stage 4: score instance by instance, so only one reference's token
     # table is alive at a time.

@@ -10,6 +10,7 @@ be pointed at directly as a replay fixture.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import hashlib
 import json
@@ -42,6 +43,11 @@ class ReplayMiss(LmError):
 # Errors that would fail every call alike; callers abort the run on these
 # instead of degrading them to failed rows or dropped ranking samples.
 FATAL_LM_ERRORS = (ReplayMiss, BackendUnreachable, RateLimited)
+
+# Statuses that say the endpoint, its path or the credentials are wrong, so
+# every request will be refused alike. Other 4xx statuses (400, 413, 422)
+# can refuse one over-long prompt and stay per-request errors.
+_REFUSED_STATUSES = (401, 403, 404, 405)
 
 
 @dataclass(frozen=True)
@@ -131,13 +137,13 @@ class ResponseCache:
     """Disk cache, one JSON entry per file under ``<dir>/<2 hex>/<digest>.json``.
 
     Entries are published atomically (write-then-rename), so concurrent
-    readers never observe a partial entry. Hit/miss/entry counters are
+    readers never observe a partial entry. With no directory nothing is
+    stored and every lookup is a miss. Hit/miss/entry counters are
     in-process and monotone.
     """
 
     def __init__(self, root: str | None):
         self._root = root
-        self._mem: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -146,15 +152,10 @@ class ResponseCache:
             os.makedirs(root, exist_ok=True)
 
     def get(self, key: str) -> dict | None:
-        entry = None
-        if self._root:
-            path = entry_path(self._root, key)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    entry = json.load(fh)
-        else:
-            with self._lock:
-                entry = self._mem.get(key)
+        """The stored entry, or None on a miss. An entry that is not UTF-8
+        JSON, not an object or has no string ``completion`` is a miss too,
+        so the caller asks the backend again and ``put`` replaces it."""
+        entry = self._read(entry_path(self._root, key)) if self._root else None
         with self._lock:
             if entry is None:
                 self._misses += 1
@@ -162,17 +163,26 @@ class ResponseCache:
                 self._hits += 1
         return entry
 
+    @staticmethod
+    def _read(path: str) -> dict | None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (FileNotFoundError, ValueError):  # absent, truncated, garbled or not UTF-8
+            return None
+        if not isinstance(entry, dict) or not isinstance(entry.get("completion"), str):
+            return None
+        return entry
+
     def put(self, key: str, entry: dict) -> None:
-        if self._root:
-            path = entry_path(self._root, key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False)
-            os.replace(tmp, path)
-        else:
-            with self._lock:
-                self._mem[key] = entry
+        if not self._root:
+            return
+        path = entry_path(self._root, key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, ensure_ascii=False)
+        os.replace(tmp, path)
         with self._lock:
             self._entries += 1
 
@@ -228,6 +238,10 @@ class HttpBackend:
                 elif resp.status_code >= 500:
                     last_error = LmError(f"server error ({resp.status_code})")
                     rate_limited = False
+                elif resp.status_code in _REFUSED_STATUSES:
+                    raise BackendUnreachable(
+                        f"endpoint refused the request ({resp.status_code}): {resp.text[:500]}"
+                    )
                 elif resp.status_code >= 400:
                     raise LmError(f"request rejected ({resp.status_code}): {resp.text[:500]}")
                 else:
@@ -285,8 +299,9 @@ def truncate_at_stop(text: str, stop_sequences: tuple[str, ...]) -> tuple[str, b
 class CompletionClient:
     """Cache-fronted completion client, safe for concurrent workers.
 
-    A semaphore bounds in-flight backend requests at ``max_in_flight``;
-    cache lookups are not throttled.
+    ``map`` is the one place a batch of requests runs: it keeps at most
+    ``max_in_flight`` calls going at once and decides which failures abort
+    the batch. ``generate`` itself is not throttled.
     """
 
     def __init__(self, config: LmConfig, *, cache_dir: str | None = None,
@@ -301,7 +316,6 @@ class CompletionClient:
             self._backend = ReplayBackend(replay_dir)
         else:
             self._backend = HttpBackend(config)
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
 
     def generate(self, prompt: str, *, max_tokens: int | None = None,
                  stop_sequences: tuple[str, ...] | None = None) -> Generation:
@@ -332,8 +346,7 @@ class CompletionClient:
             stop_sequences=stops,
             key=key,
         )
-        with self._gate:
-            text, finish = self._backend.complete(request)
+        text, finish = self._backend.complete(request)
         text, truncated = truncate_at_stop(text, stops)
         if truncated:
             finish = "stop"
@@ -345,6 +358,25 @@ class CompletionClient:
             from_cache=False,
             latency_ms=(time.perf_counter() - started) * 1000,
         )
+
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]`` on ``max_in_flight`` worker threads.
+
+        A per-request ``LmError`` gives None for its item. ``FATAL_LM_ERRORS``
+        would fail every item alike, so they propagate, as does any other
+        exception; items not yet started are then cancelled.
+        """
+
+        def run(item):
+            try:
+                return fn(item)
+            except FATAL_LM_ERRORS:
+                raise
+            except LmError:
+                return None
+
+        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+            return list(pool.map(run, items))
 
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()

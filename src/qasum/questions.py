@@ -9,16 +9,16 @@ a ranking only needs to be computed once per model and corpus.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import datetime
 import json
 import os
-import random
 import time
 
-from .lm import FATAL_LM_ERRORS, CompletionClient, LmError
+from .corpus import subsample_per_domain
+from .lm import CompletionClient
 from .metrics import EmptyAnswer, overlap_precision
+from .prompting import DEFAULT_TEMPLATES, PromptTemplates, build_single_qa
 
 
 class RankingError(Exception):
@@ -119,9 +119,14 @@ def _bank_order(bank: list[QuestionSpec]) -> dict[str, int]:
     return {q.key: i for i, q in enumerate(bank)}
 
 
-def _seeded_sample(ids: list[str], count: int, seed_label: str) -> list[str]:
-    rng = random.Random(seed_label)
-    return sorted(rng.sample(ids, count))
+def answer_question(
+    client: CompletionClient, article: str, question: QuestionSpec, templates: PromptTemplates
+) -> str:
+    """The model's answer to one question about one article. Ranking scores
+    these answers and qa prompts show them for their examples; sharing this
+    one request means eval reuses the cache entries ranking wrote."""
+    bundle = build_single_qa(article, question, templates)
+    return client.generate(bundle.text, stop_sequences=bundle.stop_sequences).completion.strip()
 
 
 def rank_questions(
@@ -144,52 +149,32 @@ def rank_questions(
     rate-limiting backend and replay gaps (``FATAL_LM_ERRORS``) abort the
     ranking. Sorting is by descending mean with ties broken by bank order.
     """
-    from .prompting import DEFAULT_TEMPLATES, build_single_qa
-
     if not instances:
         raise ValueError("instances must be non-empty")
     bank = bank if bank is not None else builtin_bank()
     templates = templates or DEFAULT_TEMPLATES
+    selected = subsample_per_domain(instances, subsample, seed, "rank")
 
-    by_domain: dict[str, list] = {}
-    for inst in instances:
-        by_domain.setdefault(inst.domain, []).append(inst)
-
-    selected: list = []
-    for domain in sorted(by_domain):
-        members = sorted(by_domain[domain], key=lambda i: i.id)
-        if subsample is not None and subsample < len(members):
-            keep = set(_seeded_sample([m.id for m in members], subsample, f"{seed}|rank|{domain}"))
-            members = [m for m in members if m.id in keep]
-        selected.extend(members)
-
-    def score_one(inst, question: QuestionSpec) -> float | None:
-        bundle = build_single_qa(inst.article, question, templates)
-        try:
-            gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
-        except FATAL_LM_ERRORS:
-            raise
-        except LmError:
-            return None  # transient per-call failure; excluded from the mean
-        answer = gen.completion.strip()
+    def score_one(job) -> float:
+        inst, question = job
+        answer = answer_question(client, inst.article, question, templates)
         try:
             return overlap_precision(answer, inst.reference, mode=overlap_mode)
         except EmptyAnswer:
             return 0.0
 
     jobs = [(inst, q) for inst in selected for q in bank]
-    with ThreadPoolExecutor(max_workers=client.config.max_in_flight) as pool:
-        results = list(pool.map(lambda job: score_one(*job), jobs))
-
     cells: dict[tuple[str, str], list[tuple[str, float]]] = {}
-    for (inst, question), score in zip(jobs, results):
+    for (inst, question), score in zip(jobs, client.map(score_one, jobs)):
         if score is None:
-            continue
+            continue  # the call failed; excluded from the mean
         cells.setdefault((inst.domain, question.key), []).append((inst.id, score))
 
     order = _bank_order(bank)
     domains: dict[str, tuple[RankedQuestion, ...]] = {}
-    for domain in sorted(by_domain):
+    # Domains come from the input, not the sample, so an empty sample still
+    # raises EmptyRankingCell.
+    for domain in sorted({inst.domain for inst in instances}):
         ranked = []
         for question in bank:
             samples = cells.get((domain, question.key), [])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from qasum.corpus import (
     sample_icl_examples,
     save_corpus,
     split_corpus,
+    subsample_per_domain,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,3 +249,20 @@ def test_sample_rejects_zero_count():
     split = split_corpus(corpus, 0.5, seed=3)
     with pytest.raises(ValueError):
         sample_icl_examples(split, corpus, "News", "xsum", count=0, seed=0)
+
+
+def test_subsample_per_domain_is_the_seeded_per_domain_sample():
+    instances = [
+        TaskInstance(id=f"{d[0]}{n:02d}", domain=d, task="t", article="a", reference="r")
+        for d in ("Reviews", "News") for n in range(12)
+    ]
+    random.Random(1).shuffle(instances)
+    picked = subsample_per_domain(instances, 5, seed=7, label="eval")
+    expected = []
+    for domain in ("News", "Reviews"):
+        ids = sorted(i.id for i in instances if i.domain == domain)
+        expected += sorted(random.Random(f"7|eval|{domain}").sample(ids, 5))
+    assert [i.id for i in picked] == expected
+    everything = subsample_per_domain(instances, None, seed=7, label="eval")
+    assert [i.id for i in everything] == sorted(i.id for i in instances)
+    assert subsample_per_domain(instances, 12, seed=7, label="eval") == everything

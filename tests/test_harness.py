@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import json
 import threading
@@ -19,6 +20,7 @@ from qasum.harness import (
     load_manifest,
     run_compare,
     run_eval,
+    run_rank,
     save_manifest,
 )
 from qasum.lm import CacheStats, LmError, RateLimited
@@ -58,8 +60,9 @@ def test_config_from_file_with_overrides(tmp_path):
         "pool_fraction": 0.4,
         "k_values": [0, 1],
     }))
-    cfg = config_from_file(path, corpus="c.jsonl", method="icl", seed=5)
+    cfg = config_from_file(path, corpus="c.jsonl", method="icl", seed=5, max_retries=0)
     assert cfg.lm.model == "m9"
+    assert cfg.lm.max_retries == 0
     assert cfg.lm.max_in_flight == 3
     assert cfg.pool_fraction == 0.4
     assert cfg.k_values == (0, 1)
@@ -220,6 +223,22 @@ def test_eval_request_plan_issues_each_request_once(tmp_path):
         csvs[in_flight] = {name: (out / name).read_bytes() for name in
                            ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_k.csv")}
     assert csvs[4] == csvs[1]
+
+
+def test_eval_reuses_the_answers_ranking_paid_for(tmp_path):
+    cache = tmp_path / "cache"
+    ranking = tmp_path / "ranking.json"
+    cfg = make_config(method="qa", k_values=(0, 1, 2), ranking=ranking, cache_dir=cache,
+                      out=tmp_path / "run")
+    ranker = StubBackend(reply=qa_reply)
+    run_rank(cfg, ranking, backend=ranker)
+    assert any(r.prompt.startswith(SINGLE_QA_INSTRUCTION) for r in ranker.requests)
+
+    evaluator = StubBackend(reply=qa_reply)
+    manifest = run_eval(cfg, tmp_path / "run", backend=evaluator)
+    assert evaluator.requests
+    assert not [r for r in evaluator.requests if r.prompt.startswith(SINGLE_QA_INSTRUCTION)]
+    assert manifest.parse_counts["failed"] == 0
 
 
 class FailingQuestionBackend:
@@ -412,13 +431,15 @@ def test_cli_unreachable_backend_exit_code(tmp_path):
     assert code == 4
 
 
-@pytest.fixture
-def rate_limiting_server():
+@contextmanager
+def status_server(status):
+    """A localhost completion endpoint that answers every POST with ``status``."""
+
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            payload = b'{"error": "rate limited"}'
-            self.send_response(429)
+            payload = b'{"error": "refused"}'
+            self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -430,11 +451,25 @@ def rate_limiting_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def rate_limiting_server():
+    with status_server(429) as url:
+        yield url
+
+
+@pytest.fixture(params=[401, 404])
+def refusing_server(request):
+    with status_server(request.param) as url:
+        yield url
 
 
 def run_cli_eval(tmp_path, endpoint):
@@ -460,14 +495,33 @@ def test_cli_eval_rate_limited_exit_code(tmp_path, rate_limiting_server, capsys)
     assert not out_dir.exists()
 
 
-def test_cli_rank_rate_limited_exit_code(tmp_path, rate_limiting_server, capsys):
-    config = write_cli_config(tmp_path, backend="http", endpoint=rate_limiting_server,
+def run_cli_rank(tmp_path, endpoint):
+    config = write_cli_config(tmp_path, backend="http", endpoint=endpoint,
                               max_retries=0, timeout=2)
     ranking = tmp_path / "ranking.json"
     code = main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
                  "--out", str(ranking)])
+    return code, ranking
+
+
+def test_cli_rank_rate_limited_exit_code(tmp_path, rate_limiting_server, capsys):
+    code, ranking = run_cli_rank(tmp_path, rate_limiting_server)
     assert code == 5
     assert "rate limited" in capsys.readouterr().err
+    assert not ranking.exists()
+
+
+def test_cli_eval_refusing_backend_exit_code(tmp_path, refusing_server, capsys):
+    code, out_dir = run_cli_eval(tmp_path, refusing_server)
+    assert code == 4
+    assert "backend unreachable" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_rank_refusing_backend_exit_code(tmp_path, refusing_server, capsys):
+    code, ranking = run_cli_rank(tmp_path, refusing_server)
+    assert code == 4
+    assert "backend unreachable" in capsys.readouterr().err
     assert not ranking.exists()
 
 

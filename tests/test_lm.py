@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 import json
+import os
 import random
 import threading
+import time
 
 from hypothesis import given, strategies as st
 import pytest
 
 from conftest import StubBackend
 from qasum.lm import (
+    FATAL_LM_ERRORS,
     BackendUnreachable,
     CompletionClient,
     LmConfig,
@@ -141,6 +143,33 @@ def test_generate_second_call_hits_cache(tmp_path):
     assert second.from_cache
     assert second.completion == first.completion
     assert len(backend.requests) == 1
+
+
+def test_generate_without_cache_dir_stores_nothing():
+    backend = StubBackend()
+    client = CompletionClient(LmConfig(model="m1", backend="replay"), backend=backend)
+    assert not client.generate("prompt").from_cache
+    assert not client.generate("prompt").from_cache
+    assert len(backend.requests) == 2
+    stats = client.cache_stats()
+    assert (stats.hits, stats.misses, stats.entries) == (0, 2, 0)
+
+
+@pytest.mark.parametrize("stored", [b"", b'{"completion": 1}', b'{"completion": "\xff\xfe"}'],
+                         ids=["empty", "non-string-completion", "invalid-utf8"])
+def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, stored):
+    client = make_client(tmp_path, backend=StubBackend(reply="fresh"))
+    path = entry_path(str(tmp_path / "cache"), cache_key("m1", "prompt", 512, True, ()))
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as fh:
+        fh.write(stored)
+    gen = client.generate("prompt")
+    assert (gen.completion, gen.from_cache) == ("fresh", False)
+    stats = client.cache_stats()
+    assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["completion"] == "fresh"
+    assert client.generate("prompt").from_cache
 
 
 def test_generate_rejects_empty_prompt(tmp_path):
@@ -315,6 +344,14 @@ def test_http_client_error_is_immediate():
     assert not isinstance(excinfo.value, (RateLimited, BackendUnreachable))
 
 
+@pytest.mark.parametrize("status", [401, 403, 404, 405])
+def test_http_refused_endpoint_is_unreachable_without_retries(status):
+    backend = make_http_backend([FakeResponse(status_code=status, text="no such route")] * 3)
+    with pytest.raises(BackendUnreachable, match=f"{status}.*no such route"):
+        backend.complete(request_for(http_config()))
+    assert len(backend._session.calls) == 1
+
+
 def test_http_malformed_response():
     backend = make_http_backend([FakeResponse(payload={"nope": []})])
     with pytest.raises(LmError):
@@ -357,9 +394,58 @@ def test_max_in_flight_bounds_backend_concurrency(tmp_path):
         cache_dir=str(tmp_path / "cache"),
         backend=backend,
     )
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda i: client.generate(f"prompt {i}"), range(16)))
-    assert backend.max_active <= 2
+    client.map(lambda i: client.generate(f"prompt {i}"), range(16))
+    assert backend.max_active == 2
+
+
+# --- map: the one request path -----------------------------------------------
+
+
+def test_map_returns_results_in_item_order(tmp_path):
+    client = make_client(tmp_path, max_in_flight=4)
+
+    def slow_first(i):
+        time.sleep(0.002 * (8 - i))  # later items finish first
+        return i * i
+
+    assert client.map(slow_first, range(8)) == [i * i for i in range(8)]
+
+
+def test_map_per_item_lm_error_gives_none(tmp_path):
+    client = make_client(tmp_path, max_in_flight=2)
+
+    def fn(i):
+        if i % 3 == 0:
+            raise LmError("transient")
+        return i
+
+    assert client.map(fn, range(7)) == [None, 1, 2, None, 4, 5, None]
+
+
+@pytest.mark.parametrize("error", FATAL_LM_ERRORS)
+def test_map_fatal_lm_error_propagates_and_stops_the_batch(tmp_path, error):
+    client = make_client(tmp_path, max_in_flight=1)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        raise error("fails every item alike")
+
+    with pytest.raises(error):
+        client.map(fn, range(50))
+    assert len(started) < 50  # items not yet started were cancelled
+
+
+def test_map_non_lm_exception_propagates(tmp_path):
+    client = make_client(tmp_path, max_in_flight=2)
+
+    def fn(i):
+        if i == 3:
+            raise ValueError("a bug, not a backend failure")
+        return i
+
+    with pytest.raises(ValueError):
+        client.map(fn, range(6))
 
 
 def test_config_validates_bounds():

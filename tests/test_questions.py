@@ -160,6 +160,12 @@ def test_rank_subsample_is_seeded_and_recorded(tmp_path):
     assert one.domains["News"][0].n == 2
 
 
+def test_rank_subsample_of_zero_leaves_every_cell_empty(tmp_path):
+    client = stub_client("alpha beta gamma delta", tmp_path)
+    with pytest.raises(EmptyRankingCell):
+        rank_questions(client, [instance("i1")], bank=builtin_bank()[:1], subsample=0)
+
+
 def test_rank_requires_instances(tmp_path):
     with pytest.raises(ValueError):
         rank_questions(stub_client("x", tmp_path), [])
