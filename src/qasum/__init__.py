@@ -23,7 +23,6 @@ from .prompting import (
     IclExample,
     ParsedOutput,
     PromptBundle,
-    PromptTemplates,
     build_icl_prompt,
     build_qa_prompt,
     build_single_qa,
@@ -56,7 +55,6 @@ __all__ = [
     "LmConfig",
     "ParsedOutput",
     "PromptBundle",
-    "PromptTemplates",
     "QuestionSpec",
     "RankingTable",
     "RougeScore",

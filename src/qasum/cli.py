@@ -82,7 +82,6 @@ def _cmd_eval(args) -> int:
         k_values=k_values,
         icl_examples=args.icl_n,
         seed=args.seed,
-        out=args.out,
     )
     manifest = run_eval(cfg, args.out)
     stats = manifest.cache

@@ -203,10 +203,6 @@ class CorpusSplit:
 
     icl_pool: tuple[str, ...]
     eval_set: tuple[str, ...]
-    seed: int
-
-    def eval_ids(self) -> frozenset[str]:
-        return frozenset(self.eval_set)
 
 
 def _group_rng(seed: int, *parts: str) -> random.Random:
@@ -231,7 +227,7 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
         n_pool = max(1, math.ceil(pool_fraction * len(ids)))
         pool.extend(shuffled[:n_pool])
         eval_set.extend(shuffled[n_pool:])
-    return CorpusSplit(icl_pool=tuple(sorted(pool)), eval_set=tuple(sorted(eval_set)), seed=seed)
+    return CorpusSplit(icl_pool=tuple(sorted(pool)), eval_set=tuple(sorted(eval_set)))
 
 
 def subsample_per_domain(

@@ -19,12 +19,10 @@ from .corpus import DomainRegistry, load_corpus, sample_icl_examples, split_corp
 from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
 from .prompting import (
-    DEFAULT_TEMPLATES,
     IclExample,
     PARSE_FAILED,
     ParsedOutput,
     PromptBundle,
-    PromptTemplates,
     build_icl_prompt,
     build_qa_prompt,
     build_vanilla,
@@ -72,14 +70,10 @@ class ExperimentConfig:
     seed: int = 0
     eval_subsample: int | None = None
     rank_subsample: int | None = None
-    out: str = "."
     cache_dir: str | None = None
     replay_dir: str | None = None
     domains: tuple[str, ...] | None = None
-    templates: PromptTemplates = DEFAULT_TEMPLATES
     allow_model_mismatch: bool = False
-    overlap_mode: str = "multiset"
-    global_method: str = "precision"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -91,8 +85,10 @@ class ExperimentConfig:
             raise ValueError(f"k values outside [0, 10]: {bad}")
 
     def snapshot(self) -> dict:
-        snap = asdict(self)
-        return snap
+        return asdict(self)
+
+
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:
@@ -103,10 +99,12 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 
 
 def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
+    """Build a config from a parsed config document, then apply non-None
+    overrides. Raises ValueError naming every key that is not a config
+    field, at the top level or under ``lm``: ignoring a key would run a
+    different experiment than the file describes."""
     doc = dict(doc)
     lm_doc = dict(doc.pop("lm", {}))
-    templates_doc = doc.pop("templates", None)
-    templates = PromptTemplates(**templates_doc) if templates_doc else DEFAULT_TEMPLATES
     if "k_values" in doc:
         doc["k_values"] = tuple(doc["k_values"])
     if doc.get("domains") is not None:
@@ -118,9 +116,10 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
             lm_doc[key] = value
         else:
             doc[key] = value
-    if "stop_sequences" in lm_doc:
-        lm_doc["stop_sequences"] = tuple(lm_doc["stop_sequences"])
-    return ExperimentConfig(lm=LmConfig(**lm_doc), templates=templates, **doc)
+    unknown = sorted(set(doc) - _CONFIG_FIELDS) + sorted(f"lm.{key}" for key in set(lm_doc) - _LM_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return ExperimentConfig(lm=LmConfig(**lm_doc), **doc)
 
 
 @dataclass(frozen=True)
@@ -211,14 +210,7 @@ def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
     by_id = corpus.by_id()
     pool = [by_id[i] for i in split.icl_pool]
     client = _make_client(cfg, backend)
-    table = rank_questions(
-        client,
-        pool,
-        subsample=cfg.rank_subsample,
-        seed=cfg.seed,
-        templates=cfg.templates,
-        overlap_mode=cfg.overlap_mode,
-    )
+    table = rank_questions(client, pool, subsample=cfg.rank_subsample, seed=cfg.seed)
     save_ranking(table, out_path)
     return table
 
@@ -253,7 +245,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
         table = load_ranking(cfg.ranking)
         ensure_model(table, cfg.lm.model, allow_mismatch=cfg.allow_model_mismatch)
         if cfg.scope == "global":
-            global_rank = global_ranking(table, method=cfg.global_method)
+            global_rank = global_ranking(table)
 
     client = _make_client(cfg, backend)
 
@@ -293,17 +285,17 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
 
     def answer(job) -> str:
         example, question = job
-        return answer_question(client, example.article, question, cfg.templates)
+        return answer_question(client, example.article, question)
 
     answers = dict(zip(answer_jobs, client.map(answer, answer_jobs.values())))
 
     def build_bundle(inst, k: int) -> PromptBundle | None:
         if cfg.method == "vanilla":
-            return build_vanilla(inst.article, cfg.templates)
+            return build_vanilla(inst.article)
         group = examples[inst.domain, inst.task]
         if cfg.method == "icl":
             icl = [IclExample(e.article, e.reference) for e in group]
-            return build_icl_prompt(inst.article, icl, cfg.templates)
+            return build_icl_prompt(inst.article, icl)
         qs = questions[question_scope(inst), k]
         icl = []
         for e in group:
@@ -311,7 +303,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             if None in example_answers:
                 return None
             icl.append(IclExample(e.article, e.reference, example_answers))
-        return build_qa_prompt(inst.article, qs, icl, cfg.templates)
+        return build_qa_prompt(inst.article, qs, icl)
 
     # Stage 3: one completion per (instance, k), parsed. The prompt is
     # built inside the worker, so only the prompts in flight are alive.

@@ -57,7 +57,6 @@ class LmConfig:
     endpoint: str = ""
     max_tokens: int = 512
     greedy: bool = True
-    stop_sequences: tuple[str, ...] = ()
     timeout: float = 60.0
     max_retries: int = 3
     max_in_flight: int = 1
@@ -120,6 +119,19 @@ def entry_path(root: str, key: str) -> str:
     return os.path.join(root, key[:2], key + ".json")
 
 
+def read_entry(path: str) -> dict | None:
+    """The cache entry stored at ``path``, or None if it is absent, not UTF-8
+    JSON, not an object or has no string ``completion``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except (FileNotFoundError, ValueError):  # absent, truncated, garbled or not UTF-8
+        return None
+    if not isinstance(entry, dict) or not isinstance(entry.get("completion"), str):
+        return None
+    return entry
+
+
 def make_entry(request: CompletionRequest, completion: str, finish_reason: str) -> dict:
     return {
         "model": request.model,
@@ -152,26 +164,15 @@ class ResponseCache:
             os.makedirs(root, exist_ok=True)
 
     def get(self, key: str) -> dict | None:
-        """The stored entry, or None on a miss. An entry that is not UTF-8
-        JSON, not an object or has no string ``completion`` is a miss too,
-        so the caller asks the backend again and ``put`` replaces it."""
-        entry = self._read(entry_path(self._root, key)) if self._root else None
+        """The stored entry, or None on a miss. An entry that ``read_entry``
+        cannot read is a miss too, so the caller asks the backend again and
+        ``put`` replaces it."""
+        entry = read_entry(entry_path(self._root, key)) if self._root else None
         with self._lock:
             if entry is None:
                 self._misses += 1
             else:
                 self._hits += 1
-        return entry
-
-    @staticmethod
-    def _read(path: str) -> dict | None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (FileNotFoundError, ValueError):  # absent, truncated, garbled or not UTF-8
-            return None
-        if not isinstance(entry, dict) or not isinstance(entry.get("completion"), str):
-            return None
         return entry
 
     def put(self, key: str, entry: dict) -> None:
@@ -274,11 +275,12 @@ class ReplayBackend:
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
         path = entry_path(self._dir, request.key)
-        if not os.path.exists(path):
+        entry = read_entry(path)
+        if entry is None:
             head = request.prompt.splitlines()[0][:80] if request.prompt else ""
-            raise ReplayMiss(f"no recording for key {request.key} (prompt starts: {head!r})")
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
+            raise ReplayMiss(
+                f"no readable recording for key {request.key} at {path} (prompt starts: {head!r})"
+            )
         return entry["completion"], entry.get("finish_reason", "stop")
 
 
@@ -318,13 +320,13 @@ class CompletionClient:
             self._backend = HttpBackend(config)
 
     def generate(self, prompt: str, *, max_tokens: int | None = None,
-                 stop_sequences: tuple[str, ...] | None = None) -> Generation:
+                 stop_sequences: tuple[str, ...] = ()) -> Generation:
         """Complete ``prompt``, consulting the cache first and storing the
         result on a miss; truncates at the first stop sequence."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
         effective_max = max_tokens if max_tokens is not None else self.config.max_tokens
-        stops = tuple(stop_sequences) if stop_sequences is not None else self.config.stop_sequences
+        stops = tuple(stop_sequences)
         key = cache_key(self.config.model, prompt, effective_max, self.config.greedy, stops)
         started = time.perf_counter()
 

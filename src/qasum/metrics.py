@@ -77,25 +77,18 @@ class ScoreRow:
     parse_status: str  # ok | fallback | failed
 
 
-def overlap_precision(answer: str, reference: str, *, mode: str = "multiset") -> float:
+def overlap_precision(answer: str, reference: str) -> float:
     """Fraction of the answer's words that also occur in the reference.
 
-    ``mode="multiset"`` clips per-word counts at the reference's counts
-    (repetition is not rewarded); ``mode="set"`` counts each distinct
-    shared word once. Both divide by the total answer word count. The two
-    agree whenever the answer has no repeated reference words.
+    Each word's count is clipped at its count in the reference, so
+    repeating a reference word is not rewarded, and the matched count is
+    divided by the answer's total word count.
     """
     answer_tokens = tokenize(answer)
     if not answer_tokens:
         raise EmptyAnswer("answer has no tokens")
     ref_counts = Counter(tokenize(reference))
-    if mode == "multiset":
-        ans_counts = Counter(answer_tokens)
-        matched = sum(min(c, ref_counts[w]) for w, c in ans_counts.items())
-    elif mode == "set":
-        matched = sum(1 for w in set(answer_tokens) if ref_counts[w] > 0)
-    else:
-        raise ValueError(f"unknown overlap mode: {mode!r}")
+    matched = sum(min(c, ref_counts[w]) for w, c in Counter(answer_tokens).items())
     return matched / len(answer_tokens)
 
 

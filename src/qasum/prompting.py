@@ -1,11 +1,14 @@
 """Prompt rendering and completion parsing.
 
-Four prompt kinds are rendered byte-exactly: a zero-shot summarization
-instruction (vanilla), the same with completed example blocks prepended
-(icl), a single-question answering prompt used by the ranking phase, and
-the question-answer-then-summarize prompt (qa). Completions are parsed
-back into per-question answers plus a summary, with graceful fallback
-states so a batch run never aborts on one bad generation.
+Four prompt kinds are rendered byte-exactly from three fixed
+instructions: a zero-shot summarization instruction (vanilla), the same
+with completed example blocks prepended (icl), a single-question
+answering prompt used by the ranking phase, and the
+question-answer-then-summarize prompt (qa). Each prompt stops at its own
+instruction, so a completion that starts another example is cut there.
+Completions are parsed back into per-question answers plus a summary,
+with graceful fallback states so a batch run never aborts on one bad
+generation.
 """
 
 from __future__ import annotations
@@ -45,18 +48,6 @@ class AnswerCountMismatch(PromptError):
 
 
 @dataclass(frozen=True)
-class PromptTemplates:
-    """Instruction strings; override via the harness config to ablate."""
-
-    qa_instruction: str = QA_INSTRUCTION
-    single_qa_instruction: str = SINGLE_QA_INSTRUCTION
-    vanilla_instruction: str = VANILLA_INSTRUCTION
-
-
-DEFAULT_TEMPLATES = PromptTemplates()
-
-
-@dataclass(frozen=True)
 class IclExample:
     """A completed example block: article, reference summary, and (for qa
     prompts) one generated answer per prompt question."""
@@ -68,10 +59,8 @@ class IclExample:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    kind: str  # vanilla | icl | qa
     text: str
     k: int
-    question_keys: tuple[str, ...]
     answer_markers: tuple[str, ...]
     stop_sequences: tuple[str, ...]
 
@@ -92,35 +81,19 @@ def render_output_block(answers: tuple[str, ...] | list[str], summary: str) -> s
     return " ".join(parts) + f"\n{SUMMARY_MARKER} {summary}."
 
 
-def build_vanilla(article: str, templates: PromptTemplates = DEFAULT_TEMPLATES) -> PromptBundle:
-    text = f"{templates.vanilla_instruction}\n{article}\n{SUMMARY_MARKER}"
-    return PromptBundle(
-        kind="vanilla",
-        text=text,
-        k=0,
-        question_keys=(),
-        answer_markers=(),
-        stop_sequences=(templates.vanilla_instruction,),
-    )
+def build_vanilla(article: str) -> PromptBundle:
+    text = f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}"
+    return PromptBundle(text=text, k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,))
 
 
-def build_icl_prompt(
-    article: str,
-    icl_examples: list[IclExample],
-    templates: PromptTemplates = DEFAULT_TEMPLATES,
-) -> PromptBundle:
+def build_icl_prompt(article: str, icl_examples: list[IclExample]) -> PromptBundle:
     blocks = [
-        f"{templates.vanilla_instruction}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."
+        f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."
         for ex in icl_examples
     ]
-    blocks.append(f"{templates.vanilla_instruction}\n{article}\n{SUMMARY_MARKER}")
+    blocks.append(f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}")
     return PromptBundle(
-        kind="icl",
-        text="\n\n".join(blocks),
-        k=0,
-        question_keys=(),
-        answer_markers=(),
-        stop_sequences=(templates.vanilla_instruction,),
+        text="\n\n".join(blocks), k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,)
     )
 
 
@@ -129,65 +102,43 @@ def _question_lines(questions: list[QuestionSpec]) -> str:
 
 
 def build_qa_prompt(
-    article: str,
-    questions: list[QuestionSpec],
-    icl_examples: list[IclExample],
-    templates: PromptTemplates = DEFAULT_TEMPLATES,
+    article: str, questions: list[QuestionSpec], icl_examples: list[IclExample]
 ) -> PromptBundle:
     """Render the QA-then-summarize prompt.
 
     Questions must already be ordered best-first; each ICL example must
     carry exactly one answer per question. With no questions this is the
-    plain ICL prompt (the k = 0 degenerate case), reported as kind "qa".
+    plain ICL prompt (the k = 0 degenerate case).
     """
     k = len(questions)
     for idx, ex in enumerate(icl_examples):
         if len(ex.answers) != k:
             raise AnswerCountMismatch(idx, k, len(ex.answers))
     if k == 0:
-        icl = build_icl_prompt(article, icl_examples, templates)
-        return PromptBundle(
-            kind="qa",
-            text=icl.text,
-            k=0,
-            question_keys=(),
-            answer_markers=(),
-            stop_sequences=icl.stop_sequences,
-        )
+        return build_icl_prompt(article, icl_examples)
 
     q_block = _question_lines(questions)
     blocks = []
     for ex in icl_examples:
         blocks.append(
-            f"{templates.qa_instruction}\n{ex.article}\n{q_block}\n"
+            f"{QA_INSTRUCTION}\n{ex.article}\n{q_block}\n"
             + render_output_block(ex.answers, ex.reference)
         )
-    blocks.append(f"{templates.qa_instruction}\n{article}\n{q_block}\nA:")
+    blocks.append(f"{QA_INSTRUCTION}\n{article}\n{q_block}\nA:")
     return PromptBundle(
-        kind="qa",
         text="\n\n".join(blocks),
         k=k,
-        question_keys=tuple(q.key for q in questions),
         answer_markers=tuple(f"A{i}:" for i in range(1, k + 1)),
-        stop_sequences=(templates.qa_instruction,),
+        stop_sequences=(QA_INSTRUCTION,),
     )
 
 
-def build_single_qa(
-    article: str,
-    question: QuestionSpec,
-    templates: PromptTemplates = DEFAULT_TEMPLATES,
-) -> PromptBundle:
+def build_single_qa(article: str, question: QuestionSpec) -> PromptBundle:
     """The ranking-phase prompt: one question, the whole completion is the
     answer (no markers to parse)."""
-    text = f"{templates.single_qa_instruction}\n{article}\nQ: {question.text}\nA:"
+    text = f"{SINGLE_QA_INSTRUCTION}\n{article}\nQ: {question.text}\nA:"
     return PromptBundle(
-        kind="qa",
-        text=text,
-        k=1,
-        question_keys=(question.key,),
-        answer_markers=(),
-        stop_sequences=(templates.single_qa_instruction,),
+        text=text, k=1, answer_markers=(), stop_sequences=(SINGLE_QA_INSTRUCTION,)
     )
 
 

@@ -18,7 +18,7 @@ import time
 from .corpus import subsample_per_domain
 from .lm import CompletionClient
 from .metrics import EmptyAnswer, overlap_precision
-from .prompting import DEFAULT_TEMPLATES, PromptTemplates, build_single_qa
+from .prompting import build_single_qa
 
 
 class RankingError(Exception):
@@ -99,10 +99,9 @@ class RankingTable:
 @dataclass(frozen=True)
 class GlobalRanking:
     """One cross-domain ordering: per question, the unweighted mean of its
-    per-domain mean precisions (or of its per-domain ranks)."""
+    per-domain mean precisions."""
 
     model: str
-    method: str  # precision | rank
     entries: tuple[RankedQuestion, ...]
 
 
@@ -119,13 +118,11 @@ def _bank_order(bank: list[QuestionSpec]) -> dict[str, int]:
     return {q.key: i for i, q in enumerate(bank)}
 
 
-def answer_question(
-    client: CompletionClient, article: str, question: QuestionSpec, templates: PromptTemplates
-) -> str:
+def answer_question(client: CompletionClient, article: str, question: QuestionSpec) -> str:
     """The model's answer to one question about one article. Ranking scores
     these answers and qa prompts show them for their examples; sharing this
     one request means eval reuses the cache entries ranking wrote."""
-    bundle = build_single_qa(article, question, templates)
+    bundle = build_single_qa(article, question)
     return client.generate(bundle.text, stop_sequences=bundle.stop_sequences).completion.strip()
 
 
@@ -136,8 +133,6 @@ def rank_questions(
     *,
     subsample: int | None = None,
     seed: int = 0,
-    templates=None,
-    overlap_mode: str = "multiset",
 ) -> RankingTable:
     """Score every (question, instance) pair and order questions per domain.
 
@@ -152,14 +147,13 @@ def rank_questions(
     if not instances:
         raise ValueError("instances must be non-empty")
     bank = bank if bank is not None else builtin_bank()
-    templates = templates or DEFAULT_TEMPLATES
     selected = subsample_per_domain(instances, subsample, seed, "rank")
 
     def score_one(job) -> float:
         inst, question = job
-        answer = answer_question(client, inst.article, question, templates)
+        answer = answer_question(client, inst.article, question)
         try:
-            return overlap_precision(answer, inst.reference, mode=overlap_mode)
+            return overlap_precision(answer, inst.reference)
         except EmptyAnswer:
             return 0.0
 
@@ -195,41 +189,29 @@ def rank_questions(
     )
 
 
-def global_ranking(
-    table: RankingTable,
-    bank: list[QuestionSpec] | None = None,
-    *,
-    method: str = "precision",
-) -> GlobalRanking:
+def global_ranking(table: RankingTable, bank: list[QuestionSpec] | None = None) -> GlobalRanking:
     """Collapse a per-domain table into one cross-domain ordering.
 
-    ``method="precision"`` averages per-domain mean precisions (higher is
-    better); ``method="rank"`` averages per-domain rank positions (lower
-    is better). Ties break by bank order either way.
+    Each question scores the unweighted mean of its per-domain mean
+    precisions, over the domains that ranked it; higher is better and
+    ties break by bank order. This is the "global question set" that
+    domain-specific selection is compared against.
     """
     if not table.domains:
         raise RankingError("ranking table covers no domains")
     bank = bank if bank is not None else builtin_bank()
     order = _bank_order(bank)
-    keys = [q.key for q in bank if any(q.key in {r.key for r in rs} for rs in table.domains.values())]
-
-    entries = []
-    for key in keys:
-        per_domain = []
-        for ranked in table.domains.values():
-            for position, r in enumerate(ranked, start=1):
-                if r.key == key:
-                    per_domain.append(r.mean_precision if method == "precision" else float(position))
-                    break
-        score = sum(per_domain) / len(per_domain)
-        entries.append(RankedQuestion(key, score, len(per_domain)))
-    if method == "precision":
-        entries.sort(key=lambda r: (-r.mean_precision, order[r.key]))
-    elif method == "rank":
-        entries.sort(key=lambda r: (r.mean_precision, order[r.key]))
-    else:
-        raise ValueError(f"unknown global ranking method: {method!r}")
-    return GlobalRanking(model=table.model, method=method, entries=tuple(entries))
+    per_domain: dict[str, list[float]] = {}
+    for ranked in table.domains.values():
+        for r in ranked:
+            per_domain.setdefault(r.key, []).append(r.mean_precision)
+    entries = [
+        RankedQuestion(q.key, sum(scores) / len(scores), len(scores))
+        for q in bank
+        if (scores := per_domain.get(q.key))
+    ]
+    entries.sort(key=lambda r: (-r.mean_precision, order[r.key]))
+    return GlobalRanking(model=table.model, entries=tuple(entries))
 
 
 def top_k(
@@ -264,7 +246,7 @@ def ensure_model(table: RankingTable, model: str, *, allow_mismatch: bool = Fals
     if table.model != model and not allow_mismatch:
         raise ModelMismatch(
             f"ranking was computed for model {table.model!r}, run uses {model!r} "
-            "(pass the override flag to proceed anyway)"
+            '(set "allow_model_mismatch": true in the config file to proceed anyway)'
         )
 
 

@@ -148,7 +148,6 @@ def make_config(
     ranking=None,
     cache_dir=None,
     replay_dir=None,
-    out=".",
     **overrides,
 ) -> ExperimentConfig:
     base = dict(
@@ -160,7 +159,6 @@ def make_config(
         icl_examples=1,
         pool_fraction=POOL_FRACTION,
         seed=SEED,
-        out=str(out),
         cache_dir=str(cache_dir) if cache_dir else None,
         replay_dir=str(replay_dir) if replay_dir else None,
     )
@@ -187,16 +185,16 @@ def replay_dir(tmp_path_factory, scripted_backend) -> Path:
     replay = root / "replay"
     ranking = root / "ranking.json"
 
-    cfg = make_config(method="qa", cache_dir=replay, out=root)
+    cfg = make_config(method="qa", cache_dir=replay)
     run_rank(cfg, ranking, backend=scripted_backend)
     run_eval(
-        make_config(method="icl", cache_dir=replay, out=root / "icl"),
+        make_config(method="icl", cache_dir=replay),
         root / "icl",
         backend=scripted_backend,
     )
     run_eval(
         make_config(method="qa", k_values=(0, 1, 2), ranking=ranking,
-                    cache_dir=replay, out=root / "qa"),
+                    cache_dir=replay),
         root / "qa",
         backend=scripted_backend,
     )

@@ -226,7 +226,7 @@ def test_sample_never_returns_eval_instances():
     for seed in range(10):
         split = split_corpus(corpus, 0.4, seed=seed)
         picked = sample_icl_examples(split, corpus, "News", "xsum", count=3, seed=seed)
-        assert all(p.id not in split.eval_ids() for p in picked)
+        assert all(p.id not in split.eval_set for p in picked)
 
 
 def test_sample_is_deterministic():

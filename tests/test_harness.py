@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import json
+from pathlib import Path
+import shutil
 import threading
 
 import pytest
@@ -14,8 +17,10 @@ from conftest import CORPUS_PATH, MODEL, StubBackend, make_config, make_lm_confi
 from qasum.cli import main
 from qasum.corpus import load_corpus, sample_icl_examples, split_corpus
 from qasum.harness import (
+    ExperimentConfig,
     MismatchedEvalSets,
     RunManifest,
+    config_from_dict,
     config_from_file,
     load_manifest,
     run_compare,
@@ -23,7 +28,7 @@ from qasum.harness import (
     run_rank,
     save_manifest,
 )
-from qasum.lm import CacheStats, LmError, RateLimited
+from qasum.lm import CacheStats, LmConfig, LmError, RateLimited
 from qasum.metrics import RougeScore, ScoreRow
 from qasum.prompting import SINGLE_QA_INSTRUCTION, build_single_qa
 from qasum.questions import (
@@ -80,18 +85,27 @@ def test_config_rejects_bad_method():
         make_config(method="chant")
 
 
-def test_config_template_overrides_reach_prompts(tmp_path):
-    from qasum.harness import config_from_dict
+def test_config_rejects_every_unknown_key_at_both_levels():
+    with pytest.raises(ValueError) as exc:
+        config_from_dict({
+            "corpus": "c.jsonl",
+            "lm": {"model": "m", "temperature": 0.7, "stop_sequences": ["END"]},
+            "bogus": 1,
+            "templates": {"vanilla_instruction": "Condense the article below."},
+        })
+    assert str(exc.value) == (
+        "unknown config key(s): bogus, templates, lm.stop_sequences, lm.temperature"
+    )
 
-    cfg = config_from_dict({
-        "corpus": str(CORPUS_PATH),
-        "lm": {"model": MODEL, "backend": "replay"},
-        "templates": {"vanilla_instruction": "Condense the article below."},
-        "pool_fraction": 0.5,
-    }, method="vanilla", cache_dir=str(tmp_path / "c"))
-    backend = StubBackend(reply=" s")
-    run_eval(cfg, tmp_path, backend=backend)
-    assert all(p.prompt.startswith("Condense the article below.") for p in backend.requests)
+
+def test_readme_config_block_lists_every_accepted_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config file", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = config_from_dict(doc)
+    assert cfg.lm.model == doc["lm"]["model"]
+    assert set(doc) == {f.name for f in fields(ExperimentConfig)}
+    assert set(doc["lm"]) == {f.name for f in fields(LmConfig)}
 
 
 # --- eval behavior -----------------------------------------------------------
@@ -99,7 +113,7 @@ def test_config_template_overrides_reach_prompts(tmp_path):
 
 def test_eval_icl_forces_k_zero(tmp_path):
     backend = StubBackend(reply=" a summary")
-    cfg = make_config(method="icl", k_values=(0, 1, 2), cache_dir=tmp_path / "c", out=tmp_path)
+    cfg = make_config(method="icl", k_values=(0, 1, 2), cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=backend)
     assert {r.k for r in manifest.rows} == {0}
     assert len(manifest.rows) == 3
@@ -107,7 +121,7 @@ def test_eval_icl_forces_k_zero(tmp_path):
 
 def test_eval_vanilla_smoke(tmp_path):
     backend = StubBackend(reply=" a summary")
-    cfg = make_config(method="vanilla", cache_dir=tmp_path / "c", out=tmp_path)
+    cfg = make_config(method="vanilla", cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=backend)
     assert len(manifest.rows) == 3
     assert all(r.method == "vanilla" and r.k == 0 for r in manifest.rows)
@@ -122,14 +136,14 @@ def test_eval_qa_k0_prompts_equal_icl_prompts(tmp_path):
 
     icl_backend = StubBackend(reply=" s")
     run_eval(
-        make_config(method="icl", cache_dir=tmp_path / "c1", out=tmp_path / "icl"),
+        make_config(method="icl", cache_dir=tmp_path / "c1"),
         tmp_path / "icl",
         backend=icl_backend,
     )
     qa_backend = StubBackend(reply=" s")
     run_eval(
         make_config(method="qa", k_values=(0,), ranking=ranking,
-                    cache_dir=tmp_path / "c2", out=tmp_path / "qa"),
+                    cache_dir=tmp_path / "c2"),
         tmp_path / "qa",
         backend=qa_backend,
     )
@@ -137,7 +151,7 @@ def test_eval_qa_k0_prompts_equal_icl_prompts(tmp_path):
 
 
 def test_eval_qa_requires_ranking(tmp_path):
-    cfg = make_config(method="qa", cache_dir=tmp_path / "c", out=tmp_path)
+    cfg = make_config(method="qa", cache_dir=tmp_path / "c")
     with pytest.raises(RankingError):
         run_eval(cfg, tmp_path)
 
@@ -147,7 +161,7 @@ def test_eval_qa_sets_max_tokens_per_k(tmp_path):
     synthetic_ranking(ranking)
     backend = StubBackend(reply=" A1: a.\nSummary: s.")
     cfg = make_config(method="qa", k_values=(0, 1), ranking=ranking,
-                      cache_dir=tmp_path / "c", out=tmp_path)
+                      cache_dir=tmp_path / "c")
     run_eval(cfg, tmp_path, backend=backend)
     max_tokens_seen = {p.max_tokens for p in backend.requests}
     assert {512, 544} <= max_tokens_seen
@@ -159,7 +173,7 @@ class FailingBackend:
 
 
 def test_eval_failures_become_failed_rows(tmp_path):
-    cfg = make_config(method="icl", cache_dir=tmp_path / "c", out=tmp_path)
+    cfg = make_config(method="icl", cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=FailingBackend())
     assert len(manifest.rows) == 3
     assert all(r.parse_status == "failed" for r in manifest.rows)
@@ -200,7 +214,7 @@ def test_eval_request_plan_issues_each_request_once(tmp_path):
         cache = tmp_path / f"cache-{in_flight}"
         out = tmp_path / f"run-{in_flight}"
         cfg = make_config(method="qa", k_values=k_values, ranking=ranking, cache_dir=cache,
-                          out=out, lm=make_lm_config(max_in_flight=in_flight))
+                          lm=make_lm_config(max_in_flight=in_flight))
         cold = StubBackend(reply=qa_reply)
         manifest = run_eval(cfg, out, backend=cold)
 
@@ -228,8 +242,7 @@ def test_eval_request_plan_issues_each_request_once(tmp_path):
 def test_eval_reuses_the_answers_ranking_paid_for(tmp_path):
     cache = tmp_path / "cache"
     ranking = tmp_path / "ranking.json"
-    cfg = make_config(method="qa", k_values=(0, 1, 2), ranking=ranking, cache_dir=cache,
-                      out=tmp_path / "run")
+    cfg = make_config(method="qa", k_values=(0, 1, 2), ranking=ranking, cache_dir=cache)
     ranker = StubBackend(reply=qa_reply)
     run_rank(cfg, ranking, backend=ranker)
     assert any(r.prompt.startswith(SINGLE_QA_INSTRUCTION) for r in ranker.requests)
@@ -259,7 +272,7 @@ def test_eval_example_answer_failure_fails_only_rows_that_need_it(tmp_path):
     synthetic_ranking(ranking)
     second = builtin_bank()[1]  # ranked second in every domain
     cfg = make_config(method="qa", k_values=(0, 1, 2), ranking=ranking,
-                      cache_dir=tmp_path / "c", out=tmp_path)
+                      cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=FailingQuestionBackend(second.text))
     status = {(r.id, r.k): r.parse_status for r in manifest.rows}
     assert {s for (_, k), s in status.items() if k < 2} == {"ok"}
@@ -278,15 +291,15 @@ def test_eval_rate_limited_example_answers_abort_the_run(tmp_path):
     synthetic_ranking(ranking)
     out = tmp_path / "run"
     cfg = make_config(method="qa", k_values=(1,), ranking=ranking,
-                      cache_dir=tmp_path / "c", out=out)
+                      cache_dir=tmp_path / "c")
     with pytest.raises(RateLimited):
         run_eval(cfg, out, backend=RateLimitedAnswers())
     assert not out.exists()
 
 
 def test_eval_subsample_is_stable(tmp_path):
-    cfg1 = make_config(method="icl", eval_subsample=1, cache_dir=tmp_path / "c1", out=tmp_path / "a")
-    cfg2 = make_config(method="icl", eval_subsample=1, cache_dir=tmp_path / "c2", out=tmp_path / "b")
+    cfg1 = make_config(method="icl", eval_subsample=1, cache_dir=tmp_path / "c1")
+    cfg2 = make_config(method="icl", eval_subsample=1, cache_dir=tmp_path / "c2")
     m1 = run_eval(cfg1, tmp_path / "a", backend=StubBackend(reply=" s"))
     m2 = run_eval(cfg2, tmp_path / "b", backend=StubBackend(reply=" s"))
     assert m1.eval_ids == m2.eval_ids
@@ -294,7 +307,7 @@ def test_eval_subsample_is_stable(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    cfg = make_config(method="icl", cache_dir=tmp_path / "c", out=tmp_path)
+    cfg = make_config(method="icl", cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" s"))
     loaded = load_manifest(tmp_path / "manifest.json")
     assert loaded.rows == manifest.rows
@@ -303,7 +316,7 @@ def test_manifest_round_trip(tmp_path):
 
 
 def test_aggregates_recompute_from_rows(tmp_path):
-    cfg = make_config(method="icl", cache_dir=tmp_path / "c", out=tmp_path)
+    cfg = make_config(method="icl", cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" s"))
     from qasum.metrics import aggregate
 
@@ -419,6 +432,39 @@ def test_cli_eval_scope_global(tmp_path, replay_dir):
     manifest = load_manifest(out_dir / "manifest.json")
     assert manifest.config["scope"] == "global"
     assert all(r.rougeL.f1 == 1.0 for r in manifest.rows)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("templates", {"vanilla_instruction": "Condense the article below."}),
+    ("lm.stop_sequences", ["END"]),
+])
+def test_cli_eval_unknown_config_key_exit_code(tmp_path, capsys, key, value):
+    config = write_cli_config(tmp_path)
+    doc = json.loads(config.read_text())
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: unknown config key(s): {key}\n"
+    assert not out_dir.exists()
+
+
+def test_cli_eval_unreadable_replay_recording_exit_code(tmp_path, replay_dir, capsys):
+    replay = tmp_path / "replay"
+    shutil.copytree(replay_dir, replay)
+    entries = sorted(replay.glob("*/*.json"))
+    for entry in entries:
+        entry.write_bytes(b"")
+    config = write_cli_config(tmp_path, replay_dir=replay)
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "icl", "--out", str(tmp_path / "run")])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("replay fixture gap: no readable recording for key ")
+    assert any(entry.stem in err for entry in entries)
 
 
 def test_cli_unreachable_backend_exit_code(tmp_path):

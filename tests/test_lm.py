@@ -236,6 +236,16 @@ def test_replay_miss_is_an_error(tmp_path):
         client.generate("never recorded")
 
 
+def test_replay_unreadable_recording_is_a_miss(tmp_path):
+    key = cache_key("m1", "prompt p", 512, True, ())
+    path = entry_path(str(tmp_path), key)
+    os.makedirs(os.path.dirname(path))
+    open(path, "wb").close()
+    client = CompletionClient(LmConfig(model="m1", backend="replay"), replay_dir=str(tmp_path))
+    with pytest.raises(ReplayMiss, match=key):
+        client.generate("prompt p")
+
+
 def test_replay_requires_directory(tmp_path):
     with pytest.raises(ValueError):
         CompletionClient(LmConfig(model="m1", backend="replay"), cache_dir=str(tmp_path))
@@ -282,21 +292,20 @@ def make_http_backend(responses, config=None):
     return HttpBackend(config or http_config(), session=FakeSession(responses), sleep=lambda s: None)
 
 
-def request_for(config, prompt="p"):
+def request_for(config, prompt="p", stop_sequences=()):
     from qasum.lm import CompletionRequest
 
     return CompletionRequest(
         model=config.model, prompt=prompt, max_tokens=config.max_tokens,
-        greedy=config.greedy, stop_sequences=config.stop_sequences,
-        key=cache_key(config.model, prompt, config.max_tokens, config.greedy,
-                      config.stop_sequences),
+        greedy=config.greedy, stop_sequences=stop_sequences,
+        key=cache_key(config.model, prompt, config.max_tokens, config.greedy, stop_sequences),
     )
 
 
 def test_http_success_and_body_shape():
-    cfg = http_config(stop_sequences=("END",))
+    cfg = http_config()
     backend = make_http_backend([FakeResponse(payload={"choices": [{"text": "out", "finish_reason": "stop"}]})], cfg)
-    text, finish = backend.complete(request_for(cfg))
+    text, finish = backend.complete(request_for(cfg, stop_sequences=("END",)))
     assert (text, finish) == ("out", "stop")
     call = backend._session.calls[0]
     assert call["json"] == {"model": "m1", "prompt": "p", "max_tokens": 512,

@@ -104,17 +104,8 @@ def test_overlap_empty_answer_raises():
 def test_overlap_multiset_clips_repetition():
     # answer repeats "the" but the reference has it once
     assert overlap_precision("the the cat", "the cat") == pytest.approx(2 / 3)
-
-
-def test_overlap_set_mode_counts_distinct_words_once():
-    # multiset credits the repeated "the" twice (reference has two), set does not
-    assert overlap_precision("the the cat", "the dog the", mode="multiset") == pytest.approx(2 / 3)
-    assert overlap_precision("the the cat", "the dog the", mode="set") == pytest.approx(1 / 3)
-
-
-def test_overlap_unknown_mode():
-    with pytest.raises(ValueError):
-        overlap_precision("a", "a", mode="bag")
+    # the reference has "the" twice, so both of the answer's are credited
+    assert overlap_precision("the the cat", "the dog the") == pytest.approx(2 / 3)
 
 
 @given(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12), st.randoms())

@@ -273,13 +273,6 @@ def test_global_means_per_domain_precisions():
     assert [e.key for e in ranking.entries] == ["topic", "key_pts", "entities"]
 
 
-def test_global_rank_mean_mode():
-    ranking = global_ranking(two_domain_table(), method="rank")
-    # mean ranks: topic (1+2)/2 = 1.5, key_pts (2+1)/2 = 1.5, entities 3
-    assert [e.key for e in ranking.entries] == ["topic", "key_pts", "entities"]
-    assert ranking.method == "rank"
-
-
 def test_top_k_on_global_ranking():
     ranking = global_ranking(two_domain_table())
     assert [q.key for q in top_k(ranking, 2)] == ["topic", "key_pts"]
