@@ -13,7 +13,6 @@ from .corpus import (
     TaskInstance,
     load_corpus,
     sample_icl_examples,
-    save_corpus,
     split_corpus,
 )
 from .harness import ExperimentConfig, RunManifest, run_compare, run_eval, run_rank, run_report
@@ -81,7 +80,6 @@ __all__ = [
     "run_rank",
     "run_report",
     "sample_icl_examples",
-    "save_corpus",
     "save_ranking",
     "split_corpus",
     "tokenize",

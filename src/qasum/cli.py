@@ -1,8 +1,9 @@
 """Command-line entry points: rank, eval, compare, report.
 
-Exit codes: 2 usage (argparse), 3 corpus errors, 4 backend unreachable or
-refusing every request (401/403/404/405), 5 rate limited, 6 replay fixture
-gap, 7 ranking/config errors, 8 mismatched eval sets, 1 anything else.
+Exit codes: 2 usage (argparse), 3 corpus errors, 4 backend unreachable,
+redirecting (3xx) or refusing every request (401/403/404/405), 5 rate
+limited, 6 replay fixture gap, 7 ranking/config errors, 8 mismatched eval
+sets, 1 anything else.
 """
 
 from __future__ import annotations

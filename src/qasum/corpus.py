@@ -2,8 +2,6 @@
 
 Corpus files are newline-delimited JSON, one record per line with fields
 exactly ``id``, ``domain``, ``task``, ``article``, ``reference`` (UTF-8).
-A sidecar manifest uses the same shape minus article/reference plus a
-``count`` field, so per-domain totals can be checked without the data.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .metrics import has_tokens
 DEFAULT_DOMAINS = ("Commonsense", "Dialogue", "News", "Public Places", "Reviews", "Research")
 
 RECORD_FIELDS = ("id", "domain", "task", "article", "reference")
-MANIFEST_FIELDS = ("domain", "task", "count")
 
 
 class CorpusError(Exception):
@@ -91,7 +88,6 @@ class DomainRegistry:
 @dataclass(frozen=True)
 class Corpus:
     instances: tuple[TaskInstance, ...]
-    registry: DomainRegistry = field(default_factory=DomainRegistry)
     _index: Mapping[str, TaskInstance] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,12 +103,6 @@ class Corpus:
     def by_id(self) -> Mapping[str, TaskInstance]:
         """Read-only id index, built once per corpus."""
         return self._index
-
-    def domain_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in self.registry.names}
-        for inst in self.instances:
-            counts[inst.domain] += 1
-        return {name: n for name, n in counts.items() if n}
 
     def groups(self) -> dict[tuple[str, str], list[TaskInstance]]:
         """Instances keyed by (domain, task), in file order."""
@@ -161,40 +151,7 @@ def load_corpus(path, registry: DomainRegistry | None = None) -> Corpus:
                 raise MalformedRecord(line_no, "reference is empty after tokenization")
             seen.add(rec["id"])
             instances.append(TaskInstance(**rec))
-    return Corpus(instances=tuple(instances), registry=registry)
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in corpus.instances:
-            rec = {f: getattr(inst, f) for f in RECORD_FIELDS}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
-def load_manifest(path, registry: DomainRegistry | None = None) -> dict[str, int]:
-    """Per-domain instance totals from a sidecar manifest (JSONL of
-    ``{domain, task, count}`` rows)."""
-    registry = registry or DomainRegistry()
-    counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, "record is not a JSON object")
-            missing = [f for f in MANIFEST_FIELDS if f not in obj]
-            if missing:
-                raise MalformedRecord(line_no, f"missing field(s): {', '.join(missing)}")
-            if not isinstance(obj["count"], int) or obj["count"] < 0:
-                raise MalformedRecord(line_no, "count is not a non-negative integer")
-            if obj["domain"] not in registry:
-                raise UnknownDomain(obj["domain"], line_no)
-            counts[obj["domain"]] = counts.get(obj["domain"], 0) + obj["count"]
-    return counts
+    return Corpus(instances=tuple(instances))
 
 
 @dataclass(frozen=True)

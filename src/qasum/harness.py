@@ -9,11 +9,13 @@ compare/report render cross-run tables from saved run manifests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import csv
 import json
 import os
 import time
+import types
+import typing
 
 from .corpus import DomainRegistry, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
 from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
@@ -102,13 +104,15 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     """Build a config from a parsed config document, then apply non-None
     overrides. Raises ValueError naming every key that is not a config
     field, at the top level or under ``lm``: ignoring a key would run a
-    different experiment than the file describes."""
+    different experiment than the file describes. Raises ValueError too
+    naming each required key that is missing and each value of the wrong
+    type, such as ``k_values: expected list of int, got str``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config: expected object, got {_type_name(type(doc))}")
+    if not isinstance(doc.get("lm", {}), dict):
+        raise ValueError(f"lm: expected object, got {_type_name(type(doc['lm']))}")
     doc = dict(doc)
     lm_doc = dict(doc.pop("lm", {}))
-    if "k_values" in doc:
-        doc["k_values"] = tuple(doc["k_values"])
-    if doc.get("domains") is not None:
-        doc["domains"] = tuple(doc["domains"])
     for key, value in overrides.items():
         if value is None:
             continue
@@ -119,7 +123,56 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     unknown = sorted(set(doc) - _CONFIG_FIELDS) + sorted(f"lm.{key}" for key in set(lm_doc) - _LM_FIELDS)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    errors = _field_errors(ExperimentConfig, {**doc, "lm": lm_doc})
+    if errors:
+        raise ValueError("; ".join(errors))
+    for key in ("k_values", "domains"):
+        if doc.get(key) is not None:
+            doc[key] = tuple(doc[key])
     return ExperimentConfig(lm=LmConfig(**lm_doc), **doc)
+
+
+def _field_errors(cls, values: dict, prefix: str = "") -> list[str]:
+    """Each required field of dataclass ``cls`` missing from ``values``, and
+    each value of the wrong type, as ``key: problem``. A field whose type
+    is itself a dataclass is checked the same way, one level down."""
+    hints = typing.get_type_hints(cls)
+    errors = []
+    for f in fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        if is_dataclass(hint):
+            errors += _field_errors(hint, values[f.name], key + ".")
+        elif f.name not in values:
+            if f.default is MISSING and f.default_factory is MISSING:
+                errors.append(f"{key}: missing")
+        elif not _fits(values[f.name], hint):
+            errors.append(
+                f"{key}: expected {_type_name(hint)}, got {_type_name(type(values[f.name]))}"
+            )
+    return errors
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value has the field type ``hint``: a JSON array
+    (or a tuple, from a CLI flag) for a tuple, any number for a float, and
+    never a bool for a number."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    """A field type, or a value's type, as a config document spells it."""
+    if isinstance(hint, types.UnionType):
+        return " or ".join(_type_name(arm) for arm in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_type_name(typing.get_args(hint)[0])}"
+    return {dict: "object", float: "number", type(None): "null"}.get(hint, hint.__name__)
 
 
 @dataclass(frozen=True)

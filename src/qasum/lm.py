@@ -2,23 +2,29 @@
 
 Two backends share one request shape: an HTTP client for any
 prompt-in/text-out completion endpoint, and a replay backend that serves
-pre-recorded responses for deterministic tests. Responses are cached on
-disk, content-addressed by a digest of the request, so interrupted runs
-resume without re-spending LM calls — and a recorded cache directory can
-be pointed at directly as a replay fixture.
+pre-recorded responses for deterministic tests. The HTTP client is built
+on the standard library's ``http.client``: it keeps at most one
+keep-alive connection per call in flight, reads no proxy settings,
+checks HTTPS certificates against the system CA store and does not
+follow redirects. Responses are cached on disk, content-addressed by a
+digest of the request, so interrupted runs resume without re-spending
+LM calls — and a recorded cache directory can be pointed at directly as
+a replay fixture.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+import functools
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
-
-import requests
+import urllib.parse
+import weakref
 
 API_KEY_ENV = "QASUM_API_KEY"
 
@@ -68,6 +74,10 @@ class LmConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+        if not self.timeout > 0:  # NaN too
+            raise ValueError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -192,16 +202,43 @@ class ResponseCache:
             return CacheStats(self._hits, self._misses, self._entries)
 
 
-class HttpBackend:
-    """POSTs ``{model, prompt, max_tokens, temperature, stop}`` and reads the
-    first completion text; retries transient failures with backoff."""
+def _close_connections(idle: list) -> None:
+    while idle:
+        idle.pop().close()
 
-    def __init__(self, config: LmConfig, *, session=None, sleep=time.sleep):
+
+class HttpBackend:
+    """POSTs ``{model, prompt, max_tokens, temperature, stop}`` as JSON and
+    reads the first completion text; retries transient failures with backoff.
+
+    Idle keep-alive connections wait in one list: a call takes one, or opens
+    a new one when the list is empty, and puts it back after a complete
+    reply. So there are never more connections than calls in flight.
+    """
+
+    def __init__(self, config: LmConfig, *, sleep=time.sleep):
         if not config.endpoint:
             raise ValueError("http backend requires an endpoint")
+        url = urllib.parse.urlsplit(config.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint is not an http(s) URL with a host: {config.endpoint!r}")
+        if url.username is not None:
+            raise ValueError("endpoint must not carry credentials; set QASUM_API_KEY instead")
+        # An HTTPSConnection checks the server's certificate against the
+        # system CA store by default.
+        connection = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._new_connection = functools.partial(
+            connection, url.hostname, url.port, timeout=config.timeout
+        )
+        self._path = url.path or "/"
+        if url.query:
+            self._path += "?" + url.query
         self._config = config
-        self._session = session or requests.Session()
         self._sleep = sleep
+        self._idle: list = []
+        weakref.finalize(self, _close_connections, self._idle)
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
         body: dict = {
@@ -213,7 +250,8 @@ class HttpBackend:
             body["temperature"] = 0.0
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
-        headers = {"Content-Type": "application/json"}
+        payload = json.dumps(body).encode("utf-8")
+        headers = {"Content-Type": "application/json", "User-Agent": "qasum"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -223,44 +261,73 @@ class HttpBackend:
         rate_limited = False
         for attempt in range(attempts):
             try:
-                resp = self._session.post(
-                    self._config.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self._config.timeout,
-                )
-            except requests.RequestException as exc:
+                status, reply, location = self._post(payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 rate_limited = False
             else:
-                if resp.status_code == 429:
+                if status == 429:
                     last_error = LmError("rate limited (429)")
                     rate_limited = True
-                elif resp.status_code >= 500:
-                    last_error = LmError(f"server error ({resp.status_code})")
+                elif status >= 500:
+                    last_error = LmError(f"server error ({status})")
                     rate_limited = False
-                elif resp.status_code in _REFUSED_STATUSES:
+                elif status in _REFUSED_STATUSES:
+                    text = reply[:500].decode("utf-8", "replace")
+                    raise BackendUnreachable(f"endpoint refused the request ({status}): {text}")
+                elif status >= 400:
+                    text = reply[:500].decode("utf-8", "replace")
+                    raise LmError(f"request rejected ({status}): {text}")
+                elif status >= 300:
                     raise BackendUnreachable(
-                        f"endpoint refused the request ({resp.status_code}): {resp.text[:500]}"
+                        f"endpoint redirected ({status}) to {location}; redirects are not followed"
                     )
-                elif resp.status_code >= 400:
-                    raise LmError(f"request rejected ({resp.status_code}): {resp.text[:500]}")
                 else:
-                    return self._parse_response(resp)
+                    return self._parse_response(reply)
             if attempt < attempts - 1:
                 self._sleep(0.5 * 2**attempt)
         if rate_limited:
             raise RateLimited(f"gave up after {attempts} attempts: {last_error}")
         raise BackendUnreachable(f"gave up after {attempts} attempts: {last_error}")
 
-    @staticmethod
-    def _parse_response(resp) -> tuple[str, str]:
+    def _post(self, payload: bytes, headers: dict) -> tuple[int, bytes, str | None]:
+        """One POST on an idle connection, or on a new one if none is idle."""
         try:
-            data = resp.json()
-            choice = data["choices"][0]
+            conn = self._idle.pop()
+        except IndexError:
+            return self._exchange(self._new_connection(), payload, headers)
+        try:
+            return self._exchange(conn, payload, headers)
+        except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+            # The server may close an idle keep-alive connection at any time.
+            # A request that fails on one goes once more on a new connection
+            # (RFC 9112 section 9.3.1); a completion request changes no state
+            # on the server, so sending it twice is safe.
+            return self._exchange(self._new_connection(), payload, headers)
+
+    def _exchange(self, conn, payload: bytes, headers: dict) -> tuple[int, bytes, str | None]:
+        try:
+            conn.request("POST", self._path, payload, headers)
+            resp = conn.getresponse()
+            reply = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return resp.status, reply, resp.getheader("Location")
+
+    @staticmethod
+    def _parse_response(reply: bytes) -> tuple[str, str]:
+        try:
+            choice = json.loads(reply)["choices"][0]
             text = choice["text"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LmError(f"malformed completion response: {exc}") from exc
+        if not isinstance(text, str):
+            raise LmError(f"malformed completion response: text is {type(text).__name__}")
         finish = choice.get("finish_reason") or "stop"
         if finish not in ("stop", "length", "error"):
             finish = "stop"

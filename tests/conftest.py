@@ -1,10 +1,19 @@
-"""Shared fixtures: the tiny corpus, a rule-driven scripted backend, and a
+"""Shared fixtures: the tiny corpus, a rule-driven scripted backend, a
 session-scoped replay directory recorded by running the real pipeline once
-against the scripted backend."""
+against the scripted backend, and a localhost completion server that plays
+scripted replies and faults."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import json
 from pathlib import Path
+import socket
+import struct
+import threading
+import time
 
 import pytest
 
@@ -199,3 +208,112 @@ def replay_dir(tmp_path_factory, scripted_backend) -> Path:
         backend=scripted_backend,
     )
     return replay
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted answer to a POST, sent after ``delay`` seconds.
+
+    ``fault`` is None for a keep-alive reply, or one of: ``close`` (the
+    reply, then the connection closes without notice), ``reset`` (the
+    connection is reset before any reply), ``truncate`` (the connection
+    closes halfway through the body).
+    """
+
+    status: int = 200
+    body: bytes = b'{"choices": [{"text": "ok", "finish_reason": "stop"}]}'
+    headers: tuple[tuple[str, str], ...] = ()
+    fault: str | None = None
+    delay: float = 0.0
+
+
+@dataclass(frozen=True)
+class Post:
+    path: str
+    headers: dict
+    body: dict
+
+
+@dataclass
+class ServerLog:
+    url: str
+    posts: list[Post] = field(default_factory=list)
+    connections: int = 0
+
+
+class _ScriptServer(ThreadingHTTPServer):
+    # Handler threads are joined on close, so no test leaves one running.
+    daemon_threads = False
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out or went away; the faults cause these by design
+
+
+@contextmanager
+def scripted_server(*script: Reply):
+    """A localhost completion endpoint that answers the n-th POST with
+    ``script[n]``, and every POST after the script with its last reply.
+    Yields a ``ServerLog`` of the POSTs and the connections it accepted."""
+    log = ServerLog(url="")
+    lock = threading.Lock()
+    open_connections: set[socket.socket] = set()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+
+        def setup(self):
+            super().setup()
+            with lock:
+                log.connections += 1
+                open_connections.add(self.connection)
+
+        def finish(self):
+            with lock:
+                open_connections.discard(self.connection)
+            super().finish()
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                log.posts.append(Post(self.path, dict(self.headers), body))
+                reply = script[min(len(log.posts), len(script)) - 1]
+            if reply.fault == "reset":
+                # With a zero linger time the socket's last close sends RST.
+                self.connection.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                self.connection.close()
+                self.close_connection = True
+                return
+            time.sleep(reply.delay)
+            head = [f"HTTP/1.1 {reply.status} Scripted",
+                    "Content-Type: application/json",
+                    f"Content-Length: {len(reply.body)}",
+                    *(f"{name}: {value}" for name, value in reply.headers)]
+            body = reply.body[: len(reply.body) // 2] if reply.fault == "truncate" else reply.body
+            self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body)
+            self.close_connection = reply.fault in ("close", "truncate")
+
+        def log_message(self, *args):
+            pass
+
+    server = _ScriptServer(("127.0.0.1", 0), Handler)
+    # A short poll interval makes shutdown() return quickly at the end of a test.
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    log.url = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    try:
+        yield log
+    finally:
+        server.shutdown()
+        with lock:
+            idle = list(open_connections)
+        for conn in idle:  # wake handlers waiting for a next request
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

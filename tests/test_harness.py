@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import json
 from pathlib import Path
 import shutil
-import threading
 
+from hypothesis import given, strategies as st
 import pytest
 
-from conftest import CORPUS_PATH, MODEL, StubBackend, make_config, make_lm_config
+from conftest import (
+    CORPUS_PATH,
+    MODEL,
+    Reply,
+    StubBackend,
+    make_config,
+    make_lm_config,
+    scripted_server,
+)
 from qasum.cli import main
 from qasum.corpus import load_corpus, sample_icl_examples, split_corpus
 from qasum.harness import (
@@ -96,6 +102,64 @@ def test_config_rejects_every_unknown_key_at_both_levels():
     assert str(exc.value) == (
         "unknown config key(s): bogus, templates, lm.stop_sequences, lm.temperature"
     )
+
+
+BAD_CONFIGS = [
+    ({"corpus": "x"}, "lm.model: missing"),
+    ({"corpus": "x", "lm": {"model": "m"}, "k_values": "0,1"},
+     "k_values: expected list of int, got str"),
+    ({"corpus": "x", "lm": {"model": "m", "max_in_flight": "4"}},
+     "lm.max_in_flight: expected int, got str"),
+    ({"corpus": "x", "lm": [1]}, "lm: expected object, got list"),
+]
+BAD_CONFIG_IDS = ["no-model", "k-values-string", "max-in-flight-string", "lm-list"]
+
+
+@pytest.mark.parametrize("doc,message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+def test_config_rejects_missing_and_mistyped_values(doc, message):
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_config_names_every_missing_and_mistyped_value():
+    with pytest.raises(ValueError) as exc:
+        config_from_dict({"lm": {"model": "m", "greedy": 1, "timeout": True},
+                          "seed": 1.5, "domains": ["News", 2], "cache_dir": None})
+    assert str(exc.value) == (
+        "corpus: missing; lm.greedy: expected bool, got int; "
+        "lm.timeout: expected number, got bool; seed: expected int, got number; "
+        "domains: expected list of str or null, got list"
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+VALID_DOC = {"corpus": "c.jsonl", "lm": {"model": "m"}}
+CONFIG_KEYS = sorted({f.name for f in fields(ExperimentConfig)} - {"lm"}
+                     | {f"lm.{f.name}" for f in fields(LmConfig)})
+
+
+@given(st.sampled_from(CONFIG_KEYS), JSON_VALUES)
+def test_config_any_json_value_under_a_known_key_is_accepted_or_a_value_error(key, value):
+    doc = json.loads(json.dumps(VALID_DOC))
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    try:
+        config_from_dict(doc)
+    except ValueError:
+        pass
+
+
+@given(JSON_VALUES)
+def test_config_any_json_document_is_accepted_or_a_value_error(doc):
+    try:
+        config_from_dict(doc)
+    except ValueError:
+        pass
 
 
 def test_readme_config_block_lists_every_accepted_key():
@@ -452,6 +516,18 @@ def test_cli_eval_unknown_config_key_exit_code(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("doc,message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+def test_cli_eval_bad_config_exit_code(tmp_path, capsys, doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_cli_eval_unreadable_replay_recording_exit_code(tmp_path, replay_dir, capsys):
     replay = tmp_path / "replay"
     shutil.copytree(replay_dir, replay)
@@ -477,45 +553,16 @@ def test_cli_unreachable_backend_exit_code(tmp_path):
     assert code == 4
 
 
-@contextmanager
-def status_server(status):
-    """A localhost completion endpoint that answers every POST with ``status``."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            payload = b'{"error": "refused"}'
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
-
-
 @pytest.fixture
 def rate_limiting_server():
-    with status_server(429) as url:
-        yield url
+    with scripted_server(Reply(status=429, body=b'{"error": "refused"}')) as server:
+        yield server.url
 
 
 @pytest.fixture(params=[401, 404])
 def refusing_server(request):
-    with status_server(request.param) as url:
-        yield url
+    with scripted_server(Reply(status=request.param, body=b'{"error": "refused"}')) as server:
+        yield server.url
 
 
 def run_cli_eval(tmp_path, endpoint):
@@ -569,6 +616,22 @@ def test_cli_rank_refusing_backend_exit_code(tmp_path, refusing_server, capsys):
     assert code == 4
     assert "backend unreachable" in capsys.readouterr().err
     assert not ranking.exists()
+
+
+def test_cli_eval_redirecting_backend_exit_code(tmp_path, capsys):
+    redirect = Reply(status=308, body=b"", headers=(("Location", "https://lm.test/v2"),))
+    with scripted_server(redirect) as server:
+        code, out_dir = run_cli_eval(tmp_path, server.url)
+    assert code == 4
+    assert "https://lm.test/v2" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_eval_non_http_endpoint_exit_code(tmp_path, capsys):
+    code, out_dir = run_cli_eval(tmp_path, "ftp://127.0.0.1/v1/completions")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: endpoint is not an http(s) URL")
+    assert not out_dir.exists()
 
 
 def test_cli_qa_without_ranking_exit_code(tmp_path, replay_dir):
