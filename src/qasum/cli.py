@@ -3,7 +3,7 @@
 Exit codes: 2 usage (argparse), 3 corpus errors, 4 backend unreachable,
 redirecting (3xx) or refusing every request (401/403/404/405), 5 rate
 limited, 6 replay fixture gap, 7 ranking/config errors, 8 mismatched eval
-sets, 1 anything else.
+sets, 1 anything else, among them a response store that is not a database.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .harness import (
     run_rank,
     run_report,
 )
-from .lm import BackendUnreachable, LmError, RateLimited, ReplayMiss
+from .lm import BackendUnreachable, CacheError, LmError, RateLimited, ReplayMiss
 from .questions import RankingError, format_rank_matrix
 
 _SCOPE_ALIASES = {"ds": "domain_specific", "global": "global"}
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     except MismatchedEvalSets as exc:
         print(f"mismatched eval sets: {exc}", file=sys.stderr)
         return 8
-    except (LmError, ValueError, OSError) as exc:
+    except (CacheError, LmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

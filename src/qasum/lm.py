@@ -5,11 +5,17 @@ prompt-in/text-out completion endpoint, and a replay backend that serves
 pre-recorded responses for deterministic tests. The HTTP client is built
 on the standard library's ``http.client``: it keeps at most one
 keep-alive connection per call in flight, reads no proxy settings,
-checks HTTPS certificates against the system CA store and does not
-follow redirects. Responses are cached on disk, content-addressed by a
-digest of the request, so interrupted runs resume without re-spending
-LM calls — and a recorded cache directory can be pointed at directly as
-a replay fixture.
+checks HTTPS certificates against the system CA store, fails at once on
+an untrusted one, and does not follow redirects.
+
+Responses are cached in one SQLite database, ``<cache_dir>/cache.sqlite``
+(WAL mode), keyed by a digest of the request, so interrupted runs resume
+without re-spending LM calls. The first open in a directory that holds
+a per-file cache of an earlier version (``<2 hex>/<digest>.json``)
+imports its readable entries and leaves the files. A store that is not
+a database aborts the run with ``CacheError`` and is never replaced. The
+replay backend opens a recorded store read-only, so a recorded cache
+directory can be pointed at directly as a replay fixture.
 """
 
 from __future__ import annotations
@@ -17,10 +23,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import functools
+import glob
 import hashlib
 import http.client
 import json
 import os
+import sqlite3
+import ssl
 import threading
 import time
 import urllib.parse
@@ -125,23 +134,6 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def entry_path(root: str, key: str) -> str:
-    return os.path.join(root, key[:2], key + ".json")
-
-
-def read_entry(path: str) -> dict | None:
-    """The cache entry stored at ``path``, or None if it is absent, not UTF-8
-    JSON, not an object or has no string ``completion``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-    except (FileNotFoundError, ValueError):  # absent, truncated, garbled or not UTF-8
-        return None
-    if not isinstance(entry, dict) or not isinstance(entry.get("completion"), str):
-        return None
-    return entry
-
-
 def make_entry(request: CompletionRequest, completion: str, finish_reason: str) -> dict:
     return {
         "model": request.model,
@@ -155,30 +147,146 @@ def make_entry(request: CompletionRequest, completion: str, finish_reason: str) 
     }
 
 
-class ResponseCache:
-    """Disk cache, one JSON entry per file under ``<dir>/<2 hex>/<digest>.json``.
+class CacheError(Exception):
+    """The response store cannot be opened or used: not a database, not
+    openable, or failing under a query. Not an ``LmError``, so it aborts a
+    batch instead of failing one row; the file is never deleted."""
 
-    Entries are published atomically (write-then-rename), so concurrent
-    readers never observe a partial entry. With no directory nothing is
-    stored and every lookup is a miss. Hit/miss/entry counters are
-    in-process and monotone.
+
+_STORE_FILE = "cache.sqlite"
+
+# Page cache per store connection, in KiB. A lookup touches a few pages of
+# one B-tree; SQLite's default of 2 MiB only adds ~2.4 MB to peak RSS.
+_PAGE_CACHE_KIB = 256
+
+_SCHEMA = (
+    "CREATE TABLE entries (key TEXT PRIMARY KEY, model TEXT, prompt TEXT, max_tokens INTEGER,"
+    " greedy INTEGER, stop_sequences TEXT, completion TEXT, finish_reason TEXT, timestamp REAL)"
+)
+_INSERT = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+_SELECT = (
+    "SELECT model, prompt, max_tokens, greedy, stop_sequences, completion, finish_reason"
+    " FROM entries WHERE key = ?"
+)
+
+
+def _text(data: bytes) -> str | bytes:
+    """A TEXT value as str, or as its bytes when it is not UTF-8: bytes
+    match no request field and are no completion, so the row is a miss."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return data
+
+
+def _connect(target: str, *, uri: bool = False) -> sqlite3.Connection:
+    # Autocommit: each put is its own transaction, committed when execute
+    # returns. The connection is shared by worker threads under a lock.
+    conn = sqlite3.connect(target, uri=uri, isolation_level=None, check_same_thread=False)
+    conn.text_factory = _text
+    return conn
+
+
+def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> dict | None:
+    """The stored completion for ``request``, or None when its row is
+    absent, has no string completion, or holds other request fields."""
+    row = conn.execute(_SELECT, (request.key,)).fetchone()
+    if row is None or not isinstance(row[5], str):
+        return None
+    wanted = (request.model, request.prompt, request.max_tokens, request.greedy,
+              json.dumps(request.stop_sequences))
+    if row[:5] != wanted:
+        return None
+    return {"completion": row[5], "finish_reason": row[6] if isinstance(row[6], str) else "stop"}
+
+
+def _directory_cache_rows(root: str):
+    """Rows for the readable entries of a per-file cache under ``root``
+    (``<2 hex>/<digest>.json``): UTF-8 JSON objects with a string
+    completion whose request fields hash to their file name."""
+    for path in glob.glob(os.path.join(glob.escape(root), "[0-9a-f][0-9a-f]", "*.json")):
+        key = os.path.basename(path)[: -len(".json")]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+            request = (entry["model"], entry["prompt"], entry["max_tokens"], entry["greedy"],
+                       entry["stop_sequences"])
+            readable = isinstance(entry["completion"], str) and cache_key(*request) == key
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+        if readable:
+            finish = entry.get("finish_reason")
+            stamp = entry.get("timestamp")
+            yield (key, *request[:4], json.dumps(request[4]), entry["completion"],
+                   finish if isinstance(finish, str) else None,
+                   stamp if isinstance(stamp, (int, float)) else None)
+
+
+def _open_store(root: str) -> sqlite3.Connection:
+    """The read-write store in ``root``, created with its table on first
+    use; a per-file cache already in ``root`` is imported then."""
+    os.makedirs(root, exist_ok=True)
+    path = os.path.join(root, _STORE_FILE)
+    try:
+        conn = _connect(path)
+    except sqlite3.Error as exc:
+        raise CacheError(f"cannot open response store {path}: {exc}") from exc
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(f"PRAGMA cache_size=-{_PAGE_CACHE_KIB}")
+        exists = "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'entries'"
+        if conn.execute(exists).fetchone() is None:
+            # One process creates the table and imports; another that
+            # waited on the write lock finds the table there.
+            conn.execute("BEGIN IMMEDIATE")
+            if conn.execute(exists).fetchone() is None:
+                conn.execute(_SCHEMA)
+                conn.executemany(_INSERT, _directory_cache_rows(root))
+            conn.execute("COMMIT")
+    except sqlite3.Error as exc:
+        conn.close()
+        raise CacheError(f"cannot use response store {path}: {exc}") from exc
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+class ResponseCache:
+    """Response store: one SQLite database, ``<dir>/cache.sqlite``, with
+    one row per request digest holding the request fields, the completion,
+    its finish reason and a timestamp.
+
+    The database runs in WAL mode with ``synchronous=NORMAL``: a put is
+    committed when it returns and survives a killed process, and several
+    processes can share one directory. One connection serves every worker
+    thread under a lock and is closed when the cache is dropped, which
+    folds the write-ahead log back into the database. A store that is not
+    a database raises ``CacheError`` and is left as it is. With no
+    directory nothing is stored and every lookup is a miss. Hit/miss/entry
+    counters are in-process and monotone.
     """
 
     def __init__(self, root: str | None):
-        self._root = root
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._entries = 0
-        if root:
-            os.makedirs(root, exist_ok=True)
+        self._path = os.path.join(root, _STORE_FILE) if root else None
+        self._conn = _open_store(root) if root else None
+        if self._conn is not None:
+            weakref.finalize(self, self._conn.close)
 
-    def get(self, key: str) -> dict | None:
-        """The stored entry, or None on a miss. An entry that ``read_entry``
-        cannot read is a miss too, so the caller asks the backend again and
-        ``put`` replaces it."""
-        entry = read_entry(entry_path(self._root, key)) if self._root else None
+    def get(self, request: CompletionRequest) -> dict | None:
+        """The stored entry, or None on a miss. A row that is no usable
+        entry for ``request`` is a miss too, so the caller asks the backend
+        again and ``put`` replaces it."""
         with self._lock:
+            try:
+                entry = _lookup(self._conn, request) if self._conn is not None else None
+            except sqlite3.Error as exc:
+                raise CacheError(f"response store {self._path}: {exc}") from exc
             if entry is None:
                 self._misses += 1
             else:
@@ -186,15 +294,16 @@ class ResponseCache:
         return entry
 
     def put(self, key: str, entry: dict) -> None:
-        if not self._root:
+        if self._conn is None:
             return
-        path = entry_path(self._root, key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        row = (key, entry["model"], entry["prompt"], entry["max_tokens"], entry["greedy"],
+               json.dumps(entry["stop_sequences"]), entry["completion"],
+               entry["finish_reason"], entry["timestamp"])
         with self._lock:
+            try:
+                self._conn.execute(_INSERT, row)
+            except sqlite3.Error as exc:
+                raise CacheError(f"response store {self._path}: {exc}") from exc
             self._entries += 1
 
     def stats(self) -> CacheStats:
@@ -262,6 +371,9 @@ class HttpBackend:
         for attempt in range(attempts):
             try:
                 status, reply, location = self._post(payload, headers)
+            except ssl.SSLCertVerificationError as exc:
+                # An untrusted certificate stays untrusted: no retry can pass.
+                raise BackendUnreachable(f"certificate verification failed: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 rate_limited = False
@@ -335,20 +447,40 @@ class HttpBackend:
 
 
 class ReplayBackend:
-    """Serves completions recorded in cache-entry format, keyed by digest."""
+    """Serves completions recorded in a response store, keyed by digest.
 
-    def __init__(self, fixture_dir: str):
-        self._dir = fixture_dir
+    ``<replay_dir>/cache.sqlite`` is opened read-only (a ``mode=ro`` URI),
+    so a cache directory recorded by an earlier run replays as it is. A
+    missing or unreadable store, and a missing or unusable row, is a
+    ``ReplayMiss`` naming the digest and the file.
+    """
+
+    def __init__(self, replay_dir: str):
+        self._path = os.path.join(replay_dir, _STORE_FILE)
+        self._lock = threading.Lock()
+        uri = "file:" + urllib.parse.quote(os.path.abspath(self._path)) + "?mode=ro"
+        try:
+            self._conn = _connect(uri, uri=True)
+        except sqlite3.Error:
+            self._conn = None  # every request is a ReplayMiss naming the file
+        else:
+            weakref.finalize(self, self._conn.close)
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
-        path = entry_path(self._dir, request.key)
-        entry = read_entry(path)
+        entry = None
+        if self._conn is not None:
+            with self._lock:
+                try:
+                    entry = _lookup(self._conn, request)
+                except sqlite3.Error:  # not a database, or no entries table
+                    pass
         if entry is None:
             head = request.prompt.splitlines()[0][:80] if request.prompt else ""
             raise ReplayMiss(
-                f"no readable recording for key {request.key} at {path} (prompt starts: {head!r})"
+                f"no readable recording for key {request.key} in {self._path}"
+                f" (prompt starts: {head!r})"
             )
-        return entry["completion"], entry.get("finish_reason", "stop")
+        return entry["completion"], entry["finish_reason"]
 
 
 def truncate_at_stop(text: str, stop_sequences: tuple[str, ...]) -> tuple[str, bool]:
@@ -394,32 +526,31 @@ class CompletionClient:
             raise ValueError("prompt must be non-empty")
         effective_max = max_tokens if max_tokens is not None else self.config.max_tokens
         stops = tuple(stop_sequences)
-        key = cache_key(self.config.model, prompt, effective_max, self.config.greedy, stops)
         started = time.perf_counter()
-
-        entry = self._cache.get(key)
-        if entry is not None:
-            return Generation(
-                prompt=prompt,
-                completion=entry["completion"],
-                finish_reason=entry.get("finish_reason", "stop"),
-                from_cache=True,
-                latency_ms=(time.perf_counter() - started) * 1000,
-            )
-
         request = CompletionRequest(
             model=self.config.model,
             prompt=prompt,
             max_tokens=effective_max,
             greedy=self.config.greedy,
             stop_sequences=stops,
-            key=key,
+            key=cache_key(self.config.model, prompt, effective_max, self.config.greedy, stops),
         )
+
+        entry = self._cache.get(request)
+        if entry is not None:
+            return Generation(
+                prompt=prompt,
+                completion=entry["completion"],
+                finish_reason=entry["finish_reason"],
+                from_cache=True,
+                latency_ms=(time.perf_counter() - started) * 1000,
+            )
+
         text, finish = self._backend.complete(request)
         text, truncated = truncate_at_stop(text, stops)
         if truncated:
             finish = "stop"
-        self._cache.put(key, make_entry(request, text, finish))
+        self._cache.put(request.key, make_entry(request, text, finish))
         return Generation(
             prompt=prompt,
             completion=text,

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import json
 from pathlib import Path
 import socket
+import ssl
 import struct
 import threading
 import time
@@ -31,6 +32,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_PATH = FIXTURES / "corpus_6.jsonl"
 GOLDEN_DIR = FIXTURES / "golden"
 PROMPT_GOLDEN_DIR = FIXTURES / "prompts"
+# A self-signed certificate for 127.0.0.1 and localhost, and its key: no
+# CA store trusts it.
+TLS_CERT = FIXTURES / "localhost-cert.pem"
+TLS_KEY = FIXTURES / "localhost-key.pem"
 
 MODEL = "scripted-1"
 SEED = 0
@@ -250,10 +255,11 @@ class _ScriptServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def scripted_server(*script: Reply):
+def scripted_server(*script: Reply, tls: bool = False):
     """A localhost completion endpoint that answers the n-th POST with
     ``script[n]``, and every POST after the script with its last reply.
-    Yields a ``ServerLog`` of the POSTs and the connections it accepted."""
+    Yields a ``ServerLog`` of the POSTs and the connections it accepted.
+    With ``tls`` it speaks HTTPS with the self-signed ``TLS_CERT``."""
     log = ServerLog(url="")
     lock = threading.Lock()
     open_connections: set[socket.socket] = set()
@@ -299,10 +305,17 @@ def scripted_server(*script: Reply):
             pass
 
     server = _ScriptServer(("127.0.0.1", 0), Handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        # The handshake runs on the handler thread, after the connection is counted.
+        server.socket = context.wrap_socket(server.socket, server_side=True,
+                                            do_handshake_on_connect=False)
     # A short poll interval makes shutdown() return quickly at the end of a test.
     thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
-    log.url = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    scheme = "https" if tls else "http"
+    log.url = f"{scheme}://127.0.0.1:{server.server_address[1]}/v1/completions"
     try:
         yield log
     finally:

@@ -5,10 +5,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import fields
 import json
+import os
 from pathlib import Path
 import shutil
+import sqlite3
+import tempfile
+import time
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from conftest import (
@@ -531,16 +535,95 @@ def test_cli_eval_bad_config_exit_code(tmp_path, capsys, doc, message):
 def test_cli_eval_unreadable_replay_recording_exit_code(tmp_path, replay_dir, capsys):
     replay = tmp_path / "replay"
     shutil.copytree(replay_dir, replay)
-    entries = sorted(replay.glob("*/*.json"))
-    for entry in entries:
-        entry.write_bytes(b"")
+    conn = sqlite3.connect(replay / "cache.sqlite", isolation_level=None)
+    try:
+        keys = {key for (key,) in conn.execute("SELECT key FROM entries")}
+        conn.execute("UPDATE entries SET completion = NULL")
+    finally:
+        conn.close()
     config = write_cli_config(tmp_path, replay_dir=replay)
     code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
                  "--method", "icl", "--out", str(tmp_path / "run")])
     assert code == 6
     err = capsys.readouterr().err
     assert err.startswith("replay fixture gap: no readable recording for key ")
-    assert any(entry.stem in err for entry in entries)
+    assert any(key in err for key in keys)
+    assert str(replay / "cache.sqlite") in err
+
+
+def test_cli_eval_replay_dir_without_store_exit_code(tmp_path, capsys):
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    config = write_cli_config(tmp_path, replay_dir=replay)
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(tmp_path / "run")])
+    assert code == 6
+    assert str(replay / "cache.sqlite") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_eval_store_that_is_not_a_database_exit_code(tmp_path, replay_dir, capsys):
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    store = tmp_path / "cli-cache" / "cache.sqlite"
+    store.parent.mkdir()
+    garbage = bytes(range(256)) * 16
+    store.write_bytes(garbage)
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use response store ")
+    assert str(store) in err
+    assert store.read_bytes() == garbage
+    assert not (tmp_path / "run").exists()
+
+
+def run_eval_with_cache_dir(replay_dir, cache_dir, out_dir) -> int:
+    """``qasum eval`` (icl, on the replay recording) with ``cache_dir``
+    set to any JSON value; returns the exit code."""
+    config = out_dir.parent / "config.json"
+    doc = {"lm": {"model": MODEL, "backend": "replay"}, "pool_fraction": 0.5,
+           "replay_dir": str(replay_dir), "cache_dir": cache_dir}
+    config.write_text(json.dumps(doc))
+    return main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "icl", "--out", str(out_dir)])
+
+
+def test_cli_eval_unusable_cache_dir_exit_code(tmp_path, replay_dir, capsys):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    store_is_a_directory = tmp_path / "odd"
+    (store_is_a_directory / "cache.sqlite").mkdir(parents=True)
+    for cache_dir in (str(a_file), str(a_file / "below"), str(store_is_a_directory),
+                      "nul\x00byte", 7, ["list"]):
+        assert run_eval_with_cache_dir(replay_dir, cache_dir, tmp_path / "run") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+    assert run_eval_with_cache_dir(replay_dir, "", tmp_path / "run") == 0  # no cache
+
+
+# Strings are kept to one relative path component that is not "..", so a
+# generated directory stays inside the scratch directory the test runs in.
+PATH_COMPONENTS = st.text(st.characters(blacklist_characters="/"), max_size=100).filter(
+    lambda text: text != "..")
+CACHE_DIR_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | PATH_COMPONENTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(deadline=None)
+@given(CACHE_DIR_VALUES)
+def test_cli_eval_any_json_cache_dir_exits_with_a_documented_code(replay_dir, cache_dir):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            code = run_eval_with_cache_dir(replay_dir, cache_dir, Path(scratch) / "run")
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1)
 
 
 def test_cli_unreachable_backend_exit_code(tmp_path):
@@ -616,6 +699,25 @@ def test_cli_rank_refusing_backend_exit_code(tmp_path, refusing_server, capsys):
     assert code == 4
     assert "backend unreachable" in capsys.readouterr().err
     assert not ranking.exists()
+
+
+def test_cli_rank_untrusted_certificate_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    with scripted_server(Reply(), tls=True) as server:
+        config = write_cli_config(tmp_path, backend="http", endpoint=server.url,
+                                  max_retries=3, max_in_flight=1, timeout=2)
+        started = time.monotonic()
+        code = main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                     "--out", str(tmp_path / "ranking.json")])
+        elapsed = time.monotonic() - started
+    assert code == 4
+    assert "certificate verify failed" in capsys.readouterr().err
+    assert not (tmp_path / "ranking.json").exists()
+    # A retried call would open 4 connections and sleep 3.5 s. The one call in
+    # flight fails on its first; the batch may have started one more call.
+    assert 1 <= server.connections <= 2 and not server.posts
+    assert elapsed < 3.5
 
 
 def test_cli_eval_redirecting_backend_exit_code(tmp_path, capsys):

@@ -9,6 +9,8 @@ import json
 import os
 from pathlib import Path
 import random
+import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -21,6 +23,7 @@ from conftest import Reply, StubBackend, scripted_server
 from qasum.lm import (
     FATAL_LM_ERRORS,
     BackendUnreachable,
+    CacheError,
     CompletionClient,
     CompletionRequest,
     HttpBackend,
@@ -32,9 +35,11 @@ from qasum.lm import (
     ResponseCache,
     cache_key,
     compute_max_tokens,
-    entry_path,
+    make_entry,
     truncate_at_stop,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def make_client(tmp_path, backend=None, **overrides):
@@ -101,6 +106,32 @@ def test_cache_key_random_perturbations():
 # --- cache -------------------------------------------------------------------
 
 
+def request_for(prompt, model="m1"):
+    """The request ``CompletionClient.generate(prompt)`` makes at the
+    default config."""
+    return CompletionRequest(model=model, prompt=prompt, max_tokens=512, greedy=True,
+                             stop_sequences=(), key=cache_key(model, prompt, 512, True, ()))
+
+
+def read_rows(root):
+    """Every row of the store under ``root``, as dicts keyed by column."""
+    conn = sqlite3.connect(os.path.join(root, "cache.sqlite"))
+    try:
+        conn.row_factory = sqlite3.Row
+        return [dict(row) for row in conn.execute("SELECT * FROM entries ORDER BY key")]
+    finally:
+        conn.close()
+
+
+def write_sql(root, sql, params=()):
+    """Run one statement on the store under ``root`` from a second connection."""
+    conn = sqlite3.connect(os.path.join(root, "cache.sqlite"), isolation_level=None)
+    try:
+        conn.execute(sql, params)
+    finally:
+        conn.close()
+
+
 def test_cache_stats_fresh(tmp_path):
     cache = ResponseCache(str(tmp_path))
     assert (cache.stats().hits, cache.stats().misses, cache.stats().entries) == (0, 0, 0)
@@ -108,38 +139,48 @@ def test_cache_stats_fresh(tmp_path):
 
 def test_cache_miss_then_hit(tmp_path):
     cache = ResponseCache(str(tmp_path))
-    assert cache.get("ab" + "0" * 62) is None
-    cache.put("ab" + "0" * 62, {"completion": "x", "finish_reason": "stop"})
-    assert cache.get("ab" + "0" * 62)["completion"] == "x"
+    request = request_for("p")
+    assert cache.get(request) is None
+    cache.put(request.key, make_entry(request, "x", "stop"))
+    assert cache.get(request) == {"completion": "x", "finish_reason": "stop"}
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
 
 
 def test_cache_two_distinct_misses(tmp_path):
     cache = ResponseCache(str(tmp_path))
-    for key in ("aa" + "0" * 62, "bb" + "0" * 62):
-        assert cache.get(key) is None
-        cache.put(key, {"completion": key})
+    for request in (request_for("a"), request_for("b")):
+        assert cache.get(request) is None
+        cache.put(request.key, make_entry(request, request.prompt, "stop"))
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 2, 2)
 
 
 def test_cache_layout_on_disk(tmp_path):
     client = make_client(tmp_path)
-    gen = client.generate("hello world")
+    gen = client.generate("hello world", stop_sequences=("END",))
     assert not gen.from_cache
-    key = cache_key("m1", "hello world", 512, True, ())
-    path = entry_path(str(tmp_path / "cache"), key)
-    assert path.endswith(f"{key[:2]}/{key}.json")
-    with open(path) as fh:
-        entry = json.load(fh)
-    assert entry["completion"] == "stub completion"
-    assert entry["model"] == "m1"
-    assert entry["prompt"] == "hello world"
-    assert entry["max_tokens"] == 512
-    assert entry["greedy"] is True
-    assert entry["finish_reason"] == "stop"
-    assert "timestamp" in entry
+    [row] = read_rows(tmp_path / "cache")
+    timestamp = row.pop("timestamp")
+    assert row == {
+        "key": cache_key("m1", "hello world", 512, True, ("END",)),
+        "model": "m1",
+        "prompt": "hello world",
+        "max_tokens": 512,
+        "greedy": 1,
+        "stop_sequences": '["END"]',
+        "completion": "stub completion",
+        "finish_reason": "stop",
+    }
+    assert isinstance(timestamp, float)
+    # One file, in WAL mode; no per-entry files or directories beside it.
+    conn = sqlite3.connect(tmp_path / "cache" / "cache.sqlite")
+    try:
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+    finally:
+        conn.close()
+    assert {p.name for p in (tmp_path / "cache").iterdir()} <= {
+        "cache.sqlite", "cache.sqlite-wal", "cache.sqlite-shm"}
 
 
 def test_generate_second_call_hits_cache(tmp_path):
@@ -163,21 +204,165 @@ def test_generate_without_cache_dir_stores_nothing():
     assert (stats.hits, stats.misses, stats.entries) == (0, 2, 0)
 
 
-@pytest.mark.parametrize("stored", [b"", b'{"completion": 1}', b'{"completion": "\xff\xfe"}'],
-                         ids=["empty", "non-string-completion", "invalid-utf8"])
-def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, stored):
+# Rows that are no usable entry for the request stored under their key.
+BAD_ROWS = {
+    "empty": "UPDATE entries SET model = NULL, prompt = NULL, max_tokens = NULL,"
+             " greedy = NULL, stop_sequences = NULL, completion = NULL,"
+             " finish_reason = NULL, timestamp = NULL",
+    "non-string-completion": "UPDATE entries SET completion = x'6f6c64'",
+    "invalid-utf8": "UPDATE entries SET completion = CAST(x'fffe' AS TEXT)",
+    "mismatched-prompt": "UPDATE entries SET prompt = 'another prompt'",
+}
+
+
+@pytest.mark.parametrize("update", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, update):
+    make_client(tmp_path, backend=StubBackend(reply="old")).generate("prompt")
+    write_sql(tmp_path / "cache", update)
     client = make_client(tmp_path, backend=StubBackend(reply="fresh"))
-    path = entry_path(str(tmp_path / "cache"), cache_key("m1", "prompt", 512, True, ()))
-    os.makedirs(os.path.dirname(path))
-    with open(path, "wb") as fh:
-        fh.write(stored)
     gen = client.generate("prompt")
     assert (gen.completion, gen.from_cache) == ("fresh", False)
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh)["completion"] == "fresh"
+    [row] = read_rows(tmp_path / "cache")
+    assert (row["prompt"], row["completion"]) == ("prompt", "fresh")
     assert client.generate("prompt").from_cache
+
+
+def test_store_that_is_not_a_database_is_an_error_and_left_alone(tmp_path):
+    store = tmp_path / "cache" / "cache.sqlite"
+    store.parent.mkdir()
+    garbage = b"not a database, but paid-for completions may be in here\n" * 100
+    store.write_bytes(garbage)
+    with pytest.raises(CacheError, match=str(store)) as excinfo:
+        make_client(tmp_path)
+    assert not isinstance(excinfo.value, LmError)
+    assert store.read_bytes() == garbage
+    assert [p.name for p in store.parent.iterdir()] == ["cache.sqlite"]
+
+
+def test_dropped_client_leaves_no_write_ahead_log(tmp_path):
+    client = make_client(tmp_path)
+    for i in range(20):
+        client.generate(f"prompt {i}")
+    assert (tmp_path / "cache" / "cache.sqlite-wal").exists()
+    del client
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.sqlite"]
+    assert len(read_rows(tmp_path / "cache")) == 20
+
+
+def run_writer(root, tag, n, *, start=0.0, linger=0.0):
+    """A Python process that puts ``n`` entries into the store under
+    ``root``, from ``start`` (a ``time.time()`` value) on, prints ``done``
+    and lives ``linger`` seconds more."""
+    code = (
+        "import sys, time\n"
+        "from qasum.lm import CompletionRequest, ResponseCache, cache_key, make_entry\n"
+        "root, tag, n, start, linger = sys.argv[1:]\n"
+        "time.sleep(max(0.0, float(start) - time.time()))\n"
+        "cache = ResponseCache(root)\n"
+        "for i in range(int(n)):\n"
+        "    prompt = f'{tag} {i}'\n"
+        "    key = cache_key('m1', prompt, 512, True, ())\n"
+        "    request = CompletionRequest('m1', prompt, 512, True, (), key)\n"
+        "    cache.put(key, make_entry(request, f'completion {prompt}', 'stop'))\n"
+        "print('done', flush=True)\n"
+        "time.sleep(float(linger))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-c", code, str(root), tag, str(n), str(start), str(linger)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def assert_all_stored(root, tag, n):
+    cache = ResponseCache(str(root))
+    for i in range(n):
+        entry = cache.get(request_for(f"{tag} {i}"))
+        assert entry == {"completion": f"completion {tag} {i}", "finish_reason": "stop"}
+    assert cache.stats().hits == n
+
+
+def test_puts_survive_a_killed_process(tmp_path):
+    writer = run_writer(tmp_path, "killed", 50, linger=60)
+    try:
+        assert writer.stdout.readline() == "done\n"
+    finally:
+        writer.send_signal(signal.SIGKILL)
+        writer.communicate(timeout=30)
+    assert writer.returncode == -signal.SIGKILL
+    assert_all_stored(tmp_path, "killed", 50)
+
+
+def test_two_processes_write_one_store_at_once(tmp_path):
+    start = time.time() + 1.0  # both open the new store, then write, together
+    writers = [run_writer(tmp_path, tag, 300, start=start) for tag in ("left", "right")]
+    for writer in writers:
+        out, err = writer.communicate(timeout=60)
+        assert (writer.returncode, out, err) == (0, "done\n", "")
+    for tag in ("left", "right"):
+        assert_all_stored(tmp_path, tag, 300)
+
+
+def test_map_workers_share_one_connection(tmp_path):
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        client = make_client(tmp_path, max_in_flight=8)
+        gens = client.map(lambda i: client.generate(f"prompt {i}"), range(200))
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(g.from_cache for g in gens)
+    assert client.cache_stats().entries == 200
+    assert len(read_rows(tmp_path / "cache")) == 200
+
+
+def write_file_entry(root, request, completion):
+    """One entry of the per-file cache layout of earlier versions."""
+    path = root / request.key[:2] / f"{request.key}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(make_entry(request, completion, "length")), encoding="utf-8")
+    return path
+
+
+def test_directory_cache_is_imported_on_first_open(tmp_path):
+    root = tmp_path / "cache"
+    good = [request_for(f"kept {i}") for i in range(3)]
+    for request in good:
+        write_file_entry(root, request, f"old {request.prompt}")
+    unreadable = {
+        "empty": b"",
+        "truncated": b'{"completion": "x", "mod',
+        "invalid-utf8": b'{"completion": "\xff\xfe"}',
+        "non-string-completion": json.dumps(
+            {**make_entry(request_for("non-string-completion"), "x", "stop"), "completion": 1}
+        ).encode(),
+        # Another request's entry under this one's digest.
+        "renamed": json.dumps(make_entry(request_for("elsewhere"), "x", "stop")).encode(),
+    }
+    for prompt, data in unreadable.items():
+        write_file_entry(root, request_for(prompt), "").write_bytes(data)
+    files = sorted(p.relative_to(root) for p in root.rglob("*.json"))
+
+    backend = StubBackend(reply="fresh")
+    client = make_client(tmp_path, backend=backend)
+    for request in good:
+        gen = client.generate(request.prompt)
+        assert (gen.completion, gen.finish_reason, gen.from_cache) == (
+            f"old {request.prompt}", "length", True)
+    for prompt in unreadable:
+        assert client.generate(prompt).completion == "fresh"
+    assert len(backend.requests) == len(unreadable)
+    assert sorted(p.relative_to(root) for p in root.rglob("*.json")) == files
+
+    # Only the first open imports: entries written later stay files.
+    later = request_for("later")
+    write_file_entry(root, later, "too late")
+    del client
+    assert make_client(tmp_path, backend=StubBackend(reply="fresh")).generate(
+        "later").completion == "fresh"
 
 
 def test_generate_rejects_empty_prompt(tmp_path):
@@ -245,13 +430,42 @@ def test_replay_miss_is_an_error(tmp_path):
 
 
 def test_replay_unreadable_recording_is_a_miss(tmp_path):
-    key = cache_key("m1", "prompt p", 512, True, ())
-    path = entry_path(str(tmp_path), key)
-    os.makedirs(os.path.dirname(path))
-    open(path, "wb").close()
+    for name, update in BAD_ROWS.items():
+        make_client(tmp_path / name, backend=StubBackend(reply="recorded")).generate("prompt p")
+        write_sql(tmp_path / name / "cache", update)
+        client = CompletionClient(LmConfig(model="m1", backend="replay"),
+                                  replay_dir=str(tmp_path / name / "cache"))
+        key = cache_key("m1", "prompt p", 512, True, ())
+        with pytest.raises(ReplayMiss, match=key) as excinfo:
+            client.generate("prompt p")
+        assert str(tmp_path / name / "cache" / "cache.sqlite") in str(excinfo.value)
+
+
+@pytest.mark.parametrize("store", [None, b"", b"garbage " * 100],
+                         ids=["missing", "empty", "not-a-database"])
+def test_replay_unreadable_store_is_a_miss(tmp_path, store):
+    path = tmp_path / "cache.sqlite"
+    if store is not None:
+        path.write_bytes(store)
     client = CompletionClient(LmConfig(model="m1", backend="replay"), replay_dir=str(tmp_path))
-    with pytest.raises(ReplayMiss, match=key):
-        client.generate("prompt p")
+    with pytest.raises(ReplayMiss, match=cache_key("m1", "p", 512, True, ())) as excinfo:
+        client.generate("p")
+    assert str(path) in str(excinfo.value)
+    if store is not None:
+        assert path.read_bytes() == store
+
+
+def test_replay_opens_the_store_read_only(tmp_path):
+    make_client(tmp_path, backend=StubBackend(reply="recorded")).generate("prompt p")
+    store = tmp_path / "cache" / "cache.sqlite"
+    before = store.read_bytes()
+    replayer = CompletionClient(LmConfig(model="m1", backend="replay"),
+                                replay_dir=str(tmp_path / "cache"))
+    assert replayer.generate("prompt p").completion == "recorded"
+    with pytest.raises(ReplayMiss):
+        replayer.generate("prompt q")
+    del replayer
+    assert store.read_bytes() == before
 
 
 def test_replay_requires_directory(tmp_path):
@@ -365,6 +579,17 @@ def test_http_refused_endpoint_is_unreachable_without_retries(status):
     assert backend.sleeps == []
 
 
+def test_http_untrusted_certificate_is_unreachable_at_once(monkeypatch):
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    with scripted_server(Reply(), tls=True) as server:
+        backend = make_http_backend(server.url, max_retries=3)
+        with pytest.raises(BackendUnreachable, match="certificate verify failed"):
+            complete(backend)
+    assert (server.connections, len(server.posts)) == (1, 0)
+    assert backend.sleeps == []
+
+
 def test_http_redirect_is_unreachable_and_names_the_target():
     redirect = Reply(status=307, body=b"", headers=(("Location", "http://elsewhere.test/v2"),))
     with scripted_server(redirect) as server:
@@ -450,9 +675,8 @@ def test_import_pulls_in_only_the_standard_library():
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(added - {'qasum'} - sys.stdlib_module_names)))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.split() == []
