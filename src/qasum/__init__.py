@@ -22,10 +22,8 @@ from .prompting import (
     IclExample,
     ParsedOutput,
     PromptBundle,
-    build_icl_prompt,
     build_qa_prompt,
     build_single_qa,
-    build_vanilla,
     parse_output,
 )
 from .questions import (
@@ -61,10 +59,8 @@ __all__ = [
     "ScoreRow",
     "TaskInstance",
     "aggregate",
-    "build_icl_prompt",
     "build_qa_prompt",
     "build_single_qa",
-    "build_vanilla",
     "builtin_bank",
     "compute_max_tokens",
     "global_ranking",

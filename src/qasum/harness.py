@@ -25,9 +25,7 @@ from .prompting import (
     PARSE_FAILED,
     ParsedOutput,
     PromptBundle,
-    build_icl_prompt,
     build_qa_prompt,
-    build_vanilla,
     parse_output,
 )
 from .questions import (
@@ -277,7 +275,10 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     The run resolves inputs shared across rows once (ICL examples per
     (domain, task), question lists per k, example answers per (example,
     question)), then issues one completion per (instance, k) and scores
-    instance by instance. A per-request LM error degrades to failed rows;
+    instance by instance. Every method renders its prompts through
+    ``build_qa_prompt``; the method only decides which inputs exist:
+    vanilla samples no examples, icl ranks no questions, so both run at
+    k = 0. A per-request LM error degrades to failed rows;
     configuration and I/O problems, an unreachable or rate-limiting
     backend and replay fixture gaps abort the run.
     """
@@ -343,15 +344,9 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     answers = dict(zip(answer_jobs, client.map(answer, answer_jobs.values())))
 
     def build_bundle(inst, k: int) -> PromptBundle | None:
-        if cfg.method == "vanilla":
-            return build_vanilla(inst.article)
-        group = examples[inst.domain, inst.task]
-        if cfg.method == "icl":
-            icl = [IclExample(e.article, e.reference) for e in group]
-            return build_icl_prompt(inst.article, icl)
-        qs = questions[question_scope(inst), k]
+        qs = questions.get((question_scope(inst), k), [])
         icl = []
-        for e in group:
+        for e in examples.get((inst.domain, inst.task), ()):
             example_answers = tuple(answers[e.id, q.key] for q in qs)
             if None in example_answers:
                 return None

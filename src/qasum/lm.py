@@ -521,7 +521,9 @@ class CompletionClient:
     def generate(self, prompt: str, *, max_tokens: int | None = None,
                  stop_sequences: tuple[str, ...] = ()) -> Generation:
         """Complete ``prompt``, consulting the cache first and storing the
-        result on a miss; truncates at the first stop sequence."""
+        result on a miss. A fresh completion is cut at its earliest stop
+        sequence before it is cached, so every completion this returns,
+        fresh, cached or replayed, is already cut."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
         effective_max = max_tokens if max_tokens is not None else self.config.max_tokens
@@ -564,16 +566,23 @@ class CompletionClient:
 
         A per-request ``LmError`` gives None for its item. ``FATAL_LM_ERRORS``
         would fail every item alike, so they propagate, as does any other
-        exception; items not yet started are then cancelled.
+        exception; no item starts after one has raised.
         """
+        aborted = threading.Event()
 
         def run(item):
+            if aborted.is_set():
+                return None
             try:
                 return fn(item)
             except FATAL_LM_ERRORS:
+                aborted.set()
                 raise
             except LmError:
                 return None
+            except BaseException:
+                aborted.set()
+                raise
 
         with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
             return list(pool.map(run, items))

@@ -1,22 +1,21 @@
 """Prompt rendering and completion parsing.
 
-Four prompt kinds are rendered byte-exactly from three fixed
-instructions: a zero-shot summarization instruction (vanilla), the same
-with completed example blocks prepended (icl), a single-question
-answering prompt used by the ranking phase, and the
-question-answer-then-summarize prompt (qa). Each prompt stops at its own
-instruction, so a completion that starts another example is cut there.
-Completions are parsed back into per-question answers plus a summary,
-with graceful fallback states so a batch run never aborts on one bad
-generation.
+Two prompts are rendered byte-exactly from three fixed instructions. The
+summarization prompt (``build_qa_prompt``) asks k questions and then a
+summary, after any completed example blocks; the paper's baselines are
+that prompt at k = 0: vanilla with no examples, icl with examples, both
+under the zero-shot summarization instruction. The single-question
+answering prompt is used by the ranking phase. Each prompt stops at its
+own instruction, so a completion that starts another example is cut
+there by ``CompletionClient.generate``. Completions are parsed back into
+per-question answers plus a summary, with graceful fallback states so a
+batch run never aborts on one bad generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from .lm import truncate_at_stop
 
 if TYPE_CHECKING:
     from .questions import QuestionSpec
@@ -81,43 +80,31 @@ def render_output_block(answers: tuple[str, ...] | list[str], summary: str) -> s
     return " ".join(parts) + f"\n{SUMMARY_MARKER} {summary}."
 
 
-def build_vanilla(article: str) -> PromptBundle:
-    text = f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}"
-    return PromptBundle(text=text, k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,))
-
-
-def build_icl_prompt(article: str, icl_examples: list[IclExample]) -> PromptBundle:
-    blocks = [
-        f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."
-        for ex in icl_examples
-    ]
-    blocks.append(f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}")
-    return PromptBundle(
-        text="\n\n".join(blocks), k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,)
-    )
-
-
-def _question_lines(questions: list[QuestionSpec]) -> str:
-    return "\n".join(f"Q{i}: {q.text}" for i, q in enumerate(questions, start=1))
-
-
 def build_qa_prompt(
     article: str, questions: list[QuestionSpec], icl_examples: list[IclExample]
 ) -> PromptBundle:
-    """Render the QA-then-summarize prompt.
+    """Render the summarization prompt: answer the questions, then summarize.
 
     Questions must already be ordered best-first; each ICL example must
     carry exactly one answer per question. With no questions this is the
-    plain ICL prompt (the k = 0 degenerate case).
+    plain summarization prompt under the zero-shot instruction: vanilla
+    with no examples, icl with them.
     """
     k = len(questions)
     for idx, ex in enumerate(icl_examples):
         if len(ex.answers) != k:
             raise AnswerCountMismatch(idx, k, len(ex.answers))
     if k == 0:
-        return build_icl_prompt(article, icl_examples)
+        blocks = [
+            f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."
+            for ex in icl_examples
+        ]
+        blocks.append(f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}")
+        return PromptBundle(
+            text="\n\n".join(blocks), k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,)
+        )
 
-    q_block = _question_lines(questions)
+    q_block = "\n".join(f"Q{i}: {q.text}" for i, q in enumerate(questions, start=1))
     blocks = []
     for ex in icl_examples:
         blocks.append(
@@ -150,7 +137,9 @@ def _strip_template_period(span: str) -> str:
 
 
 def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
-    """Recover answers and summary from a completion.
+    """Recover answers and summary from a completion that
+    ``CompletionClient.generate`` has already cut at the bundle's stop
+    sequences.
 
     ok: all answer markers present and an explicit summary marker after
     them. fallback: markers present, summary marker missing — the text
@@ -160,8 +149,8 @@ def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
     """
     k = bundle.k
     if not bundle.answer_markers:
-        # vanilla / icl / degenerate qa: the completion is the summary.
-        summary = truncate_at_stop(completion, bundle.stop_sequences)[0].strip()
+        # k = 0 (vanilla, icl): the completion is the summary.
+        summary = completion.strip()
         status = PARSE_OK if summary else PARSE_FAILED
         return ParsedOutput(answers=(), summary=summary, parse_status=status)
 
@@ -197,7 +186,7 @@ def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
         status = PARSE_FALLBACK
 
     answers = tuple(_strip_template_period(s) for s in spans)
-    summary = _strip_template_period(truncate_at_stop(raw_summary, bundle.stop_sequences)[0])
+    summary = _strip_template_period(raw_summary)
     if not summary:
         return ParsedOutput(answers=answers, summary="", parse_status=PARSE_FAILED)
     return ParsedOutput(answers=answers, summary=summary, parse_status=status)

@@ -32,7 +32,6 @@ from qasum.prompting import (
     PARSE_FAILED,
     PARSE_FALLBACK,
     PARSE_OK,
-    build_icl_prompt,
     build_qa_prompt,
     parse_output,
     render_output_block,
@@ -152,8 +151,8 @@ def test_criterion_prompt_goldens():
         golden = (PROMPT_GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert bundle.text == golden, f"golden mismatch: {name}"
 
-    icl = build_icl_prompt(TARGET_ARTICLE, examples0)
-    assert cases["qa_k0.txt"].text == icl.text
+    # icl is qa at k = 0: the same prompt, so the same golden.
+    assert cases["qa_k0.txt"].text == (PROMPT_GOLDEN_DIR / "icl.txt").read_text(encoding="utf-8")
     _pass("prompt-goldens")
 
 

@@ -40,7 +40,7 @@ from qasum.harness import (
 )
 from qasum.lm import CacheStats, LmConfig, LmError, RateLimited
 from qasum.metrics import RougeScore, ScoreRow
-from qasum.prompting import SINGLE_QA_INSTRUCTION, build_single_qa
+from qasum.prompting import SINGLE_QA_INSTRUCTION, SUMMARY_MARKER, VANILLA_INSTRUCTION, build_single_qa
 from qasum.questions import (
     RankedQuestion,
     RankingError,
@@ -194,8 +194,14 @@ def test_eval_vanilla_smoke(tmp_path):
     assert len(manifest.rows) == 3
     assert all(r.method == "vanilla" and r.k == 0 for r in manifest.rows)
     assert all(r.parse_status == "ok" for r in manifest.rows)
-    # vanilla prompts carry no example blocks
-    assert all(p.prompt.count("Summarize the following article.") == 1 for p in backend.requests)
+    # One request per row, each the bare vanilla prompt for its instance:
+    # no example blocks and no example-answer requests.
+    by_id = load_corpus(cfg.corpus).by_id()
+    expected = [
+        f"{VANILLA_INSTRUCTION}\n{by_id[i].article}\n{SUMMARY_MARKER}" for i in manifest.eval_ids
+    ]
+    assert sorted(r.prompt for r in backend.requests) == sorted(expected)
+    assert len(backend.requests) == len(manifest.rows)
 
 
 def test_eval_qa_k0_prompts_equal_icl_prompts(tmp_path):
@@ -715,8 +721,8 @@ def test_cli_rank_untrusted_certificate_exit_code(tmp_path, capsys, monkeypatch)
     assert "certificate verify failed" in capsys.readouterr().err
     assert not (tmp_path / "ranking.json").exists()
     # A retried call would open 4 connections and sleep 3.5 s. The one call in
-    # flight fails on its first; the batch may have started one more call.
-    assert 1 <= server.connections <= 2 and not server.posts
+    # flight fails on its first, and the batch starts no other call.
+    assert server.connections == 1 and not server.posts
     assert elapsed < 3.5
 
 

@@ -746,11 +746,26 @@ def test_map_fatal_lm_error_propagates_and_stops_the_batch(tmp_path, error):
 
     def fn(i):
         started.append(i)
+        time.sleep(0.001)  # the worker is free to take the next item at once
         raise error("fails every item alike")
 
     with pytest.raises(error):
         client.map(fn, range(50))
-    assert len(started) < 50  # items not yet started were cancelled
+    assert started == [0]
+
+
+def test_map_non_lm_exception_stops_the_batch(tmp_path):
+    client = make_client(tmp_path, max_in_flight=1)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        time.sleep(0.001)
+        raise ValueError("a bug, not a backend failure")
+
+    with pytest.raises(ValueError):
+        client.map(fn, range(50))
+    assert started == [0]
 
 
 def test_map_non_lm_exception_propagates(tmp_path):

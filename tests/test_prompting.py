@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 import random
 import string
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PROMPT_GOLDEN_DIR
+from conftest import PROMPT_GOLDEN_DIR, StubBackend, make_lm_config
+from qasum.lm import CompletionClient
 from qasum.prompting import (
     AnswerCountMismatch,
     IclExample,
@@ -17,11 +17,11 @@ from qasum.prompting import (
     PARSE_FALLBACK,
     PARSE_OK,
     QA_INSTRUCTION,
+    SINGLE_QA_INSTRUCTION,
     SUMMARY_MARKER,
-    build_icl_prompt,
+    VANILLA_INSTRUCTION,
     build_qa_prompt,
     build_single_qa,
-    build_vanilla,
     parse_output,
     render_output_block,
 )
@@ -72,15 +72,16 @@ def test_golden_qa_k5():
 
 
 def test_golden_qa_k0_equals_icl():
+    # icl is qa at k = 0, so both goldens come from one call.
     qa = build_qa_prompt(TARGET_ARTICLE, [], [IclExample(EX_ARTICLE, EX_REFERENCE)])
-    icl = build_icl_prompt(TARGET_ARTICLE, [IclExample(EX_ARTICLE, EX_REFERENCE)])
     assert qa.text == golden("qa_k0.txt")
-    assert icl.text == golden("icl.txt")
-    assert qa.text == icl.text
+    assert qa.text == golden("icl.txt")
+    assert qa.k == 0 and qa.answer_markers == ()
 
 
 def test_golden_vanilla_and_single():
-    assert build_vanilla(TARGET_ARTICLE).text == golden("vanilla.txt")
+    # vanilla is qa at k = 0 with no examples.
+    assert build_qa_prompt(TARGET_ARTICLE, [], []).text == golden("vanilla.txt")
     assert build_single_qa(EX_ARTICLE, BANK["topic"]).text == golden("single_qa_topic.txt")
 
 
@@ -94,21 +95,17 @@ def test_prompt_determinism():
 
 
 def test_vanilla_has_exactly_one_summary_marker():
-    assert build_vanilla(TARGET_ARTICLE).text.count("Summary:") == 1
+    assert build_qa_prompt(TARGET_ARTICLE, [], []).text.count("Summary:") == 1
 
 
 def test_builders_are_total_on_empty_article():
     # upstream validation prevents empty articles in practice
-    assert build_vanilla("").text.endswith("Summary:")
+    assert build_qa_prompt("", [], []).text.endswith("Summary:")
     assert build_single_qa("", BANK["topic"]).text.endswith("A:")
 
 
-def test_icl_zero_examples_equals_vanilla():
-    assert build_icl_prompt(TARGET_ARTICLE, []).text == build_vanilla(TARGET_ARTICLE).text
-
-
 def test_icl_example_carries_reference_verbatim():
-    text = build_icl_prompt(TARGET_ARTICLE, [IclExample(EX_ARTICLE, EX_REFERENCE)]).text
+    text = build_qa_prompt(TARGET_ARTICLE, [], [IclExample(EX_ARTICLE, EX_REFERENCE)]).text
     assert EX_REFERENCE in text
 
 
@@ -192,7 +189,7 @@ def test_parse_takes_last_summary_marker():
 
 
 def test_parse_k0_takes_completion_as_summary():
-    bundle = build_icl_prompt(TARGET_ARTICLE, [IclExample(EX_ARTICLE, EX_REFERENCE)])
+    bundle = build_qa_prompt(TARGET_ARTICLE, [], [IclExample(EX_ARTICLE, EX_REFERENCE)])
     parsed = parse_output(" the cleanup plan moved forward", bundle)
     assert parsed.parse_status == PARSE_OK
     assert parsed.answers == ()
@@ -200,20 +197,24 @@ def test_parse_k0_takes_completion_as_summary():
 
 
 def test_parse_k0_empty_completion_fails():
-    bundle = build_vanilla(TARGET_ARTICLE)
+    bundle = build_qa_prompt(TARGET_ARTICLE, [], [])
     assert parse_output("   ", bundle).parse_status == PARSE_FAILED
 
 
+def generate_and_parse(reply: str, bundle):
+    """A completion as a run sees it: cut by ``CompletionClient.generate``
+    at the bundle's stop sequences, then parsed."""
+    client = CompletionClient(make_lm_config(), backend=StubBackend(reply))
+    gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
+    return parse_output(gen.completion, bundle)
+
+
 def test_parse_k0_cuts_at_stop_sentinel():
-    bundle = build_vanilla(TARGET_ARTICLE)
+    bundle = build_qa_prompt(TARGET_ARTICLE, [], [])
     completion = " a good summary\n\nSummarize the following article.\nmore stuff"
-    parsed = parse_output(completion, bundle)
+    parsed = generate_and_parse(completion, bundle)
+    assert parsed.parse_status == PARSE_OK
     assert parsed.summary == "a good summary"
-
-
-def test_parse_cuts_at_earliest_of_overlapping_stops():
-    bundle = replace(build_vanilla(TARGET_ARTICLE), stop_sequences=("END", "xEND"))
-    assert parse_output(" summary xEND tail", bundle).summary == "summary"
 
 
 def test_parse_round_trip_seeded_random():
@@ -273,4 +274,28 @@ def test_parse_status_property(completion, k):
     )
     parsed = parse_output(completion, bundle)
     assert parsed.parse_status in (PARSE_OK, PARSE_FALLBACK, PARSE_FAILED)
+    assert (parsed.parse_status == PARSE_FAILED) == (parsed.summary == "")
+
+
+model_pieces = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(
+        ["A1:", "A2:", "A3:", "A4:", "A5:", SUMMARY_MARKER, "\n",
+         QA_INSTRUCTION, SINGLE_QA_INSTRUCTION, VANILLA_INSTRUCTION]
+    ),
+)
+
+
+@given(
+    st.lists(model_pieces, max_size=12).map("".join),
+    st.integers(min_value=0, max_value=5),
+    st.booleans(),
+)
+def test_generated_completion_is_cut_once_before_parsing(reply, k, with_example):
+    examples = [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:k])] if with_example else []
+    bundle = build_qa_prompt(TARGET_ARTICLE, QS5[:k], examples)
+    (stop,) = bundle.stop_sequences
+    parsed = generate_and_parse(reply, bundle)
+    assert stop not in parsed.summary
+    assert not any(stop in answer for answer in parsed.answers)
     assert (parsed.parse_status == PARSE_FAILED) == (parsed.summary == "")
