@@ -9,7 +9,6 @@ outputs with ROUGE — as a library or via the ``qasum`` CLI.
 from .corpus import (
     Corpus,
     CorpusSplit,
-    DomainRegistry,
     TaskInstance,
     load_corpus,
     sample_icl_examples,
@@ -44,7 +43,6 @@ __all__ = [
     "Corpus",
     "CorpusSplit",
     "CompletionClient",
-    "DomainRegistry",
     "ExperimentConfig",
     "Generation",
     "GlobalRanking",

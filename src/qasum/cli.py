@@ -13,6 +13,7 @@ import sys
 
 from .corpus import CorpusError
 from .harness import (
+    HarnessError,
     MismatchedEvalSets,
     config_from_file,
     run_compare,
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     except MismatchedEvalSets as exc:
         print(f"mismatched eval sets: {exc}", file=sys.stderr)
         return 8
-    except (CacheError, LmError, ValueError, OSError) as exc:
+    except (CacheError, HarnessError, LmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,12 +6,10 @@ exactly ``id``, ``domain``, ``task``, ``article``, ``reference`` (UTF-8).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 import random
-from types import MappingProxyType
 
 from .metrics import has_tokens
 
@@ -72,37 +70,11 @@ class TaskInstance:
 
 
 @dataclass(frozen=True)
-class DomainRegistry:
-    """Ordered, case-sensitive domain names; extensible beyond the defaults."""
-
-    names: tuple[str, ...] = DEFAULT_DOMAINS
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("domain names must be unique")
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
-
-@dataclass(frozen=True)
 class Corpus:
     instances: tuple[TaskInstance, ...]
-    _index: Mapping[str, TaskInstance] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = {inst.id: inst for inst in self.instances}
-        object.__setattr__(self, "_index", MappingProxyType(index))
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def __getitem__(self, instance_id: str) -> TaskInstance:
-        return self.by_id()[instance_id]
-
-    def by_id(self) -> Mapping[str, TaskInstance]:
-        """Read-only id index, built once per corpus."""
-        return self._index
 
     def groups(self) -> dict[tuple[str, str], list[TaskInstance]]:
         """Instances keyed by (domain, task), in file order."""
@@ -127,9 +99,9 @@ def _validate_record(obj: object, line_no: int) -> dict:
     return obj
 
 
-def load_corpus(path, registry: DomainRegistry | None = None) -> Corpus:
-    """Load and validate a JSONL corpus; aborts at the first bad record."""
-    registry = registry or DomainRegistry()
+def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
+    """Load and validate a JSONL corpus; aborts at the first bad record,
+    among them one whose domain is not one of ``domains`` (case-sensitive)."""
     instances: list[TaskInstance] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -143,7 +115,7 @@ def load_corpus(path, registry: DomainRegistry | None = None) -> Corpus:
             rec = _validate_record(obj, line_no)
             if rec["id"] in seen:
                 raise DuplicateId(rec["id"], line_no)
-            if rec["domain"] not in registry:
+            if rec["domain"] not in domains:
                 raise UnknownDomain(rec["domain"], line_no)
             if not has_tokens(rec["article"]):
                 raise MalformedRecord(line_no, "article is empty after tokenization")
@@ -156,10 +128,11 @@ def load_corpus(path, registry: DomainRegistry | None = None) -> Corpus:
 
 @dataclass(frozen=True)
 class CorpusSplit:
-    """Disjoint ICL example pool and evaluation set covering the corpus."""
+    """Disjoint ICL example pool and evaluation set covering the corpus,
+    each a tuple of instances sorted by id."""
 
-    icl_pool: tuple[str, ...]
-    eval_set: tuple[str, ...]
+    icl_pool: tuple[TaskInstance, ...]
+    eval_set: tuple[TaskInstance, ...]
 
 
 def _group_rng(seed: int, *parts: str) -> random.Random:
@@ -173,18 +146,19 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
     instances (at least 1) to the ICL pool, the rest to the eval set."""
     if not 0 < pool_fraction < 1:
         raise ValueError("pool_fraction must be in (0, 1)")
-    pool: list[str] = []
-    eval_set: list[str] = []
+    pool: list[TaskInstance] = []
+    eval_set: list[TaskInstance] = []
     for (domain, task), members in sorted(corpus.groups().items()):
         if len(members) < 2:
             raise GroupTooSmall(domain, task, len(members))
-        ids = sorted(inst.id for inst in members)
+        members = sorted(members, key=lambda i: i.id)
         rng = _group_rng(seed, domain, task)
-        shuffled = rng.sample(ids, len(ids))
-        n_pool = max(1, math.ceil(pool_fraction * len(ids)))
+        shuffled = rng.sample(members, len(members))
+        n_pool = max(1, math.ceil(pool_fraction * len(members)))
         pool.extend(shuffled[:n_pool])
         eval_set.extend(shuffled[n_pool:])
-    return CorpusSplit(icl_pool=tuple(sorted(pool)), eval_set=tuple(sorted(eval_set)))
+    return CorpusSplit(icl_pool=tuple(sorted(pool, key=lambda i: i.id)),
+                       eval_set=tuple(sorted(eval_set, key=lambda i: i.id)))
 
 
 def subsample_per_domain(
@@ -207,25 +181,16 @@ def subsample_per_domain(
 
 
 def sample_icl_examples(
-    split: CorpusSplit,
-    corpus: Corpus,
-    domain: str,
-    task: str,
-    count: int,
-    seed: int,
+    split: CorpusSplit, domain: str, task: str, count: int, seed: int
 ) -> list[TaskInstance]:
-    """Pick ``count`` distinct pool instances from one (domain, task) group.
+    """Pick ``count`` distinct instances of one (domain, task) group from
+    ``split.icl_pool``.
 
     Deterministic in ``seed``; never returns an eval-set instance.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    by_id = corpus.by_id()
-    pool = sorted(
-        i for i in split.icl_pool if by_id[i].domain == domain and by_id[i].task == task
-    )
+    pool = [i for i in split.icl_pool if i.domain == domain and i.task == task]
     if len(pool) < count:
         raise InsufficientPool(domain, task, len(pool), count)
-    rng = _group_rng(seed, "icl", domain, task)
-    chosen = rng.sample(pool, count)
-    return [by_id[i] for i in chosen]
+    return _group_rng(seed, "icl", domain, task).sample(pool, count)

@@ -17,7 +17,7 @@ import time
 import types
 import typing
 
-from .corpus import DomainRegistry, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
+from .corpus import DEFAULT_DOMAINS, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
 from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
 from .prompting import (
@@ -80,9 +80,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.scope not in SCOPES:
             raise ValueError(f"unknown scope {self.scope!r}")
+        if not self.k_values:
+            raise ValueError("k_values: must list at least one k")
         bad = [k for k in self.k_values if not 0 <= k <= 10]
         if bad:
             raise ValueError(f"k values outside [0, 10]: {bad}")
+        for key in ("eval_subsample", "rank_subsample"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be >= 1 (null means every instance)")
+        if self.domains is not None and len(set(self.domains)) != len(self.domains):
+            raise ValueError("domains: names must be unique")
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -202,8 +209,13 @@ def _row_to_dict(row: ScoreRow) -> dict:
 def _row_from_dict(doc: dict) -> ScoreRow:
     def score(name):
         s = doc[name]
+        if not all(type(s[v]) in (int, float) for v in ("p", "r", "f1")):
+            raise TypeError(f"row {doc['id']!r}: {name} scores are not all numbers")
         return RougeScore(s["p"], s["r"], s["f1"])
 
+    labels = ("id", "method", "model", "domain", "parse_status")
+    if not all(isinstance(doc[key], str) for key in labels) or type(doc["k"]) is not int:
+        raise TypeError(f"row {doc['id']!r}: {', '.join(labels)} must be strings and k an int")
     return ScoreRow(
         id=doc["id"],
         method=doc["method"],
@@ -232,20 +244,25 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return RunManifest(
-        config=doc["config"],
-        rows=tuple(_row_from_dict(r) for r in doc["rows"]),
-        cache=CacheStats(**doc["cache"]),
-        wall_clock_s=doc["wall_clock_s"],
-        parse_counts=doc["parse_counts"],
-        eval_ids=tuple(doc["eval_ids"]),
-    )
-
-
-def _registry(cfg: ExperimentConfig) -> DomainRegistry:
-    return DomainRegistry(tuple(cfg.domains)) if cfg.domains else DomainRegistry()
+    """Read a ``save_manifest`` file; ValueError names a file of another shape."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not (isinstance(doc["config"], dict) and isinstance(doc["config"].get("lm", {}), dict)
+                and isinstance(doc["parse_counts"], dict) and doc["rows"]
+                and all(isinstance(i, str) for i in doc["eval_ids"])):
+            raise TypeError("config, config.lm and parse_counts must be objects, rows non-empty,"
+                            " eval_ids strings")
+        return RunManifest(
+            config=doc["config"],
+            rows=tuple(_row_from_dict(r) for r in doc["rows"]),
+            cache=CacheStats(**doc["cache"]),
+            wall_clock_s=doc["wall_clock_s"],
+            parse_counts=doc["parse_counts"],
+            eval_ids=tuple(doc["eval_ids"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a run manifest ({type(exc).__name__}: {exc})") from exc
 
 
 def _make_client(cfg: ExperimentConfig, backend=None) -> CompletionClient:
@@ -256,12 +273,10 @@ def _make_client(cfg: ExperimentConfig, backend=None) -> CompletionClient:
 
 def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
     """Rank candidate questions on the ICL pool and write the ranking file."""
-    corpus = load_corpus(cfg.corpus, _registry(cfg))
+    corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
     split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
-    by_id = corpus.by_id()
-    pool = [by_id[i] for i in split.icl_pool]
     client = _make_client(cfg, backend)
-    table = rank_questions(client, pool, subsample=cfg.rank_subsample, seed=cfg.seed)
+    table = rank_questions(client, split.icl_pool, subsample=cfg.rank_subsample, seed=cfg.seed)
     save_ranking(table, out_path)
     return table
 
@@ -283,12 +298,14 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     backend and replay fixture gaps abort the run.
     """
     started = time.monotonic()
-    corpus = load_corpus(cfg.corpus, _registry(cfg))
+    corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
     split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
-    by_id = corpus.by_id()
-    instances = subsample_per_domain(
-        [by_id[i] for i in split.eval_set], cfg.eval_subsample, cfg.seed, "eval"
-    )
+    if not split.eval_set:
+        raise ValueError(
+            f"the eval set is empty: pool_fraction {cfg.pool_fraction} sends every instance"
+            " to the ICL pool, so eval_subsample has nothing to pick from"
+        )
+    instances = subsample_per_domain(split.eval_set, cfg.eval_subsample, cfg.seed, "eval")
     eval_ids = [inst.id for inst in instances]
 
     table: RankingTable | None = None
@@ -309,9 +326,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     examples: dict[tuple[str, str], list] = {}
     if cfg.method != "vanilla":
         for group in {(inst.domain, inst.task) for inst in instances}:
-            examples[group] = sample_icl_examples(
-                split, corpus, *group, cfg.icl_examples, cfg.seed
-            )
+            examples[group] = sample_icl_examples(split, *group, cfg.icl_examples, cfg.seed)
 
     def question_scope(inst) -> str | None:
         return None if global_rank is not None else inst.domain

@@ -449,16 +449,19 @@ class HttpBackend:
 class ReplayBackend:
     """Serves completions recorded in a response store, keyed by digest.
 
-    ``<replay_dir>/cache.sqlite`` is opened read-only (a ``mode=ro`` URI),
-    so a cache directory recorded by an earlier run replays as it is. A
-    missing or unreadable store, and a missing or unusable row, is a
-    ``ReplayMiss`` naming the digest and the file.
+    ``<replay_dir>/cache.sqlite`` is opened read-only, so a cache directory
+    recorded by an earlier run replays as it is: ``immutable=1`` adds no
+    ``-wal`` or ``-shm`` file, unless a ``-wal`` left by a killed writer
+    still holds rows. A missing or unreadable store, and a missing or
+    unusable row, is a ``ReplayMiss`` naming the digest and the file.
     """
 
     def __init__(self, replay_dir: str):
         self._path = os.path.join(replay_dir, _STORE_FILE)
         self._lock = threading.Lock()
-        uri = "file:" + urllib.parse.quote(os.path.abspath(self._path)) + "?mode=ro"
+        store = os.path.abspath(self._path)
+        mode = "ro" if os.path.exists(store + "-wal") else "ro&immutable=1"
+        uri = f"file:{urllib.parse.quote(store)}?mode={mode}"
         try:
             self._conn = _connect(uri, uri=True)
         except sqlite3.Error:

@@ -268,20 +268,32 @@ def save_ranking(table: RankingTable, path) -> None:
         fh.write("\n")
 
 
+def _ranked_question(entry: dict) -> RankedQuestion:
+    question = RankedQuestion(entry["key"], entry["mean_precision"], entry["n"])
+    if not (isinstance(question.key, str) and type(question.mean_precision) in (int, float)
+            and type(question.n) is int):
+        raise TypeError(f"entry {entry!r} needs a string key, a number mean_precision and an int n")
+    return question
+
+
 def load_ranking(path) -> RankingTable:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    domains = {
-        domain: tuple(RankedQuestion(e["key"], e["mean_precision"], e["n"]) for e in entries)
-        for domain, entries in doc["domains"].items()
-    }
-    return RankingTable(
-        model=doc["model"],
-        seed=doc["seed"],
-        subsample=doc.get("subsample"),
-        created_at=doc["created_at"],
-        domains=domains,
-    )
+    """Read a ``save_ranking`` file; RankingError names a file of another shape."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        domains = {
+            domain: tuple(_ranked_question(e) for e in entries)
+            for domain, entries in doc["domains"].items()
+        }
+        return RankingTable(
+            model=doc["model"],
+            seed=doc["seed"],
+            subsample=doc.get("subsample"),
+            created_at=doc["created_at"],
+            domains=domains,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RankingError(f"{path}: not a ranking file ({type(exc).__name__}: {exc})") from exc
 
 
 def format_rank_matrix(table: RankingTable, bank: list[QuestionSpec] | None = None) -> str:

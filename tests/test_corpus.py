@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 import random
 
 import pytest
 
 from qasum.corpus import (
     Corpus,
-    DomainRegistry,
     DuplicateId,
     GroupTooSmall,
     InsufficientPool,
@@ -22,9 +20,6 @@ from qasum.corpus import (
     split_corpus,
     subsample_per_domain,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
 
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
@@ -42,16 +37,6 @@ def test_load_small_fixture(tmp_path):
     corpus = load_corpus(path)
     assert len(corpus) == 3
     assert [inst.domain for inst in corpus.instances] == ["News", "News", "Reviews"]
-
-
-def test_by_id_index_is_built_once():
-    corpus = load_corpus(FIXTURES / "corpus_6.jsonl")
-    index = corpus.by_id()
-    assert corpus.by_id() is index
-    assert list(index) == [inst.id for inst in corpus.instances]
-    assert all(index[inst.id] is inst for inst in corpus.instances)
-    with pytest.raises(TypeError):
-        index["new"] = corpus.instances[0]
 
 
 def test_missing_reference_field(tmp_path):
@@ -116,14 +101,8 @@ def test_unknown_domain(tmp_path):
 def test_custom_registry_admits_new_domains(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", domain="Sports")])
-    registry = DomainRegistry(("Sports", "News"))
-    corpus = load_corpus(path, registry)
+    corpus = load_corpus(path, ("Sports", "News"))
     assert [inst.domain for inst in corpus.instances] == ["Sports"]
-
-
-def test_registry_rejects_duplicates():
-    with pytest.raises(ValueError):
-        DomainRegistry(("News", "News"))
 
 
 # --- splitting ---------------------------------------------------------------
@@ -151,7 +130,15 @@ def test_split_is_deterministic_and_partitions():
     two = split_corpus(corpus, 0.3, seed=42)
     assert one == two
     assert set(one.icl_pool) & set(one.eval_set) == set()
-    assert set(one.icl_pool) | set(one.eval_set) == {i.id for i in corpus.instances}
+    assert set(one.icl_pool) | set(one.eval_set) == set(corpus.instances)
+
+
+def test_split_is_the_seeded_sample_of_the_id_sorted_group():
+    corpus = Corpus(instances=tuple(reversed(ten_instance_corpus().instances)))
+    split = split_corpus(corpus, 0.3, seed=4)
+    shuffled = random.Random("4|News|xsum").sample(sorted(i.id for i in corpus.instances), 10)
+    assert [i.id for i in split.icl_pool] == sorted(shuffled[:3])
+    assert [i.id for i in split.eval_set] == sorted(shuffled[3:])
 
 
 def test_split_depends_only_on_contents_not_order():
@@ -182,25 +169,25 @@ def test_split_rejects_bad_fraction():
 def test_sample_returns_distinct_pool_members():
     corpus = ten_instance_corpus()
     split = split_corpus(corpus, 0.5, seed=3)
-    picked = sample_icl_examples(split, corpus, "News", "xsum", count=2, seed=3)
+    picked = sample_icl_examples(split, "News", "xsum", count=2, seed=3)
     ids = [p.id for p in picked]
     assert len(set(ids)) == 2
-    assert set(ids) <= set(split.icl_pool)
+    assert set(picked) <= set(split.icl_pool)
 
 
 def test_sample_never_returns_eval_instances():
     corpus = ten_instance_corpus()
     for seed in range(10):
         split = split_corpus(corpus, 0.4, seed=seed)
-        picked = sample_icl_examples(split, corpus, "News", "xsum", count=3, seed=seed)
-        assert all(p.id not in split.eval_set for p in picked)
+        picked = sample_icl_examples(split, "News", "xsum", count=3, seed=seed)
+        assert all(p not in split.eval_set for p in picked)
 
 
 def test_sample_is_deterministic():
     corpus = ten_instance_corpus()
     split = split_corpus(corpus, 0.5, seed=3)
-    a = sample_icl_examples(split, corpus, "News", "xsum", count=3, seed=9)
-    b = sample_icl_examples(split, corpus, "News", "xsum", count=3, seed=9)
+    a = sample_icl_examples(split, "News", "xsum", count=3, seed=9)
+    b = sample_icl_examples(split, "News", "xsum", count=3, seed=9)
     assert [x.id for x in a] == [x.id for x in b]
 
 
@@ -208,14 +195,14 @@ def test_sample_insufficient_pool():
     corpus = ten_instance_corpus()
     split = split_corpus(corpus, 0.2, seed=3)  # pool of 2
     with pytest.raises(InsufficientPool):
-        sample_icl_examples(split, corpus, "News", "xsum", count=6, seed=0)
+        sample_icl_examples(split, "News", "xsum", count=6, seed=0)
 
 
 def test_sample_rejects_zero_count():
     corpus = ten_instance_corpus()
     split = split_corpus(corpus, 0.5, seed=3)
     with pytest.raises(ValueError):
-        sample_icl_examples(split, corpus, "News", "xsum", count=0, seed=0)
+        sample_icl_examples(split, "News", "xsum", count=0, seed=0)
 
 
 def test_subsample_per_domain_is_the_seeded_per_domain_sample():

@@ -12,7 +12,7 @@ import sqlite3
 import tempfile
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from conftest import (
@@ -93,6 +93,25 @@ def test_config_rejects_bad_k():
 def test_config_rejects_bad_method():
     with pytest.raises(ValueError):
         make_config(method="chant")
+
+
+def test_config_rejects_empty_k_values():
+    with pytest.raises(ValueError, match="k_values"):
+        make_config(method="qa", k_values=())
+
+
+@pytest.mark.parametrize("key", ["eval_subsample", "rank_subsample"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_config_rejects_a_subsample_below_one(key, count):
+    with pytest.raises(ValueError, match=f"^{key}: must be >= 1"):
+        make_config(**{key: count})
+    assert getattr(make_config(**{key: None}), key) is None
+
+
+def test_config_rejects_duplicate_domains():
+    with pytest.raises(ValueError, match="^domains: names must be unique$"):
+        config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": ["News", "News"]})
+    assert config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": []}).domains == ()
 
 
 def test_config_rejects_every_unknown_key_at_both_levels():
@@ -196,10 +215,9 @@ def test_eval_vanilla_smoke(tmp_path):
     assert all(r.parse_status == "ok" for r in manifest.rows)
     # One request per row, each the bare vanilla prompt for its instance:
     # no example blocks and no example-answer requests.
-    by_id = load_corpus(cfg.corpus).by_id()
-    expected = [
-        f"{VANILLA_INSTRUCTION}\n{by_id[i].article}\n{SUMMARY_MARKER}" for i in manifest.eval_ids
-    ]
+    split = split_corpus(load_corpus(cfg.corpus), cfg.pool_fraction, cfg.seed)
+    assert manifest.eval_ids == tuple(inst.id for inst in split.eval_set)
+    expected = [f"{VANILLA_INSTRUCTION}\n{inst.article}\n{SUMMARY_MARKER}" for inst in split.eval_set]
     assert sorted(r.prompt for r in backend.requests) == sorted(expected)
     assert len(backend.requests) == len(manifest.rows)
 
@@ -266,12 +284,10 @@ def expected_answer_prompts(cfg, k_values):
     (ICL example, question) over the eval set and k sweep."""
     corpus = load_corpus(cfg.corpus)
     split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
-    by_id = corpus.by_id()
     table = load_ranking(cfg.ranking)
     prompts = set()
-    for i in split.eval_set:
-        inst = by_id[i]
-        for example in sample_icl_examples(split, corpus, inst.domain, inst.task,
+    for inst in split.eval_set:
+        for example in sample_icl_examples(split, inst.domain, inst.task,
                                            cfg.icl_examples, cfg.seed):
             for k in k_values:
                 for q in top_k(table, k, domain=inst.domain):
@@ -584,15 +600,19 @@ def test_cli_eval_store_that_is_not_a_database_exit_code(tmp_path, replay_dir, c
     assert not (tmp_path / "run").exists()
 
 
-def run_eval_with_cache_dir(replay_dir, cache_dir, out_dir) -> int:
-    """``qasum eval`` (icl, on the replay recording) with ``cache_dir``
-    set to any JSON value; returns the exit code."""
+def run_eval_with(replay_dir, key, value, out_dir, method="icl") -> int:
+    """``qasum eval`` on the replay recording, which holds every request
+    of icl and of qa at k = 0, 1 and 2, with config ``key`` (``lm.name``
+    for a key under ``lm``) set to ``value``; returns the exit code."""
     config = out_dir.parent / "config.json"
     doc = {"lm": {"model": MODEL, "backend": "replay"}, "pool_fraction": 0.5,
-           "replay_dir": str(replay_dir), "cache_dir": cache_dir}
+           "replay_dir": str(replay_dir), "ranking": str(replay_dir.parent / "ranking.json"),
+           "k_values": [0, 1, 2]}
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
     config.write_text(json.dumps(doc))
     return main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
-                 "--method", "icl", "--out", str(out_dir)])
+                 "--method", method, "--out", str(out_dir)])
 
 
 def test_cli_eval_unusable_cache_dir_exit_code(tmp_path, replay_dir, capsys):
@@ -602,10 +622,10 @@ def test_cli_eval_unusable_cache_dir_exit_code(tmp_path, replay_dir, capsys):
     (store_is_a_directory / "cache.sqlite").mkdir(parents=True)
     for cache_dir in (str(a_file), str(a_file / "below"), str(store_is_a_directory),
                       "nul\x00byte", 7, ["list"]):
-        assert run_eval_with_cache_dir(replay_dir, cache_dir, tmp_path / "run") == 1
+        assert run_eval_with(replay_dir, "cache_dir", cache_dir, tmp_path / "run") == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
-    assert run_eval_with_cache_dir(replay_dir, "", tmp_path / "run") == 0  # no cache
+    assert run_eval_with(replay_dir, "cache_dir", "", tmp_path / "run") == 0  # no cache
 
 
 # Strings are kept to one relative path component that is not "..", so a
@@ -626,10 +646,143 @@ def test_cli_eval_any_json_cache_dir_exits_with_a_documented_code(replay_dir, ca
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            code = run_eval_with_cache_dir(replay_dir, cache_dir, Path(scratch) / "run")
+            code = run_eval_with(replay_dir, "cache_dir", cache_dir, Path(scratch) / "run")
         finally:
             os.chdir(cwd)
     assert code in (0, 1)
+
+
+# Any JSON value, with strings kept to one path component, weighted
+# towards the small numbers and the words the config gives a meaning to.
+EVAL_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.integers() | st.floats(0, 1)
+    | st.floats(allow_nan=False) | PATH_COMPONENTS
+    | st.sampled_from(["global", "domain_specific", "qa", "http", "replay", "News"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("key", ["lm", *CONFIG_KEYS])
+@settings(deadline=None, max_examples=50)
+@given(method=st.sampled_from(["vanilla", "icl", "qa"]), value=EVAL_VALUES)
+@example(method="qa", value="config.json")  # a file that is no ranking, store or directory
+@example(method="qa", value=0)
+@example(method="qa", value=-1)
+@example(method="icl", value=0.9)
+@example(method="qa", value=[])
+def test_cli_eval_any_json_value_under_any_key_exits_with_a_documented_code(
+        replay_dir, key, method, value):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            out_dir = Path(scratch) / "run"
+            code = run_eval_with(replay_dir, key, value, out_dir, method)
+            assert code in (0, 1, 3, 4, 5, 6, 7, 8)
+            assert code == 0 or not (out_dir / "manifest.json").exists()
+        finally:
+            os.chdir(cwd)
+
+
+def test_eval_with_an_empty_eval_set_fails_before_any_request(tmp_path):
+    backend = StubBackend()
+    # Every (domain, task) group of the fixture holds 2 instances, and
+    # ceil(0.9 * 2) = 2 of them go to the ICL pool.
+    with pytest.raises(ValueError, match="pool_fraction 0.9 .*eval_subsample"):
+        run_eval(make_config(pool_fraction=0.9), tmp_path / "run", backend=backend)
+    assert backend.requests == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("pool_fraction", 0.9), ("eval_subsample", 0),
+                                        ("eval_subsample", -1), ("k_values", [])])
+def test_cli_eval_nothing_to_evaluate_exit_code(tmp_path, replay_dir, capsys, key, value):
+    out_dir = tmp_path / "run"
+    assert run_eval_with(replay_dir, key, value, out_dir, "qa") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out_dir.exists()
+
+
+def test_cli_rank_subsample_zero_exit_code(tmp_path, replay_dir, capsys):
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    code = main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--out", str(tmp_path / "r.json"), "--subsample", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rank_subsample: must be >= 1")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_eval_duplicate_domains_exit_code(tmp_path, replay_dir, capsys):
+    out_dir = tmp_path / "run"
+    assert run_eval_with(replay_dir, "domains", ["News", "News"], out_dir) == 1
+    assert capsys.readouterr().err == "error: domains: names must be unique\n"
+    assert not out_dir.exists()
+
+
+BAD_RANKINGS = {
+    "empty-object": "{}",
+    "list": "[]",
+    "not-json": "{",
+    "no-mean-precision": json.dumps({"model": MODEL, "seed": 0, "created_at": "t",
+                                     "domains": {"News": [{"key": "topic", "n": 1}]}}),
+    "string-mean-precision": json.dumps({"model": MODEL, "seed": 0, "created_at": "t", "domains": {
+        "News": [{"key": "topic", "mean_precision": "high", "n": 1}]}}),
+    "domains-list": json.dumps({"model": MODEL, "seed": 0, "created_at": "t", "domains": []}),
+}
+
+
+@pytest.mark.parametrize("text", BAD_RANKINGS.values(), ids=BAD_RANKINGS.keys())
+def test_cli_eval_bad_ranking_file_exit_code(tmp_path, replay_dir, capsys, text):
+    ranking = tmp_path / "ranking.json"
+    ranking.write_text(text)
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "qa", "--ranking", str(ranking), "--out", str(out_dir)])
+    assert code == 7
+    assert capsys.readouterr().err.startswith(f"ranking error: {ranking}: not a ranking file (")
+    assert not out_dir.exists()
+
+
+def bad_manifests(tmp_path):
+    """Manifest texts that ``load_manifest`` refuses, by name."""
+    doc = json.loads(manifest_with_mean(tmp_path, "good.json", 0.5).read_text())
+    row = doc["rows"][0]
+    return {
+        "no-config": {key: value for key, value in doc.items() if key != "config"},
+        "lm-not-an-object": {**doc, "config": {**doc["config"], "lm": 5}},
+        "empty-object": {},
+        "list": [],
+        "no-rows": {**doc, "rows": []},
+        "row-list": {**doc, "rows": [[1]]},
+        "string-score": {**doc, "rows": [{**row, "rougeL": {"p": "1", "r": 1, "f1": 1}}]},
+        "int-domain": {**doc, "rows": [{**row, "domain": 7}]},
+        "list-eval-id": {**doc, "eval_ids": [["x"]]},
+    }
+
+
+@pytest.mark.parametrize("name", ["no-config", "lm-not-an-object", "empty-object", "list",
+                                  "no-rows", "row-list", "string-score", "int-domain",
+                                  "list-eval-id", "not-json"])
+def test_cli_bad_manifest_exit_code(tmp_path, capsys, name):
+    good = manifest_with_mean(tmp_path, "good.json", 0.5)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{" if name == "not-json" else json.dumps(bad_manifests(tmp_path)[name]))
+    assert main(["report", str(bad), "--out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not a run manifest (")
+    assert not (tmp_path / "report").exists()
+    assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not a run manifest (")
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_compare_single_manifest_exit_code(tmp_path, capsys):
+    a = manifest_with_mean(tmp_path, "a.json", 0.5)
+    assert main(["compare", str(a), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err == "error: compare needs at least two manifests\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_cli_unreachable_backend_exit_code(tmp_path):

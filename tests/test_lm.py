@@ -459,13 +459,30 @@ def test_replay_opens_the_store_read_only(tmp_path):
     make_client(tmp_path, backend=StubBackend(reply="recorded")).generate("prompt p")
     store = tmp_path / "cache" / "cache.sqlite"
     before = store.read_bytes()
+    listing = sorted(p.name for p in store.parent.iterdir())
     replayer = CompletionClient(LmConfig(model="m1", backend="replay"),
                                 replay_dir=str(tmp_path / "cache"))
     assert replayer.generate("prompt p").completion == "recorded"
     with pytest.raises(ReplayMiss):
         replayer.generate("prompt q")
+    assert sorted(p.name for p in store.parent.iterdir()) == listing
     del replayer
     assert store.read_bytes() == before
+    assert sorted(p.name for p in store.parent.iterdir()) == listing == ["cache.sqlite"]
+
+
+def test_replay_serves_rows_a_killed_recorder_left_in_the_write_ahead_log(tmp_path):
+    writer = run_writer(tmp_path, "killed", 50, linger=60)
+    try:
+        assert writer.stdout.readline() == "done\n"
+    finally:
+        writer.send_signal(signal.SIGKILL)
+        writer.communicate(timeout=30)
+    assert (tmp_path / "cache.sqlite-wal").stat().st_size > 0
+    replayer = ReplayBackend(str(tmp_path))
+    for i in range(50):
+        prompt = f"killed {i}"
+        assert replayer.complete(request_for(prompt)) == (f"completion {prompt}", "stop")
 
 
 def test_replay_requires_directory(tmp_path):
