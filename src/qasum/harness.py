@@ -92,7 +92,9 @@ class ExperimentConfig:
             raise ValueError("domains: names must be unique")
 
     def snapshot(self) -> dict:
-        return asdict(self)
+        """The config as a manifest stores it: JSON values, tuples as lists,
+        so a saved and reloaded manifest equals the one ``run_eval`` returns."""
+        return json.loads(json.dumps(asdict(self)))
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -230,17 +232,27 @@ def _row_from_dict(doc: dict) -> ScoreRow:
 
 
 def save_manifest(manifest: RunManifest, path) -> None:
-    doc = {
+    """Write ``manifest`` as one compact JSON document: the run's fields on
+    the first line, then ``rows`` with one row per line.
+
+    Each row is encoded on its own (``json.dump`` never uses the C
+    encoder), so the whole document is never one string in memory.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    head = encode({
         "config": manifest.config,
-        "rows": [_row_to_dict(r) for r in manifest.rows],
         "cache": asdict(manifest.cache),
         "wall_clock_s": manifest.wall_clock_s,
         "parse_counts": manifest.parse_counts,
         "eval_ids": list(manifest.eval_ids),
-    }
+    })
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        fh.write(head[:-1] + ',"rows":[')
+        separator = "\n"
+        for row in manifest.rows:
+            fh.write(separator + encode(_row_to_dict(row)))
+            separator = ",\n"
+        fh.write("\n]}\n")
 
 
 def load_manifest(path) -> RunManifest:

@@ -4,6 +4,10 @@ All functions are pure. The public ROUGE functions take plain strings,
 except ``rouge_scores``, which takes a candidate's tokens and a Reference
 prepared once, so a run tokenizes each text once. Scores are stored as
 fractions in [0, 1] and rendered x100 only at the reporting layer.
+
+ROUGE-N and answer overlap both clip n-gram counts (Lin 2004). Their
+counters key unigrams by the token itself and n-grams for n >= 2 by a
+tuple of n tokens.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ def tokenize(text: str) -> list[str]:
 
 def has_tokens(text: str) -> bool:
     """``bool(tokenize(text))``, without building the token list."""
-    return _TOKEN_RE.search(text.lower()) is not None
+    # [^\W_] matches a character exactly when it matches its lowercase
+    # form, so searching the text as is agrees with tokenize's lowered copy.
+    return _TOKEN_RE.search(text) is not None
 
 
 @dataclass(frozen=True)
@@ -87,19 +93,27 @@ def overlap_precision(answer: str, reference: str) -> float:
     answer_tokens = tokenize(answer)
     if not answer_tokens:
         raise EmptyAnswer("answer has no tokens")
-    ref_counts = Counter(tokenize(reference))
-    matched = sum(min(c, ref_counts[w]) for w, c in Counter(answer_tokens).items())
+    matched = _clipped_matches(Counter(answer_tokens), Counter(tokenize(reference)))
     return matched / len(answer_tokens)
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of the n-grams of ``tokens``: tokens for n = 1, n-tuples above."""
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _clipped_matches(cand: Counter, ref: Counter) -> int:
+    """Sum over shared keys of the smaller of the two counts."""
+    common = cand.keys() & ref.keys()
+    return sum(map(min, map(cand.__getitem__, common), map(ref.__getitem__, common)))
 
 
 def _ngram_score(cand: Counter, ref: Counter) -> RougeScore:
-    matched = sum(min(c, ref[g]) for g, c in cand.items())
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
+    matched = _clipped_matches(cand, ref)
+    cand_total = cand.total()
+    ref_total = ref.total()
     precision = matched / cand_total if cand_total else 0.0
     recall = matched / ref_total if ref_total else 0.0
     return RougeScore.from_pr(precision, recall)
@@ -146,7 +160,8 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 @dataclass(frozen=True)
 class Reference:
     """A reference summary tokenized once, with the 1- and 2-gram counts
-    that ROUGE-1/2 clip against, for scoring several candidates."""
+    that ROUGE-1/2 clip against, for scoring several candidates.
+    ``unigrams`` is keyed by token, ``bigrams`` by 2-tuples of tokens."""
 
     tokens: list[str]
     unigrams: Counter

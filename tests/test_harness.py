@@ -397,12 +397,27 @@ def test_eval_subsample_is_stable(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    cfg = make_config(method="icl", cache_dir=tmp_path / "c")
-    manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" s"))
-    loaded = load_manifest(tmp_path / "manifest.json")
-    assert loaded.rows == manifest.rows
-    assert loaded.eval_ids == manifest.eval_ids
-    assert loaded.parse_counts == manifest.parse_counts
+    # The model name lands in the config and in every row; the writer keeps
+    # non-ASCII text as is, so it must still escape quotes, backslashes and
+    # newlines.
+    model = 'modèle "α" \\ v2\nß'
+    cfg = make_config(method="icl", cache_dir=tmp_path / "c", lm=make_lm_config(model=model))
+    manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" the summary"))
+    path = tmp_path / "manifest.json"
+    loaded = load_manifest(path)
+    assert loaded == manifest  # exact floats included
+    assert loaded.config["lm"]["model"] == model and loaded.rows[0].model == model
+    assert any(0 < row.rouge1.f1 < 1 for row in loaded.rows)
+
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    text = path.read_text(encoding="utf-8")
+    assert "modèle" in text
+    # One line of run fields, one line per row, one closing line.
+    lines = text.splitlines()
+    assert len(lines) == len(manifest.rows) + 2
+    assert lines[0].endswith('"rows":[') and lines[-1] == "]}"
+    assert [json.loads(line.removesuffix(",")) for line in lines[1:-1]] == doc["rows"]
 
 
 def test_aggregates_recompute_from_rows(tmp_path):

@@ -46,6 +46,28 @@ def lcs_dp(a, b):
     return prev[-1]
 
 
+def rouge_n_oracle(cand_tokens, ref_tokens, n):
+    """Textbook clipped n-gram counting (Lin 2004), the independent oracle
+    for ROUGE-N: tuple slicing and one ``min`` per candidate n-gram."""
+
+    def counts(tokens):
+        grams = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tuple(tokens[i : i + n])
+            grams[gram] = grams.get(gram, 0) + 1
+        return grams
+
+    cand, ref = counts(cand_tokens), counts(ref_tokens)
+    matched = 0
+    for gram, count in cand.items():
+        matched += min(count, ref.get(gram, 0))
+    cand_total, ref_total = sum(cand.values()), sum(ref.values())
+    precision = matched / cand_total if cand_total else 0.0
+    recall = matched / ref_total if ref_total else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
 def random_tokens(rng, max_len=8, alphabet=("a", "b", "c", "d")):
     return [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
 
@@ -73,6 +95,15 @@ def test_tokenize_underscore_is_a_separator():
 @given(st.text())
 def test_has_tokens_agrees_with_tokenize(text):
     assert has_tokens(text) == bool(tokenize(text))
+
+
+def test_has_tokens_agrees_with_tokenize_on_every_cased_code_point():
+    # has_tokens searches the text as is and tokenize its lowercase copy, so
+    # they agree only while no code point changes word-ness when lowered.
+    # Every such code point is checked, so a Unicode table change shows up.
+    cased = [chr(cp) for cp in range(0x110000) if chr(cp).lower() != chr(cp)]
+    assert len(cased) > 1000
+    assert [c for c in cased if has_tokens(c) != bool(tokenize(c))] == []
 
 
 def test_has_tokens_on_separators_only():
@@ -253,6 +284,18 @@ def test_row_scorer_equals_public_rouge(candidate, reference):
     expected = (rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2),
                 rouge_l(candidate, reference))
     assert rouge_scores(tokenize(candidate), Reference.from_text(reference)) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(scorer_texts, scorer_texts)
+def test_rouge_n_equals_textbook_oracle(candidate, reference):
+    cand, ref = tokenize(candidate), tokenize(reference)
+    for n in (1, 2, 3):
+        score = rouge_n(candidate, reference, n)
+        assert (score.precision, score.recall, score.f1) == rouge_n_oracle(cand, ref, n)
+    scores = rouge_scores(cand, Reference.from_text(reference))
+    for n, score in zip((1, 2), scores):
+        assert (score.precision, score.recall, score.f1) == rouge_n_oracle(cand, ref, n)
 
 
 def test_row_scorer_edge_cases():
