@@ -99,6 +99,16 @@ def _validate_record(obj: object, line_no: int) -> dict:
     return obj
 
 
+def _reject_surrogates(rec: dict, line_no: int) -> None:
+    """A ``\\u`` escape can decode to a lone surrogate, which no UTF-8
+    prompt or cache key can carry; reject its record here."""
+    for f in RECORD_FIELDS:
+        try:
+            rec[f].encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord(line_no, f"field {f!r} holds a lone surrogate") from None
+
+
 def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     """Load and validate a JSONL corpus; aborts at the first bad record,
     among them one whose domain is not one of ``domains`` (case-sensitive)."""
@@ -113,6 +123,8 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
             rec = _validate_record(obj, line_no)
+            if "\\u" in line:
+                _reject_surrogates(rec, line_no)
             if rec["id"] in seen:
                 raise DuplicateId(rec["id"], line_no)
             if rec["domain"] not in domains:

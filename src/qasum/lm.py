@@ -10,20 +10,16 @@ an untrusted one, and does not follow redirects.
 
 Responses are cached in one SQLite database, ``<cache_dir>/cache.sqlite``
 (WAL mode), keyed by a digest of the request, so interrupted runs resume
-without re-spending LM calls. The first open in a directory that holds
-a per-file cache of an earlier version (``<2 hex>/<digest>.json``)
-imports its readable entries and leaves the files. A store that is not
-a database aborts the run with ``CacheError`` and is never replaced. The
-replay backend opens a recorded store read-only, so a recorded cache
-directory can be pointed at directly as a replay fixture.
+without re-spending LM calls. A store that is not a database aborts the
+run with ``CacheError`` and is never replaced. The replay backend opens
+a recorded store read-only, so a recorded cache directory can be pointed
+at directly as a replay fixture.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import functools
-import glob
 import hashlib
 import http.client
 import json
@@ -125,13 +121,17 @@ def compute_max_tokens(k: int) -> int:
 def cache_key(
     model: str, prompt: str, max_tokens: int, greedy: bool, stop_sequences: tuple[str, ...]
 ) -> str:
-    """Stable digest over every field that can change the completion."""
-    payload = json.dumps(
-        [model, prompt, max_tokens, greedy, list(stop_sequences)],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable digest over every field that can change the completion:
+    SHA-256 over model, prompt, max_tokens (decimal), greedy (``1`` or
+    ``0``) and then each stop sequence, each field as its UTF-8 bytes
+    preceded by their length in 8 big-endian bytes. The length prefixes
+    keep field boundaries apart, so no two requests frame to the same bytes."""
+    digest = hashlib.sha256()
+    for field in (model, prompt, str(max_tokens), "1" if greedy else "0", *stop_sequences):
+        data = field.encode("utf-8")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def make_entry(request: CompletionRequest, completion: str, finish_reason: str) -> dict:
@@ -160,19 +160,22 @@ _STORE_FILE = "cache.sqlite"
 _PAGE_CACHE_KIB = 256
 
 _SCHEMA = (
-    "CREATE TABLE entries (key TEXT PRIMARY KEY, model TEXT, prompt TEXT, max_tokens INTEGER,"
-    " greedy INTEGER, stop_sequences TEXT, completion TEXT, finish_reason TEXT, timestamp REAL)"
+    "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, model TEXT, prompt TEXT,"
+    " max_tokens INTEGER, greedy INTEGER, stop_sequences TEXT, completion TEXT,"
+    " finish_reason TEXT, timestamp REAL)"
 )
 _INSERT = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+# The request fields are compared by SQLite, byte for byte, so a hit reads
+# back only the completion and its finish reason.
 _SELECT = (
-    "SELECT model, prompt, max_tokens, greedy, stop_sequences, completion, finish_reason"
-    " FROM entries WHERE key = ?"
+    "SELECT completion, finish_reason FROM entries WHERE key = ? AND model = ? AND prompt = ?"
+    " AND max_tokens = ? AND greedy = ? AND stop_sequences = ?"
 )
 
 
 def _text(data: bytes) -> str | bytes:
     """A TEXT value as str, or as its bytes when it is not UTF-8: bytes
-    match no request field and are no completion, so the row is a miss."""
+    are no completion, so the row is a miss."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:
@@ -190,41 +193,15 @@ def _connect(target: str, *, uri: bool = False) -> sqlite3.Connection:
 def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> dict | None:
     """The stored completion for ``request``, or None when its row is
     absent, has no string completion, or holds other request fields."""
-    row = conn.execute(_SELECT, (request.key,)).fetchone()
-    if row is None or not isinstance(row[5], str):
+    row = conn.execute(_SELECT, (request.key, request.model, request.prompt, request.max_tokens,
+                                 request.greedy, json.dumps(request.stop_sequences))).fetchone()
+    if row is None or not isinstance(row[0], str):
         return None
-    wanted = (request.model, request.prompt, request.max_tokens, request.greedy,
-              json.dumps(request.stop_sequences))
-    if row[:5] != wanted:
-        return None
-    return {"completion": row[5], "finish_reason": row[6] if isinstance(row[6], str) else "stop"}
-
-
-def _directory_cache_rows(root: str):
-    """Rows for the readable entries of a per-file cache under ``root``
-    (``<2 hex>/<digest>.json``): UTF-8 JSON objects with a string
-    completion whose request fields hash to their file name."""
-    for path in glob.glob(os.path.join(glob.escape(root), "[0-9a-f][0-9a-f]", "*.json")):
-        key = os.path.basename(path)[: -len(".json")]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            request = (entry["model"], entry["prompt"], entry["max_tokens"], entry["greedy"],
-                       entry["stop_sequences"])
-            readable = isinstance(entry["completion"], str) and cache_key(*request) == key
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-        if readable:
-            finish = entry.get("finish_reason")
-            stamp = entry.get("timestamp")
-            yield (key, *request[:4], json.dumps(request[4]), entry["completion"],
-                   finish if isinstance(finish, str) else None,
-                   stamp if isinstance(stamp, (int, float)) else None)
+    return {"completion": row[0], "finish_reason": row[1] if isinstance(row[1], str) else "stop"}
 
 
 def _open_store(root: str) -> sqlite3.Connection:
-    """The read-write store in ``root``, created with its table on first
-    use; a per-file cache already in ``root`` is imported then."""
+    """The read-write store in ``root``, created with its table on first use."""
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, _STORE_FILE)
     try:
@@ -235,15 +212,7 @@ def _open_store(root: str) -> sqlite3.Connection:
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA cache_size=-{_PAGE_CACHE_KIB}")
-        exists = "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'entries'"
-        if conn.execute(exists).fetchone() is None:
-            # One process creates the table and imports; another that
-            # waited on the write lock finds the table there.
-            conn.execute("BEGIN IMMEDIATE")
-            if conn.execute(exists).fetchone() is None:
-                conn.execute(_SCHEMA)
-                conn.executemany(_INSERT, _directory_cache_rows(root))
-            conn.execute("COMMIT")
+        conn.execute(_SCHEMA)
     except sqlite3.Error as exc:
         conn.close()
         raise CacheError(f"cannot use response store {path}: {exc}") from exc
@@ -565,30 +534,50 @@ class CompletionClient:
         )
 
     def map(self, fn, items) -> list:
-        """``[fn(item) for item in items]`` on ``max_in_flight`` worker threads.
+        """``[fn(item) for item in items]`` with at most ``max_in_flight``
+        items running at once. The calling thread and ``max_in_flight - 1``
+        helper threads each take the next item when they are free, so at
+        ``max_in_flight = 1`` every item runs on the calling thread and no
+        item waits on a hand-off between threads.
 
         A per-request ``LmError`` gives None for its item. ``FATAL_LM_ERRORS``
         would fail every item alike, so they propagate, as does any other
         exception; no item starts after one has raised.
         """
-        aborted = threading.Event()
+        items = list(items)
+        results: list = [None] * len(items)
+        pending = iter(range(len(items)))
+        take = threading.Lock()
+        stop = threading.Event()
+        errors: list[BaseException] = []
 
-        def run(item):
-            if aborted.is_set():
-                return None
-            try:
-                return fn(item)
-            except FATAL_LM_ERRORS:
-                aborted.set()
-                raise
-            except LmError:
-                return None
-            except BaseException:
-                aborted.set()
-                raise
+        def work():
+            while not stop.is_set():
+                with take:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    if isinstance(exc, LmError) and not isinstance(exc, FATAL_LM_ERRORS):
+                        continue  # this request failed alone; its result stays None
+                    errors.append(exc)
+                    stop.set()
 
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            return list(pool.map(run, items))
+        helpers = [threading.Thread(target=work)
+                   for _ in range(min(self.config.max_in_flight, len(items)) - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            stop.set()
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
+        return results
 
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()

@@ -76,6 +76,19 @@ def test_non_string_field(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("field", ["id", "domain", "task", "article", "reference"])
+def test_lone_surrogate_rejected(tmp_path, field):
+    path = tmp_path / "c.jsonl"
+    rec = record("b")
+    rec[field] += "\ud800"
+    write_jsonl(path, [record("a"), rec])
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.line_no == 2
+    assert repr(field) in str(excinfo.value)
+
+
 def test_empty_article_after_tokenization(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", article="?!...")])

@@ -936,3 +936,17 @@ def test_cli_corpus_error_exit_code(tmp_path, replay_dir):
     code = main(["rank", "--corpus", str(bad), "--config", str(config),
                  "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def test_cli_lone_surrogate_in_corpus_exit_code(tmp_path, replay_dir, capsys):
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    lines = CORPUS_PATH.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec["reference"] += "\udc80"
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["eval", "--corpus", str(bad), "--config", str(config),
+                 "--method", "vanilla", "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "line 2: field 'reference'" in capsys.readouterr().err

@@ -5,7 +5,7 @@ The HTTP backend is tested over real localhost sockets against
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 from pathlib import Path
 import random
@@ -83,6 +83,26 @@ def test_cache_key_sensitive_to_every_field():
     keys = {cache_key(**kw) for kw in perturbed}
     assert baseline not in keys
     assert len(keys) == len(perturbed)
+    # The same bytes cut at another field boundary are another request.
+    assert cache_key(**dict(base, model="ab", prompt="c")) != cache_key(
+        **dict(base, model="a", prompt="bc"))
+    assert cache_key(**dict(base, stop_sequences=("a", "b"))) != cache_key(
+        **dict(base, stop_sequences=("ab",)))
+
+
+def test_cache_key_known_answer():
+    # Each field's UTF-8 bytes after their length in 8 big-endian bytes:
+    # model, prompt, max_tokens, greedy, then each stop sequence.
+    framed = (
+        b"\0\0\0\0\0\0\0\x02m1"
+        b"\0\0\0\0\0\0\0\x0acaf\xc3\xa9 \"q\"\n"
+        b"\0\0\0\0\0\0\0\x03544"
+        b"\0\0\0\0\0\0\0\x011"
+        b"\0\0\0\0\0\0\0\x02\n\n"
+        b"\0\0\0\0\0\0\0\x00"
+    )
+    expected = hashlib.sha256(framed).hexdigest()
+    assert cache_key("m1", 'caf\u00e9 "q"\n', 544, True, ("\n\n", "")) == expected
 
 
 def test_cache_key_random_perturbations():
@@ -101,6 +121,30 @@ def test_cache_key_random_perturbations():
         else:
             mutated[field] = base[field] + f"-{rng.random()}"
         assert cache_key(**mutated) != cache_key(**base)
+
+
+KEY_TEXT = st.text(alphabet=["a", "b", "\0", '"', "\\", "\n", "\u00e9", "\U0001f600"], max_size=3)
+KEY_REQUEST = st.tuples(KEY_TEXT, KEY_TEXT, st.sampled_from([1, 512, 544]), st.booleans(),
+                        st.lists(KEY_TEXT, max_size=3).map(tuple))
+
+
+def reframings(request):
+    """Requests like ``request`` whose text fields (model, prompt, each
+    stop sequence) join to the same string, cut at other boundaries."""
+    model, prompt, max_tokens, greedy, stops = request
+    text = model + prompt + "".join(stops)
+
+    def cut(points):
+        parts = [text[i:j] for i, j in zip([0, *points], [*points, len(text)])]
+        return (parts[0], parts[1], max_tokens, greedy, tuple(parts[2:]))
+
+    return st.lists(st.integers(0, len(text)), min_size=1, max_size=4).map(sorted).map(cut)
+
+
+@given(KEY_REQUEST, st.data())
+def test_cache_keys_are_equal_iff_requests_are(a, data):
+    b = data.draw(st.one_of(KEY_REQUEST, reframings(a)))
+    assert (cache_key(*a) == cache_key(*b)) == (a == b)
 
 
 # --- cache -------------------------------------------------------------------
@@ -211,7 +255,13 @@ BAD_ROWS = {
              " finish_reason = NULL, timestamp = NULL",
     "non-string-completion": "UPDATE entries SET completion = x'6f6c64'",
     "invalid-utf8": "UPDATE entries SET completion = CAST(x'fffe' AS TEXT)",
+    "mismatched-model": "UPDATE entries SET model = 'm2'",
     "mismatched-prompt": "UPDATE entries SET prompt = 'another prompt'",
+    "mismatched-max-tokens": "UPDATE entries SET max_tokens = 513",
+    "mismatched-greedy": "UPDATE entries SET greedy = 0",
+    "mismatched-stop-sequences": """UPDATE entries SET stop_sequences = '["x"]'""",
+    # The request's own prompt bytes, stored as a BLOB instead of TEXT.
+    "blob-prompt": "UPDATE entries SET prompt = CAST(prompt AS BLOB)",
 }
 
 
@@ -314,55 +364,10 @@ def test_map_workers_share_one_connection(tmp_path):
         gens = client.map(lambda i: client.generate(f"prompt {i}"), range(200))
     finally:
         sys.setswitchinterval(switch)
+    assert [g.prompt for g in gens] == [f"prompt {i}" for i in range(200)]
     assert not any(g.from_cache for g in gens)
     assert client.cache_stats().entries == 200
     assert len(read_rows(tmp_path / "cache")) == 200
-
-
-def write_file_entry(root, request, completion):
-    """One entry of the per-file cache layout of earlier versions."""
-    path = root / request.key[:2] / f"{request.key}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(make_entry(request, completion, "length")), encoding="utf-8")
-    return path
-
-
-def test_directory_cache_is_imported_on_first_open(tmp_path):
-    root = tmp_path / "cache"
-    good = [request_for(f"kept {i}") for i in range(3)]
-    for request in good:
-        write_file_entry(root, request, f"old {request.prompt}")
-    unreadable = {
-        "empty": b"",
-        "truncated": b'{"completion": "x", "mod',
-        "invalid-utf8": b'{"completion": "\xff\xfe"}',
-        "non-string-completion": json.dumps(
-            {**make_entry(request_for("non-string-completion"), "x", "stop"), "completion": 1}
-        ).encode(),
-        # Another request's entry under this one's digest.
-        "renamed": json.dumps(make_entry(request_for("elsewhere"), "x", "stop")).encode(),
-    }
-    for prompt, data in unreadable.items():
-        write_file_entry(root, request_for(prompt), "").write_bytes(data)
-    files = sorted(p.relative_to(root) for p in root.rglob("*.json"))
-
-    backend = StubBackend(reply="fresh")
-    client = make_client(tmp_path, backend=backend)
-    for request in good:
-        gen = client.generate(request.prompt)
-        assert (gen.completion, gen.finish_reason, gen.from_cache) == (
-            f"old {request.prompt}", "length", True)
-    for prompt in unreadable:
-        assert client.generate(prompt).completion == "fresh"
-    assert len(backend.requests) == len(unreadable)
-    assert sorted(p.relative_to(root) for p in root.rglob("*.json")) == files
-
-    # Only the first open imports: entries written later stay files.
-    later = request_for("later")
-    write_file_entry(root, later, "too late")
-    del client
-    assert make_client(tmp_path, backend=StubBackend(reply="fresh")).generate(
-        "later").completion == "fresh"
 
 
 def test_generate_rejects_empty_prompt(tmp_path):
@@ -429,16 +434,16 @@ def test_replay_miss_is_an_error(tmp_path):
         client.generate("never recorded")
 
 
-def test_replay_unreadable_recording_is_a_miss(tmp_path):
-    for name, update in BAD_ROWS.items():
-        make_client(tmp_path / name, backend=StubBackend(reply="recorded")).generate("prompt p")
-        write_sql(tmp_path / name / "cache", update)
-        client = CompletionClient(LmConfig(model="m1", backend="replay"),
-                                  replay_dir=str(tmp_path / name / "cache"))
-        key = cache_key("m1", "prompt p", 512, True, ())
-        with pytest.raises(ReplayMiss, match=key) as excinfo:
-            client.generate("prompt p")
-        assert str(tmp_path / name / "cache" / "cache.sqlite") in str(excinfo.value)
+@pytest.mark.parametrize("update", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_replay_unreadable_recording_is_a_miss(tmp_path, update):
+    make_client(tmp_path, backend=StubBackend(reply="recorded")).generate("prompt p")
+    write_sql(tmp_path / "cache", update)
+    client = CompletionClient(LmConfig(model="m1", backend="replay"),
+                              replay_dir=str(tmp_path / "cache"))
+    key = cache_key("m1", "prompt p", 512, True, ())
+    with pytest.raises(ReplayMiss, match=key) as excinfo:
+        client.generate("prompt p")
+    assert str(tmp_path / "cache" / "cache.sqlite") in str(excinfo.value)
 
 
 @pytest.mark.parametrize("store", [None, b"", b"garbage " * 100],
@@ -743,6 +748,11 @@ def test_map_returns_results_in_item_order(tmp_path):
         return i * i
 
     assert client.map(slow_first, range(8)) == [i * i for i in range(8)]
+
+
+def test_map_at_one_in_flight_runs_every_item_on_the_calling_thread(tmp_path):
+    client = make_client(tmp_path, max_in_flight=1)
+    assert client.map(lambda i: threading.get_ident(), range(3)) == [threading.get_ident()] * 3
 
 
 def test_map_per_item_lm_error_gives_none(tmp_path):
