@@ -26,7 +26,6 @@ from .prompting import (
     parse_output,
 )
 from .questions import (
-    GlobalRanking,
     QuestionSpec,
     RankingTable,
     builtin_bank,
@@ -45,7 +44,6 @@ __all__ = [
     "CompletionClient",
     "ExperimentConfig",
     "Generation",
-    "GlobalRanking",
     "IclExample",
     "LmConfig",
     "ParsedOutput",

@@ -114,27 +114,43 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     among them one whose domain is not one of ``domains`` (case-sensitive)."""
     instances: list[TaskInstance] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-            rec = _validate_record(obj, line_no)
-            if "\\u" in line:
-                _reject_surrogates(rec, line_no)
-            if rec["id"] in seen:
-                raise DuplicateId(rec["id"], line_no)
-            if rec["domain"] not in domains:
-                raise UnknownDomain(rec["domain"], line_no)
-            if not has_tokens(rec["article"]):
-                raise MalformedRecord(line_no, "article is empty after tokenization")
-            if not has_tokens(rec["reference"]):
-                raise MalformedRecord(line_no, "reference is empty after tokenization")
-            seen.add(rec["id"])
-            instances.append(TaskInstance(**rec))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+                rec = _validate_record(obj, line_no)
+                if "\\u" in line:
+                    _reject_surrogates(rec, line_no)
+                if rec["id"] in seen:
+                    raise DuplicateId(rec["id"], line_no)
+                if rec["domain"] not in domains:
+                    raise UnknownDomain(rec["domain"], line_no)
+                if not has_tokens(rec["article"]):
+                    raise MalformedRecord(line_no, "article is empty after tokenization")
+                if not has_tokens(rec["reference"]):
+                    raise MalformedRecord(line_no, "reference is empty after tokenization")
+                seen.add(rec["id"])
+                instances.append(TaskInstance(**rec))
+    except UnicodeDecodeError:
+        # The text reader decodes a buffer at a time, so it cannot name the
+        # line (and may fail before reaching a bad record ahead of it in the
+        # buffer); find the first bad byte in the file's bytes.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]  # lines end at \r\n, \r or \n, as the reader counts
+            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise MalformedRecord(
+                line_no, f"invalid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+            ) from None
+        raise  # the file changed between the two reads
     return Corpus(instances=tuple(instances))
 
 

@@ -20,18 +20,11 @@ import typing
 from .corpus import DEFAULT_DOMAINS, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
 from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
-from .prompting import (
-    IclExample,
-    PARSE_FAILED,
-    ParsedOutput,
-    PromptBundle,
-    build_qa_prompt,
-    parse_output,
-)
+from .prompting import IclExample, PARSE_FAILED, ParsedOutput, build_qa_prompt, parse_output
 from .questions import (
-    GlobalRanking,
     RankingError,
     RankingTable,
+    UnknownRankingDomain,
     answer_question,
     ensure_model,
     global_ranking,
@@ -112,8 +105,9 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     overrides. Raises ValueError naming every key that is not a config
     field, at the top level or under ``lm``: ignoring a key would run a
     different experiment than the file describes. Raises ValueError too
-    naming each required key that is missing and each value of the wrong
-    type, such as ``k_values: expected list of int, got str``."""
+    naming each required key that is missing, each value of the wrong
+    type, such as ``k_values: expected list of int, got str``, and each
+    string that holds a lone surrogate."""
     if not isinstance(doc, dict):
         raise ValueError(f"config: expected object, got {_type_name(type(doc))}")
     if not isinstance(doc.get("lm", {}), dict):
@@ -156,7 +150,17 @@ def _field_errors(cls, values: dict, prefix: str = "") -> list[str]:
             errors.append(
                 f"{key}: expected {_type_name(hint)}, got {_type_name(type(values[f.name]))}"
             )
+        elif _holds_lone_surrogate(values[f.name]):
+            errors.append(f"{key}: holds a lone surrogate")
     return errors
+
+
+def _holds_lone_surrogate(value) -> bool:
+    """Whether a config string, or one in a config list, holds a lone
+    surrogate, which no UTF-8 file, path or cache key can carry."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_lone_surrogate, value))
+    return isinstance(value, str) and any("\ud800" <= c <= "\udfff" for c in value)
 
 
 def _fits(value, hint) -> bool:
@@ -299,13 +303,13 @@ _FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
 def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     """Evaluate the configured method over the eval set and k sweep.
 
-    The run resolves inputs shared across rows once (ICL examples per
-    (domain, task), question lists per k, example answers per (example,
-    question)), then issues one completion per (instance, k) and scores
-    instance by instance. Every method renders its prompts through
-    ``build_qa_prompt``; the method only decides which inputs exist:
-    vanilla samples no examples, icl ranks no questions, so both run at
-    k = 0. A per-request LM error degrades to failed rows;
+    Each domain maps to one question ordering: its own, under the global
+    scope the cross-domain one, and for vanilla and icl the empty one, so
+    they run at k = 0. The prompt inputs of each (domain, task, k) cell,
+    the ordering's first k questions and the group's ICL examples with
+    their answers to them, are resolved once per run; then the run issues
+    one ``build_qa_prompt`` completion per (instance, k) and scores
+    instance by instance. A per-request LM error degrades to failed rows;
     configuration and I/O problems, an unreachable or rate-limiting
     backend and replay fixture gaps abort the run.
     """
@@ -319,49 +323,41 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
         )
     instances = subsample_per_domain(split.eval_set, cfg.eval_subsample, cfg.seed, "eval")
     eval_ids = [inst.id for inst in instances]
+    domains = sorted({inst.domain for inst in instances})
 
-    table: RankingTable | None = None
-    global_rank: GlobalRanking | None = None
+    orderings: dict[str, tuple] = dict.fromkeys(domains, ())
     if cfg.method == "qa":
         if not cfg.ranking:
             raise RankingError("method qa requires a ranking file")
         table = load_ranking(cfg.ranking)
         ensure_model(table, cfg.lm.model, allow_mismatch=cfg.allow_model_mismatch)
-        if cfg.scope == "global":
-            global_rank = global_ranking(table)
+        orderings = (dict.fromkeys(domains, global_ranking(table)) if cfg.scope == "global"
+                     else table.domains)
 
     client = _make_client(cfg, backend)
 
     k_values = tuple(sorted(set(cfg.k_values))) if cfg.method == "qa" else (0,)
 
-    # Stage 1: inputs shared across rows, resolved once per run.
-    examples: dict[tuple[str, str], list] = {}
-    if cfg.method != "vanilla":
-        for group in {(inst.domain, inst.task) for inst in instances}:
-            examples[group] = sample_icl_examples(split, *group, cfg.icl_examples, cfg.seed)
-
-    def question_scope(inst) -> str | None:
-        return None if global_rank is not None else inst.domain
-
-    questions: dict[tuple[str | None, int], list] = {}
-    if cfg.method == "qa":
-        for scope in {question_scope(inst) for inst in instances}:
-            for k in k_values:
-                if k == 0:
-                    questions[scope, k] = []
-                elif scope is None:
-                    questions[scope, k] = top_k(global_rank, k)
-                else:
-                    questions[scope, k] = top_k(table, k, domain=scope)
+    # Stage 1: ICL examples per (domain, task) and questions per (domain, k).
+    examples = {
+        group: sample_icl_examples(split, *group, cfg.icl_examples, cfg.seed)
+        if cfg.method != "vanilla" else []
+        for group in dict.fromkeys((inst.domain, inst.task) for inst in instances)
+    }
+    questions: dict[tuple[str, int], list] = {}
+    for domain in domains:
+        if domain not in orderings:
+            raise UnknownRankingDomain(f"domain {domain!r} not present in ranking table")
+        for k in k_values:
+            questions[domain, k] = top_k(orderings[domain], k)
 
     # Stage 2: each example's answer to each question it is shown with,
-    # requested once. A failed answer (None) fails only the rows whose
-    # prompts need it.
+    # requested once.
     answer_jobs: dict[tuple[str, str], tuple] = {}
-    for inst in instances:
+    for (domain, _), group in examples.items():
         for k in k_values:
-            for example in examples.get((inst.domain, inst.task), ()):
-                for q in questions.get((question_scope(inst), k), ()):
+            for example in group:
+                for q in questions[domain, k]:
                     answer_jobs[example.id, q.key] = (example, q)
 
     def answer(job) -> str:
@@ -370,23 +366,25 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
 
     answers = dict(zip(answer_jobs, client.map(answer, answer_jobs.values())))
 
-    def build_bundle(inst, k: int) -> PromptBundle | None:
-        qs = questions.get((question_scope(inst), k), [])
-        icl = []
-        for e in examples.get((inst.domain, inst.task), ()):
-            example_answers = tuple(answers[e.id, q.key] for q in qs)
-            if None in example_answers:
-                return None
-            icl.append(IclExample(e.article, e.reference, example_answers))
-        return build_qa_prompt(inst.article, qs, icl)
+    # One prompt cell per (domain, task, k): its questions and completed
+    # examples, or None when one of those answers failed, which fails only
+    # the rows whose prompts need it.
+    cells: dict[tuple[str, str, int], tuple | None] = {}
+    for (domain, task), group in examples.items():
+        for k in k_values:
+            qs = questions[domain, k]
+            icl = [IclExample(e.article, e.reference, tuple(answers[e.id, q.key] for q in qs))
+                   for e in group]
+            cells[domain, task, k] = None if any(None in e.answers for e in icl) else (qs, icl)
 
     # Stage 3: one completion per (instance, k), parsed. The prompt is
     # built inside the worker, so only the prompts in flight are alive.
     def summarize(job) -> ParsedOutput:
         inst, k = job
-        bundle = build_bundle(inst, k)
-        if bundle is None:
+        cell = cells[inst.domain, inst.task, k]
+        if cell is None:
             return _FAILED
+        bundle = build_qa_prompt(inst.article, *cell)
         gen = client.generate(
             bundle.text,
             max_tokens=compute_max_tokens(k),

@@ -87,7 +87,6 @@ class LmConfig:
 
 @dataclass(frozen=True)
 class Generation:
-    prompt: str
     completion: str
     finish_reason: str  # stop | length | error
     from_cache: bool
@@ -513,7 +512,6 @@ class CompletionClient:
         entry = self._cache.get(request)
         if entry is not None:
             return Generation(
-                prompt=prompt,
                 completion=entry["completion"],
                 finish_reason=entry["finish_reason"],
                 from_cache=True,
@@ -526,7 +524,6 @@ class CompletionClient:
             finish = "stop"
         self._cache.put(request.key, make_entry(request, text, finish))
         return Generation(
-            prompt=prompt,
             completion=text,
             finish_reason=finish,
             from_cache=False,

@@ -2,9 +2,11 @@
 
 Ten built-in candidate questions are scored per (model, domain) by asking
 the model each question about each article and measuring how much of the
-answer's wording also appears in the reference summary. The resulting
-per-domain orderings drive which questions go into summarization prompts;
-a ranking only needs to be computed once per model and corpus.
+answer's wording also appears in the reference summary. The result is one
+ordering per domain, best first; ``global_ranking`` collapses those into
+one cross-domain ordering. Either way a summarization prompt carries the
+first k questions of an ordering (``top_k``). A ranking only needs to be
+computed once per model and corpus.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ _BANK: tuple[QuestionSpec, ...] = (
 )
 
 
+# Each key's bank position, which breaks ties in every ordering, and question.
+_BANK_ORDER = {q.key: i for i, q in enumerate(_BANK)}
+_BY_KEY = {q.key: q for q in _BANK}
+
+
 def builtin_bank() -> list[QuestionSpec]:
     """The ten built-in candidate questions, in bank order."""
     return list(_BANK)
@@ -96,15 +103,6 @@ class RankingTable:
     domains: dict[str, tuple[RankedQuestion, ...]]
 
 
-@dataclass(frozen=True)
-class GlobalRanking:
-    """One cross-domain ordering: per question, the unweighted mean of its
-    per-domain mean precisions."""
-
-    model: str
-    entries: tuple[RankedQuestion, ...]
-
-
 def _utc_timestamp() -> str:
     # SOURCE_DATE_EPOCH pins the timestamp so reruns can be byte-identical.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
@@ -112,10 +110,6 @@ def _utc_timestamp() -> str:
     return datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ"
     )
-
-
-def _bank_order(bank: list[QuestionSpec]) -> dict[str, int]:
-    return {q.key: i for i, q in enumerate(bank)}
 
 
 def answer_question(client: CompletionClient, article: str, question: QuestionSpec) -> str:
@@ -129,12 +123,11 @@ def answer_question(client: CompletionClient, article: str, question: QuestionSp
 def rank_questions(
     client: CompletionClient,
     instances: list,
-    bank: list[QuestionSpec] | None = None,
     *,
     subsample: int | None = None,
     seed: int = 0,
 ) -> RankingTable:
-    """Score every (question, instance) pair and order questions per domain.
+    """Score every (bank question, instance) pair and order questions per domain.
 
     Each question is asked about each article with a single-question
     prompt; the answer's overlap precision against the reference is
@@ -146,7 +139,6 @@ def rank_questions(
     """
     if not instances:
         raise ValueError("instances must be non-empty")
-    bank = bank if bank is not None else builtin_bank()
     selected = subsample_per_domain(instances, subsample, seed, "rank")
 
     def score_one(job) -> float:
@@ -157,27 +149,26 @@ def rank_questions(
         except EmptyAnswer:
             return 0.0
 
-    jobs = [(inst, q) for inst in selected for q in bank]
+    jobs = [(inst, q) for inst in selected for q in _BANK]
     cells: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for (inst, question), score in zip(jobs, client.map(score_one, jobs)):
         if score is None:
             continue  # the call failed; excluded from the mean
         cells.setdefault((inst.domain, question.key), []).append((inst.id, score))
 
-    order = _bank_order(bank)
     domains: dict[str, tuple[RankedQuestion, ...]] = {}
     # Domains come from the input, not the sample, so an empty sample still
     # raises EmptyRankingCell.
     for domain in sorted({inst.domain for inst in instances}):
         ranked = []
-        for question in bank:
+        for question in _BANK:
             samples = cells.get((domain, question.key), [])
             if not samples:
                 raise EmptyRankingCell(domain, question.key)
             # Sum in id order so the float total is reproducible.
             total = sum(score for _, score in sorted(samples))
             ranked.append(RankedQuestion(question.key, total / len(samples), len(samples)))
-        ranked.sort(key=lambda r: (-r.mean_precision, order[r.key]))
+        ranked.sort(key=lambda r: (-r.mean_precision, _BANK_ORDER[r.key]))
         domains[domain] = tuple(ranked)
 
     return RankingTable(
@@ -189,8 +180,8 @@ def rank_questions(
     )
 
 
-def global_ranking(table: RankingTable, bank: list[QuestionSpec] | None = None) -> GlobalRanking:
-    """Collapse a per-domain table into one cross-domain ordering.
+def global_ranking(table: RankingTable) -> tuple[RankedQuestion, ...]:
+    """Collapse a per-domain table into one cross-domain ordering, best first.
 
     Each question scores the unweighted mean of its per-domain mean
     precisions, over the domains that ranked it; higher is better and
@@ -199,44 +190,28 @@ def global_ranking(table: RankingTable, bank: list[QuestionSpec] | None = None) 
     """
     if not table.domains:
         raise RankingError("ranking table covers no domains")
-    bank = bank if bank is not None else builtin_bank()
-    order = _bank_order(bank)
     per_domain: dict[str, list[float]] = {}
     for ranked in table.domains.values():
         for r in ranked:
             per_domain.setdefault(r.key, []).append(r.mean_precision)
     entries = [
         RankedQuestion(q.key, sum(scores) / len(scores), len(scores))
-        for q in bank
+        for q in _BANK
         if (scores := per_domain.get(q.key))
     ]
-    entries.sort(key=lambda r: (-r.mean_precision, order[r.key]))
-    return GlobalRanking(model=table.model, entries=tuple(entries))
+    entries.sort(key=lambda r: (-r.mean_precision, _BANK_ORDER[r.key]))
+    return tuple(entries)
 
 
-def top_k(
-    ranking: RankingTable | GlobalRanking,
-    k: int,
-    *,
-    domain: str | None = None,
-    bank: list[QuestionSpec] | None = None,
-) -> list[QuestionSpec]:
-    """First k questions of the relevant ordering, best first; k = 0 is []."""
-    bank = bank if bank is not None else builtin_bank()
-    if isinstance(ranking, GlobalRanking):
-        ordered = ranking.entries
-    else:
-        if domain is None:
-            raise UnknownRankingDomain("domain is required with a per-domain ranking table")
-        if domain not in ranking.domains:
-            raise UnknownRankingDomain(f"domain {domain!r} not present in ranking table")
-        ordered = ranking.domains[domain]
-    limit = min(10, len(ordered))
+def top_k(ordering: tuple[RankedQuestion, ...], k: int) -> list[QuestionSpec]:
+    """The first k questions of ``ordering`` (best first), as bank
+    questions; k = 0 is []. The ordering is one domain's entry of a
+    ``RankingTable`` or the ``global_ranking`` of one."""
+    limit = min(10, len(ordering))
     if not 0 <= k <= limit:
         raise KOutOfRange(f"k={k} outside [0, {limit}]")
-    by_key = {q.key: q for q in bank}
     try:
-        return [by_key[r.key] for r in ordered[:k]]
+        return [_BY_KEY[r.key] for r in ordering[:k]]
     except KeyError as exc:
         raise RankingError(f"ranked key {exc} missing from question bank") from exc
 
@@ -296,10 +271,9 @@ def load_ranking(path) -> RankingTable:
         raise RankingError(f"{path}: not a ranking file ({type(exc).__name__}: {exc})") from exc
 
 
-def format_rank_matrix(table: RankingTable, bank: list[QuestionSpec] | None = None) -> str:
+def format_rank_matrix(table: RankingTable) -> str:
     """Domains x questions matrix of rank positions (1 = best)."""
-    bank = bank if bank is not None else builtin_bank()
-    keys = [q.key for q in bank]
+    keys = [q.key for q in _BANK]
     header = ["domain"] + keys
     lines = ["\t".join(header)]
     for domain, ranked in table.domains.items():

@@ -89,6 +89,19 @@ def test_lone_surrogate_rejected(tmp_path, field):
     assert repr(field) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad_line", [1, 3, 400])  # 400: past the text reader's first buffer
+def test_invalid_utf8_rejected(tmp_path, newline, bad_line):
+    lines = [json.dumps(record(f"r{n:03}")).encode("utf-8") for n in range(1, 501)]
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b"some article", b"some \xff\xfe article")
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(newline.encode("ascii").join(lines) + newline.encode("ascii"))
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.line_no == bad_line
+    assert str(excinfo.value) == f"line {bad_line}: invalid UTF-8: byte 0xff (invalid start byte)"
+
+
 def test_empty_article_after_tokenization(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", article="?!...")])

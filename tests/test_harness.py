@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+import dataclasses
 from dataclasses import fields
 import json
 import os
@@ -40,11 +41,18 @@ from qasum.harness import (
 )
 from qasum.lm import CacheStats, LmConfig, LmError, RateLimited
 from qasum.metrics import RougeScore, ScoreRow
-from qasum.prompting import SINGLE_QA_INSTRUCTION, SUMMARY_MARKER, VANILLA_INSTRUCTION, build_single_qa
+from qasum.prompting import (
+    QA_INSTRUCTION,
+    SINGLE_QA_INSTRUCTION,
+    SUMMARY_MARKER,
+    VANILLA_INSTRUCTION,
+    build_single_qa,
+)
 from qasum.questions import (
     RankedQuestion,
     RankingError,
     RankingTable,
+    UnknownRankingDomain,
     builtin_bank,
     load_ranking,
     save_ranking,
@@ -134,8 +142,12 @@ BAD_CONFIGS = [
     ({"corpus": "x", "lm": {"model": "m", "max_in_flight": "4"}},
      "lm.max_in_flight: expected int, got str"),
     ({"corpus": "x", "lm": [1]}, "lm: expected object, got list"),
+    ({"corpus": "x", "lm": {"model": "m\ud800"}}, "lm.model: holds a lone surrogate"),
+    ({"corpus": "x", "lm": {"model": "m"}, "domains": ["News", "N\udc80"]},
+     "domains: holds a lone surrogate"),
 ]
-BAD_CONFIG_IDS = ["no-model", "k-values-string", "max-in-flight-string", "lm-list"]
+BAD_CONFIG_IDS = ["no-model", "k-values-string", "max-in-flight-string", "lm-list",
+                  "surrogate-model", "surrogate-domain"]
 
 
 @pytest.mark.parametrize("doc,message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
@@ -290,7 +302,7 @@ def expected_answer_prompts(cfg, k_values):
         for example in sample_icl_examples(split, inst.domain, inst.task,
                                            cfg.icl_examples, cfg.seed):
             for k in k_values:
-                for q in top_k(table, k, domain=inst.domain):
+                for q in top_k(table.domains[inst.domain], k):
                     prompts.add(build_single_qa(example.article, q).text)
     return prompts
 
@@ -367,6 +379,102 @@ def test_eval_example_answer_failure_fails_only_rows_that_need_it(tmp_path):
     status = {(r.id, r.k): r.parse_status for r in manifest.rows}
     assert {s for (_, k), s in status.items() if k < 2} == {"ok"}
     assert {s for (_, k), s in status.items() if k == 2} == {"failed"}
+
+
+# Two domains whose orderings differ from each other and from the global
+# one, which averages them: timeline (0.725), entities (0.65), insights (0.5).
+ROUTING_PRECISIONS = {
+    "News": {"topic": .9, "key_pts": .8, "entities": .7, "timeline": .6, "details": .5,
+             "conclude": .4, "tone": .3, "challenges": .2, "insights": .1, "audience": .0},
+    "Reviews": {"audience": .95, "insights": .9, "timeline": .85, "entities": .6,
+                "challenges": .5, "tone": .4, "details": .3, "conclude": .2, "key_pts": .1,
+                "topic": .0},
+}
+ROUTING_TOP_3 = {
+    "News": ("topic", "key_pts", "entities"),
+    "Reviews": ("audience", "insights", "timeline"),
+    "global": ("timeline", "entities", "insights"),
+}
+
+
+def routing_setup(tmp_path, ranked_domains):
+    """A News + Reviews corpus and a ranking of ``ranked_domains`` drawn
+    from ``ROUTING_PRECISIONS``; returns (corpus path, ranking path)."""
+    corpus = tmp_path / "two-domains.jsonl"
+    corpus.write_text("".join(line for line in CORPUS_PATH.read_text(encoding="utf-8")
+                              .splitlines(keepends=True)
+                              if json.loads(line)["domain"] in ROUTING_PRECISIONS),
+                      encoding="utf-8")
+    domains = {
+        d: tuple(RankedQuestion(key, p, 1) for key, p in
+                 sorted(ROUTING_PRECISIONS[d].items(), key=lambda kv: -kv[1]))
+        for d in ranked_domains
+    }
+    ranking = tmp_path / "ranking.json"
+    save_ranking(RankingTable(model=MODEL, seed=0, subsample=None, created_at="t",
+                              domains=domains), ranking)
+    return corpus, ranking
+
+
+def prompt_questions(requests, corpus) -> dict:
+    """Per (domain, k): the question keys, in prompt order, that the
+    summarization prompts for that domain's instances carry."""
+    domain_of = {inst.article: inst.domain for inst in load_corpus(corpus).instances}
+    key_of = {q.text: q.key for q in builtin_bank()}
+    seen: dict = {}
+    for request in requests:
+        if request.prompt.startswith(SINGLE_QA_INSTRUCTION):
+            continue
+        target = request.prompt[request.prompt.rindex(QA_INSTRUCTION):]
+        asked = [key_of[line.split(": ", 1)[1]] for line in request.prompt.splitlines()
+                 if line.startswith("Q") and line.split(": ", 1)[0][1:].isdigit()]
+        keys = tuple(asked[: len(asked) // 2])
+        assert asked == list(keys) * 2, "the example block and the target ask different questions"
+        seen.setdefault((domain_of[target.splitlines()[1]], len(keys)), set()).add(keys)
+    return seen
+
+
+@pytest.mark.parametrize("scope", ["domain_specific", "global"])
+def test_eval_routes_each_domain_its_ordering(tmp_path, scope):
+    corpus, ranking = routing_setup(tmp_path, ("News", "Reviews"))
+    backend = StubBackend(reply=qa_reply)
+    cfg = make_config(method="qa", corpus=str(corpus), k_values=(1, 2, 3), ranking=ranking,
+                      scope=scope, cache_dir=tmp_path / "c")
+    run_eval(cfg, tmp_path / "run", backend=backend)
+    expected = {
+        (domain, k): {ROUTING_TOP_3[domain if scope == "domain_specific" else "global"][:k]}
+        for domain in ("News", "Reviews") for k in (1, 2, 3)
+    }
+    assert prompt_questions(backend.requests, corpus) == expected
+
+
+def test_eval_ranking_without_an_eval_domain(tmp_path, capsys):
+    corpus, ranking = routing_setup(tmp_path, ("News",))
+    backend = StubBackend(reply=qa_reply)
+    cfg = make_config(method="qa", corpus=str(corpus), k_values=(1, 2), ranking=ranking,
+                      cache_dir=tmp_path / "c")
+    with pytest.raises(UnknownRankingDomain, match="'Reviews'"):
+        run_eval(cfg, tmp_path / "ds", backend=backend)
+    assert backend.requests == []
+    assert not (tmp_path / "ds").exists()
+
+    # The same from the CLI: exit 7, before the empty replay store is asked
+    # for anything (a request would exit 6).
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    config = write_cli_config(tmp_path, replay_dir=replay)
+    code = main(["eval", "--corpus", str(corpus), "--config", str(config), "--method", "qa",
+                 "--ranking", str(ranking), "--k", "1", "--out", str(tmp_path / "cli")])
+    assert code == 7
+    assert capsys.readouterr().err == (
+        "ranking error: domain 'Reviews' not present in ranking table\n")
+
+    # The global scope needs no per-domain entry: every domain gets the
+    # one cross-domain ordering, here News's own.
+    run_eval(dataclasses.replace(cfg, scope="global"), tmp_path / "global", backend=backend)
+    assert prompt_questions(backend.requests, corpus) == {
+        (domain, k): {ROUTING_TOP_3["News"][:k]} for domain in ("News", "Reviews") for k in (1, 2)
+    }
 
 
 class RateLimitedAnswers:
@@ -686,6 +794,7 @@ EVAL_VALUES = st.recursive(
 @example(method="qa", value=-1)
 @example(method="icl", value=0.9)
 @example(method="qa", value=[])
+@example(method="qa", value="m\ud800")
 def test_cli_eval_any_json_value_under_any_key_exits_with_a_documented_code(
         replay_dir, key, method, value):
     cwd = os.getcwd()
@@ -950,3 +1059,17 @@ def test_cli_lone_surrogate_in_corpus_exit_code(tmp_path, replay_dir, capsys):
                  "--method", "vanilla", "--out", str(tmp_path / "x")])
     assert code == 3
     assert "line 2: field 'reference'" in capsys.readouterr().err
+
+
+def test_cli_invalid_utf8_in_corpus_exit_code(tmp_path, replay_dir, capsys):
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    lines = CORPUS_PATH.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"article": "', b'"article": "\xff\xfe', 1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n".join(lines))
+    code = main(["eval", "--corpus", str(bad), "--config", str(config),
+                 "--method", "vanilla", "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "corpus error: line 3: invalid UTF-8: byte 0xff (invalid start byte)\n")
+    assert not (tmp_path / "x").exists()

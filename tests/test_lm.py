@@ -360,11 +360,12 @@ def test_map_workers_share_one_connection(tmp_path):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        client = make_client(tmp_path, max_in_flight=8)
+        client = make_client(tmp_path, StubBackend(lambda prompt: f"done {prompt}"),
+                             max_in_flight=8)
         gens = client.map(lambda i: client.generate(f"prompt {i}"), range(200))
     finally:
         sys.setswitchinterval(switch)
-    assert [g.prompt for g in gens] == [f"prompt {i}" for i in range(200)]
+    assert [g.completion for g in gens] == [f"done prompt {i}" for i in range(200)]
     assert not any(g.from_cache for g in gens)
     assert client.cache_stats().entries == 200
     assert len(read_rows(tmp_path / "cache")) == 200

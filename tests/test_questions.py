@@ -11,12 +11,10 @@ from qasum.corpus import TaskInstance
 from qasum.lm import CompletionClient, LmConfig, LmError
 from qasum.questions import (
     EmptyRankingCell,
-    GlobalRanking,
     KOutOfRange,
     ModelMismatch,
     RankedQuestion,
     RankingTable,
-    UnknownRankingDomain,
     builtin_bank,
     ensure_model,
     format_rank_matrix,
@@ -63,13 +61,13 @@ def stub_client(reply, tmp_path, **cfg):
 
 
 def test_rank_single_cell_half_overlap(tmp_path):
-    # answer shares 2 of its 4 words with the reference
+    # every answer shares 2 of its 4 words with the reference
     client = stub_client("alpha beta zz1 zz2", tmp_path)
-    table = rank_questions(client, [instance("i1")], bank=builtin_bank()[:1])
-    (cell,) = table.domains["News"]
-    assert cell.key == "topic"
-    assert cell.mean_precision == pytest.approx(0.5)
-    assert cell.n == 1
+    table = rank_questions(client, [instance("i1")])
+    cells = table.domains["News"]
+    assert [cell.key for cell in cells] == [q.key for q in builtin_bank()]
+    assert all(cell.mean_precision == pytest.approx(0.5) for cell in cells)
+    assert all(cell.n == 1 for cell in cells)
 
 
 def test_rank_cell_mean_of_two_instances(tmp_path):
@@ -80,23 +78,26 @@ def test_rank_cell_mean_of_two_instances(tmp_path):
         return "alpha beta zz1 zz2 zz3"  # 2/5
 
     client = stub_client(reply, tmp_path)
-    table = rank_questions(client, [instance("i1"), instance("i2")], bank=builtin_bank()[:1])
-    (cell,) = table.domains["News"]
-    assert cell.mean_precision == pytest.approx(0.3)
-    assert cell.n == 2
+    table = rank_questions(client, [instance("i1"), instance("i2")])
+    assert len(table.domains["News"]) == 10
+    for cell in table.domains["News"]:
+        assert cell.mean_precision == pytest.approx(0.3)
+        assert cell.n == 2
 
 
 def test_rank_orders_forced_scores(tmp_path):
-    # topic answers copy the reference, tone answers share nothing
+    # topic answers copy the reference, tone answers share nothing, the
+    # rest share half their words
     def reply(prompt):
         if "main topic" in prompt:
             return "alpha beta gamma delta"
-        return "purple monkey dishwasher"
+        if "overall tone" in prompt:
+            return "purple monkey dishwasher"
+        return "alpha zz1"
 
-    bank = [q for q in builtin_bank() if q.key in ("tone", "topic")]
     client = stub_client(reply, tmp_path)
     instances = [instance("i1"), instance("i2", domain="Reviews")]
-    table = rank_questions(client, instances, bank=bank)
+    table = rank_questions(client, instances)
     for domain in ("News", "Reviews"):
         keys = [r.key for r in table.domains[domain]]
         assert keys[0] == "topic"
@@ -107,17 +108,17 @@ def test_rank_orders_forced_scores(tmp_path):
 
 def test_rank_empty_answer_scores_zero(tmp_path):
     client = stub_client("?!", tmp_path)
-    table = rank_questions(client, [instance("i1")], bank=builtin_bank()[:1])
-    (cell,) = table.domains["News"]
-    assert cell.mean_precision == 0.0
-    assert cell.n == 1
+    table = rank_questions(client, [instance("i1")])
+    assert len(table.domains["News"]) == 10
+    for cell in table.domains["News"]:
+        assert cell.mean_precision == 0.0
+        assert cell.n == 1
 
 
 def test_rank_tie_breaks_by_bank_order(tmp_path):
     client = stub_client("alpha beta gamma delta", tmp_path)  # every cell scores 1.0
-    bank = builtin_bank()[:3]
-    table = rank_questions(client, [instance("i1")], bank=bank)
-    assert [r.key for r in table.domains["News"]] == ["topic", "key_pts", "entities"]
+    table = rank_questions(client, [instance("i1")])
+    assert [r.key for r in table.domains["News"]] == [q.key for q in builtin_bank()]
 
 
 class FlakyBackend:
@@ -136,10 +137,11 @@ def test_rank_excludes_failed_calls_from_mean(tmp_path):
     config = LmConfig(model="m1", backend="replay")
     client = CompletionClient(config, cache_dir=str(tmp_path / "c"),
                               backend=FlakyBackend("article i2"))
-    table = rank_questions(client, [instance("i1"), instance("i2")], bank=builtin_bank()[:1])
-    (cell,) = table.domains["News"]
-    assert cell.n == 1
-    assert cell.mean_precision == 1.0
+    table = rank_questions(client, [instance("i1"), instance("i2")])
+    assert len(table.domains["News"]) == 10
+    for cell in table.domains["News"]:
+        assert cell.n == 1
+        assert cell.mean_precision == 1.0
 
 
 def test_rank_errors_when_cell_has_no_successes(tmp_path):
@@ -147,14 +149,14 @@ def test_rank_errors_when_cell_has_no_successes(tmp_path):
     client = CompletionClient(config, cache_dir=str(tmp_path / "c"),
                               backend=FlakyBackend("article i1"))
     with pytest.raises(EmptyRankingCell):
-        rank_questions(client, [instance("i1")], bank=builtin_bank()[:1])
+        rank_questions(client, [instance("i1")])
 
 
 def test_rank_subsample_is_seeded_and_recorded(tmp_path):
     client = stub_client("alpha beta gamma delta", tmp_path)
     instances = [instance(f"i{n}") for n in range(6)]
-    one = rank_questions(client, instances, bank=builtin_bank()[:1], subsample=2, seed=7)
-    two = rank_questions(client, instances, bank=builtin_bank()[:1], subsample=2, seed=7)
+    one = rank_questions(client, instances, subsample=2, seed=7)
+    two = rank_questions(client, instances, subsample=2, seed=7)
     assert one.subsample == 2
     assert one.domains == two.domains
     assert one.domains["News"][0].n == 2
@@ -163,7 +165,7 @@ def test_rank_subsample_is_seeded_and_recorded(tmp_path):
 def test_rank_subsample_of_zero_leaves_every_cell_empty(tmp_path):
     client = stub_client("alpha beta gamma delta", tmp_path)
     with pytest.raises(EmptyRankingCell):
-        rank_questions(client, [instance("i1")], bank=builtin_bank()[:1], subsample=0)
+        rank_questions(client, [instance("i1")], subsample=0)
 
 
 def test_rank_requires_instances(tmp_path):
@@ -191,34 +193,26 @@ MISTRAL_NEWS_RANKS = {
 
 def test_top_k_reproduces_published_news_ordering():
     table = table_from_ranks(MISTRAL_NEWS_RANKS, domain="News", model="Mistral-7B")
-    picked = top_k(table, 3, domain="News")
+    picked = top_k(table.domains["News"], 3)
     assert [q.key for q in picked] == ["key_pts", "topic", "entities"]
 
 
 def test_top_k_zero_is_empty():
     table = table_from_ranks(MISTRAL_NEWS_RANKS)
-    assert top_k(table, 0, domain="News") == []
+    assert top_k(table.domains["News"], 0) == []
 
 
 def test_top_k_out_of_range():
     table = table_from_ranks(MISTRAL_NEWS_RANKS)
     with pytest.raises(KOutOfRange):
-        top_k(table, 11, domain="News")
+        top_k(table.domains["News"], 11)
     with pytest.raises(KOutOfRange):
-        top_k(table, -1, domain="News")
-
-
-def test_top_k_unknown_domain():
-    table = table_from_ranks(MISTRAL_NEWS_RANKS)
-    with pytest.raises(UnknownRankingDomain):
-        top_k(table, 2, domain="Sports")
-    with pytest.raises(UnknownRankingDomain):
-        top_k(table, 2)
+        top_k(table.domains["News"], -1)
 
 
 def test_top_k_concatenation_reproduces_full_ordering():
     table = table_from_ranks(MISTRAL_NEWS_RANKS)
-    full = [q.key for q in top_k(table, 10, domain="News")]
+    full = [q.key for q in top_k(table.domains["News"], 10)]
     assert full == [r.key for r in table.domains["News"]]
 
 
@@ -231,8 +225,8 @@ def test_ranking_is_scale_invariant():
             for d, rs in table.domains.items()
         },
     )
-    assert [q.key for q in top_k(table, 5, domain="News")] == [
-        q.key for q in top_k(scaled, 5, domain="News")
+    assert [q.key for q in top_k(table.domains["News"], 5)] == [
+        q.key for q in top_k(scaled.domains["News"], 5)
     ]
 
 
@@ -259,18 +253,17 @@ def two_domain_table():
 
 def test_global_single_domain_identity():
     table = table_from_ranks(MISTRAL_NEWS_RANKS)
-    ranking = global_ranking(table)
-    assert [e.key for e in ranking.entries] == [r.key for r in table.domains["News"]]
+    assert [e.key for e in global_ranking(table)] == [r.key for r in table.domains["News"]]
 
 
 def test_global_means_per_domain_precisions():
     ranking = global_ranking(two_domain_table())
-    by_key = {e.key: e.mean_precision for e in ranking.entries}
+    by_key = {e.key: e.mean_precision for e in ranking}
     assert by_key["topic"] == pytest.approx(0.5)
     assert by_key["key_pts"] == pytest.approx(0.5)
     assert by_key["entities"] == pytest.approx(0.25)
     # topic and key_pts tie at 0.5 -> bank order puts topic first
-    assert [e.key for e in ranking.entries] == ["topic", "key_pts", "entities"]
+    assert [e.key for e in ranking] == ["topic", "key_pts", "entities"]
 
 
 def test_top_k_on_global_ranking():
