@@ -16,6 +16,7 @@ from .metrics import has_tokens
 DEFAULT_DOMAINS = ("Commonsense", "Dialogue", "News", "Public Places", "Reviews", "Research")
 
 RECORD_FIELDS = ("id", "domain", "task", "article", "reference")
+_RECORD_KEYS = dict.fromkeys(RECORD_FIELDS).keys()
 
 
 class CorpusError(Exception):
@@ -84,7 +85,7 @@ class Corpus:
         return out
 
 
-def _validate_record(obj: object, line_no: int) -> dict:
+def _validate_record(obj: object, line_no: int) -> None:
     if not isinstance(obj, dict):
         raise MalformedRecord(line_no, "record is not a JSON object")
     missing = [f for f in RECORD_FIELDS if f not in obj]
@@ -96,7 +97,6 @@ def _validate_record(obj: object, line_no: int) -> dict:
     for f in RECORD_FIELDS:
         if not isinstance(obj[f], str):
             raise MalformedRecord(line_no, f"field {f!r} is not a string")
-    return obj
 
 
 def _reject_surrogates(rec: dict, line_no: int) -> None:
@@ -117,14 +117,19 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
+                if line.isspace():  # the reader never yields an empty line
                     continue
                 try:
-                    obj = json.loads(line)
+                    rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-                rec = _validate_record(obj, line_no)
-                if "\\u" in line:
+                # The common well-formed record passes in one check; anything
+                # else goes to _validate_record, which names what is wrong.
+                if not (type(rec) is dict and rec.keys() == _RECORD_KEYS
+                        and all(type(v) is str for v in rec.values())):
+                    _validate_record(rec, line_no)
+                # A lone surrogate is never ASCII, and isascii() is O(1).
+                if not all(map(str.isascii, rec.values())):
                     _reject_surrogates(rec, line_no)
                 if rec["id"] in seen:
                     raise DuplicateId(rec["id"], line_no)

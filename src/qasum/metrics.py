@@ -126,17 +126,27 @@ def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
     return _ngram_score(_ngrams(tokenize(candidate), n), _ngrams(tokenize(reference), n))
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
+def lcs_masks(b: list[str]) -> dict[str, int]:
+    """Each token of ``b`` mapped to an int whose bit j is set where ``b[j]``
+    is that token: the match rows ``lcs_length`` reads."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    return masks
+
+
+def lcs_length(a: list[str], b: list[str], masks: dict[str, int] | None = None) -> int:
     """Length of the longest common subsequence of two token lists.
 
     Bit-parallel (Allison & Dix 1986; Hyyrö 2004): one Python int ``v``
     holds a whole row of the DP over ``b``, bit j being 0 exactly where
     the row steps up by one at column j. Each token of ``a`` updates the
     row in a few big-int operations, and the LCS is the count of 0 bits.
+    ``masks`` is ``lcs_masks(b)``, passed in when ``b`` is scored against
+    several candidates, and built here when omitted.
     """
-    masks: dict[str, int] = {}
-    for j, token in enumerate(b):
-        masks[token] = masks.get(token, 0) | (1 << j)
+    if masks is None:
+        masks = lcs_masks(b)
     full = (1 << len(b)) - 1
     v = full
     for token in a:
@@ -145,10 +155,10 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def _lcs_score(cand: list[str], ref: list[str]) -> RougeScore:
+def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int] | None = None) -> RougeScore:
     if not cand or not ref:
         return RougeScore.zero()
-    lcs = lcs_length(cand, ref)
+    lcs = lcs_length(cand, ref, masks)
     return RougeScore.from_pr(lcs / len(cand), lcs / len(ref))
 
 
@@ -160,17 +170,19 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 @dataclass(frozen=True)
 class Reference:
     """A reference summary tokenized once, with the 1- and 2-gram counts
-    that ROUGE-1/2 clip against, for scoring several candidates.
-    ``unigrams`` is keyed by token, ``bigrams`` by 2-tuples of tokens."""
+    that ROUGE-1/2 clip against and the ``lcs_masks`` ROUGE-L reads, for
+    scoring several candidates. ``unigrams`` is keyed by token,
+    ``bigrams`` by 2-tuples of tokens."""
 
     tokens: list[str]
     unigrams: Counter
     bigrams: Counter
+    masks: dict[str, int]
 
     @staticmethod
     def from_text(text: str) -> "Reference":
         tokens = tokenize(text)
-        return Reference(tokens, _ngrams(tokens, 1), _ngrams(tokens, 2))
+        return Reference(tokens, _ngrams(tokens, 1), _ngrams(tokens, 2), lcs_masks(tokens))
 
 
 def rouge_scores(
@@ -181,7 +193,7 @@ def rouge_scores(
     return (
         _ngram_score(_ngrams(candidate, 1), reference.unigrams),
         _ngram_score(_ngrams(candidate, 2), reference.bigrams),
-        _lcs_score(candidate, reference.tokens),
+        _lcs_score(candidate, reference.tokens, reference.masks),
     )
 
 

@@ -210,10 +210,7 @@ def top_k(ordering: tuple[RankedQuestion, ...], k: int) -> list[QuestionSpec]:
     limit = min(10, len(ordering))
     if not 0 <= k <= limit:
         raise KOutOfRange(f"k={k} outside [0, {limit}]")
-    try:
-        return [_BY_KEY[r.key] for r in ordering[:k]]
-    except KeyError as exc:
-        raise RankingError(f"ranked key {exc} missing from question bank") from exc
+    return [_BY_KEY[r.key] for r in ordering[:k]]
 
 
 def ensure_model(table: RankingTable, model: str, *, allow_mismatch: bool = False) -> None:
@@ -252,7 +249,8 @@ def _ranked_question(entry: dict) -> RankedQuestion:
 
 
 def load_ranking(path) -> RankingTable:
-    """Read a ``save_ranking`` file; RankingError names a file of another shape."""
+    """Read a ``save_ranking`` file; RankingError names a file of another
+    shape, and a domain that ranks a key outside the bank or one key twice."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -260,7 +258,7 @@ def load_ranking(path) -> RankingTable:
             domain: tuple(_ranked_question(e) for e in entries)
             for domain, entries in doc["domains"].items()
         }
-        return RankingTable(
+        table = RankingTable(
             model=doc["model"],
             seed=doc["seed"],
             subsample=doc.get("subsample"),
@@ -269,6 +267,16 @@ def load_ranking(path) -> RankingTable:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise RankingError(f"{path}: not a ranking file ({type(exc).__name__}: {exc})") from exc
+    for domain, ranked in domains.items():
+        seen: set[str] = set()
+        for r in ranked:
+            if r.key not in _BY_KEY:
+                raise RankingError(
+                    f"{path}: domain {domain!r} ranks {r.key!r}, not a bank question")
+            if r.key in seen:
+                raise RankingError(f"{path}: domain {domain!r} ranks {r.key!r} twice")
+            seen.add(r.key)
+    return table
 
 
 def format_rank_matrix(table: RankingTable) -> str:

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 import random
+import re
+import tempfile
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from qasum.corpus import (
+    DEFAULT_DOMAINS,
+    RECORD_FIELDS,
     Corpus,
+    CorpusError,
     DuplicateId,
     GroupTooSmall,
     InsufficientPool,
@@ -20,6 +27,7 @@ from qasum.corpus import (
     split_corpus,
     subsample_per_domain,
 )
+from qasum.metrics import tokenize
 
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
@@ -129,6 +137,135 @@ def test_custom_registry_admits_new_domains(tmp_path):
     write_jsonl(path, [record("a", domain="Sports")])
     corpus = load_corpus(path, ("Sports", "News"))
     assert [inst.domain for inst in corpus.instances] == ["Sports"]
+
+
+def plain_load(path) -> Corpus:
+    """The corpus checks written out one after another, in the order
+    ``load_corpus`` documents and has always applied them: the oracle for
+    the property below."""
+    instances = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise MalformedRecord(line_no, "record is not a JSON object")
+            missing = [f for f in RECORD_FIELDS if f not in rec]
+            if missing:
+                raise MalformedRecord(line_no, f"missing field(s): {', '.join(missing)}")
+            extra = sorted(set(rec) - set(RECORD_FIELDS))
+            if extra:
+                raise MalformedRecord(line_no, f"unexpected field(s): {', '.join(extra)}")
+            for f in RECORD_FIELDS:
+                if not isinstance(rec[f], str):
+                    raise MalformedRecord(line_no, f"field {f!r} is not a string")
+            # The file is UTF-8, so only a \u escape can decode to a lone surrogate.
+            if "\\u" in line:
+                for f in RECORD_FIELDS:
+                    if re.search("[\ud800-\udfff]", rec[f]):
+                        raise MalformedRecord(line_no, f"field {f!r} holds a lone surrogate")
+            if rec["id"] in seen:
+                raise DuplicateId(rec["id"], line_no)
+            if rec["domain"] not in DEFAULT_DOMAINS:
+                raise UnknownDomain(rec["domain"], line_no)
+            if not tokenize(rec["article"]):
+                raise MalformedRecord(line_no, "article is empty after tokenization")
+            if not tokenize(rec["reference"]):
+                raise MalformedRecord(line_no, "reference is empty after tokenization")
+            seen.add(rec["id"])
+            instances.append(TaskInstance(**rec))
+    return Corpus(tuple(instances))
+
+
+def load_outcome(load, path):
+    """The instances ``load`` returns, or the class, line and message of
+    the error it raises."""
+    try:
+        return load(path).instances
+    except CorpusError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=4,
+)
+# ASCII and non-ASCII words, and tokenless ones.
+WORDS = st.lists(
+    st.sampled_from(["news", "Summary", "café", "naïve", "東京", "?!", "_", "\x85"]),
+    min_size=1, max_size=4,
+).map(" ".join)
+# Lone surrogates, which only a \u escape can carry into a UTF-8 file.
+SURROGATES = st.sampled_from(["\ud800", "\udfff"])
+FIELD_VALUES = {
+    # "a" comes before the drawn line and "c" after it, so both are duplicates.
+    "id": st.sampled_from(["d", "d", "d", "a", "c"]),
+    "domain": st.sampled_from(DEFAULT_DOMAINS + ("Sports", "news")),
+    "task": WORDS,
+    "article": WORDS,
+    "reference": WORDS,
+}
+# str.isspace() characters, among them ones str.splitlines() would split at
+# but the file reader does not.
+WHITESPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"), min_size=1)
+
+
+def escape_surrogates(text: str) -> str:
+    """A lone surrogate cannot be written as UTF-8; its JSON \\u escape can."""
+    return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
+@st.composite
+def corpus_lines(draw) -> str:
+    """One line of a corpus file: mostly a record, its keys permuted, with
+    up to three changes (a lone surrogate added to a field, any JSON value
+    in a field, a field dropped, a key added), written with or without
+    ensure_ascii; else a whitespace-only line, any JSON value, or a
+    truncated record."""
+    kind = draw(st.sampled_from(["record"] * 7 + ["whitespace", "any-json", "truncated"]))
+    if kind == "whitespace":
+        return draw(WHITESPACE)
+    if kind == "any-json":
+        return json.dumps(draw(JSON_VALUES))
+    rec = {f: draw(FIELD_VALUES[f]) for f in RECORD_FIELDS}
+    changes = st.tuples(st.sampled_from(["surrogate", "any-json", "drop", "add"]),
+                        st.sampled_from(RECORD_FIELDS))
+    for change, field in draw(st.lists(changes, max_size=3)):
+        if change == "surrogate" and isinstance(rec.get(field), str):
+            rec[field] += draw(SURROGATES)
+        elif change == "any-json":
+            rec[field] = draw(JSON_VALUES)
+        elif change == "drop":
+            rec.pop(field, None)
+        elif change == "add":
+            rec[draw(st.text(max_size=6))] = draw(WORDS | JSON_VALUES)
+    rec = {key: rec[key] for key in draw(st.permutations(list(rec)))}
+    text = escape_surrogates(json.dumps(rec, ensure_ascii=draw(st.booleans())))
+    return text[:-1] if kind == "truncated" else text
+
+
+@settings(deadline=None, max_examples=300)
+@given(corpus_lines())
+@example(json.dumps(record("d", article="café \ud800")))
+@example(escape_surrogates(json.dumps(record("d", article="café \ud800"), ensure_ascii=False)))
+@example(json.dumps(record("d", reference="naïve"), ensure_ascii=False))
+@example("\x85\u3000")
+@example(json.dumps({**record("d"), "task": None}))
+@example(json.dumps({"tsak" if f == "task" else f: v for f, v in record("d").items()}))
+def test_load_corpus_agrees_with_the_plain_checks(line):
+    lines = [json.dumps(record("a")), json.dumps(record("b", article="café")), line,
+             json.dumps(record("c"), ensure_ascii=False)]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "c.jsonl"
+        path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+        assert load_outcome(load_corpus, path) == load_outcome(plain_load, path)
 
 
 # --- splitting ---------------------------------------------------------------

@@ -477,6 +477,53 @@ def test_eval_ranking_without_an_eval_domain(tmp_path, capsys):
     }
 
 
+# Reviews entries that a ranking file may not hold, and how load_ranking
+# names each: a key outside the bank, and one key listed twice.
+BAD_REVIEWS_KEYS = {
+    "unknown-key": (("bogus", "topic", "key_pts"), "ranks 'bogus', not a bank question"),
+    "repeated-key": (("topic", "insights", "topic"), "ranks 'topic' twice"),
+}
+
+
+def bad_keys_setup(tmp_path, case):
+    """``routing_setup``'s files with Reviews ranking ``BAD_REVIEWS_KEYS[case]``;
+    returns (corpus path, ranking path, the RankingError message)."""
+    corpus, ranking = routing_setup(tmp_path, ("News", "Reviews"))
+    keys, reason = BAD_REVIEWS_KEYS[case]
+    doc = json.loads(ranking.read_text(encoding="utf-8"))
+    doc["domains"]["Reviews"] = [{"key": key, "mean_precision": 0.5, "n": 1} for key in keys]
+    ranking.write_text(json.dumps(doc), encoding="utf-8")
+    return corpus, ranking, f"{ranking}: domain 'Reviews' {reason}"
+
+
+@pytest.mark.parametrize("scope", ["domain_specific", "global"])
+@pytest.mark.parametrize("case", BAD_REVIEWS_KEYS)
+def test_eval_refuses_unknown_or_repeated_ranking_keys(tmp_path, case, scope):
+    corpus, ranking, message = bad_keys_setup(tmp_path, case)
+    backend = StubBackend(reply=qa_reply)
+    cfg = make_config(method="qa", corpus=str(corpus), k_values=(1, 3), ranking=ranking,
+                      scope=scope, cache_dir=tmp_path / "c")
+    with pytest.raises(RankingError) as excinfo:
+        run_eval(cfg, tmp_path / "run", backend=backend)
+    assert str(excinfo.value) == message
+    assert backend.requests == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", BAD_REVIEWS_KEYS)
+def test_cli_eval_unknown_or_repeated_ranking_key_exit_code(tmp_path, capsys, case):
+    corpus, ranking, message = bad_keys_setup(tmp_path, case)
+    replay = tmp_path / "replay"  # empty: any request would exit 6
+    replay.mkdir()
+    config = write_cli_config(tmp_path, replay_dir=replay)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(corpus), "--config", str(config), "--method", "qa",
+                 "--ranking", str(ranking), "--k", "1", "--out", str(out_dir)])
+    assert code == 7
+    assert capsys.readouterr().err == f"ranking error: {message}\n"
+    assert not out_dir.exists()
+
+
 class RateLimitedAnswers:
     def complete(self, request):
         if request.prompt.startswith(SINGLE_QA_INSTRUCTION):

@@ -16,6 +16,7 @@ from qasum.metrics import (
     aggregate,
     has_tokens,
     lcs_length,
+    lcs_masks,
     overlap_precision,
     rouge_l,
     rouge_n,
@@ -247,6 +248,7 @@ def lcs_pairs(draw):
 def test_lcs_matches_dp_oracle(pair):
     a, b = pair
     assert lcs_length(a, b) == lcs_dp(a, b)
+    assert lcs_length(a, b, lcs_masks(b)) == lcs_length(a, b)
 
 
 # CPython stores ints in 30-bit digits; 64 and 128 are machine-word sizes.
