@@ -28,7 +28,13 @@ _SCOPE_ALIASES = {"ds": "domain_specific", "global": "global"}
 
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    """``--k``'s comma-separated integers. A part that is no integer is a
+    usage error; an empty list is passed on for the config to refuse."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", required=True, choices=["vanilla", "icl", "qa"])
     ev.add_argument("--ranking", default=None, help="ranking file (qa only)")
     ev.add_argument("--scope", choices=["ds", "global"], default=None)
-    ev.add_argument("--k", default=None, help="comma-separated k values, e.g. 0,1,2")
+    ev.add_argument("--k", type=_parse_k_list, default=None,
+                    help="comma-separated k values, e.g. 0,1,2")
     ev.add_argument("--icl-n", type=int, default=None, help="in-context example count")
     ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--out", required=True, help="output directory")
@@ -74,14 +81,13 @@ def _cmd_rank(args) -> int:
 
 def _cmd_eval(args) -> int:
     scope = _SCOPE_ALIASES[args.scope] if args.scope else None
-    k_values = _parse_k_list(args.k) if args.k else None
     cfg = config_from_file(
         args.config,
         corpus=args.corpus,
         method=args.method,
         ranking=args.ranking,
         scope=scope,
-        k_values=k_values,
+        k_values=args.k,
         icl_examples=args.icl_n,
         seed=args.seed,
     )

@@ -452,33 +452,33 @@ def _metric_cells(r1: RougeScore, r2: RougeScore, rl: RougeScore) -> list[str]:
     ]
 
 
-def _open_csv(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path, header: list, rows) -> None:
+    """Write ``header`` and then ``rows`` in the format of every CSV qasum
+    writes: UTF-8, ``\\n`` line ends, the csv module's minimal quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_per_instance_csv(manifest: RunManifest, path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "domain", "method", "k", "parse_status", *METRIC_COLUMNS])
-        for row in manifest.rows:
-            writer.writerow(
-                [row.id, row.domain, row.method, row.k, row.parse_status]
-                + _metric_cells(row.rouge1, row.rouge2, row.rougeL)
-            )
+    _write_csv(
+        path,
+        ["id", "domain", "method", "k", "parse_status", *METRIC_COLUMNS],
+        ([row.id, row.domain, row.method, row.k, row.parse_status]
+         + _metric_cells(row.rouge1, row.rouge2, row.rougeL) for row in manifest.rows),
+    )
 
 
 def write_aggregate_csv(manifest: RunManifest, group_by: tuple[str, ...], path) -> None:
     groups = aggregate(list(manifest.rows), group_by)
     fields = [name for name, _ in groups[0].group] if groups else list(group_by)
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*fields, "n", *METRIC_COLUMNS])
-        for g in groups:
-            writer.writerow(
-                [value for _, value in g.group]
-                + [g.n]
-                + _metric_cells(g.rouge1, g.rouge2, g.rougeL)
-            )
+    _write_csv(
+        path,
+        [*fields, "n", *METRIC_COLUMNS],
+        ([value for _, value in g.group] + [g.n] + _metric_cells(g.rouge1, g.rouge2, g.rougeL)
+         for g in groups),
+    )
 
 
 def _manifest_label(manifest: RunManifest) -> str:
@@ -519,29 +519,20 @@ def run_compare(manifest_paths, out_path) -> list[dict]:
         return rows
 
     table = []
+    cells = []
     for scope in scopes:
-        entry: dict = {"scope": scope}
         means = []
-        for label, m in zip(labels, manifests):
+        for m in manifests:
             rows = scope_rows(m, scope)
-            mean = _mean_rouge_l(rows) if rows else 0.0
-            means.append(mean)
-            entry[label] = mean
-        for label, mean in zip(labels[1:], means[1:]):
-            base = means[0]
-            entry[f"delta_{label}"] = (mean - base) / base * 100 if base > 0 else None
-        table.append(entry)
+            means.append(_mean_rouge_l(rows) if rows else 0.0)
+        base = means[0]
+        deltas = [(mean - base) / base * 100 if base > 0 else None for mean in means[1:]]
+        table.append({"scope": scope, **dict(zip(labels, means)),
+                      **{f"delta_{label}": d for label, d in zip(labels[1:], deltas)}})
+        cells.append([scope, *map(_fmt, means),
+                      *("n/a" if d is None else f"{d:+.1f}%" for d in deltas)])
 
-    with _open_csv(out_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["scope", *labels] + [f"delta_{label}" for label in labels[1:]]
-        writer.writerow(header)
-        for entry in table:
-            cells = [entry["scope"]] + [_fmt(entry[label]) for label in labels]
-            for label in labels[1:]:
-                delta = entry[f"delta_{label}"]
-                cells.append("n/a" if delta is None else f"{delta:+.1f}%")
-            writer.writerow(cells)
+    _write_csv(out_path, ["scope", *labels] + [f"delta_{label}" for label in labels[1:]], cells)
     return table
 
 
@@ -572,21 +563,18 @@ def run_report(manifest_path, out_dir) -> None:
     with open(os.path.join(out_dir, "overall.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
-    by_domain_k = aggregate(rows, ("domain", "k"))
-    with _open_csv(os.path.join(out_dir, "by_domain_k.csv")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", "k", "n", "r1_f", "r2_f", "rl_f"])
-        for g in by_domain_k:
-            cells = dict(g.group)
-            writer.writerow(
-                [cells["domain"], cells["k"], g.n, _fmt(g.rouge1.f1), _fmt(g.rouge2.f1), _fmt(g.rougeL.f1)]
-            )
-
-    with _open_csv(os.path.join(out_dir, "parse_summary.csv")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["parse_status", "count"])
-        for status in PARSE_STATUSES:
-            writer.writerow([status, manifest.parse_counts.get(status, 0)])
+    _write_csv(
+        os.path.join(out_dir, "by_domain_k.csv"),
+        ["domain", "k", "n", "r1_f", "r2_f", "rl_f"],
+        ([*(value for _, value in g.group), g.n,
+          _fmt(g.rouge1.f1), _fmt(g.rouge2.f1), _fmt(g.rougeL.f1)]
+         for g in aggregate(rows, ("domain", "k"))),
+    )
+    _write_csv(
+        os.path.join(out_dir, "parse_summary.csv"),
+        ["parse_status", "count"],
+        ([status, manifest.parse_counts.get(status, 0)] for status in PARSE_STATUSES),
+    )
 
 
 __all__ = [

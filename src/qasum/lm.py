@@ -8,9 +8,11 @@ keep-alive connection per call in flight, reads no proxy settings,
 checks HTTPS certificates against the system CA store, fails at once on
 an untrusted one, and does not follow redirects.
 
-Responses are cached in one SQLite database, ``<cache_dir>/cache.sqlite``
-(WAL mode), keyed by a digest of the request, so interrupted runs resume
-without re-spending LM calls. A store that is not a database aborts the
+Every backend's ``complete`` returns a ``(completion, finish_reason)``
+pair, and that pair is what the cache stores and returns. Responses are
+cached in one SQLite database, ``<cache_dir>/cache.sqlite`` (WAL mode),
+keyed by a digest of the request, so interrupted runs resume without
+re-spending LM calls. A store that is not a database aborts the
 run with ``CacheError`` and is never replaced. The replay backend opens
 a recorded store read-only, so a recorded cache directory can be pointed
 at directly as a replay fixture.
@@ -133,19 +135,6 @@ def cache_key(
     return digest.hexdigest()
 
 
-def make_entry(request: CompletionRequest, completion: str, finish_reason: str) -> dict:
-    return {
-        "model": request.model,
-        "prompt": request.prompt,
-        "max_tokens": request.max_tokens,
-        "greedy": request.greedy,
-        "stop_sequences": list(request.stop_sequences),
-        "completion": completion,
-        "finish_reason": finish_reason,
-        "timestamp": time.time(),
-    }
-
-
 class CacheError(Exception):
     """The response store cannot be opened or used: not a database, not
     openable, or failing under a query. Not an ``LmError``, so it aborts a
@@ -189,14 +178,22 @@ def _connect(target: str, *, uri: bool = False) -> sqlite3.Connection:
     return conn
 
 
-def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> dict | None:
-    """The stored completion for ``request``, or None when its row is
-    absent, has no string completion, or holds other request fields."""
-    row = conn.execute(_SELECT, (request.key, request.model, request.prompt, request.max_tokens,
-                                 request.greedy, json.dumps(request.stop_sequences))).fetchone()
+def _request_columns(request: CompletionRequest) -> tuple:
+    """The request's columns: key, model, prompt, max_tokens, greedy and the
+    stop sequences as JSON. They are ``_SELECT``'s parameters and the start
+    of ``_INSERT``'s row."""
+    return (request.key, request.model, request.prompt, request.max_tokens, request.greedy,
+            json.dumps(request.stop_sequences))
+
+
+def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> tuple[str, str] | None:
+    """The stored ``(completion, finish_reason)`` for ``request``, or None
+    when its row is absent, has no string completion, or holds other
+    request fields."""
+    row = conn.execute(_SELECT, _request_columns(request)).fetchone()
     if row is None or not isinstance(row[0], str):
         return None
-    return {"completion": row[0], "finish_reason": row[1] if isinstance(row[1], str) else "stop"}
+    return row[0], row[1] if isinstance(row[1], str) else "stop"
 
 
 def _open_store(root: str) -> sqlite3.Connection:
@@ -224,7 +221,9 @@ def _open_store(root: str) -> sqlite3.Connection:
 class ResponseCache:
     """Response store: one SQLite database, ``<dir>/cache.sqlite``, with
     one row per request digest holding the request fields, the completion,
-    its finish reason and a timestamp.
+    its finish reason and a timestamp. ``get`` returns, and ``put`` takes,
+    the ``(completion, finish_reason)`` pair a backend's ``complete``
+    returns.
 
     The database runs in WAL mode with ``synchronous=NORMAL``: a put is
     committed when it returns and survives a killed process, and several
@@ -246,27 +245,26 @@ class ResponseCache:
         if self._conn is not None:
             weakref.finalize(self, self._conn.close)
 
-    def get(self, request: CompletionRequest) -> dict | None:
-        """The stored entry, or None on a miss. A row that is no usable
-        entry for ``request`` is a miss too, so the caller asks the backend
-        again and ``put`` replaces it."""
+    def get(self, request: CompletionRequest) -> tuple[str, str] | None:
+        """The stored ``(completion, finish_reason)``, or None on a miss. A
+        row that holds no string completion or other request fields is a
+        miss too, so the caller asks the backend again and ``put`` replaces
+        it."""
         with self._lock:
             try:
-                entry = _lookup(self._conn, request) if self._conn is not None else None
+                reply = _lookup(self._conn, request) if self._conn is not None else None
             except sqlite3.Error as exc:
                 raise CacheError(f"response store {self._path}: {exc}") from exc
-            if entry is None:
+            if reply is None:
                 self._misses += 1
             else:
                 self._hits += 1
-        return entry
+        return reply
 
-    def put(self, key: str, entry: dict) -> None:
+    def put(self, request: CompletionRequest, completion: str, finish_reason: str) -> None:
         if self._conn is None:
             return
-        row = (key, entry["model"], entry["prompt"], entry["max_tokens"], entry["greedy"],
-               json.dumps(entry["stop_sequences"]), entry["completion"],
-               entry["finish_reason"], entry["timestamp"])
+        row = (*_request_columns(request), completion, finish_reason, time.time())
         with self._lock:
             try:
                 self._conn.execute(_INSERT, row)
@@ -438,20 +436,20 @@ class ReplayBackend:
             weakref.finalize(self, self._conn.close)
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
-        entry = None
+        reply = None
         if self._conn is not None:
             with self._lock:
                 try:
-                    entry = _lookup(self._conn, request)
+                    reply = _lookup(self._conn, request)
                 except sqlite3.Error:  # not a database, or no entries table
                     pass
-        if entry is None:
+        if reply is None:
             head = request.prompt.splitlines()[0][:80] if request.prompt else ""
             raise ReplayMiss(
                 f"no readable recording for key {request.key} in {self._path}"
                 f" (prompt starts: {head!r})"
             )
-        return entry["completion"], entry["finish_reason"]
+        return reply
 
 
 def truncate_at_stop(text: str, stop_sequences: tuple[str, ...]) -> tuple[str, bool]:
@@ -509,26 +507,15 @@ class CompletionClient:
             key=cache_key(self.config.model, prompt, effective_max, self.config.greedy, stops),
         )
 
-        entry = self._cache.get(request)
-        if entry is not None:
-            return Generation(
-                completion=entry["completion"],
-                finish_reason=entry["finish_reason"],
-                from_cache=True,
-                latency_ms=(time.perf_counter() - started) * 1000,
-            )
-
-        text, finish = self._backend.complete(request)
-        text, truncated = truncate_at_stop(text, stops)
-        if truncated:
-            finish = "stop"
-        self._cache.put(request.key, make_entry(request, text, finish))
-        return Generation(
-            completion=text,
-            finish_reason=finish,
-            from_cache=False,
-            latency_ms=(time.perf_counter() - started) * 1000,
-        )
+        reply = self._cache.get(request)
+        from_cache = reply is not None
+        if not from_cache:
+            text, finish = self._backend.complete(request)
+            text, truncated = truncate_at_stop(text, stops)
+            reply = (text, "stop" if truncated else finish)
+            self._cache.put(request, *reply)
+        return Generation(*reply, from_cache=from_cache,
+                          latency_ms=(time.perf_counter() - started) * 1000)
 
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]`` with at most ``max_in_flight``

@@ -240,11 +240,11 @@ def save_ranking(table: RankingTable, path) -> None:
         fh.write("\n")
 
 
-def _ranked_question(entry: dict) -> RankedQuestion:
-    question = RankedQuestion(entry["key"], entry["mean_precision"], entry["n"])
+def _ranked_question(doc: dict) -> RankedQuestion:
+    question = RankedQuestion(doc["key"], doc["mean_precision"], doc["n"])
     if not (isinstance(question.key, str) and type(question.mean_precision) in (int, float)
             and type(question.n) is int):
-        raise TypeError(f"entry {entry!r} needs a string key, a number mean_precision and an int n")
+        raise TypeError(f"entry {doc!r} needs a string key, a number mean_precision and an int n")
     return question
 
 

@@ -5,6 +5,7 @@ scripted replies and faults."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -255,11 +256,13 @@ class _ScriptServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def scripted_server(*script: Reply, tls: bool = False):
+def scripted_server(*script: Reply | Callable[[dict], Reply], tls: bool = False):
     """A localhost completion endpoint that answers the n-th POST with
-    ``script[n]``, and every POST after the script with its last reply.
-    Yields a ``ServerLog`` of the POSTs and the connections it accepted.
-    With ``tls`` it speaks HTTPS with the self-signed ``TLS_CERT``."""
+    ``script[n]``, and every POST after the script with its last reply. An
+    entry may also be a callable that takes the POST's parsed JSON body and
+    returns the ``Reply``. Yields a ``ServerLog`` of the POSTs and the
+    connections it accepted. With ``tls`` it speaks HTTPS with the
+    self-signed ``TLS_CERT``."""
     log = ServerLog(url="")
     lock = threading.Lock()
     open_connections: set[socket.socket] = set()
@@ -284,6 +287,8 @@ def scripted_server(*script: Reply, tls: bool = False):
             with lock:
                 log.posts.append(Post(self.path, dict(self.headers), body))
                 reply = script[min(len(log.posts), len(script)) - 1]
+            if callable(reply):
+                reply = reply(body)
             if reply.fault == "reset":
                 # With a zero linger time the socket's last close sends RST.
                 self.connection.setsockopt(

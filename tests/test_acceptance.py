@@ -208,6 +208,13 @@ def test_criterion_max_tokens_law():
 
 
 AGGREGATE_FILES = ("aggregate_method_k.csv", "aggregate_domain_k.csv")
+EVAL_GOLDEN_FILES = AGGREGATE_FILES + ("per_instance.csv",)
+REPORT_FILES = ("overall.md", "by_domain_k.csv", "parse_summary.csv")
+
+
+def _assert_golden(path, name):
+    golden = GOLDEN_DIR / name
+    assert path.read_bytes() == golden.read_bytes(), f"{name} diverges from golden"
 
 
 def _run_evals(tmp_path, config, ranking, tag):
@@ -232,10 +239,8 @@ def test_criterion_end_to_end_replay(tmp_path, replay_dir, monkeypatch):
 
     icl_dir, qa_dir = _run_evals(tmp_path, config, ranking, "cold")
     for prefix, out_dir in (("icl", icl_dir), ("qa", qa_dir)):
-        for name in AGGREGATE_FILES:
-            got = (out_dir / name).read_bytes()
-            want = (GOLDEN_DIR / f"{prefix}_{name}").read_bytes()
-            assert got == want, f"{prefix}/{name} diverges from golden"
+        for name in EVAL_GOLDEN_FILES:
+            _assert_golden(out_dir / name, f"{prefix}_{name}")
 
     # warm rerun: same cache, nothing may change, and every lookup must hit
     icl_dir2, qa_dir2 = _run_evals(tmp_path, config, ranking, "warm")
@@ -251,6 +256,8 @@ def test_criterion_end_to_end_replay(tmp_path, replay_dir, monkeypatch):
     assert main(["report", str(qa_dir / "manifest.json"), "--out", str(report_dir)]) == 0
     domain_rows = (report_dir / "by_domain_k.csv").read_text().splitlines()
     assert len(domain_rows) == 1 + 9  # header + 3 domains x 3 k values
+    for name in REPORT_FILES:
+        _assert_golden(report_dir / name, f"report_{name}")
 
     elapsed = time.monotonic() - started
     assert elapsed < 30, f"end-to-end replay took {elapsed:.1f}s"
@@ -281,6 +288,7 @@ def test_criterion_constructed_separation(tmp_path, replay_dir):
     lines = out.read_text().splitlines()
     assert lines[0] == "scope,icl,qa-ds,delta_qa-ds"
     assert lines[1] == "overall,66.67,100.00,+50.0%"
+    _assert_golden(out, "compare_icl_qa_k2.csv")
 
     icl_value = float(lines[1].split(",")[1])
     assert 60 < icl_value < 70

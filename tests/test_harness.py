@@ -694,6 +694,29 @@ def test_cli_eval_scope_global(tmp_path, replay_dir):
     assert all(r.rougeL.f1 == 1.0 for r in manifest.rows)
 
 
+def test_cli_eval_malformed_k_list_is_a_usage_error(tmp_path, capsys):
+    config = write_cli_config(tmp_path)
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+              "--method", "qa", "--k", "1,x", "--out", str(out_dir)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --k: " in err and "'1,x'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("k", ["", ","], ids=["empty", "comma"])
+def test_cli_eval_empty_k_list_exit_code(tmp_path, capsys, k):
+    config = write_cli_config(tmp_path)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "qa", "--k", k, "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: k_values: must list at least one k\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("templates", {"vanilla_instruction": "Condense the article below."}),
     ("lm.stop_sequences", ["END"]),

@@ -35,7 +35,6 @@ from qasum.lm import (
     ResponseCache,
     cache_key,
     compute_max_tokens,
-    make_entry,
     truncate_at_stop,
 )
 
@@ -185,8 +184,8 @@ def test_cache_miss_then_hit(tmp_path):
     cache = ResponseCache(str(tmp_path))
     request = request_for("p")
     assert cache.get(request) is None
-    cache.put(request.key, make_entry(request, "x", "stop"))
-    assert cache.get(request) == {"completion": "x", "finish_reason": "stop"}
+    cache.put(request, "x", "stop")
+    assert cache.get(request) == ("x", "stop")
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
 
@@ -195,7 +194,7 @@ def test_cache_two_distinct_misses(tmp_path):
     cache = ResponseCache(str(tmp_path))
     for request in (request_for("a"), request_for("b")):
         assert cache.get(request) is None
-        cache.put(request.key, make_entry(request, request.prompt, "stop"))
+        cache.put(request, request.prompt, "stop")
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 2, 2)
 
@@ -225,6 +224,30 @@ def test_cache_layout_on_disk(tmp_path):
         conn.close()
     assert {p.name for p in (tmp_path / "cache").iterdir()} <= {
         "cache.sqlite", "cache.sqlite-wal", "cache.sqlite-shm"}
+
+
+def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
+    # A store another writer made, in the layout above: greedy as 1 and
+    # the stop sequences as JSON text, with json.dumps's default spacing.
+    stops = ("END", "\n\n")
+    key = cache_key("m1", "café prompt", 544, True, stops)
+    conn = sqlite3.connect(tmp_path / "cache.sqlite", isolation_level=None)
+    try:
+        conn.execute(
+            "CREATE TABLE entries (key TEXT PRIMARY KEY, model TEXT, prompt TEXT,"
+            " max_tokens INTEGER, greedy INTEGER, stop_sequences TEXT, completion TEXT,"
+            " finish_reason TEXT, timestamp REAL)"
+        )
+        conn.execute("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                     (key, "m1", "café prompt", 544, 1, '["END", "\\n\\n"]',
+                      "recorded é", "length", 1700000000.0))
+    finally:
+        conn.close()
+    request = CompletionRequest("m1", "café prompt", 544, True, stops, key)
+    replayed = ReplayBackend(str(tmp_path)).complete(request)
+    cache = ResponseCache(str(tmp_path))
+    assert cache.get(request) == replayed == ("recorded é", "length")
+    assert cache.stats().hits == 1
 
 
 def test_generate_second_call_hits_cache(tmp_path):
@@ -307,7 +330,7 @@ def run_writer(root, tag, n, *, start=0.0, linger=0.0):
     and lives ``linger`` seconds more."""
     code = (
         "import sys, time\n"
-        "from qasum.lm import CompletionRequest, ResponseCache, cache_key, make_entry\n"
+        "from qasum.lm import CompletionRequest, ResponseCache, cache_key\n"
         "root, tag, n, start, linger = sys.argv[1:]\n"
         "time.sleep(max(0.0, float(start) - time.time()))\n"
         "cache = ResponseCache(root)\n"
@@ -315,7 +338,7 @@ def run_writer(root, tag, n, *, start=0.0, linger=0.0):
         "    prompt = f'{tag} {i}'\n"
         "    key = cache_key('m1', prompt, 512, True, ())\n"
         "    request = CompletionRequest('m1', prompt, 512, True, (), key)\n"
-        "    cache.put(key, make_entry(request, f'completion {prompt}', 'stop'))\n"
+        "    cache.put(request, f'completion {prompt}', 'stop')\n"
         "print('done', flush=True)\n"
         "time.sleep(float(linger))\n"
     )
@@ -330,8 +353,7 @@ def run_writer(root, tag, n, *, start=0.0, linger=0.0):
 def assert_all_stored(root, tag, n):
     cache = ResponseCache(str(root))
     for i in range(n):
-        entry = cache.get(request_for(f"{tag} {i}"))
-        assert entry == {"completion": f"completion {tag} {i}", "finish_reason": "stop"}
+        assert cache.get(request_for(f"{tag} {i}")) == (f"completion {tag} {i}", "stop")
     assert cache.stats().hits == n
 
 
