@@ -188,21 +188,31 @@ def _type_name(hint) -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce or re-render one evaluation run."""
+    """Everything needed to reproduce or re-render one evaluation run. Every
+    count and mean it reports, its eval ids and parse counts too, is derived
+    from ``rows``."""
 
     config: dict
     rows: tuple[ScoreRow, ...]
     cache: CacheStats
     wall_clock_s: float
-    parse_counts: dict[str, int]
-    eval_ids: tuple[str, ...]
+
+    @property
+    def eval_ids(self) -> tuple[str, ...]:
+        """Each row's instance id once, sorted by id as the rows are."""
+        return tuple(sorted({row.id for row in self.rows}))
+
+    @property
+    def parse_counts(self) -> dict[str, int]:
+        """Rows per parse status, in ``PARSE_STATUSES`` order."""
+        statuses = [row.parse_status for row in self.rows]
+        return {status: statuses.count(status) for status in PARSE_STATUSES}
 
 
 def _row_to_dict(row: ScoreRow) -> dict:
     out = {
         "id": row.id,
         "method": row.method,
-        "model": row.model,
         "domain": row.domain,
         "k": row.k,
         "parse_status": row.parse_status,
@@ -219,13 +229,14 @@ def _row_from_dict(doc: dict) -> ScoreRow:
             raise TypeError(f"row {doc['id']!r}: {name} scores are not all numbers")
         return RougeScore(s["p"], s["r"], s["f1"])
 
-    labels = ("id", "method", "model", "domain", "parse_status")
+    labels = ("id", "method", "domain", "parse_status")
     if not all(isinstance(doc[key], str) for key in labels) or type(doc["k"]) is not int:
         raise TypeError(f"row {doc['id']!r}: {', '.join(labels)} must be strings and k an int")
+    if doc["parse_status"] not in PARSE_STATUSES:
+        raise ValueError(f"row {doc['id']!r}: unknown parse_status {doc['parse_status']!r}")
     return ScoreRow(
         id=doc["id"],
         method=doc["method"],
-        model=doc["model"],
         domain=doc["domain"],
         k=doc["k"],
         rouge1=score("rouge1"),
@@ -247,8 +258,6 @@ def save_manifest(manifest: RunManifest, path) -> None:
         "config": manifest.config,
         "cache": asdict(manifest.cache),
         "wall_clock_s": manifest.wall_clock_s,
-        "parse_counts": manifest.parse_counts,
-        "eval_ids": list(manifest.eval_ids),
     })
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ',"rows":[')
@@ -260,22 +269,22 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
-    """Read a ``save_manifest`` file; ValueError names a file of another shape."""
+    """Read a ``save_manifest`` file; ValueError names a file of another shape.
+    The ``parse_counts``, ``eval_ids`` and row ``model`` of older files are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not (isinstance(doc["config"], dict) and isinstance(doc["config"].get("lm", {}), dict)
-                and isinstance(doc["parse_counts"], dict) and doc["rows"]
-                and all(isinstance(i, str) for i in doc["eval_ids"])):
-            raise TypeError("config, config.lm and parse_counts must be objects, rows non-empty,"
-                            " eval_ids strings")
+                and doc["rows"]):
+            raise TypeError("config and config.lm must be objects, rows non-empty")
+        rows = tuple(_row_from_dict(r) for r in doc["rows"])
+        if len({(row.id, row.k) for row in rows}) < len(rows):
+            raise ValueError("two rows score the same (id, k)")
         return RunManifest(
             config=doc["config"],
-            rows=tuple(_row_from_dict(r) for r in doc["rows"]),
+            rows=rows,
             cache=CacheStats(**doc["cache"]),
             wall_clock_s=doc["wall_clock_s"],
-            parse_counts=doc["parse_counts"],
-            eval_ids=tuple(doc["eval_ids"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a run manifest ({type(exc).__name__}: {exc})") from exc
@@ -322,7 +331,6 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             " to the ICL pool, so eval_subsample has nothing to pick from"
         )
     instances = subsample_per_domain(split.eval_set, cfg.eval_subsample, cfg.seed, "eval")
-    eval_ids = [inst.id for inst in instances]
     domains = sorted({inst.domain for inst in instances})
 
     orderings: dict[str, tuple] = dict.fromkeys(domains, ())
@@ -407,7 +415,6 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
                 ScoreRow(
                     id=inst.id,
                     method=cfg.method,
-                    model=cfg.lm.model,
                     domain=inst.domain,
                     k=k,
                     rouge1=rouge1,
@@ -418,17 +425,11 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             )
     rows.sort(key=lambda r: (r.id, r.k))
 
-    parse_counts = {status: 0 for status in PARSE_STATUSES}
-    for row in rows:
-        parse_counts[row.parse_status] += 1
-
     manifest = RunManifest(
         config=cfg.snapshot(),
         rows=tuple(rows),
         cache=client.cache_stats(),
         wall_clock_s=time.monotonic() - started,
-        parse_counts=parse_counts,
-        eval_ids=tuple(eval_ids),
     )
 
     os.makedirs(out_dir, exist_ok=True)
@@ -472,7 +473,7 @@ def write_per_instance_csv(manifest: RunManifest, path) -> None:
 
 def write_aggregate_csv(manifest: RunManifest, group_by: tuple[str, ...], path) -> None:
     groups = aggregate(list(manifest.rows), group_by)
-    fields = [name for name, _ in groups[0].group] if groups else list(group_by)
+    fields = [name for name, _ in groups[0].group]
     _write_csv(
         path,
         [*fields, "n", *METRIC_COLUMNS],
@@ -489,19 +490,17 @@ def _manifest_label(manifest: RunManifest) -> str:
     return method
 
 
-def _mean_rouge_l(rows) -> float:
-    return sum(r.rougeL.f1 for r in rows) / len(rows)
-
-
 def run_compare(manifest_paths, out_path) -> list[dict]:
     """Side-by-side mean ROUGE-L with per-domain breakdown and % deltas
-    against the first manifest."""
+    against the first manifest. Each mean is over all of a manifest's rows
+    in its scope, pooling every k. Manifests whose rows cover different
+    (id, domain) pairs raise MismatchedEvalSets."""
     if len(manifest_paths) < 2:
         raise HarnessError("compare needs at least two manifests")
     manifests = [load_manifest(p) for p in manifest_paths]
-    base_ids = set(manifests[0].eval_ids)
+    base_pairs = {(r.id, r.domain) for r in manifests[0].rows}
     for m in manifests[1:]:
-        if set(m.eval_ids) != base_ids:
+        if {(r.id, r.domain) for r in m.rows} != base_pairs:
             raise MismatchedEvalSets("manifests evaluate different instance sets")
 
     raw = [_manifest_label(m) for m in manifests]
@@ -511,20 +510,14 @@ def run_compare(manifest_paths, out_path) -> list[dict]:
             label = f"{label}#{raw[: i + 1].count(label)}"
         labels.append(label)
 
-    domains = sorted({r.domain for r in manifests[0].rows})
-    scopes = ["overall"] + domains
-
-    def scope_rows(manifest, scope):
-        rows = manifest.rows if scope == "overall" else [r for r in manifest.rows if r.domain == scope]
-        return rows
+    # Every manifest has rows in every scope, so its groups line up with ``scopes``.
+    scopes = ["overall", *sorted({domain for _, domain in base_pairs})]
+    groups = [aggregate(list(m.rows), ()) + aggregate(list(m.rows), ("domain",)) for m in manifests]
 
     table = []
     cells = []
-    for scope in scopes:
-        means = []
-        for m in manifests:
-            rows = scope_rows(m, scope)
-            means.append(_mean_rouge_l(rows) if rows else 0.0)
+    for scope, *scope_groups in zip(scopes, *groups):
+        means = [g.rougeL.f1 for g in scope_groups]
         base = means[0]
         deltas = [(mean - base) / base * 100 if base > 0 else None for mean in means[1:]]
         table.append({"scope": scope, **dict(zip(labels, means)),
@@ -542,7 +535,6 @@ def run_report(manifest_path, out_dir) -> None:
     manifest = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     rows = list(manifest.rows)
-    method = manifest.config.get("method", "?")
     model = manifest.config.get("lm", {}).get("model", "?")
 
     by_method_k = aggregate(rows, ("method", "k"))
@@ -573,7 +565,7 @@ def run_report(manifest_path, out_dir) -> None:
     _write_csv(
         os.path.join(out_dir, "parse_summary.csv"),
         ["parse_status", "count"],
-        ([status, manifest.parse_counts.get(status, 0)] for status in PARSE_STATUSES),
+        manifest.parse_counts.items(),
     )
 
 

@@ -18,7 +18,7 @@ import re
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
-GROUP_FIELDS = ("method", "model", "domain", "k")
+GROUP_FIELDS = ("method", "domain", "k")
 
 
 class MetricError(Exception):
@@ -70,11 +70,11 @@ class RougeScore:
 
 @dataclass(frozen=True)
 class ScoreRow:
-    """Per-instance scores for one (method, model, k) evaluation cell."""
+    """One instance's scores in one (method, k) evaluation cell; the model
+    is the run's, recorded once in its config."""
 
     id: str
     method: str
-    model: str
     domain: str
     k: int
     rouge1: RougeScore

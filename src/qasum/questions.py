@@ -106,10 +106,13 @@ class RankingTable:
 def _utc_timestamp() -> str:
     # SOURCE_DATE_EPOCH pins the timestamp so reruns can be byte-identical.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(time.time())
-    return datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    try:
+        ts = int(epoch) if epoch else int(time.time())
+        moment = datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH: expected integer seconds in the supported"
+                         f" date range, got {epoch!r}") from None
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def answer_question(client: CompletionClient, article: str, question: QuestionSpec) -> str:
@@ -140,6 +143,8 @@ def rank_questions(
     if not instances:
         raise ValueError("instances must be non-empty")
     selected = subsample_per_domain(instances, subsample, seed, "rank")
+    # Read before any call is spent, so a bad SOURCE_DATE_EPOCH costs none.
+    created_at = _utc_timestamp()
 
     def score_one(job) -> float:
         inst, question = job
@@ -175,7 +180,7 @@ def rank_questions(
         model=client.config.model,
         seed=seed,
         subsample=subsample,
-        created_at=_utc_timestamp(),
+        created_at=created_at,
         domains=domains,
     )
 

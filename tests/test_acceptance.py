@@ -296,6 +296,47 @@ def test_criterion_constructed_separation(tmp_path, replay_dir):
     _pass("constructed-separation")
 
 
+# -- manifests written before eval ids and parse counts were derived ---------------
+
+
+def _in_older_layout(manifest_path, out_path):
+    """Copy an ``eval`` manifest into the layout that also stored its eval
+    ids and parse counts beside the rows, and the model in every row."""
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    statuses = [row["parse_status"] for row in doc["rows"]]
+    doc["parse_counts"] = {s: statuses.count(s) for s in (PARSE_OK, PARSE_FALLBACK, PARSE_FAILED)}
+    doc["eval_ids"] = sorted({row["id"] for row in doc["rows"]})
+    model = doc["config"]["lm"]["model"]
+    doc["rows"] = [{**row, "model": model} for row in doc["rows"]]
+    out_path.write_text(json.dumps(doc), encoding="utf-8")
+    return out_path
+
+
+def test_older_manifest_layout_renders_the_goldens(tmp_path, replay_dir):
+    config = _write_config(tmp_path, replay_dir, tmp_path / "cache")
+    ranking = tmp_path / "ranking.json"
+    assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--out", str(ranking)]) == 0
+    icl_dir, qa_dir = _run_evals(tmp_path, config, ranking, "cold")
+    qa_k2_dir = tmp_path / "qa-k2"
+    assert main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "qa", "--ranking", str(ranking), "--k", "2",
+                 "--out", str(qa_k2_dir)]) == 0
+    runs = {"icl": icl_dir, "qa": qa_dir, "qa-k2": qa_k2_dir}
+    older = {name: _in_older_layout(run_dir / "manifest.json", tmp_path / f"{name}.json")
+             for name, run_dir in runs.items()}
+    for name, path in older.items():
+        assert load_manifest(path) == load_manifest(runs[name] / "manifest.json")
+
+    report_dir = tmp_path / "report"
+    assert main(["report", str(older["qa"]), "--out", str(report_dir)]) == 0
+    for name in REPORT_FILES:
+        _assert_golden(report_dir / name, f"report_{name}")
+    out = tmp_path / "compare.csv"
+    assert main(["compare", str(older["icl"]), str(older["qa-k2"]), "--out", str(out)]) == 0
+    _assert_golden(out, "compare_icl_qa_k2.csv")
+
+
 # -- criterion: optional live smoke (not CI-gated) ------------------------------------
 
 

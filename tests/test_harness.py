@@ -552,20 +552,22 @@ def test_eval_subsample_is_stable(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    # The model name lands in the config and in every row; the writer keeps
-    # non-ASCII text as is, so it must still escape quotes, backslashes and
-    # newlines.
+    # The model name lands in the config; the writer keeps non-ASCII text
+    # as is, so it must still escape quotes, backslashes and newlines.
     model = 'modèle "α" \\ v2\nß'
     cfg = make_config(method="icl", cache_dir=tmp_path / "c", lm=make_lm_config(model=model))
     manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" the summary"))
     path = tmp_path / "manifest.json"
     loaded = load_manifest(path)
     assert loaded == manifest  # exact floats included
-    assert loaded.config["lm"]["model"] == model and loaded.rows[0].model == model
+    assert loaded.config["lm"]["model"] == model
     assert any(0 < row.rouge1.f1 < 1 for row in loaded.rows)
 
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    # Eval ids, parse counts and the model are not stored again beside the rows.
+    assert set(doc) == {"config", "cache", "wall_clock_s", "rows"}
+    assert all("model" not in row for row in doc["rows"])
     text = path.read_text(encoding="utf-8")
     assert "modèle" in text
     # One line of run fields, one line per row, one closing line.
@@ -591,7 +593,7 @@ def test_aggregates_recompute_from_rows(tmp_path):
 def manifest_with_mean(tmp_path, name, f1, method="icl", scope="domain_specific"):
     score = RougeScore(f1, f1, f1)
     rows = tuple(
-        ScoreRow(id=i, method=method, model="m", domain="News", k=0,
+        ScoreRow(id=i, method=method, domain="News", k=0,
                  rouge1=score, rouge2=score, rougeL=score, parse_status="ok")
         for i in ("x", "y")
     )
@@ -600,12 +602,23 @@ def manifest_with_mean(tmp_path, name, f1, method="icl", scope="domain_specific"
         rows=rows,
         cache=CacheStats(0, 0, 0),
         wall_clock_s=0.0,
-        parse_counts={"ok": 2, "fallback": 0, "failed": 0},
-        eval_ids=("x", "y"),
     )
     path = tmp_path / name
     save_manifest(manifest, path)
     return path
+
+
+def with_row_id_changed(manifest: RunManifest, index: int, new_id: str) -> RunManifest:
+    rows = list(manifest.rows)
+    rows[index] = dataclasses.replace(rows[index], id=new_id)
+    return dataclasses.replace(manifest, rows=tuple(rows))
+
+
+def older_layout(doc: dict, eval_ids, parse_counts) -> dict:
+    """``doc`` as manifests were once written: with stored ``eval_ids`` and
+    ``parse_counts`` beside the rows, and the model in every row."""
+    rows = [{**row, "model": doc["config"]["lm"]["model"]} for row in doc["rows"]]
+    return {**doc, "parse_counts": parse_counts, "eval_ids": list(eval_ids), "rows": rows}
 
 
 def test_compare_with_itself_is_zero_delta(tmp_path):
@@ -631,14 +644,32 @@ def test_compare_published_delta_formatting(tmp_path):
 def test_compare_mismatched_eval_sets(tmp_path):
     a = manifest_with_mean(tmp_path, "a.json", 0.5)
     b_path = tmp_path / "b.json"
-    b = load_manifest(a)
-    mismatched = RunManifest(
-        config=b.config, rows=b.rows, cache=b.cache, wall_clock_s=0.0,
-        parse_counts=b.parse_counts, eval_ids=("x", "z"),
-    )
-    save_manifest(mismatched, b_path)
+    save_manifest(with_row_id_changed(load_manifest(a), 1, "z"), b_path)
     with pytest.raises(MismatchedEvalSets):
         run_compare([a, b_path], tmp_path / "cmp.csv")
+
+
+def test_compare_averages_each_scope_over_its_rows_pooling_k(tmp_path):
+    cells = [("x", "News", 0), ("y", "Reviews", 0), ("x", "News", 1), ("y", "Reviews", 1)]
+
+    def manifest(name, method, f1s):
+        scores = [RougeScore(f1, f1, f1) for f1 in f1s]
+        rows = tuple(ScoreRow(id=i, method=method, domain=domain, k=k, rouge1=s, rouge2=s,
+                              rougeL=s, parse_status="ok")
+                     for (i, domain, k), s in zip(cells, scores))
+        save_manifest(RunManifest(config={"method": method, "lm": {"model": "m"}}, rows=rows,
+                                  cache=CacheStats(0, 0, 0), wall_clock_s=0.0), tmp_path / name)
+        return tmp_path / name
+
+    a = manifest("a.json", "icl", [0.2, 0.4, 0.2, 0.4])
+    b = manifest("b.json", "qa", [0.3, 0.5, 0.1, 0.7])
+    run_compare([a, b], tmp_path / "cmp.csv")
+    assert (tmp_path / "cmp.csv").read_text().splitlines() == [
+        "scope,icl,qa-ds,delta_qa-ds",
+        "overall,30.00,40.00,+33.3%",
+        "News,20.00,20.00,+0.0%",
+        "Reviews,40.00,60.00,+50.0%",
+    ]
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -953,13 +984,14 @@ def bad_manifests(tmp_path):
         "row-list": {**doc, "rows": [[1]]},
         "string-score": {**doc, "rows": [{**row, "rougeL": {"p": "1", "r": 1, "f1": 1}}]},
         "int-domain": {**doc, "rows": [{**row, "domain": 7}]},
-        "list-eval-id": {**doc, "eval_ids": [["x"]]},
+        "unknown-status": {**doc, "rows": [{**row, "parse_status": "bogus"}]},
+        "repeated-row": {**doc, "rows": [*doc["rows"], row]},
     }
 
 
 @pytest.mark.parametrize("name", ["no-config", "lm-not-an-object", "empty-object", "list",
                                   "no-rows", "row-list", "string-score", "int-domain",
-                                  "list-eval-id", "not-json"])
+                                  "unknown-status", "repeated-row", "not-json"])
 def test_cli_bad_manifest_exit_code(tmp_path, capsys, name):
     good = manifest_with_mean(tmp_path, "good.json", 0.5)
     bad = tmp_path / "bad.json"
@@ -1098,14 +1130,55 @@ def test_cli_qa_without_ranking_exit_code(tmp_path, replay_dir):
 
 def test_cli_compare_mismatch_exit_code(tmp_path):
     a = manifest_with_mean(tmp_path, "a.json", 0.5)
-    b = load_manifest(a)
-    mismatched = RunManifest(
-        config=b.config, rows=b.rows, cache=b.cache, wall_clock_s=0.0,
-        parse_counts=b.parse_counts, eval_ids=("x", "z"),
-    )
-    save_manifest(mismatched, tmp_path / "b.json")
+    save_manifest(with_row_id_changed(load_manifest(a), 1, "z"), tmp_path / "b.json")
     code = main(["compare", str(a), str(tmp_path / "b.json"), "--out", str(tmp_path / "c.csv")])
     assert code == 8
+
+
+@pytest.mark.parametrize("case", ["fewer-rows", "other-domain"])
+def test_cli_compare_checks_the_rows_not_stored_eval_ids(tmp_path, capsys, case):
+    # Both manifests store the same eval ids, but b's rows cover fewer
+    # instances, or the same ids under another domain.
+    a = manifest_with_mean(tmp_path, "a.json", 0.5)
+    doc = json.loads(a.read_text())
+    rows = doc["rows"][:1] if case == "fewer-rows" else [
+        {**row, "domain": "Reviews"} for row in doc["rows"]]
+    counts = {"ok": len(rows), "fallback": 0, "failed": 0}
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(older_layout({**doc, "rows": rows}, ("x", "y"), counts)))
+    out = tmp_path / "c.csv"
+    assert main(["compare", str(a), str(b), "--out", str(out)]) == 8
+    assert capsys.readouterr().err == (
+        "mismatched eval sets: manifests evaluate different instance sets\n")
+    assert not out.exists()
+
+
+def test_cli_report_counts_parse_statuses_from_rows(tmp_path):
+    doc = json.loads(manifest_with_mean(tmp_path, "a.json", 0.5).read_text())
+    doc["rows"][1]["parse_status"] = "fallback"
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(older_layout(doc, ("x", "y"), {"ok": 0, "failed": 99})))
+    assert main(["report", str(stale), "--out", str(tmp_path / "report")]) == 0
+    assert (tmp_path / "report" / "parse_summary.csv").read_text() == (
+        "parse_status,count\nok,1\nfallback,1\nfailed,0\n")
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999"])
+def test_rank_refuses_a_bad_source_date_epoch_before_any_call(tmp_path, replay_dir, monkeypatch,
+                                                              capsys, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "ranking.json"
+    backend = StubBackend(reply=" an answer")
+    with pytest.raises(ValueError, match="^SOURCE_DATE_EPOCH: "):
+        run_rank(make_config(cache_dir=tmp_path / "c"), out, backend=backend)
+    assert backend.requests == []
+    assert not out.exists()
+
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: SOURCE_DATE_EPOCH: ")
+    assert not out.exists()
 
 
 def test_cli_corpus_error_exit_code(tmp_path, replay_dir):

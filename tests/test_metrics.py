@@ -358,7 +358,7 @@ def test_f1_is_monotone_in_precision_and_recall(p1, r1, dp, dr):
 def make_row(id_, domain="News", k=0, f1=0.5, method="icl"):
     s = RougeScore(f1, f1, f1)
     return ScoreRow(
-        id=id_, method=method, model="m", domain=domain, k=k,
+        id=id_, method=method, domain=domain, k=k,
         rouge1=s, rouge2=s, rougeL=s, parse_status="ok",
     )
 
