@@ -1,9 +1,12 @@
 """Command-line entry points: rank, eval, compare, report.
 
-Exit codes: 2 usage (argparse), 3 corpus errors, 4 backend unreachable,
-redirecting (3xx) or refusing every request (401/403/404/405), 5 rate
-limited, 6 replay fixture gap, 7 ranking/config errors, 8 mismatched eval
-sets, 1 anything else, among them a response store that is not a database.
+Exit codes, one exception class each: 2 usage (argparse); 3 CorpusError,
+a corpus record, group or ICL pool that cannot be used; 4
+BackendUnreachable, among them an endpoint that redirects (3xx) or refuses
+every request (401/403/404/405); 5 RateLimited; 6 ReplayMiss, a replay
+fixture gap; 7 RankingError, a ranking that cannot drive the run; 8
+MismatchedEvalSets; 1 anything else: a bad config or other ValueError,
+OSError, CacheError (a response store that is not a database) and LmError.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import sys
 
 from .corpus import CorpusError
 from .harness import (
-    HarnessError,
     MismatchedEvalSets,
     config_from_file,
     run_compare,
@@ -141,7 +143,7 @@ def main(argv=None) -> int:
     except MismatchedEvalSets as exc:
         print(f"mismatched eval sets: {exc}", file=sys.stderr)
         return 8
-    except (CacheError, HarnessError, LmError, ValueError, OSError) as exc:
+    except (CacheError, LmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

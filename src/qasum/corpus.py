@@ -23,42 +23,6 @@ class CorpusError(Exception):
     pass
 
 
-class MalformedRecord(CorpusError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-
-
-class DuplicateId(CorpusError):
-    def __init__(self, instance_id: str, line_no: int):
-        super().__init__(f"line {line_no}: duplicate id {instance_id!r}")
-        self.instance_id = instance_id
-
-
-class UnknownDomain(CorpusError):
-    def __init__(self, name: str, line_no: int | None = None):
-        at = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{at}unknown domain {name!r}")
-        self.name = name
-
-
-class GroupTooSmall(CorpusError):
-    def __init__(self, domain: str, task: str, size: int):
-        super().__init__(f"group ({domain!r}, {task!r}) has {size} instance(s); need >= 2")
-        self.domain = domain
-        self.task = task
-
-
-class InsufficientPool(CorpusError):
-    def __init__(self, domain: str, task: str, available: int, requested: int):
-        super().__init__(
-            f"ICL pool for ({domain!r}, {task!r}) has {available} instance(s); requested {requested}"
-        )
-        self.available = available
-        self.requested = requested
-
-
 @dataclass(frozen=True)
 class TaskInstance:
     """One summarization task: an article and its reference summary."""
@@ -87,16 +51,16 @@ class Corpus:
 
 def _validate_record(obj: object, line_no: int) -> None:
     if not isinstance(obj, dict):
-        raise MalformedRecord(line_no, "record is not a JSON object")
+        raise CorpusError(f"line {line_no}: record is not a JSON object")
     missing = [f for f in RECORD_FIELDS if f not in obj]
     if missing:
-        raise MalformedRecord(line_no, f"missing field(s): {', '.join(missing)}")
+        raise CorpusError(f"line {line_no}: missing field(s): {', '.join(missing)}")
     extra = sorted(set(obj) - set(RECORD_FIELDS))
     if extra:
-        raise MalformedRecord(line_no, f"unexpected field(s): {', '.join(extra)}")
+        raise CorpusError(f"line {line_no}: unexpected field(s): {', '.join(extra)}")
     for f in RECORD_FIELDS:
         if not isinstance(obj[f], str):
-            raise MalformedRecord(line_no, f"field {f!r} is not a string")
+            raise CorpusError(f"line {line_no}: field {f!r} is not a string")
 
 
 def _reject_surrogates(rec: dict, line_no: int) -> None:
@@ -106,7 +70,7 @@ def _reject_surrogates(rec: dict, line_no: int) -> None:
         try:
             rec[f].encode("utf-8")
         except UnicodeEncodeError:
-            raise MalformedRecord(line_no, f"field {f!r} holds a lone surrogate") from None
+            raise CorpusError(f"line {line_no}: field {f!r} holds a lone surrogate") from None
 
 
 def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
@@ -122,7 +86,7 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+                    raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
                 # The common well-formed record passes in one check; anything
                 # else goes to _validate_record, which names what is wrong.
                 if not (type(rec) is dict and rec.keys() == _RECORD_KEYS
@@ -132,13 +96,13 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
                 if not all(map(str.isascii, rec.values())):
                     _reject_surrogates(rec, line_no)
                 if rec["id"] in seen:
-                    raise DuplicateId(rec["id"], line_no)
+                    raise CorpusError(f"line {line_no}: duplicate id {rec['id']!r}")
                 if rec["domain"] not in domains:
-                    raise UnknownDomain(rec["domain"], line_no)
+                    raise CorpusError(f"line {line_no}: unknown domain {rec['domain']!r}")
                 if not has_tokens(rec["article"]):
-                    raise MalformedRecord(line_no, "article is empty after tokenization")
+                    raise CorpusError(f"line {line_no}: article is empty after tokenization")
                 if not has_tokens(rec["reference"]):
-                    raise MalformedRecord(line_no, "reference is empty after tokenization")
+                    raise CorpusError(f"line {line_no}: reference is empty after tokenization")
                 seen.add(rec["id"])
                 instances.append(TaskInstance(**rec))
     except UnicodeDecodeError:
@@ -152,8 +116,8 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
         except UnicodeDecodeError as exc:
             head = data[: exc.start]  # lines end at \r\n, \r or \n, as the reader counts
             line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise MalformedRecord(
-                line_no, f"invalid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+            raise CorpusError(
+                f"line {line_no}: invalid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
             ) from None
         raise  # the file changed between the two reads
     return Corpus(instances=tuple(instances))
@@ -183,7 +147,8 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
     eval_set: list[TaskInstance] = []
     for (domain, task), members in sorted(corpus.groups().items()):
         if len(members) < 2:
-            raise GroupTooSmall(domain, task, len(members))
+            raise CorpusError(
+                f"group ({domain!r}, {task!r}) has {len(members)} instance(s); need >= 2")
         members = sorted(members, key=lambda i: i.id)
         rng = _group_rng(seed, domain, task)
         shuffled = rng.sample(members, len(members))
@@ -225,5 +190,6 @@ def sample_icl_examples(
         raise ValueError("count must be >= 1")
     pool = [i for i in split.icl_pool if i.domain == domain and i.task == task]
     if len(pool) < count:
-        raise InsufficientPool(domain, task, len(pool), count)
+        raise CorpusError(
+            f"ICL pool for ({domain!r}, {task!r}) has {len(pool)} instance(s); requested {count}")
     return _group_rng(seed, "icl", domain, task).sample(pool, count)

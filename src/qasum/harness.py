@@ -24,7 +24,6 @@ from .prompting import IclExample, PARSE_FAILED, ParsedOutput, build_qa_prompt, 
 from .questions import (
     RankingError,
     RankingTable,
-    UnknownRankingDomain,
     answer_question,
     ensure_model,
     global_ranking,
@@ -42,11 +41,7 @@ _LM_FIELDS = frozenset(f.name for f in fields(LmConfig))
 METRIC_COLUMNS = ("r1_p", "r1_r", "r1_f", "r2_p", "r2_r", "r2_f", "rl_p", "rl_r", "rl_f")
 
 
-class HarnessError(Exception):
-    pass
-
-
-class MismatchedEvalSets(HarnessError):
+class MismatchedEvalSets(Exception):
     pass
 
 
@@ -75,14 +70,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown scope {self.scope!r}")
         if not self.k_values:
             raise ValueError("k_values: must list at least one k")
+        if self.icl_examples < 1:
+            raise ValueError("icl_examples: must be >= 1")
         bad = [k for k in self.k_values if not 0 <= k <= 10]
         if bad:
             raise ValueError(f"k values outside [0, 10]: {bad}")
         for key in ("eval_subsample", "rank_subsample"):
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ValueError(f"{key}: must be >= 1 (null means every instance)")
-        if self.domains is not None and len(set(self.domains)) != len(self.domains):
-            raise ValueError("domains: names must be unique")
+        if self.domains is not None:
+            if not self.domains:
+                raise ValueError("domains: must list at least one domain")
+            if len(set(self.domains)) != len(self.domains):
+                raise ValueError("domains: names must be unique")
 
     def snapshot(self) -> dict:
         """The config as a manifest stores it: JSON values, tuples as lists,
@@ -355,7 +355,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     questions: dict[tuple[str, int], list] = {}
     for domain in domains:
         if domain not in orderings:
-            raise UnknownRankingDomain(f"domain {domain!r} not present in ranking table")
+            raise RankingError(f"domain {domain!r} not present in ranking table")
         for k in k_values:
             questions[domain, k] = top_k(orderings[domain], k)
 
@@ -496,7 +496,7 @@ def run_compare(manifest_paths, out_path) -> list[dict]:
     in its scope, pooling every k. Manifests whose rows cover different
     (id, domain) pairs raise MismatchedEvalSets."""
     if len(manifest_paths) < 2:
-        raise HarnessError("compare needs at least two manifests")
+        raise ValueError("compare needs at least two manifests")
     manifests = [load_manifest(p) for p in manifest_paths]
     base_pairs = {(r.id, r.domain) for r in manifests[0].rows}
     for m in manifests[1:]:
@@ -571,7 +571,6 @@ def run_report(manifest_path, out_dir) -> None:
 
 __all__ = [
     "ExperimentConfig",
-    "HarnessError",
     "MismatchedEvalSets",
     "RunManifest",
     "config_from_dict",

@@ -21,18 +21,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 GROUP_FIELDS = ("method", "domain", "k")
 
 
-class MetricError(Exception):
-    pass
-
-
-class EmptyAnswer(MetricError):
-    """Answer text tokenizes to nothing; callers map this to score 0."""
-
-
-class EmptyInput(MetricError):
-    pass
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split on maximal runs of non-alphanumerics.
 
@@ -88,11 +76,12 @@ def overlap_precision(answer: str, reference: str) -> float:
 
     Each word's count is clipped at its count in the reference, so
     repeating a reference word is not rewarded, and the matched count is
-    divided by the answer's total word count.
+    divided by the answer's total word count. An answer with no words
+    scores 0.
     """
     answer_tokens = tokenize(answer)
     if not answer_tokens:
-        raise EmptyAnswer("answer has no tokens")
+        return 0.0
     matched = _clipped_matches(Counter(answer_tokens), Counter(tokenize(reference)))
     return matched / len(answer_tokens)
 
@@ -221,10 +210,10 @@ def aggregate(rows: list[ScoreRow], group_by: tuple[str, ...]) -> list[Aggregate
     """Arithmetic mean of every metric component per group.
 
     ``group_by`` is any subset of ``GROUP_FIELDS``; groups come out in
-    deterministic sorted order. Raises EmptyInput on an empty row list.
+    deterministic sorted order. Raises ValueError on an empty row list.
     """
     if not rows:
-        raise EmptyInput("no rows to aggregate")
+        raise ValueError("no rows to aggregate")
     fields = tuple(f for f in GROUP_FIELDS if f in group_by)
     unknown = set(group_by) - set(GROUP_FIELDS)
     if unknown:

@@ -34,18 +34,6 @@ PARSE_FALLBACK = "fallback"
 PARSE_FAILED = "failed"
 
 
-class PromptError(Exception):
-    pass
-
-
-class AnswerCountMismatch(PromptError):
-    def __init__(self, example_index: int, expected: int, got: int):
-        super().__init__(
-            f"ICL example {example_index} supplies {got} answer(s); prompt has {expected} question(s)"
-        )
-        self.example_index = example_index
-
-
 @dataclass(frozen=True)
 class IclExample:
     """A completed example block: article, reference summary, and (for qa
@@ -86,14 +74,16 @@ def build_qa_prompt(
     """Render the summarization prompt: answer the questions, then summarize.
 
     Questions must already be ordered best-first; each ICL example must
-    carry exactly one answer per question. With no questions this is the
-    plain summarization prompt under the zero-shot instruction: vanilla
-    with no examples, icl with them.
+    carry exactly one answer per question, or ValueError names the first
+    that does not. With no questions this is the plain summarization
+    prompt under the zero-shot instruction: vanilla with no examples, icl
+    with them.
     """
     k = len(questions)
     for idx, ex in enumerate(icl_examples):
         if len(ex.answers) != k:
-            raise AnswerCountMismatch(idx, k, len(ex.answers))
+            raise ValueError(f"ICL example {idx} supplies {len(ex.answers)} answer(s);"
+                             f" prompt has {k} question(s)")
     if k == 0:
         blocks = [
             f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."

@@ -19,31 +19,12 @@ import time
 
 from .corpus import subsample_per_domain
 from .lm import CompletionClient
-from .metrics import EmptyAnswer, overlap_precision
+from .metrics import overlap_precision
 from .prompting import build_single_qa
 
 
 class RankingError(Exception):
     pass
-
-
-class KOutOfRange(RankingError):
-    pass
-
-
-class UnknownRankingDomain(RankingError):
-    pass
-
-
-class ModelMismatch(RankingError):
-    pass
-
-
-class EmptyRankingCell(RankingError):
-    def __init__(self, domain: str, key: str):
-        super().__init__(f"no successful answers for question {key!r} in domain {domain!r}")
-        self.domain = domain
-        self.key = key
 
 
 @dataclass(frozen=True)
@@ -136,7 +117,7 @@ def rank_questions(
     prompt; the answer's overlap precision against the reference is
     averaged per (domain, question). Empty answers score 0; transient
     per-call failures are excluded from the mean (a cell with no
-    successes at all raises EmptyRankingCell), while an unreachable or
+    successes at all raises RankingError), while an unreachable or
     rate-limiting backend and replay gaps (``FATAL_LM_ERRORS``) abort the
     ranking. Sorting is by descending mean with ties broken by bank order.
     """
@@ -148,11 +129,7 @@ def rank_questions(
 
     def score_one(job) -> float:
         inst, question = job
-        answer = answer_question(client, inst.article, question)
-        try:
-            return overlap_precision(answer, inst.reference)
-        except EmptyAnswer:
-            return 0.0
+        return overlap_precision(answer_question(client, inst.article, question), inst.reference)
 
     jobs = [(inst, q) for inst in selected for q in _BANK]
     cells: dict[tuple[str, str], list[tuple[str, float]]] = {}
@@ -163,13 +140,14 @@ def rank_questions(
 
     domains: dict[str, tuple[RankedQuestion, ...]] = {}
     # Domains come from the input, not the sample, so an empty sample still
-    # raises EmptyRankingCell.
+    # raises RankingError.
     for domain in sorted({inst.domain for inst in instances}):
         ranked = []
         for question in _BANK:
             samples = cells.get((domain, question.key), [])
             if not samples:
-                raise EmptyRankingCell(domain, question.key)
+                raise RankingError(f"no successful answers for question {question.key!r}"
+                                   f" in domain {domain!r}")
             # Sum in id order so the float total is reproducible.
             total = sum(score for _, score in sorted(samples))
             ranked.append(RankedQuestion(question.key, total / len(samples), len(samples)))
@@ -214,14 +192,14 @@ def top_k(ordering: tuple[RankedQuestion, ...], k: int) -> list[QuestionSpec]:
     ``RankingTable`` or the ``global_ranking`` of one."""
     limit = min(10, len(ordering))
     if not 0 <= k <= limit:
-        raise KOutOfRange(f"k={k} outside [0, {limit}]")
+        raise RankingError(f"k={k} outside [0, {limit}]")
     return [_BY_KEY[r.key] for r in ordering[:k]]
 
 
 def ensure_model(table: RankingTable, model: str, *, allow_mismatch: bool = False) -> None:
     """Rankings are model-specific; refuse cross-model use unless overridden."""
     if table.model != model and not allow_mismatch:
-        raise ModelMismatch(
+        raise RankingError(
             f"ranking was computed for model {table.model!r}, run uses {model!r} "
             '(set "allow_model_mismatch": true in the config file to proceed anyway)'
         )

@@ -52,7 +52,6 @@ from qasum.questions import (
     RankedQuestion,
     RankingError,
     RankingTable,
-    UnknownRankingDomain,
     builtin_bank,
     load_ranking,
     save_ranking,
@@ -119,7 +118,9 @@ def test_config_rejects_a_subsample_below_one(key, count):
 def test_config_rejects_duplicate_domains():
     with pytest.raises(ValueError, match="^domains: names must be unique$"):
         config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": ["News", "News"]})
-    assert config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": []}).domains == ()
+    with pytest.raises(ValueError, match="^domains: must list at least one domain$"):
+        config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": []})
+    assert config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}}).domains is None
 
 
 def test_config_rejects_every_unknown_key_at_both_levels():
@@ -453,7 +454,7 @@ def test_eval_ranking_without_an_eval_domain(tmp_path, capsys):
     backend = StubBackend(reply=qa_reply)
     cfg = make_config(method="qa", corpus=str(corpus), k_values=(1, 2), ranking=ranking,
                       cache_dir=tmp_path / "c")
-    with pytest.raises(UnknownRankingDomain, match="'Reviews'"):
+    with pytest.raises(RankingError, match="^domain 'Reviews' not present in ranking table$"):
         run_eval(cfg, tmp_path / "ds", backend=backend)
     assert backend.requests == []
     assert not (tmp_path / "ds").exists()
@@ -943,6 +944,61 @@ def test_cli_eval_duplicate_domains_exit_code(tmp_path, replay_dir, capsys):
     out_dir = tmp_path / "run"
     assert run_eval_with(replay_dir, "domains", ["News", "News"], out_dir) == 1
     assert capsys.readouterr().err == "error: domains: names must be unique\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("method", ["vanilla", "icl", "qa"])
+@pytest.mark.parametrize("key, value, message", [
+    ("icl_examples", 0, "icl_examples: must be >= 1"),
+    ("icl_examples", -5, "icl_examples: must be >= 1"),
+    ("domains", [], "domains: must list at least one domain"),
+])
+def test_cli_eval_refused_config_value_exit_code(tmp_path, replay_dir, capsys, method, key, value,
+                                                 message):
+    out_dir = tmp_path / "run"
+    assert run_eval_with(replay_dir, key, value, out_dir, method) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def refused_eval_args(tmp_path, case) -> list[str]:
+    """``qasum eval`` arguments, short of ``--config`` and ``--out``, for
+    an input each ``REFUSED_EVALS`` case names."""
+    corpus, ranking = tmp_path / "corpus.jsonl", tmp_path / "ranking.json"
+    lines = CORPUS_PATH.read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus.write_text("".join(lines[:5] if case == "group-of-one" else lines), encoding="utf-8")
+    if case == "model-mismatch":
+        synthetic_ranking(ranking, model="other")
+    else:  # two questions per domain
+        save_ranking(RankingTable(model=MODEL, seed=0, subsample=None, created_at="t", domains={
+            d: (RankedQuestion("topic", 0.5, 1), RankedQuestion("tone", 0.4, 1))
+            for d in ("Dialogue", "News", "Reviews")}), ranking)
+    args = {"model-mismatch": ["--method", "qa", "--k", "1"],
+            "group-of-one": ["--method", "icl"],
+            "short-pool": ["--method", "icl", "--icl-n", "2"],
+            "short-ranking": ["--method", "qa", "--k", "3"]}[case]
+    return ["eval", "--corpus", str(corpus), "--ranking", str(ranking), *args]
+
+
+REFUSED_EVALS = {
+    "model-mismatch": (7, "ranking error: ranking was computed for model 'other', run uses "
+                          "'scripted-1' (set \"allow_model_mismatch\": true in the config file"
+                          " to proceed anyway)\n"),
+    "group-of-one": (3, "corpus error: group ('Reviews', 'amazon_food') has 1 instance(s);"
+                        " need >= 2\n"),
+    "short-pool": (3, "corpus error: ICL pool for ('Dialogue', 'samsum') has 1 instance(s);"
+                      " requested 2\n"),
+    "short-ranking": (7, "ranking error: k=3 outside [0, 2]\n"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_EVALS)
+def test_cli_eval_refused_input_exit_code(tmp_path, replay_dir, capsys, case):
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    out_dir = tmp_path / "run"
+    code = main([*refused_eval_args(tmp_path, case), "--config", str(config),
+                 "--out", str(out_dir)])
+    assert (code, capsys.readouterr().err) == REFUSED_EVALS[case]
     assert not out_dir.exists()
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from conftest import PROMPT_GOLDEN_DIR, StubBackend, make_lm_config
 from qasum.lm import CompletionClient
 from qasum.prompting import (
-    AnswerCountMismatch,
     IclExample,
     PARSE_FAILED,
     PARSE_FALLBACK,
@@ -110,7 +109,7 @@ def test_icl_example_carries_reference_verbatim():
 
 
 def test_answer_count_mismatch():
-    with pytest.raises(AnswerCountMismatch):
+    with pytest.raises(ValueError, match="^ICL example 0 supplies 1 answer"):
         build_qa_prompt(
             TARGET_ARTICLE, QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:1])]
         )

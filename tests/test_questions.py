@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -10,10 +11,8 @@ from conftest import StubBackend
 from qasum.corpus import TaskInstance
 from qasum.lm import CompletionClient, LmConfig, LmError
 from qasum.questions import (
-    EmptyRankingCell,
-    KOutOfRange,
-    ModelMismatch,
     RankedQuestion,
+    RankingError,
     RankingTable,
     builtin_bank,
     ensure_model,
@@ -148,7 +147,7 @@ def test_rank_errors_when_cell_has_no_successes(tmp_path):
     config = LmConfig(model="m1", backend="replay")
     client = CompletionClient(config, cache_dir=str(tmp_path / "c"),
                               backend=FlakyBackend("article i1"))
-    with pytest.raises(EmptyRankingCell):
+    with pytest.raises(RankingError, match="^no successful answers for question 'topic' "):
         rank_questions(client, [instance("i1")])
 
 
@@ -164,7 +163,7 @@ def test_rank_subsample_is_seeded_and_recorded(tmp_path):
 
 def test_rank_subsample_of_zero_leaves_every_cell_empty(tmp_path):
     client = stub_client("alpha beta gamma delta", tmp_path)
-    with pytest.raises(EmptyRankingCell):
+    with pytest.raises(RankingError, match="^no successful answers for question 'topic' "):
         rank_questions(client, [instance("i1")], subsample=0)
 
 
@@ -204,9 +203,9 @@ def test_top_k_zero_is_empty():
 
 def test_top_k_out_of_range():
     table = table_from_ranks(MISTRAL_NEWS_RANKS)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(RankingError, match=re.escape("k=11 outside [0, 10]")):
         top_k(table.domains["News"], 11)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(RankingError, match=re.escape("k=-1 outside [0, 10]")):
         top_k(table.domains["News"], -1)
 
 
@@ -285,7 +284,7 @@ def test_save_load_round_trip(tmp_path):
 def test_ensure_model_guard():
     table = two_domain_table()
     ensure_model(table, "m1")
-    with pytest.raises(ModelMismatch):
+    with pytest.raises(RankingError, match="^ranking was computed for model 'm1', run uses"):
         ensure_model(table, "other")
     ensure_model(table, "other", allow_mismatch=True)
 
