@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,39 @@ def test_tokenize_keeps_digits():
 
 def test_tokenize_underscore_is_a_separator():
     assert tokenize("snake_case") == ["snake", "case"]
+
+
+def tokenize_oracle(text):
+    """The tokenizer's definition: maximal runs of [^\\W_] in the lowercased text."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+def test_tokenize_is_the_regex_on_every_ascii_character():
+    ascii_chars = [chr(cp) for cp in range(128)]
+    texts = ascii_chars + [f"a{c}B" for c in ascii_chars]
+    assert [t for t in texts if tokenize(t) != tokenize_oracle(t)] == []
+
+
+@given(st.text(st.characters(max_codepoint=127)))
+def test_tokenize_is_the_regex_on_ascii_text(text):
+    assert tokenize(text) == tokenize_oracle(text)
+
+
+@given(st.text())
+def test_tokenize_is_the_regex_on_any_text(text):
+    assert tokenize(text) == tokenize_oracle(text)
+
+
+# "_" is a word character but no token character; \x1c-\x1f are separators
+# that str.split treats as whitespace; İ lowercases to two code points; ² is
+# alphanumeric but no decimal digit; ’ and NBSP are the non-ASCII separators
+# of typographic text.
+@pytest.mark.parametrize("text", [
+    "_", "a_b", "\x1c", "a\x1cb\x1dc\x1ed\x1ff", "İstanbul", "x² + y²", "don’t stop", "a\xa0b",
+    "Café’s \x1cİ_x²",
+])
+def test_tokenize_is_the_regex_on_named_cases(text):
+    assert tokenize(text) == tokenize_oracle(text)
 
 
 @given(st.text())
@@ -246,6 +280,27 @@ def test_lcs_matches_dp_oracle(pair):
     a, b = pair
     assert lcs_length(a, b) == lcs_dp(a, b)
     assert lcs_length(a, b, lcs_masks(b)) == lcs_length(a, b)
+
+
+@st.composite
+def lcs_pairs_with_foreign_tokens(draw):
+    """Pairs where ``a`` also holds tokens that ``b`` never has, so the
+    kernel meets tokens without a mask."""
+    alphabet = draw(lcs_alphabets)
+    foreign = ("x", "y", "zz")
+    a = draw(st.lists(st.sampled_from(alphabet + foreign), max_size=200))
+    b = draw(st.lists(st.sampled_from(alphabet), max_size=200))
+    return a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(lcs_pairs_with_foreign_tokens())
+def test_lcs_skips_tokens_the_reference_lacks(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_dp(a, b)
+    assert lcs_length(a, b, lcs_masks(b)) == lcs_dp(a, b)
+    in_b = set(b)
+    assert lcs_length(a, b) == lcs_length([t for t in a if t in in_b], b)
 
 
 # CPython stores ints in 30-bit digits; 64 and 128 are machine-word sizes.
