@@ -16,7 +16,8 @@ from .corpus import (
 )
 from .harness import ExperimentConfig, RunManifest, run_compare, run_eval, run_rank, run_report
 from .lm import CompletionClient, Generation, LmConfig, compute_max_tokens
-from .metrics import RougeScore, ScoreRow, aggregate, overlap_precision, rouge_l, rouge_n, tokenize
+from .metrics import (Reference, RougeScore, ScoreRow, aggregate, overlap_precision, rouge_scores,
+                      tokenize)
 from .prompting import (
     IclExample,
     ParsedOutput,
@@ -50,6 +51,7 @@ __all__ = [
     "PromptBundle",
     "QuestionSpec",
     "RankingTable",
+    "Reference",
     "RougeScore",
     "RunManifest",
     "ScoreRow",
@@ -65,8 +67,7 @@ __all__ = [
     "overlap_precision",
     "parse_output",
     "rank_questions",
-    "rouge_l",
-    "rouge_n",
+    "rouge_scores",
     "run_compare",
     "run_eval",
     "run_rank",

@@ -72,6 +72,9 @@ class ExperimentConfig:
             raise ValueError("k_values: must list at least one k")
         if self.icl_examples < 1:
             raise ValueError("icl_examples: must be >= 1")
+        if self.replay_dir is not None and self.lm.backend != "replay":
+            raise ValueError(f"replay_dir: set, but lm.backend is {self.lm.backend!r};"
+                             ' replay_dir needs lm.backend "replay"')
         bad = [k for k in self.k_values if not 0 <= k <= 10]
         if bad:
             raise ValueError(f"k values outside [0, 10]: {bad}")

@@ -1,15 +1,15 @@
-"""Text-overlap metrics: tokenizer, answer overlap precision, ROUGE-1/2/L, aggregation.
+"""Text-overlap metrics: tokenizer, ROUGE-1/2/L, answer overlap precision, aggregation.
 
-All functions are pure. The public ROUGE functions take plain strings,
-except ``rouge_scores``, which takes a candidate's tokens and a Reference
-prepared once, so ``eval`` tokenizes each reference and each summary once.
-``overlap_precision`` takes plain strings, so ``rank`` tokenizes an
-instance's reference once per bank question. Scores are stored as
-fractions in [0, 1] and rendered x100 only at the reporting layer.
+All functions are pure. Every score is taken on a candidate's tokens
+against a ``Reference``: a reference summary tokenized once, with the
+counts and LCS masks that scoring reads. So ``eval`` and ``rank`` each
+tokenize a reference once per instance and each candidate once. Scores
+are stored as fractions in [0, 1] and rendered x100 only at the
+reporting layer.
 
-ROUGE-N and answer overlap both clip n-gram counts (Lin 2004). Their
-counters key unigrams by the token itself and n-grams for n >= 2 by a
-tuple of n tokens.
+ROUGE-N clips n-gram counts (Lin 2004), and answer overlap precision is
+ROUGE-1 precision. Counters key unigrams by the token itself and bigrams
+by a 2-tuple of tokens.
 """
 
 from __future__ import annotations
@@ -83,26 +83,9 @@ class ScoreRow:
     parse_status: str  # ok | fallback | failed
 
 
-def overlap_precision(answer: str, reference: str) -> float:
-    """Fraction of the answer's words that also occur in the reference.
-
-    Each word's count is clipped at its count in the reference, so
-    repeating a reference word is not rewarded, and the matched count is
-    divided by the answer's total word count. An answer with no words
-    scores 0.
-    """
-    answer_tokens = tokenize(answer)
-    if not answer_tokens:
-        return 0.0
-    matched = _clipped_matches(Counter(answer_tokens), Counter(tokenize(reference)))
-    return matched / len(answer_tokens)
-
-
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    """Counts of the n-grams of ``tokens``: tokens for n = 1, n-tuples above."""
-    if n == 1:
-        return Counter(tokens)
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _bigrams(tokens: list[str]) -> Counter:
+    """Counts of the 2-tuples of adjacent tokens."""
+    return Counter(zip(tokens, tokens[1:]))
 
 
 def _clipped_matches(cand: Counter, ref: Counter) -> int:
@@ -118,13 +101,6 @@ def _ngram_score(cand: Counter, ref: Counter) -> RougeScore:
     precision = matched / cand_total if cand_total else 0.0
     recall = matched / ref_total if ref_total else 0.0
     return RougeScore.from_pr(precision, recall)
-
-
-def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
-    """Clipped n-gram overlap; zero-denominator components score 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _ngram_score(_ngrams(tokenize(candidate), n), _ngrams(tokenize(reference), n))
 
 
 def lcs_masks(b: list[str]) -> dict[str, int]:
@@ -162,16 +138,11 @@ def lcs_length(a: list[str], b: list[str], masks: dict[str, int] | None = None) 
     return len(b) - v.bit_count()
 
 
-def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int] | None = None) -> RougeScore:
+def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int]) -> RougeScore:
     if not cand or not ref:
         return RougeScore.zero()
     lcs = lcs_length(cand, ref, masks)
     return RougeScore.from_pr(lcs / len(cand), lcs / len(ref))
-
-
-def rouge_l(candidate: str, reference: str) -> RougeScore:
-    """Whole-text LCS overlap; empty inputs yield all-zero scores."""
-    return _lcs_score(tokenize(candidate), tokenize(reference))
 
 
 @dataclass(frozen=True)
@@ -189,19 +160,31 @@ class Reference:
     @staticmethod
     def from_text(text: str) -> "Reference":
         tokens = tokenize(text)
-        return Reference(tokens, _ngrams(tokens, 1), _ngrams(tokens, 2), lcs_masks(tokens))
+        return Reference(tokens, Counter(tokens), _bigrams(tokens), lcs_masks(tokens))
 
 
 def rouge_scores(
     candidate: list[str], reference: Reference
 ) -> tuple[RougeScore, RougeScore, RougeScore]:
-    """ROUGE-1, ROUGE-2 and ROUGE-L of candidate tokens against a reference;
-    equal to ``rouge_n(c, r, 1), rouge_n(c, r, 2), rouge_l(c, r)`` on the texts."""
+    """ROUGE-1, ROUGE-2 and ROUGE-L of candidate tokens against a reference.
+    A component whose denominator is zero scores 0, so an empty candidate
+    or reference scores all zeros, and a one-token one scores 0 on ROUGE-2."""
     return (
-        _ngram_score(_ngrams(candidate, 1), reference.unigrams),
-        _ngram_score(_ngrams(candidate, 2), reference.bigrams),
+        _ngram_score(Counter(candidate), reference.unigrams),
+        _ngram_score(_bigrams(candidate), reference.bigrams),
         _lcs_score(candidate, reference.tokens, reference.masks),
     )
+
+
+def overlap_precision(answer: list[str], reference: Reference) -> float:
+    """Fraction of the answer's tokens that also occur in the reference:
+    ROUGE-1 precision.
+
+    Each token's count is clipped at its count in the reference, so
+    repeating a reference word is not rewarded, and the matched count is
+    divided by the answer's token count. An answer with no tokens scores 0.
+    """
+    return _ngram_score(Counter(answer), reference.unigrams).precision
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import time
 
 from .corpus import subsample_per_domain
 from .lm import CompletionClient
-from .metrics import overlap_precision
+from .metrics import Reference, overlap_precision, tokenize
 from .prompting import build_single_qa
 
 
@@ -114,8 +114,9 @@ def rank_questions(
     """Score every (bank question, instance) pair and order questions per domain.
 
     Each question is asked about each article with a single-question
-    prompt; the answer's overlap precision against the reference is
-    averaged per (domain, question). Empty answers score 0; transient
+    prompt; the answer's overlap precision (ROUGE-1 precision) against
+    the reference is averaged per (domain, question). Each reference is
+    tokenized once, and each answer once. Empty answers score 0; transient
     per-call failures are excluded from the mean (a cell with no
     successes at all raises RankingError), while an unreachable or
     rate-limiting backend and replay gaps (``FATAL_LM_ERRORS``) abort the
@@ -127,16 +128,21 @@ def rank_questions(
     # Read before any call is spent, so a bad SOURCE_DATE_EPOCH costs none.
     created_at = _utc_timestamp()
 
-    def score_one(job) -> float:
+    def ask(job) -> str:
         inst, question = job
-        return overlap_precision(answer_question(client, inst.article, question), inst.reference)
+        return answer_question(client, inst.article, question)
 
-    jobs = [(inst, q) for inst in selected for q in _BANK]
+    answers = client.map(ask, [(inst, q) for inst in selected for q in _BANK])
+
+    # Score instance by instance, so each reference is tokenized once.
     cells: dict[tuple[str, str], list[tuple[str, float]]] = {}
-    for (inst, question), score in zip(jobs, client.map(score_one, jobs)):
-        if score is None:
-            continue  # the call failed; excluded from the mean
-        cells.setdefault((inst.domain, question.key), []).append((inst.id, score))
+    for n, inst in enumerate(selected):
+        reference = Reference.from_text(inst.reference)
+        for question, answer in zip(_BANK, answers[n * len(_BANK) : (n + 1) * len(_BANK)]):
+            if answer is None:
+                continue  # the call failed; excluded from the mean
+            score = overlap_precision(tokenize(answer), reference)
+            cells.setdefault((inst.domain, question.key), []).append((inst.id, score))
 
     domains: dict[str, tuple[RankedQuestion, ...]] = {}
     # Domains come from the input, not the sample, so an empty sample still

@@ -947,6 +947,21 @@ def test_cli_eval_duplicate_domains_exit_code(tmp_path, replay_dir, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_eval_replay_dir_with_http_backend_exit_code(tmp_path, replay_dir, capsys):
+    # The http backend never reads replay_dir, so the run would go to the
+    # endpoint instead of the recording.
+    config = write_cli_config(tmp_path, replay_dir=replay_dir, backend="http",
+                              endpoint="http://127.0.0.1:9/v1/completions", max_retries=0,
+                              timeout=2)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: replay_dir: set, but lm.backend is 'http';"
+                                       ' replay_dir needs lm.backend "replay"\n')
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["vanilla", "icl", "qa"])
 @pytest.mark.parametrize("key, value, message", [
     ("icl_examples", 0, "icl_examples: must be >= 1"),

@@ -17,8 +17,6 @@ from qasum.metrics import (
     lcs_length,
     lcs_masks,
     overlap_precision,
-    rouge_l,
-    rouge_n,
     rouge_scores,
     tokenize,
 )
@@ -66,6 +64,29 @@ def rouge_n_oracle(cand_tokens, ref_tokens, n):
     recall = matched / ref_total if ref_total else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+def rouge_l_oracle(cand_tokens, ref_tokens):
+    """ROUGE-L from the DP oracle's LCS; an empty side scores all zeros."""
+    if not cand_tokens or not ref_tokens:
+        return 0.0, 0.0, 0.0
+    lcs = lcs_dp(cand_tokens, ref_tokens)
+    precision, recall = lcs / len(cand_tokens), lcs / len(ref_tokens)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
+def scores(candidate, reference):
+    """ROUGE-1, -2 and -L of two texts through the row scorer."""
+    return rouge_scores(tokenize(candidate), Reference.from_text(reference))
+
+
+def overlap(answer, reference):
+    return overlap_precision(tokenize(answer), Reference.from_text(reference))
+
+
+def as_tuple(score):
+    return score.precision, score.recall, score.f1
 
 
 def random_tokens(rng, max_len=8, alphabet=("a", "b", "c", "d")):
@@ -148,27 +169,27 @@ def test_has_tokens_on_separators_only():
 
 
 def test_overlap_identity_is_one():
-    assert overlap_precision("The cat sat.", "the cat sat") == 1.0
+    assert overlap("The cat sat.", "the cat sat") == 1.0
 
 
 def test_overlap_disjoint_is_zero():
-    assert overlap_precision("purple monkey", "the cat sat") == 0.0
+    assert overlap("purple monkey", "the cat sat") == 0.0
 
 
 def test_overlap_hand_computed_two_thirds():
-    got = overlap_precision("the cat ran", "the dog sat on the cat")
+    got = overlap("the cat ran", "the dog sat on the cat")
     assert got == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_overlap_empty_answer_is_zero():
-    assert overlap_precision("?!", "the cat sat") == 0.0
+    assert overlap("?!", "the cat sat") == 0.0
 
 
 def test_overlap_multiset_clips_repetition():
     # answer repeats "the" but the reference has it once
-    assert overlap_precision("the the cat", "the cat") == pytest.approx(2 / 3)
+    assert overlap("the the cat", "the cat") == pytest.approx(2 / 3)
     # the reference has "the" twice, so both of the answer's are credited
-    assert overlap_precision("the the cat", "the dog the") == pytest.approx(2 / 3)
+    assert overlap("the the cat", "the dog the") == pytest.approx(2 / 3)
 
 
 @given(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12), st.randoms())
@@ -185,64 +206,58 @@ def test_overlap_is_one_when_answer_words_subset_of_reference(ref_tokens, rng):
             answer.append(t)
     if not answer:
         answer = [ref_tokens[0]]
-    assert overlap_precision(" ".join(answer), " ".join(ref_tokens)) == 1.0
+    assert overlap(" ".join(answer), " ".join(ref_tokens)) == 1.0
 
 
-# --- rouge_n -----------------------------------------------------------------
+# --- ROUGE-1/2/L -------------------------------------------------------------
 
 
 def test_rouge_n_identity():
-    score = rouge_n("The cat sat on the mat", "the cat sat on the mat", 1)
-    assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
+    r1, r2, _ = scores("The cat sat on the mat", "the cat sat on the mat")
+    assert as_tuple(r1) == as_tuple(r2) == (1.0, 1.0, 1.0)
 
 
 def test_rouge_1_hand_enumerated():
-    score = rouge_n("the cat", "the cat sat", 1)
+    score = scores("the cat", "the cat sat")[0]
     assert score.precision == pytest.approx(1.0, abs=1e-9)
     assert score.recall == pytest.approx(2 / 3, abs=1e-9)
     assert score.f1 == pytest.approx(0.8, abs=1e-9)
 
 
 def test_rouge_2_hand_enumerated():
-    score = rouge_n("the cat", "the cat sat", 2)
+    score = scores("the cat", "the cat sat")[1]
     assert score.precision == pytest.approx(1.0, abs=1e-9)
     assert score.recall == pytest.approx(0.5, abs=1e-9)
     assert score.f1 == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_rouge_n_empty_candidate_scores_zero():
-    score = rouge_n("", "the cat", 1)
-    assert (score.precision, score.recall, score.f1) == (0.0, 0.0, 0.0)
+    r1, r2, _ = scores("", "the cat")
+    assert as_tuple(r1) == as_tuple(r2) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_n_too_short_for_ngrams():
-    score = rouge_n("cat", "cat", 2)
-    assert score == RougeScore.zero()
-
-
-def test_rouge_n_rejects_bad_n():
-    with pytest.raises(ValueError):
-        rouge_n("a", "a", 0)
-
-
-# --- rouge_l -----------------------------------------------------------------
+    assert scores("cat", "cat")[1] == RougeScore.zero()
 
 
 def test_rouge_l_identity():
-    score = rouge_l("The cat sat", "the cat sat")
-    assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
+    score = scores("The cat sat", "the cat sat")[2]
+    assert as_tuple(score) == (1.0, 1.0, 1.0)
 
 
 def test_rouge_l_hand_lcs():
-    score = rouge_l("the cat sat", "the sat cat")
+    score = scores("the cat sat", "the sat cat")[2]
     assert score.precision == pytest.approx(2 / 3, abs=1e-9)
     assert score.recall == pytest.approx(2 / 3, abs=1e-9)
     assert score.f1 == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_rouge_l_empty_inputs():
-    assert rouge_l("", "the cat") == RougeScore.zero()
-    assert rouge_l("the cat", "") == RougeScore.zero()
+    assert scores("", "the cat")[2] == RougeScore.zero()
+    assert scores("the cat", "")[2] == RougeScore.zero()
+
+
+# --- LCS ---------------------------------------------------------------------
 
 
 def test_lcs_matches_brute_force_oracle():
@@ -332,32 +347,39 @@ scorer_texts = st.lists(
 ).map(" ".join)
 
 
+def oracle_scores(candidate, reference):
+    """ROUGE-1, -2 and -L of two texts from the independent oracles."""
+    cand, ref = tokenize(candidate), tokenize(reference)
+    return rouge_n_oracle(cand, ref, 1), rouge_n_oracle(cand, ref, 2), rouge_l_oracle(cand, ref)
+
+
 @settings(deadline=None)
 @given(scorer_texts, scorer_texts)
 def test_row_scorer_equals_public_rouge(candidate, reference):
-    expected = (rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2),
-                rouge_l(candidate, reference))
-    assert rouge_scores(tokenize(candidate), Reference.from_text(reference)) == expected
+    got = scores(candidate, reference)
+    assert tuple(map(as_tuple, got)) == oracle_scores(candidate, reference)
 
 
 @settings(deadline=None, max_examples=300)
 @given(scorer_texts, scorer_texts)
 def test_rouge_n_equals_textbook_oracle(candidate, reference):
     cand, ref = tokenize(candidate), tokenize(reference)
-    for n in (1, 2, 3):
-        score = rouge_n(candidate, reference, n)
-        assert (score.precision, score.recall, score.f1) == rouge_n_oracle(cand, ref, n)
-    scores = rouge_scores(cand, Reference.from_text(reference))
-    for n, score in zip((1, 2), scores):
-        assert (score.precision, score.recall, score.f1) == rouge_n_oracle(cand, ref, n)
+    r1, r2, _ = rouge_scores(cand, Reference.from_text(reference))
+    assert as_tuple(r1) == rouge_n_oracle(cand, ref, 1)
+    assert as_tuple(r2) == rouge_n_oracle(cand, ref, 2)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(scorer_texts, st.text()), st.one_of(scorer_texts, st.text()))
+def test_overlap_is_rouge_1_precision(answer, reference):
+    assert overlap(answer, reference) == rouge_n_oracle(tokenize(answer), tokenize(reference), 1)[0]
 
 
 def test_row_scorer_edge_cases():
     for candidate, reference in [("", ""), ("", "the cat"), ("the cat", ""), ("?!", "..."),
                                  ("the the the", "the the"), ("cat", "cat")]:
-        expected = (rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2),
-                    rouge_l(candidate, reference))
-        assert rouge_scores(tokenize(candidate), Reference.from_text(reference)) == expected
+        got = scores(candidate, reference)
+        assert tuple(map(as_tuple, got)) == oracle_scores(candidate, reference)
 
 
 def test_reference_counts_are_reusable():
@@ -376,17 +398,15 @@ token_lists = st.lists(st.sampled_from(WORDS), max_size=10)
 @given(token_lists, token_lists)
 def test_precision_recall_symmetry(a_tokens, b_tokens):
     a, b = " ".join(a_tokens), " ".join(b_tokens)
-    for n in (1, 2):
-        assert rouge_n(a, b, n).precision == rouge_n(b, a, n).recall
-    assert rouge_l(a, b).precision == rouge_l(b, a).recall
+    for forward, backward in zip(scores(a, b), scores(b, a)):
+        assert forward.precision == backward.recall
 
 
 @settings(deadline=None)
 @given(token_lists, token_lists)
 def test_matched_ngrams_bounded(a_tokens, b_tokens):
     a, b = " ".join(a_tokens), " ".join(b_tokens)
-    for n in (1, 2, 3):
-        score = rouge_n(a, b, n)
+    for n, score in zip((1, 2), scores(a, b)):
         n_cand = max(len(a_tokens) - n + 1, 0)
         n_ref = max(len(b_tokens) - n + 1, 0)
         matched = round(score.precision * n_cand)

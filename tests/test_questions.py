@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 import dataclasses
 import re
 
 import pytest
 
 from conftest import StubBackend
+from qasum import metrics, questions
 from qasum.corpus import TaskInstance
 from qasum.lm import CompletionClient, LmConfig, LmError
 from qasum.questions import (
@@ -141,6 +143,23 @@ def test_rank_excludes_failed_calls_from_mean(tmp_path):
     for cell in table.domains["News"]:
         assert cell.n == 1
         assert cell.mean_precision == 1.0
+
+
+def test_rank_tokenizes_each_reference_once_and_each_answer_once(tmp_path, monkeypatch):
+    texts = []
+
+    def counting_tokenize(text, tokenize=metrics.tokenize):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(metrics, "tokenize", counting_tokenize)
+    monkeypatch.setattr(questions, "tokenize", counting_tokenize, raising=False)
+    config = LmConfig(model="m1", backend="replay")
+    client = CompletionClient(config, cache_dir=str(tmp_path / "c"),
+                              backend=FlakyBackend("article i2"))
+    rank_questions(client, [instance(i, reference=f"ref {i}") for i in ("i1", "i2", "i3")])
+    # i2's ten calls fail, so 20 answers are scored against 3 references.
+    assert Counter(texts) == {"alpha beta gamma delta": 20, "ref i1": 1, "ref i2": 1, "ref i3": 1}
 
 
 def test_rank_errors_when_cell_has_no_successes(tmp_path):
