@@ -23,7 +23,7 @@ class CorpusError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskInstance:
     """One summarization task: an article and its reference summary."""
 
@@ -34,7 +34,7 @@ class TaskInstance:
     reference: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     instances: tuple[TaskInstance, ...]
 
@@ -123,7 +123,7 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     return Corpus(instances=tuple(instances))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusSplit:
     """Disjoint ICL example pool and evaluation set covering the corpus,
     each a tuple of instances sorted by id."""

@@ -20,7 +20,7 @@ import typing
 from .corpus import DEFAULT_DOMAINS, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
 from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
-from .prompting import IclExample, PARSE_FAILED, ParsedOutput, build_qa_prompt, parse_output
+from .prompting import IclExample, PARSE_FAILED, ParsedOutput, parse_output, qa_frame
 from .questions import (
     RankingError,
     RankingTable,
@@ -45,7 +45,7 @@ class MismatchedEvalSets(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     corpus: str
     lm: LmConfig
@@ -189,7 +189,7 @@ def _type_name(hint) -> str:
     return {dict: "object", float: "number", type(None): "null"}.get(hint, hint.__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunManifest:
     """Everything needed to reproduce or re-render one evaluation run. Every
     count and mean it reports, its eval ids and parse counts too, is derived
@@ -319,11 +319,13 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     scope the cross-domain one, and for vanilla and icl the empty one, so
     they run at k = 0. The prompt inputs of each (domain, task, k) cell,
     the ordering's first k questions and the group's ICL examples with
-    their answers to them, are resolved once per run; then the run issues
-    one ``build_qa_prompt`` completion per (instance, k) and scores
-    instance by instance. A per-request LM error degrades to failed rows;
-    configuration and I/O problems, an unreachable or rate-limiting
-    backend and replay fixture gaps abort the run.
+    their answers to them, are resolved once per run, and the cell's
+    prompt frame is rendered once from them; then the run issues one
+    completion per (instance, k), its prompt the instance's article in
+    its cell's frame, and scores instance by instance. A per-request LM
+    error degrades to failed rows; configuration and I/O problems, an
+    unreachable or rate-limiting backend and replay fixture gaps abort
+    the run.
     """
     started = time.monotonic()
     corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
@@ -377,33 +379,32 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
 
     answers = dict(zip(answer_jobs, client.map(answer, answer_jobs.values())))
 
-    # One prompt cell per (domain, task, k): its questions and completed
-    # examples, or None when one of those answers failed, which fails only
-    # the rows whose prompts need it.
+    # One prompt cell per (domain, task, k): the frame rendered from its
+    # questions and completed examples, and its generation budget; or None
+    # when one of those answers failed, which fails only the rows whose
+    # prompts need it.
     cells: dict[tuple[str, str, int], tuple | None] = {}
     for (domain, task), group in examples.items():
         for k in k_values:
             qs = questions[domain, k]
             icl = [IclExample(e.article, e.reference, tuple(answers[e.id, q.key] for q in qs))
                    for e in group]
-            cells[domain, task, k] = None if any(None in e.answers for e in icl) else (qs, icl)
+            cells[domain, task, k] = (None if any(None in e.answers for e in icl)
+                                      else (qa_frame(qs, icl), compute_max_tokens(k)))
 
     # Stage 3: one completion per (instance, k), parsed. The prompt is
-    # built inside the worker, so only the prompts in flight are alive.
+    # glued inside the worker, so only the prompts in flight are alive.
     def summarize(job) -> ParsedOutput:
-        inst, k = job
-        cell = cells[inst.domain, inst.task, k]
+        article, cell = job
         if cell is None:
             return _FAILED
-        bundle = build_qa_prompt(inst.article, *cell)
-        gen = client.generate(
-            bundle.text,
-            max_tokens=compute_max_tokens(k),
-            stop_sequences=bundle.stop_sequences,
-        )
-        return parse_output(gen.completion, bundle)
+        frame, max_tokens = cell
+        gen = client.generate(frame.head + article + frame.tail, max_tokens=max_tokens,
+                              stop_sequences=frame.stop_sequences)
+        return parse_output(gen.completion, frame)
 
-    jobs = [(inst, k) for inst in instances for k in k_values]
+    jobs = [(inst.article, cells[inst.domain, inst.task, k])
+            for inst in instances for k in k_values]
     outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
 
     # Stage 4: score instance by instance, so only one reference's token

@@ -12,10 +12,13 @@ Every backend's ``complete`` returns a ``(completion, finish_reason)``
 pair, and that pair is what the cache stores and returns. Responses are
 cached in one SQLite database, ``<cache_dir>/cache.sqlite`` (WAL mode),
 keyed by a digest of the request, so interrupted runs resume without
-re-spending LM calls. A store that is not a database aborts the
-run with ``CacheError`` and is never replaced. The replay backend opens
-a recorded store read-only, so a recorded cache directory can be pointed
-at directly as a replay fixture.
+re-spending LM calls. A run repeats a few models, budgets and stop
+sequences over many prompts, so the framed bytes of those fields in the
+digest, and the stop sequences' JSON column, are each built once per
+distinct value; only the prompt is encoded per request. A store that is
+not a database aborts the run with ``CacheError`` and is never replaced.
+The replay backend opens a recorded store read-only, so a recorded cache
+directory can be pointed at directly as a replay fixture.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ FATAL_LM_ERRORS = (ReplayMiss, BackendUnreachable, RateLimited)
 _REFUSED_STATUSES = (401, 403, 404, 405)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LmConfig:
     model: str
     backend: str = "http"  # http | replay
@@ -87,7 +90,7 @@ class LmConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generation:
     completion: str
     finish_reason: str  # stop | length | error
@@ -95,7 +98,7 @@ class Generation:
     latency_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
     model: str
     prompt: str
@@ -105,7 +108,7 @@ class CompletionRequest:
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheStats:
     hits: int
     misses: int
@@ -119,6 +122,22 @@ def compute_max_tokens(k: int) -> int:
     return 512 + 32 * k
 
 
+def _framed(field: str) -> bytes:
+    """``field`` as ``cache_key`` frames it: its UTF-8 bytes after their
+    length in 8 big-endian bytes."""
+    data = field.encode("utf-8")
+    return len(data).to_bytes(8, "big") + data
+
+
+_framed_model = functools.lru_cache(maxsize=64)(_framed)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _framed_settings(max_tokens: int, greedy: bool, stop_sequences: tuple[str, ...]) -> bytes:
+    """The framed fields after the prompt: max_tokens, greedy, each stop."""
+    return b"".join(map(_framed, (str(max_tokens), "1" if greedy else "0", *stop_sequences)))
+
+
 def cache_key(
     model: str, prompt: str, max_tokens: int, greedy: bool, stop_sequences: tuple[str, ...]
 ) -> str:
@@ -126,12 +145,14 @@ def cache_key(
     SHA-256 over model, prompt, max_tokens (decimal), greedy (``1`` or
     ``0``) and then each stop sequence, each field as its UTF-8 bytes
     preceded by their length in 8 big-endian bytes. The length prefixes
-    keep field boundaries apart, so no two requests frame to the same bytes."""
-    digest = hashlib.sha256()
-    for field in (model, prompt, str(max_tokens), "1" if greedy else "0", *stop_sequences):
-        data = field.encode("utf-8")
-        digest.update(len(data).to_bytes(8, "big"))
-        digest.update(data)
+    keep field boundaries apart, so no two requests frame to the same
+    bytes. Only the prompt is framed per call; the other fields' bytes
+    are memoized per distinct value."""
+    data = prompt.encode("utf-8")
+    digest = hashlib.sha256(_framed_model(model))
+    digest.update(len(data).to_bytes(8, "big"))
+    digest.update(data)
+    digest.update(_framed_settings(max_tokens, greedy, tuple(stop_sequences)))
     return digest.hexdigest()
 
 
@@ -178,12 +199,15 @@ def _connect(target: str, *, uri: bool = False) -> sqlite3.Connection:
     return conn
 
 
+_stops_json = functools.lru_cache(maxsize=64)(json.dumps)
+
+
 def _request_columns(request: CompletionRequest) -> tuple:
     """The request's columns: key, model, prompt, max_tokens, greedy and the
-    stop sequences as JSON. They are ``_SELECT``'s parameters and the start
-    of ``_INSERT``'s row."""
+    stop sequences as JSON, that JSON built once per distinct tuple. They
+    are ``_SELECT``'s parameters and the start of ``_INSERT``'s row."""
     return (request.key, request.model, request.prompt, request.max_tokens, request.greedy,
-            json.dumps(request.stop_sequences))
+            _stops_json(request.stop_sequences))
 
 
 def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> tuple[str, str] | None:

@@ -49,7 +49,7 @@ def has_tokens(text: str) -> bool:
     return _TOKEN_RE.search(text) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RougeScore:
     precision: float
     recall: float
@@ -68,7 +68,7 @@ class RougeScore:
         return RougeScore(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreRow:
     """One instance's scores in one (method, k) evaluation cell; the model
     is the run's, recorded once in its config."""
@@ -117,10 +117,14 @@ def lcs_length(a: list[str], b: list[str], masks: dict[str, int] | None = None) 
 
     Bit-parallel (Allison & Dix 1986; Hyyrö 2004): one Python int ``v``
     holds a whole row of the DP over ``b``, bit j being 0 exactly where
-    the row steps up by one at column j. Each token of ``a`` updates the
-    row in a few big-int operations, and the LCS is the count of 0 bits.
-    A token of ``a`` that ``b`` lacks has no mask and is skipped: with a
-    zero mask the update gives back ``v`` itself, so the result is exact.
+    the row steps up by one at column j. Each token of ``a`` with match
+    mask ``m`` updates the row as ``u = v & m; v = (v + u) | (v - u)``,
+    and the LCS is the count of 0 bits among the low ``len(b)``. Those
+    bits are masked off only at the end: carries move only upward, so
+    the low bits come out the same with or without a mask at every step,
+    and the bits above them grow by at most one per step. A token of
+    ``a`` that ``b`` lacks has no mask and is skipped: with a zero mask
+    the update gives back ``v`` itself, so the result is exact.
     ``masks`` is ``lcs_masks(b)``, passed in when ``b`` is scored against
     several candidates, and built here when omitted.
     """
@@ -134,8 +138,8 @@ def lcs_length(a: list[str], b: list[str], masks: dict[str, int] | None = None) 
         if mask is None:
             continue
         u = v & mask
-        v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+        v = (v + u) | (v - u)
+    return len(b) - (v & full).bit_count()
 
 
 def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int]) -> RougeScore:
@@ -145,7 +149,7 @@ def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int]) -> RougeS
     return RougeScore.from_pr(lcs / len(cand), lcs / len(ref))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reference:
     """A reference summary tokenized once, with the 1- and 2-gram counts
     that ROUGE-1/2 clip against and the ``lcs_masks`` ROUGE-L reads, for
@@ -187,7 +191,7 @@ def overlap_precision(answer: list[str], reference: Reference) -> float:
     return _ngram_score(Counter(answer), reference.unigrams).precision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateRow:
     """Mean P/R/F1 per metric over one group of ScoreRows."""
 

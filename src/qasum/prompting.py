@@ -4,10 +4,15 @@ Two prompts are rendered byte-exactly from three fixed instructions. The
 summarization prompt (``build_qa_prompt``) asks k questions and then a
 summary, after any completed example blocks; the paper's baselines are
 that prompt at k = 0: vanilla with no examples, icl with examples, both
-under the zero-shot summarization instruction. The single-question
-answering prompt is used by the ranking phase. Each prompt stops at its
-own instruction, so a completion that starts another example is cut
-there by ``CompletionClient.generate``. Completions are parsed back into
+under the zero-shot summarization instruction. Everything in it but the
+target article depends only on the questions and examples, so
+``qa_frame`` renders that part once, as the text before and after the
+article, and ``build_qa_prompt`` is its frame around one article; an
+evaluation run renders one frame per prompt cell and glues each
+instance's article into it. The single-question answering prompt is
+used by the ranking phase. Each prompt stops at its own instruction, so
+a completion that starts another example is cut there by
+``CompletionClient.generate``. Completions are parsed back into
 per-question answers plus a summary, with graceful fallback states so a
 batch run never aborts on one bad generation.
 """
@@ -34,7 +39,7 @@ PARSE_FALLBACK = "fallback"
 PARSE_FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IclExample:
     """A completed example block: article, reference summary, and (for qa
     prompts) one generated answer per prompt question."""
@@ -44,7 +49,7 @@ class IclExample:
     answers: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptBundle:
     text: str
     k: int
@@ -52,7 +57,7 @@ class PromptBundle:
     stop_sequences: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedOutput:
     answers: tuple[str, ...]
     summary: str
@@ -68,16 +73,29 @@ def render_output_block(answers: tuple[str, ...] | list[str], summary: str) -> s
     return " ".join(parts) + f"\n{SUMMARY_MARKER} {summary}."
 
 
-def build_qa_prompt(
-    article: str, questions: list[QuestionSpec], icl_examples: list[IclExample]
-) -> PromptBundle:
-    """Render the summarization prompt: answer the questions, then summarize.
+@dataclass(frozen=True, slots=True)
+class PromptFrame:
+    """A summarization prompt with its target article left out: the prompt
+    is ``head + article + tail``. ``parse_output`` reads its markers as it
+    reads a ``PromptBundle``'s."""
+
+    head: str
+    tail: str
+    k: int
+    answer_markers: tuple[str, ...]
+    stop_sequences: tuple[str, ...]
+
+
+def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> PromptFrame:
+    """Render the summarization prompt around its target article: answer
+    the questions, then summarize.
 
     Questions must already be ordered best-first; each ICL example must
     carry exactly one answer per question, or ValueError names the first
     that does not. With no questions this is the plain summarization
     prompt under the zero-shot instruction: vanilla with no examples, icl
-    with them.
+    with them. Example blocks and the target block are separated by a
+    blank line.
     """
     k = len(questions)
     for idx, ex in enumerate(icl_examples):
@@ -85,29 +103,35 @@ def build_qa_prompt(
             raise ValueError(f"ICL example {idx} supplies {len(ex.answers)} answer(s);"
                              f" prompt has {k} question(s)")
     if k == 0:
-        blocks = [
-            f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."
+        blocks = "".join(
+            f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}.\n\n"
             for ex in icl_examples
-        ]
-        blocks.append(f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}")
-        return PromptBundle(
-            text="\n\n".join(blocks), k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,)
         )
+        return PromptFrame(head=f"{blocks}{VANILLA_INSTRUCTION}\n", tail=f"\n{SUMMARY_MARKER}",
+                           k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,))
 
     q_block = "\n".join(f"Q{i}: {q.text}" for i, q in enumerate(questions, start=1))
-    blocks = []
-    for ex in icl_examples:
-        blocks.append(
-            f"{QA_INSTRUCTION}\n{ex.article}\n{q_block}\n"
-            + render_output_block(ex.answers, ex.reference)
-        )
-    blocks.append(f"{QA_INSTRUCTION}\n{article}\n{q_block}\nA:")
-    return PromptBundle(
-        text="\n\n".join(blocks),
+    blocks = "".join(
+        f"{QA_INSTRUCTION}\n{ex.article}\n{q_block}\n"
+        + render_output_block(ex.answers, ex.reference) + "\n\n"
+        for ex in icl_examples
+    )
+    return PromptFrame(
+        head=f"{blocks}{QA_INSTRUCTION}\n",
+        tail=f"\n{q_block}\nA:",
         k=k,
         answer_markers=tuple(f"A{i}:" for i in range(1, k + 1)),
         stop_sequences=(QA_INSTRUCTION,),
     )
+
+
+def build_qa_prompt(
+    article: str, questions: list[QuestionSpec], icl_examples: list[IclExample]
+) -> PromptBundle:
+    """The summarization prompt for ``article``: its ``qa_frame`` around it."""
+    frame = qa_frame(questions, icl_examples)
+    return PromptBundle(text=frame.head + article + frame.tail, k=frame.k,
+                        answer_markers=frame.answer_markers, stop_sequences=frame.stop_sequences)
 
 
 def build_single_qa(article: str, question: QuestionSpec) -> PromptBundle:
@@ -126,10 +150,11 @@ def _strip_template_period(span: str) -> str:
     return span
 
 
-def parse_output(completion: str, bundle: PromptBundle) -> ParsedOutput:
+def parse_output(completion: str, bundle: PromptBundle | PromptFrame) -> ParsedOutput:
     """Recover answers and summary from a completion that
     ``CompletionClient.generate`` has already cut at the bundle's stop
-    sequences.
+    sequences. ``bundle`` is the prompt's bundle or its frame; only its
+    ``k`` and answer markers are read.
 
     ok: all answer markers present and an explicit summary marker after
     them. fallback: markers present, summary marker missing — the text

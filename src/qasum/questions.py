@@ -27,7 +27,7 @@ class RankingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuestionSpec:
     key: str
     text: str
@@ -66,14 +66,14 @@ def builtin_bank() -> list[QuestionSpec]:
     return list(_BANK)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedQuestion:
     key: str
     mean_precision: float
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingTable:
     """Per-domain question orderings for one model, best first."""
 
@@ -239,7 +239,9 @@ def _ranked_question(doc: dict) -> RankedQuestion:
 
 def load_ranking(path) -> RankingTable:
     """Read a ``save_ranking`` file; RankingError names a file of another
-    shape, and a domain that ranks a key outside the bank or one key twice."""
+    shape, and a domain that ranks a key outside the bank or one key twice,
+    or gives one a ``mean_precision`` that is not a number in [0, 1] (NaN
+    and infinities too) or an ``n`` below 1."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -264,6 +266,12 @@ def load_ranking(path) -> RankingTable:
                     f"{path}: domain {domain!r} ranks {r.key!r}, not a bank question")
             if r.key in seen:
                 raise RankingError(f"{path}: domain {domain!r} ranks {r.key!r} twice")
+            if not 0 <= r.mean_precision <= 1:  # false for NaN too
+                raise RankingError(f"{path}: domain {domain!r} gives {r.key!r} mean_precision"
+                                   f" {r.mean_precision!r}, not a number in [0, 1]")
+            if r.n < 1:
+                raise RankingError(f"{path}: domain {domain!r} gives {r.key!r} n {r.n},"
+                                   " not a count of at least 1")
             seen.add(r.key)
     return table
 

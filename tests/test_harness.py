@@ -525,6 +525,24 @@ def test_cli_eval_unknown_or_repeated_ranking_key_exit_code(tmp_path, capsys, ca
     assert not out_dir.exists()
 
 
+def test_cli_eval_nan_mean_precision_exit_code(tmp_path, capsys):
+    corpus, ranking = routing_setup(tmp_path, ("News", "Reviews"))
+    doc = json.loads(ranking.read_text(encoding="utf-8"))
+    key = doc["domains"]["News"][0]["key"]
+    doc["domains"]["News"][0] = {"key": key, "mean_precision": float("nan"), "n": -3}
+    ranking.write_text(json.dumps(doc), encoding="utf-8")  # writes the bare NaN token
+    replay = tmp_path / "replay"  # empty: any request would exit 6
+    replay.mkdir()
+    config = write_cli_config(tmp_path, replay_dir=replay)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(corpus), "--config", str(config), "--method", "qa",
+                 "--ranking", str(ranking), "--k", "1", "--out", str(out_dir)])
+    assert code == 7
+    assert capsys.readouterr().err == (f"ranking error: {ranking}: domain 'News' gives {key!r}"
+                                       " mean_precision nan, not a number in [0, 1]\n")
+    assert not out_dir.exists()
+
+
 class RateLimitedAnswers:
     def complete(self, request):
         if request.prompt.startswith(SINGLE_QA_INSTRUCTION):

@@ -146,6 +146,29 @@ def test_cache_keys_are_equal_iff_requests_are(a, data):
     assert (cache_key(*a) == cache_key(*b)) == (a == b)
 
 
+def framed_sha256(model, prompt, max_tokens, greedy, stop_sequences):
+    """SHA-256 over each field's UTF-8 bytes after their length in 8
+    big-endian bytes: model, prompt, max_tokens, greedy, each stop."""
+    framed = b""
+    for field in (model, prompt, str(max_tokens), "1" if greedy else "0", *stop_sequences):
+        data = field.encode("utf-8")
+        framed += len(data).to_bytes(8, "big") + data
+    return hashlib.sha256(framed).hexdigest()
+
+
+# Few distinct values per field, so the requests of one example share some
+# fields and differ in others, as the requests of one run do.
+MEMO_TEXT = st.sampled_from(["", "m", "m\u00e9", "\U0001f600", "\n\n", "A1:"])
+MEMO_REQUEST = st.tuples(MEMO_TEXT, st.text(max_size=8), st.sampled_from([1, 512, 544]),
+                         st.booleans(), st.lists(MEMO_TEXT, max_size=3).map(tuple))
+
+
+@given(st.lists(MEMO_REQUEST, min_size=1, max_size=8))
+def test_cache_key_is_the_framed_digest(requests):
+    for request in requests:
+        assert cache_key(*request) == framed_sha256(*request)
+
+
 # --- cache -------------------------------------------------------------------
 
 

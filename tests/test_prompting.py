@@ -22,6 +22,7 @@ from qasum.prompting import (
     build_qa_prompt,
     build_single_qa,
     parse_output,
+    qa_frame,
     render_output_block,
 )
 from qasum.questions import builtin_bank
@@ -131,6 +132,62 @@ def test_question_block_is_prefix_extension():
 
     for k in range(1, 5):
         assert question_block(k + 1).startswith(question_block(k))
+
+
+# --- prompt frames -----------------------------------------------------------
+
+
+def joined_prompt(article, questions, examples):
+    """The summarization prompt written out block by block: each example's
+    block, then the target's, joined by blank lines."""
+    q_block = "\n".join(f"Q{i}: {q.text}" for i, q in enumerate(questions, start=1))
+    if questions:
+        blocks = [f"{QA_INSTRUCTION}\n{ex.article}\n{q_block}\n"
+                  + render_output_block(ex.answers, ex.reference) for ex in examples]
+        blocks.append(f"{QA_INSTRUCTION}\n{article}\n{q_block}\nA:")
+    else:
+        blocks = [f"{VANILLA_INSTRUCTION}\n{ex.article}\n{SUMMARY_MARKER} {ex.reference}."
+                  for ex in examples]
+        blocks.append(f"{VANILLA_INSTRUCTION}\n{article}\n{SUMMARY_MARKER}")
+    return "\n\n".join(blocks)
+
+
+prompt_text = st.lists(
+    st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(["\0", "\n", "\n\n", QA_INSTRUCTION, SINGLE_QA_INSTRUCTION,
+                         VANILLA_INSTRUCTION, SUMMARY_MARKER, "A1:", "Q1:"]),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def frame_inputs(draw):
+    questions = draw(st.permutations(list(BANK.values())))[: draw(st.integers(0, 3))]
+    examples = draw(st.lists(
+        st.builds(IclExample, prompt_text, prompt_text,
+                  st.tuples(*[prompt_text] * len(questions))),
+        max_size=2,
+    ))
+    return draw(prompt_text), questions, examples
+
+
+@given(frame_inputs())
+def test_frame_around_article_is_the_prompt(inputs):
+    article, questions, examples = inputs
+    frame = qa_frame(questions, examples)
+    bundle = build_qa_prompt(article, questions, examples)
+    assert frame.head + article + frame.tail == joined_prompt(article, questions, examples)
+    assert bundle.text == frame.head + article + frame.tail
+    assert (bundle.k, bundle.answer_markers, bundle.stop_sequences) == (
+        frame.k, frame.answer_markers, frame.stop_sequences)
+
+
+def test_frame_parses_like_its_bundle():
+    frame = qa_frame(QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:2])])
+    completion = " A1: alpha. A2: beta.\nSummary: gamma."
+    assert parse_output(completion, frame) == parse_output(completion, qa_bundle(2))
 
 
 # --- parsing -----------------------------------------------------------------

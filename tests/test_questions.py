@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 import dataclasses
+import json
 import re
 
 import pytest
@@ -298,6 +299,40 @@ def test_save_load_round_trip(tmp_path):
     save_ranking(table, path)
     loaded = load_ranking(path)
     assert loaded == table
+
+
+def write_news_entry(path, mean_precision: str, n: int):
+    """A ranking file whose one News entry ranks topic with the given JSON
+    number text as its mean precision."""
+    doc = {"model": "m1", "seed": 0, "created_at": "t",
+           "domains": {"News": [{"key": "topic", "mean_precision": "MEAN", "n": n}]}}
+    path.write_text(json.dumps(doc).replace('"MEAN"', mean_precision), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("mean_precision", ["NaN", "Infinity", "-Infinity", "-0.1", "1.5", "2"])
+def test_load_ranking_refuses_mean_precision_outside_unit_interval(tmp_path, mean_precision):
+    path = write_news_entry(tmp_path / "ranking.json", mean_precision, 1)
+    value = json.loads(mean_precision)
+    with pytest.raises(RankingError) as excinfo:
+        load_ranking(path)
+    assert str(excinfo.value) == (f"{path}: domain 'News' gives 'topic' mean_precision {value!r},"
+                                  " not a number in [0, 1]")
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_load_ranking_refuses_n_below_one(tmp_path, n):
+    path = write_news_entry(tmp_path / "ranking.json", "0.5", n)
+    with pytest.raises(RankingError) as excinfo:
+        load_ranking(path)
+    assert str(excinfo.value) == (f"{path}: domain 'News' gives 'topic' n {n},"
+                                  " not a count of at least 1")
+
+
+@pytest.mark.parametrize("mean_precision", ["0", "1", "0.0", "1.0"])
+def test_load_ranking_accepts_the_ends_of_the_unit_interval(tmp_path, mean_precision):
+    table = load_ranking(write_news_entry(tmp_path / "ranking.json", mean_precision, 1))
+    assert table.domains["News"] == (RankedQuestion("topic", json.loads(mean_precision), 1),)
 
 
 def test_ensure_model_guard():
