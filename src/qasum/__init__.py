@@ -21,10 +21,10 @@ from .metrics import (Reference, RougeScore, ScoreRow, aggregate, overlap_precis
 from .prompting import (
     IclExample,
     ParsedOutput,
-    PromptBundle,
-    build_qa_prompt,
-    build_single_qa,
+    PromptFrame,
     parse_output,
+    qa_frame,
+    single_qa_frame,
 )
 from .questions import (
     QuestionSpec,
@@ -48,7 +48,7 @@ __all__ = [
     "IclExample",
     "LmConfig",
     "ParsedOutput",
-    "PromptBundle",
+    "PromptFrame",
     "QuestionSpec",
     "RankingTable",
     "Reference",
@@ -57,8 +57,6 @@ __all__ = [
     "ScoreRow",
     "TaskInstance",
     "aggregate",
-    "build_qa_prompt",
-    "build_single_qa",
     "builtin_bank",
     "compute_max_tokens",
     "global_ranking",
@@ -66,6 +64,7 @@ __all__ = [
     "load_ranking",
     "overlap_precision",
     "parse_output",
+    "qa_frame",
     "rank_questions",
     "rouge_scores",
     "run_compare",
@@ -74,6 +73,7 @@ __all__ = [
     "run_report",
     "sample_icl_examples",
     "save_ranking",
+    "single_qa_frame",
     "split_corpus",
     "tokenize",
     "top_k",

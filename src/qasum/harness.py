@@ -20,7 +20,8 @@ import typing
 from .corpus import DEFAULT_DOMAINS, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
 from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
-from .prompting import IclExample, PARSE_FAILED, ParsedOutput, parse_output, qa_frame
+from .prompting import (IclExample, PARSE_FAILED, ParsedOutput, PromptFrame, parse_output,
+                        qa_frame)
 from .questions import (
     RankingError,
     RankingTable,
@@ -230,6 +231,8 @@ def _row_from_dict(doc: dict) -> ScoreRow:
         s = doc[name]
         if not all(type(s[v]) in (int, float) for v in ("p", "r", "f1")):
             raise TypeError(f"row {doc['id']!r}: {name} scores are not all numbers")
+        if not all(0 <= s[v] <= 1 for v in ("p", "r", "f1")):  # false for NaN too
+            raise ValueError(f"row {doc['id']!r}: {name} scores are not all in [0, 1]")
         return RougeScore(s["p"], s["r"], s["f1"])
 
     labels = ("id", "method", "domain", "parse_status")
@@ -237,6 +240,8 @@ def _row_from_dict(doc: dict) -> ScoreRow:
         raise TypeError(f"row {doc['id']!r}: {', '.join(labels)} must be strings and k an int")
     if doc["parse_status"] not in PARSE_STATUSES:
         raise ValueError(f"row {doc['id']!r}: unknown parse_status {doc['parse_status']!r}")
+    if not 0 <= doc["k"] <= 10:
+        raise ValueError(f"row {doc['id']!r}: k={doc['k']} outside [0, 10]")
     return ScoreRow(
         id=doc["id"],
         method=doc["method"],
@@ -272,8 +277,10 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
-    """Read a ``save_manifest`` file; ValueError names a file of another shape.
-    The ``parse_counts``, ``eval_ids`` and row ``model`` of older files are ignored."""
+    """Read a ``save_manifest`` file; ValueError names a file of another shape,
+    or a row whose k is outside [0, 10] or whose scores are not all numbers in
+    [0, 1]. The ``parse_counts``, ``eval_ids`` and row ``model`` of older files
+    are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -380,28 +387,27 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     answers = dict(zip(answer_jobs, client.map(answer, answer_jobs.values())))
 
     # One prompt cell per (domain, task, k): the frame rendered from its
-    # questions and completed examples, and its generation budget; or None
-    # when one of those answers failed, which fails only the rows whose
-    # prompts need it.
-    cells: dict[tuple[str, str, int], tuple | None] = {}
+    # questions and completed examples, or None when one of those answers
+    # failed, which fails only the rows whose prompts need it.
+    cells: dict[tuple[str, str, int], PromptFrame | None] = {}
     for (domain, task), group in examples.items():
         for k in k_values:
             qs = questions[domain, k]
             icl = [IclExample(e.article, e.reference, tuple(answers[e.id, q.key] for q in qs))
                    for e in group]
             cells[domain, task, k] = (None if any(None in e.answers for e in icl)
-                                      else (qa_frame(qs, icl), compute_max_tokens(k)))
+                                      else qa_frame(qs, icl))
 
     # Stage 3: one completion per (instance, k), parsed. The prompt is
     # glued inside the worker, so only the prompts in flight are alive.
     def summarize(job) -> ParsedOutput:
-        article, cell = job
-        if cell is None:
+        article, frame = job
+        if frame is None:
             return _FAILED
-        frame, max_tokens = cell
-        gen = client.generate(frame.head + article + frame.tail, max_tokens=max_tokens,
+        gen = client.generate(frame.head + article + frame.tail,
+                              max_tokens=compute_max_tokens(frame.k),
                               stop_sequences=frame.stop_sequences)
-        return parse_output(gen.completion, frame)
+        return parse_output(gen.completion, frame.k)
 
     jobs = [(inst.article, cells[inst.domain, inst.task, k])
             for inst in instances for k in k_values]

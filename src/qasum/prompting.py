@@ -1,20 +1,20 @@
 """Prompt rendering and completion parsing.
 
-Two prompts are rendered byte-exactly from three fixed instructions. The
-summarization prompt (``build_qa_prompt``) asks k questions and then a
-summary, after any completed example blocks; the paper's baselines are
-that prompt at k = 0: vanilla with no examples, icl with examples, both
-under the zero-shot summarization instruction. Everything in it but the
-target article depends only on the questions and examples, so
-``qa_frame`` renders that part once, as the text before and after the
-article, and ``build_qa_prompt`` is its frame around one article; an
-evaluation run renders one frame per prompt cell and glues each
-instance's article into it. The single-question answering prompt is
-used by the ranking phase. Each prompt stops at its own instruction, so
-a completion that starts another example is cut there by
-``CompletionClient.generate``. Completions are parsed back into
-per-question answers plus a summary, with graceful fallback states so a
-batch run never aborts on one bad generation.
+Every prompt is a ``PromptFrame``: the text before and after its target
+article, so the prompt is ``head + article + tail``. Two frames are
+rendered byte-exactly from three fixed instructions. ``qa_frame`` asks k
+questions and then a summary, after any completed example blocks; the
+paper's baselines are that prompt at k = 0: vanilla with no examples,
+icl with examples, both under the zero-shot summarization instruction.
+Everything in it but the article depends only on the questions and
+examples, so an evaluation run renders one frame per prompt cell and
+glues each instance's article into it. ``single_qa_frame`` asks one
+question and is used by the ranking phase and for the examples' answers.
+Each prompt stops at its own instruction, so a completion that starts
+another example is cut there by ``CompletionClient.generate``.
+Completions are parsed back into per-question answers plus a summary,
+with graceful fallback states so a batch run never aborts on one bad
+generation.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ PARSE_OK = "ok"
 PARSE_FALLBACK = "fallback"
 PARSE_FAILED = "failed"
 
+# A k-question prompt's answers follow ANSWER_MARKERS[:k]; a prompt asks
+# at most ten questions, the size of the built-in bank.
+ANSWER_MARKERS = tuple(f"A{i}:" for i in range(1, 11))
+
 
 @dataclass(frozen=True, slots=True)
 class IclExample:
@@ -47,14 +51,6 @@ class IclExample:
     article: str
     reference: str
     answers: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class PromptBundle:
-    text: str
-    k: int
-    answer_markers: tuple[str, ...]
-    stop_sequences: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +71,14 @@ def render_output_block(answers: tuple[str, ...] | list[str], summary: str) -> s
 
 @dataclass(frozen=True, slots=True)
 class PromptFrame:
-    """A summarization prompt with its target article left out: the prompt
-    is ``head + article + tail``. ``parse_output`` reads its markers as it
-    reads a ``PromptBundle``'s."""
+    """A prompt with its target article left out: the prompt is
+    ``head + article + tail``. ``k`` is the number of questions whose
+    answers ``parse_output`` expects before the summary (0 when the
+    completion is the summary, or a single answer)."""
 
     head: str
     tail: str
     k: int
-    answer_markers: tuple[str, ...]
     stop_sequences: tuple[str, ...]
 
 
@@ -90,14 +86,16 @@ def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> P
     """Render the summarization prompt around its target article: answer
     the questions, then summarize.
 
-    Questions must already be ordered best-first; each ICL example must
-    carry exactly one answer per question, or ValueError names the first
-    that does not. With no questions this is the plain summarization
-    prompt under the zero-shot instruction: vanilla with no examples, icl
-    with them. Example blocks and the target block are separated by a
-    blank line.
+    Questions must already be ordered best-first, at most ten of them;
+    each ICL example must carry exactly one answer per question, or
+    ValueError names the first that does not. With no questions this is
+    the plain summarization prompt under the zero-shot instruction:
+    vanilla with no examples, icl with them. Example blocks and the
+    target block are separated by a blank line.
     """
     k = len(questions)
+    if k > len(ANSWER_MARKERS):
+        raise ValueError(f"prompt has {k} questions; at most {len(ANSWER_MARKERS)}")
     for idx, ex in enumerate(icl_examples):
         if len(ex.answers) != k:
             raise ValueError(f"ICL example {idx} supplies {len(ex.answers)} answer(s);"
@@ -108,7 +106,7 @@ def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> P
             for ex in icl_examples
         )
         return PromptFrame(head=f"{blocks}{VANILLA_INSTRUCTION}\n", tail=f"\n{SUMMARY_MARKER}",
-                           k=0, answer_markers=(), stop_sequences=(VANILLA_INSTRUCTION,))
+                           k=0, stop_sequences=(VANILLA_INSTRUCTION,))
 
     q_block = "\n".join(f"Q{i}: {q.text}" for i, q in enumerate(questions, start=1))
     blocks = "".join(
@@ -120,27 +118,15 @@ def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> P
         head=f"{blocks}{QA_INSTRUCTION}\n",
         tail=f"\n{q_block}\nA:",
         k=k,
-        answer_markers=tuple(f"A{i}:" for i in range(1, k + 1)),
         stop_sequences=(QA_INSTRUCTION,),
     )
 
 
-def build_qa_prompt(
-    article: str, questions: list[QuestionSpec], icl_examples: list[IclExample]
-) -> PromptBundle:
-    """The summarization prompt for ``article``: its ``qa_frame`` around it."""
-    frame = qa_frame(questions, icl_examples)
-    return PromptBundle(text=frame.head + article + frame.tail, k=frame.k,
-                        answer_markers=frame.answer_markers, stop_sequences=frame.stop_sequences)
-
-
-def build_single_qa(article: str, question: QuestionSpec) -> PromptBundle:
-    """The ranking-phase prompt: one question, the whole completion is the
-    answer (no markers to parse)."""
-    text = f"{SINGLE_QA_INSTRUCTION}\n{article}\nQ: {question.text}\nA:"
-    return PromptBundle(
-        text=text, k=1, answer_markers=(), stop_sequences=(SINGLE_QA_INSTRUCTION,)
-    )
+def single_qa_frame(question: QuestionSpec) -> PromptFrame:
+    """The ranking-phase prompt around its article: one question, and the
+    whole completion is the answer (no markers to parse)."""
+    return PromptFrame(head=f"{SINGLE_QA_INSTRUCTION}\n", tail=f"\nQ: {question.text}\nA:",
+                       k=0, stop_sequences=(SINGLE_QA_INSTRUCTION,))
 
 
 def _strip_template_period(span: str) -> str:
@@ -150,11 +136,11 @@ def _strip_template_period(span: str) -> str:
     return span
 
 
-def parse_output(completion: str, bundle: PromptBundle | PromptFrame) -> ParsedOutput:
+def parse_output(completion: str, k: int) -> ParsedOutput:
     """Recover answers and summary from a completion that
-    ``CompletionClient.generate`` has already cut at the bundle's stop
-    sequences. ``bundle`` is the prompt's bundle or its frame; only its
-    ``k`` and answer markers are read.
+    ``CompletionClient.generate`` has already cut at its prompt's stop
+    sequences. ``k`` is the prompt's question count (its frame's ``k``);
+    the answers are read after the markers ``A1:`` … ``Ak:``.
 
     ok: all answer markers present and an explicit summary marker after
     them. fallback: markers present, summary marker missing — the text
@@ -162,8 +148,7 @@ def parse_output(completion: str, bundle: PromptBundle | PromptFrame) -> ParsedO
     missing (k >= 1) or the summary came out empty; failed rows carry
     summary "" and score accordingly.
     """
-    k = bundle.k
-    if not bundle.answer_markers:
+    if k == 0:
         # k = 0 (vanilla, icl): the completion is the summary.
         summary = completion.strip()
         status = PARSE_OK if summary else PARSE_FAILED
@@ -171,7 +156,7 @@ def parse_output(completion: str, bundle: PromptBundle | PromptFrame) -> ParsedO
 
     positions = []
     cursor = 0
-    for marker in bundle.answer_markers:
+    for marker in ANSWER_MARKERS[:k]:
         idx = completion.find(marker, cursor)
         if idx == -1:
             return ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)

@@ -20,7 +20,7 @@ import time
 from .corpus import subsample_per_domain
 from .lm import CompletionClient
 from .metrics import Reference, overlap_precision, tokenize
-from .prompting import build_single_qa
+from .prompting import single_qa_frame
 
 
 class RankingError(Exception):
@@ -100,8 +100,9 @@ def answer_question(client: CompletionClient, article: str, question: QuestionSp
     """The model's answer to one question about one article. Ranking scores
     these answers and qa prompts show them for their examples; sharing this
     one request means eval reuses the cache entries ranking wrote."""
-    bundle = build_single_qa(article, question)
-    return client.generate(bundle.text, stop_sequences=bundle.stop_sequences).completion.strip()
+    frame = single_qa_frame(question)
+    return client.generate(frame.head + article + frame.tail,
+                           stop_sequences=frame.stop_sequences).completion.strip()
 
 
 def rank_questions(

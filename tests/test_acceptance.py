@@ -32,8 +32,8 @@ from qasum.prompting import (
     PARSE_FAILED,
     PARSE_FALLBACK,
     PARSE_OK,
-    build_qa_prompt,
     parse_output,
+    qa_frame,
     render_output_block,
 )
 from qasum.questions import builtin_bank, load_ranking
@@ -144,16 +144,17 @@ def test_criterion_prompt_goldens():
     examples0 = [IclExample(EX_ARTICLE, EX_REFERENCE)]
 
     cases = {
-        "qa_k0.txt": build_qa_prompt(TARGET_ARTICLE, [], examples0),
-        "qa_k2.txt": build_qa_prompt(TARGET_ARTICLE, QS5[:2], examples2),
-        "qa_k5.txt": build_qa_prompt(TARGET_ARTICLE, QS5, examples5),
+        "qa_k0.txt": qa_frame([], examples0),
+        "qa_k2.txt": qa_frame(QS5[:2], examples2),
+        "qa_k5.txt": qa_frame(QS5, examples5),
     }
-    for name, bundle in cases.items():
+    prompts = {name: frame.head + TARGET_ARTICLE + frame.tail for name, frame in cases.items()}
+    for name, prompt in prompts.items():
         golden = (PROMPT_GOLDEN_DIR / name).read_text(encoding="utf-8")
-        assert bundle.text == golden, f"golden mismatch: {name}"
+        assert prompt == golden, f"golden mismatch: {name}"
 
     # icl is qa at k = 0: the same prompt, so the same golden.
-    assert cases["qa_k0.txt"].text == (PROMPT_GOLDEN_DIR / "icl.txt").read_text(encoding="utf-8")
+    assert prompts["qa_k0.txt"] == (PROMPT_GOLDEN_DIR / "icl.txt").read_text(encoding="utf-8")
     _pass("prompt-goldens")
 
 
@@ -174,23 +175,19 @@ def test_criterion_parser_round_trip():
         k = rng.randint(1, 5)
         answers = [phrase() for _ in range(k)]
         summary = phrase()
-        bundle = build_qa_prompt(
-            TARGET_ARTICLE, bank[:k], [IclExample(EX_ARTICLE, EX_REFERENCE, tuple(answers))]
-        )
+        frame = qa_frame(bank[:k], [IclExample(EX_ARTICLE, EX_REFERENCE, tuple(answers))])
         completion = " " + render_output_block(answers, summary)[len("A: ") :]
-        parsed = parse_output(completion, bundle)
+        parsed = parse_output(completion, frame.k)
         assert parsed.parse_status == PARSE_OK
         assert list(parsed.answers) == answers
         assert parsed.summary == summary
 
-    bundle2 = build_qa_prompt(
-        TARGET_ARTICLE, bank[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, ("a", "b"))]
-    )
-    fallback = parse_output(" A1: alpha. A2: beta.\nthe trailing summary text", bundle2)
+    frame2 = qa_frame(bank[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, ("a", "b"))])
+    fallback = parse_output(" A1: alpha. A2: beta.\nthe trailing summary text", frame2.k)
     assert fallback.parse_status == PARSE_FALLBACK
     assert fallback.summary == "the trailing summary text"
 
-    failed = parse_output("garbage", bundle2)
+    failed = parse_output("garbage", frame2.k)
     assert failed.parse_status == PARSE_FAILED
     assert failed.summary == ""
     _pass("parser-round-trip")

@@ -30,7 +30,7 @@ from qasum.lm import (
     RateLimited,
     ReplayMiss,
 )
-from qasum.prompting import IclExample, build_qa_prompt
+from qasum.prompting import IclExample, qa_frame
 from qasum.questions import (
     RankedQuestion,
     RankingError,
@@ -102,8 +102,11 @@ REFUSALS = {
         rank_nothing,
         RankingError, "no successful answers for question 'topic' in domain 'News'"),
     "answer-count-mismatch": (
-        lambda tmp: build_qa_prompt("article", BANK[:2], [IclExample("ex", "ref", ("one",))]),
+        lambda tmp: qa_frame(BANK[:2], [IclExample("ex", "ref", ("one",))]),
         Exception, "ICL example 0 supplies 1 answer(s); prompt has 2 question(s)"),
+    "questions-beyond-the-markers": (
+        lambda tmp: qa_frame([*BANK, BANK[0]], []),
+        ValueError, "prompt has 11 questions; at most 10"),
 }
 
 

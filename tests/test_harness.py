@@ -46,7 +46,7 @@ from qasum.prompting import (
     SINGLE_QA_INSTRUCTION,
     SUMMARY_MARKER,
     VANILLA_INSTRUCTION,
-    build_single_qa,
+    single_qa_frame,
 )
 from qasum.questions import (
     RankedQuestion,
@@ -304,7 +304,8 @@ def expected_answer_prompts(cfg, k_values):
                                            cfg.icl_examples, cfg.seed):
             for k in k_values:
                 for q in top_k(table.domains[inst.domain], k):
-                    prompts.add(build_single_qa(example.article, q).text)
+                    frame = single_qa_frame(q)
+                    prompts.add(frame.head + example.article + frame.tail)
     return prompts
 
 
@@ -1064,6 +1065,7 @@ def bad_manifests(tmp_path):
     """Manifest texts that ``load_manifest`` refuses, by name."""
     doc = json.loads(manifest_with_mean(tmp_path, "good.json", 0.5).read_text())
     row = doc["rows"][0]
+    nan, inf = float("nan"), float("inf")
     return {
         "no-config": {key: value for key, value in doc.items() if key != "config"},
         "lm-not-an-object": {**doc, "config": {**doc["config"], "lm": 5}},
@@ -1075,12 +1077,20 @@ def bad_manifests(tmp_path):
         "int-domain": {**doc, "rows": [{**row, "domain": 7}]},
         "unknown-status": {**doc, "rows": [{**row, "parse_status": "bogus"}]},
         "repeated-row": {**doc, "rows": [*doc["rows"], row]},
+        "nan-score": {**doc, "rows": [{**row, "rougeL": dict.fromkeys(("p", "r", "f1"), nan)}]},
+        "inf-score": {**doc, "rows": [{**row, "rouge1": {**row["rouge1"], "r": inf}}]},
+        "negative-score": {**doc, "rows": [{**row, "rouge2": {**row["rouge2"], "f1": -0.5}}]},
+        "score-above-one": {**doc, "rows": [{**row, "rougeL": {"p": 7.0, "r": 7.0, "f1": 7.0}}]},
+        "negative-k": {**doc, "rows": [{**row, "k": -3}]},
+        "k-above-ten": {**doc, "rows": [{**row, "k": 11}]},
     }
 
 
 @pytest.mark.parametrize("name", ["no-config", "lm-not-an-object", "empty-object", "list",
                                   "no-rows", "row-list", "string-score", "int-domain",
-                                  "unknown-status", "repeated-row", "not-json"])
+                                  "unknown-status", "repeated-row", "nan-score", "inf-score",
+                                  "negative-score", "score-above-one", "negative-k",
+                                  "k-above-ten", "not-json"])
 def test_cli_bad_manifest_exit_code(tmp_path, capsys, name):
     good = manifest_with_mean(tmp_path, "good.json", 0.5)
     bad = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import PROMPT_GOLDEN_DIR, StubBackend, make_lm_config
 from qasum.lm import CompletionClient
 from qasum.prompting import (
+    ANSWER_MARKERS,
     IclExample,
     PARSE_FAILED,
     PARSE_FALLBACK,
@@ -19,11 +20,10 @@ from qasum.prompting import (
     SINGLE_QA_INSTRUCTION,
     SUMMARY_MARKER,
     VANILLA_INSTRUCTION,
-    build_qa_prompt,
-    build_single_qa,
     parse_output,
     qa_frame,
     render_output_block,
+    single_qa_frame,
 )
 from qasum.questions import builtin_bank
 
@@ -52,73 +52,74 @@ def golden(name: str) -> str:
     return (PROMPT_GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
+def around(frame, article: str) -> str:
+    """The prompt ``frame`` makes for ``article``."""
+    return frame.head + article + frame.tail
+
+
 # --- golden prompts ----------------------------------------------------------
 
 
 def test_golden_qa_k2():
-    bundle = build_qa_prompt(
-        TARGET_ARTICLE, QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:2])]
-    )
-    assert bundle.text == golden("qa_k2.txt")
-    assert bundle.k == 2
-    assert bundle.answer_markers == ("A1:", "A2:")
+    frame = qa_frame(QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:2])])
+    assert frame.head + TARGET_ARTICLE + frame.tail == golden("qa_k2.txt")
+    assert frame.k == 2
+    assert ANSWER_MARKERS[:frame.k] == ("A1:", "A2:")
 
 
 def test_golden_qa_k5():
-    bundle = build_qa_prompt(
-        TARGET_ARTICLE, QS5, [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5)]
-    )
-    assert bundle.text == golden("qa_k5.txt")
+    frame = qa_frame(QS5, [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5)])
+    assert frame.head + TARGET_ARTICLE + frame.tail == golden("qa_k5.txt")
 
 
 def test_golden_qa_k0_equals_icl():
     # icl is qa at k = 0, so both goldens come from one call.
-    qa = build_qa_prompt(TARGET_ARTICLE, [], [IclExample(EX_ARTICLE, EX_REFERENCE)])
-    assert qa.text == golden("qa_k0.txt")
-    assert qa.text == golden("icl.txt")
-    assert qa.k == 0 and qa.answer_markers == ()
+    qa = qa_frame([], [IclExample(EX_ARTICLE, EX_REFERENCE)])
+    assert qa.head + TARGET_ARTICLE + qa.tail == golden("qa_k0.txt")
+    assert qa.head + TARGET_ARTICLE + qa.tail == golden("icl.txt")
+    assert qa.k == 0
 
 
 def test_golden_vanilla_and_single():
     # vanilla is qa at k = 0 with no examples.
-    assert build_qa_prompt(TARGET_ARTICLE, [], []).text == golden("vanilla.txt")
-    assert build_single_qa(EX_ARTICLE, BANK["topic"]).text == golden("single_qa_topic.txt")
+    vanilla = qa_frame([], [])
+    assert vanilla.head + TARGET_ARTICLE + vanilla.tail == golden("vanilla.txt")
+    single = single_qa_frame(BANK["topic"])
+    assert single.head + EX_ARTICLE + single.tail == golden("single_qa_topic.txt")
 
 
 def test_prompt_determinism():
-    one = build_qa_prompt(TARGET_ARTICLE, QS5, [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5)])
-    two = build_qa_prompt(TARGET_ARTICLE, QS5, [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5)])
-    assert one.text == two.text
+    one = qa_frame(QS5, [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5)])
+    two = qa_frame(QS5, [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5)])
+    assert around(one, TARGET_ARTICLE) == around(two, TARGET_ARTICLE)
 
 
 # --- template structure ------------------------------------------------------
 
 
 def test_vanilla_has_exactly_one_summary_marker():
-    assert build_qa_prompt(TARGET_ARTICLE, [], []).text.count("Summary:") == 1
+    assert around(qa_frame([], []), TARGET_ARTICLE).count("Summary:") == 1
 
 
 def test_builders_are_total_on_empty_article():
     # upstream validation prevents empty articles in practice
-    assert build_qa_prompt("", [], []).text.endswith("Summary:")
-    assert build_single_qa("", BANK["topic"]).text.endswith("A:")
+    assert around(qa_frame([], []), "").endswith("Summary:")
+    assert around(single_qa_frame(BANK["topic"]), "").endswith("A:")
 
 
 def test_icl_example_carries_reference_verbatim():
-    text = build_qa_prompt(TARGET_ARTICLE, [], [IclExample(EX_ARTICLE, EX_REFERENCE)]).text
+    text = around(qa_frame([], [IclExample(EX_ARTICLE, EX_REFERENCE)]), TARGET_ARTICLE)
     assert EX_REFERENCE in text
 
 
 def test_answer_count_mismatch():
     with pytest.raises(ValueError, match="^ICL example 0 supplies 1 answer"):
-        build_qa_prompt(
-            TARGET_ARTICLE, QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:1])]
-        )
+        qa_frame(QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:1])])
 
 
 def test_single_qa_prompts_differ_only_in_question_line():
-    a = build_single_qa(EX_ARTICLE, BANK["topic"]).text
-    b = build_single_qa(EX_ARTICLE, BANK["tone"]).text
+    a = around(single_qa_frame(BANK["topic"]), EX_ARTICLE)
+    b = around(single_qa_frame(BANK["tone"]), EX_ARTICLE)
     diff = [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y]
     assert len(diff) == 1
     assert diff[0][0].startswith("Q: ")
@@ -126,8 +127,7 @@ def test_single_qa_prompts_differ_only_in_question_line():
 
 def test_question_block_is_prefix_extension():
     def question_block(k):
-        bundle = build_qa_prompt(TARGET_ARTICLE, QS5[:k], [])
-        target = bundle.text
+        target = around(qa_frame(QS5[:k], []), TARGET_ARTICLE)
         return target[target.index("Q1:") : target.rindex("\nA:")]
 
     for k in range(1, 5):
@@ -173,102 +173,88 @@ def frame_inputs(draw):
     return draw(prompt_text), questions, examples
 
 
-@given(frame_inputs())
-def test_frame_around_article_is_the_prompt(inputs):
+@given(frame_inputs(), st.sampled_from(list(BANK.values())))
+def test_frame_around_article_is_the_prompt(inputs, question):
     article, questions, examples = inputs
     frame = qa_frame(questions, examples)
-    bundle = build_qa_prompt(article, questions, examples)
     assert frame.head + article + frame.tail == joined_prompt(article, questions, examples)
-    assert bundle.text == frame.head + article + frame.tail
-    assert (bundle.k, bundle.answer_markers, bundle.stop_sequences) == (
-        frame.k, frame.answer_markers, frame.stop_sequences)
+    stop = QA_INSTRUCTION if questions else VANILLA_INSTRUCTION
+    assert (frame.k, frame.stop_sequences) == (len(questions), (stop,))
 
-
-def test_frame_parses_like_its_bundle():
-    frame = qa_frame(QS5[:2], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:2])])
-    completion = " A1: alpha. A2: beta.\nSummary: gamma."
-    assert parse_output(completion, frame) == parse_output(completion, qa_bundle(2))
+    single = single_qa_frame(question)
+    assert (single.head + article + single.tail
+            == f"{SINGLE_QA_INSTRUCTION}\n{article}\nQ: {question.text}\nA:")
+    assert (single.k, single.stop_sequences) == (0, (SINGLE_QA_INSTRUCTION,))
 
 
 # --- parsing -----------------------------------------------------------------
 
 
-def qa_bundle(k):
-    questions = QS5[:k]
-    answers = EX_ANSWERS5[:k]
-    return build_qa_prompt(TARGET_ARTICLE, questions, [IclExample(EX_ARTICLE, EX_REFERENCE, answers)])
-
-
 def test_parse_round_trip_simple():
-    bundle = qa_bundle(2)
     completion = " " + render_output_block(["first answer", "second answer"], "a tidy summary")[2:]
     # render_output_block starts with "A: "; the model's completion follows the
     # prompt's trailing "A:" so it begins at the first answer marker.
-    parsed = parse_output(completion, bundle)
+    parsed = parse_output(completion, 2)
     assert parsed.parse_status == PARSE_OK
     assert parsed.answers == ("first answer", "second answer")
     assert parsed.summary == "a tidy summary"
 
 
 def test_parse_fallback_without_summary_marker():
-    bundle = qa_bundle(2)
     completion = " A1: alpha. A2: beta.\nthese are the key findings overall"
-    parsed = parse_output(completion, bundle)
+    parsed = parse_output(completion, 2)
     assert parsed.parse_status == PARSE_FALLBACK
     assert parsed.answers == ("alpha", "beta")
     assert parsed.summary == "these are the key findings overall"
 
 
 def test_parse_failed_on_garbage():
-    parsed = parse_output("garbage", qa_bundle(2))
+    parsed = parse_output("garbage", 2)
     assert parsed.parse_status == PARSE_FAILED
     assert parsed.summary == ""
 
 
 def test_parse_failed_on_missing_marker():
-    parsed = parse_output(" A1: only one answer.\nSummary: s.", qa_bundle(2))
+    parsed = parse_output(" A1: only one answer.\nSummary: s.", 2)
     assert parsed.parse_status == PARSE_FAILED
 
 
 def test_parse_failed_on_empty_summary():
-    parsed = parse_output(" A1: a. A2: b.\nSummary:", qa_bundle(2))
+    parsed = parse_output(" A1: a. A2: b.\nSummary:", 2)
     assert parsed.parse_status == PARSE_FAILED
     assert parsed.summary == ""
 
 
 def test_parse_takes_last_summary_marker():
-    bundle = qa_bundle(1)
     completion = " A1: recap. Summary: draft.\nSummary: final."
-    parsed = parse_output(completion, bundle)
+    parsed = parse_output(completion, 1)
     assert parsed.parse_status == PARSE_OK
     assert parsed.summary == "final"
 
 
 def test_parse_k0_takes_completion_as_summary():
-    bundle = build_qa_prompt(TARGET_ARTICLE, [], [IclExample(EX_ARTICLE, EX_REFERENCE)])
-    parsed = parse_output(" the cleanup plan moved forward", bundle)
+    frame = qa_frame([], [IclExample(EX_ARTICLE, EX_REFERENCE)])
+    parsed = parse_output(" the cleanup plan moved forward", frame.k)
     assert parsed.parse_status == PARSE_OK
     assert parsed.answers == ()
     assert parsed.summary == "the cleanup plan moved forward"
 
 
 def test_parse_k0_empty_completion_fails():
-    bundle = build_qa_prompt(TARGET_ARTICLE, [], [])
-    assert parse_output("   ", bundle).parse_status == PARSE_FAILED
+    assert parse_output("   ", qa_frame([], []).k).parse_status == PARSE_FAILED
 
 
-def generate_and_parse(reply: str, bundle):
+def generate_and_parse(reply: str, frame):
     """A completion as a run sees it: cut by ``CompletionClient.generate``
-    at the bundle's stop sequences, then parsed."""
+    at the frame's stop sequences, then parsed."""
     client = CompletionClient(make_lm_config(), backend=StubBackend(reply))
-    gen = client.generate(bundle.text, stop_sequences=bundle.stop_sequences)
-    return parse_output(gen.completion, bundle)
+    gen = client.generate(around(frame, TARGET_ARTICLE), stop_sequences=frame.stop_sequences)
+    return parse_output(gen.completion, frame.k)
 
 
 def test_parse_k0_cuts_at_stop_sentinel():
-    bundle = build_qa_prompt(TARGET_ARTICLE, [], [])
     completion = " a good summary\n\nSummarize the following article.\nmore stuff"
-    parsed = generate_and_parse(completion, bundle)
+    parsed = generate_and_parse(completion, qa_frame([], []))
     assert parsed.parse_status == PARSE_OK
     assert parsed.summary == "a good summary"
 
@@ -285,13 +271,12 @@ def test_parse_round_trip_seeded_random():
         summary = " ".join(
             rng.choice(["north", "south", "east", "west", "center"]) for _ in range(rng.randint(1, 6))
         )
-        bundle = build_qa_prompt(
-            TARGET_ARTICLE,
+        frame = qa_frame(
             [BANK[q.key] for q in bank[:k]],
             [IclExample(EX_ARTICLE, EX_REFERENCE, tuple(answers))],
         )
         completion = " " + render_output_block(answers, summary)[len("A: ") :]
-        parsed = parse_output(completion, bundle)
+        parsed = parse_output(completion, frame.k)
         assert parsed.parse_status == PARSE_OK
         assert list(parsed.answers) == answers
         assert parsed.summary == summary
@@ -305,13 +290,12 @@ phrases = st.lists(
 @given(st.lists(phrases, min_size=1, max_size=5), phrases)
 def test_parse_round_trip_property(answers, summary):
     k = len(answers)
-    bundle = build_qa_prompt(
-        TARGET_ARTICLE,
+    frame = qa_frame(
         [q for q in builtin_bank()[:k]],
         [IclExample(EX_ARTICLE, EX_REFERENCE, tuple(answers))],
     )
     completion = " " + render_output_block(answers, summary)[len("A: ") :]
-    parsed = parse_output(completion, bundle)
+    parsed = parse_output(completion, frame.k)
     assert parsed.parse_status == PARSE_OK
     assert list(parsed.answers) == answers
     assert parsed.summary == summary
@@ -325,10 +309,8 @@ completion_pieces = st.one_of(
 
 @given(st.lists(completion_pieces, max_size=12).map("".join), st.integers(min_value=0, max_value=5))
 def test_parse_status_property(completion, k):
-    bundle = build_qa_prompt(
-        TARGET_ARTICLE, QS5[:k], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:k])]
-    )
-    parsed = parse_output(completion, bundle)
+    frame = qa_frame(QS5[:k], [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:k])])
+    parsed = parse_output(completion, frame.k)
     assert parsed.parse_status in (PARSE_OK, PARSE_FALLBACK, PARSE_FAILED)
     assert (parsed.parse_status == PARSE_FAILED) == (parsed.summary == "")
 
@@ -349,9 +331,9 @@ model_pieces = st.one_of(
 )
 def test_generated_completion_is_cut_once_before_parsing(reply, k, with_example):
     examples = [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:k])] if with_example else []
-    bundle = build_qa_prompt(TARGET_ARTICLE, QS5[:k], examples)
-    (stop,) = bundle.stop_sequences
-    parsed = generate_and_parse(reply, bundle)
+    frame = qa_frame(QS5[:k], examples)
+    (stop,) = frame.stop_sequences
+    parsed = generate_and_parse(reply, frame)
     assert stop not in parsed.summary
     assert not any(stop in answer for answer in parsed.answers)
     assert (parsed.parse_status == PARSE_FAILED) == (parsed.summary == "")

@@ -16,7 +16,7 @@ from qasum import (
     IclExample,
     LmConfig,
     ParsedOutput,
-    PromptBundle,
+    PromptFrame,
     QuestionSpec,
     RankingTable,
     Reference,
@@ -46,7 +46,7 @@ RECORDS = {
     IclExample: (lambda: IclExample("article", "reference", ("one",)), "answers", ()),
     LmConfig: (lambda: LmConfig("m1", endpoint="http://localhost:1/v1"), "max_tokens", 64),
     ParsedOutput: (lambda: ParsedOutput(("one",), "summary", "ok"), "parse_status", "failed"),
-    PromptBundle: (lambda: PromptBundle("text", 1, ("A1:",), ("stop",)), "k", 2),
+    PromptFrame: (lambda: PromptFrame("head", "tail", 1, ("stop",)), "k", 2),
     QuestionSpec: (lambda: QuestionSpec("topic", "What?"), "text", "Why?"),
     RankingTable: (lambda: RankingTable("m1", 0, None, "t",
                                         {"News": (RankedQuestion("topic", 0.5, 1),)}),
