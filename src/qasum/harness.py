@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import csv
 import json
+import marshal
 import os
+import signal
+import threading
 import time
 import types
 import typing
@@ -318,6 +321,116 @@ def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
 
 _FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
 
+Scores = tuple[RougeScore, RougeScore, RougeScore]
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _score(instances, summaries: list[str], per_instance: int) -> list[Scores]:
+    """ROUGE-1/2/L of each instance's ``per_instance`` summaries against
+    its reference, in order. Instance by instance, so only one reference's
+    token table is alive at a time."""
+    scores = []
+    for n, inst in enumerate(instances):
+        reference = Reference.from_text(inst.reference)
+        for summary in summaries[n * per_instance : (n + 1) * per_instance]:
+            scores.append(rouge_scores(tokenize(summary), reference))
+    return scores
+
+
+def _fork_scorer(instances, summaries: list[str], per_instance: int,
+                 other_pipes: list[int]) -> tuple[int, int]:
+    """Fork a helper that ``_score``s one share and writes the nine floats
+    of each row, as one ``marshal``ed list, to a pipe; returns its pid and
+    the pipe's read end. The helper closes every other pipe end, touches
+    nothing else it inherited (no store connection, no socket) and leaves
+    through ``os._exit``, so no cleanup of the caller's runs twice."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (read_end, *other_pipes):
+                os.close(fd)
+            floats = [x for row in _score(instances, summaries, per_instance)
+                      for score in row for x in (score.precision, score.recall, score.f1)]
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(floats))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _received(read_end: int, rows: int) -> list[Scores] | None:
+    """The ``rows`` scores a helper wrote to ``read_end``, or None when it
+    wrote fewer bytes or floats than that."""
+    with open(read_end, "rb", closefd=False) as pipe:
+        payload = pipe.read()
+    try:
+        floats = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if type(floats) is not list or len(floats) != 9 * rows:
+        return None
+    # Three floats to a score, three scores to a row.
+    scores = map(RougeScore, *[iter(floats)] * 3)
+    return list(zip(scores, scores, scores))
+
+
+def _score_rows(instances, summaries: list[str], per_instance: int) -> list[Scores]:
+    """``_score`` over every instance, on every usable core.
+
+    The instances are split into contiguous shares, one per usable CPU and
+    at most one per instance. The caller scores the first share, and a
+    forked helper scores each other one. With no ``os.fork`` (Windows), or
+    while another thread is alive, since a fork copies no other thread and
+    can leave the child waiting on a lock one of them held, the caller
+    scores every share itself. A share whose helper fails, or cannot be
+    forked, is scored by the caller too. Each helper is killed if still
+    running and reaped before this returns or raises.
+    """
+    shares = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        shares = max(1, min(_usable_cpus(), len(instances)))
+    bounds = [len(instances) * i // shares for i in range(shares + 1)]
+    spans = list(zip(bounds, bounds[1:]))
+
+    def share(lo, hi):
+        return instances[lo:hi], summaries[lo * per_instance : hi * per_instance], per_instance
+
+    helpers: list[tuple[int, int]] = []
+    try:
+        for lo, hi in spans[1:]:
+            try:
+                helpers.append(_fork_scorer(*share(lo, hi), [fd for _, fd in helpers]))
+            except OSError:  # no more processes: the caller scores the rest
+                break
+        scores = _score(*share(*spans[0]))
+        for n, (lo, hi) in enumerate(spans[1:]):
+            received = None
+            if n < len(helpers):
+                received = _received(helpers[n][1], (hi - lo) * per_instance)
+            scores += _score(*share(lo, hi)) if received is None else received
+        return scores
+    finally:
+        for pid, read_end in helpers:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
 
 def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     """Evaluate the configured method over the eval set and k sweep.
@@ -329,10 +442,13 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     their answers to them, are resolved once per run, and the cell's
     prompt frame is rendered once from them; then the run issues one
     completion per (instance, k), its prompt the instance's article in
-    its cell's frame, and scores instance by instance. A per-request LM
-    error degrades to failed rows; configuration and I/O problems, an
-    unreachable or rate-limiting backend and replay fixture gaps abort
-    the run.
+    its cell's frame. It scores the rows on every usable core: the caller
+    and forked helpers each take a contiguous share of the instances and
+    score it instance by instance (``_score_rows``). The rows come out in
+    the same order, with the same scores, whatever the number of helpers,
+    and no helper outlives the call. A per-request LM error degrades to
+    failed rows; configuration and I/O problems, an unreachable or
+    rate-limiting backend and replay fixture gaps abort the run.
     """
     started = time.monotonic()
     corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
@@ -413,26 +529,24 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             for inst in instances for k in k_values]
     outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
 
-    # Stage 4: score instance by instance, so only one reference's token
-    # table is alive at a time.
-    rows = []
-    per_instance = len(k_values)
-    for n, inst in enumerate(instances):
-        reference = Reference.from_text(inst.reference)
-        for k, parsed in zip(k_values, outputs[n * per_instance : (n + 1) * per_instance]):
-            rouge1, rouge2, rougeL = rouge_scores(tokenize(parsed.summary), reference)
-            rows.append(
-                ScoreRow(
-                    id=inst.id,
-                    method=cfg.method,
-                    domain=inst.domain,
-                    k=k,
-                    rouge1=rouge1,
-                    rouge2=rouge2,
-                    rougeL=rougeL,
-                    parse_status=parsed.parse_status,
-                )
-            )
+    # Stage 4: score every (instance, k) row on every usable core. Each
+    # process scores its share instance by instance, so only one reference's
+    # token table is alive at a time in each.
+    scores = _score_rows(instances, [parsed.summary for parsed in outputs], len(k_values))
+    rows = [
+        ScoreRow(
+            id=inst.id,
+            method=cfg.method,
+            domain=inst.domain,
+            k=k,
+            rouge1=rouge1,
+            rouge2=rouge2,
+            rougeL=rougeL,
+            parse_status=parsed.parse_status,
+        )
+        for (inst, k), parsed, (rouge1, rouge2, rougeL)
+        in zip(((inst, k) for inst in instances for k in k_values), outputs, scores)
+    ]
     rows.sort(key=lambda r: (r.id, r.k))
 
     manifest = RunManifest(

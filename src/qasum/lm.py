@@ -168,6 +168,11 @@ _STORE_FILE = "cache.sqlite"
 # one B-tree; SQLite's default of 2 MiB only adds ~2.4 MB to peak RSS.
 _PAGE_CACHE_KIB = 256
 
+# How long opening a store keeps retrying its set-up while other processes
+# create the same store, and the pause between tries, in seconds.
+_SET_UP_DEADLINE_S = 2.0
+_SET_UP_RETRY_S = 0.01
+
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, model TEXT, prompt TEXT,"
     " max_tokens INTEGER, greedy INTEGER, stop_sequences TEXT, completion TEXT,"
@@ -220,8 +225,35 @@ def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> tuple[str, 
     return row[0], row[1] if isinstance(row[1], str) else "stop"
 
 
+def _set_up(conn: sqlite3.Connection) -> None:
+    """Switch a store connection to WAL and create the table if missing.
+
+    ``PRAGMA journal_mode=WAL`` returns the mode the store ends up in.
+    SQLite keeps the rollback journal on a file system that cannot hold
+    WAL's shared-memory index. Such a store still commits each put when it
+    returns, and the put still survives a killed process. But a writer
+    then locks readers out while it commits, so processes that share the
+    store wait on one another. And only ``synchronous=FULL``, SQLite's
+    default, keeps a rollback-journal store safe from corruption on power
+    loss, so ``synchronous=NORMAL`` is set in WAL mode alone."""
+    [(mode,)] = conn.execute("PRAGMA journal_mode=WAL").fetchall()
+    if mode == "wal":
+        conn.execute("PRAGMA synchronous=NORMAL")
+    conn.execute(f"PRAGMA cache_size=-{_PAGE_CACHE_KIB}")
+    conn.execute(_SCHEMA)
+
+
 def _open_store(root: str) -> sqlite3.Connection:
-    """The read-write store in ``root``, created with its table on first use."""
+    """The read-write store in ``root``, created with its table on first use.
+
+    Processes that open one new store together can make SQLite fail the
+    set-up of all but one of them at once with "database is locked",
+    without waiting out the busy timeout: two connections that both hold
+    a shared lock and both ask to upgrade it would wait on each other for
+    ever. So a set-up that fails with "database is locked" is tried again
+    every ``_SET_UP_RETRY_S`` until ``_SET_UP_DEADLINE_S`` has passed;
+    after that, and on any other error at once, it raises ``CacheError``.
+    """
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, _STORE_FILE)
     try:
@@ -229,10 +261,16 @@ def _open_store(root: str) -> sqlite3.Connection:
     except sqlite3.Error as exc:
         raise CacheError(f"cannot open response store {path}: {exc}") from exc
     try:
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA cache_size=-{_PAGE_CACHE_KIB}")
-        conn.execute(_SCHEMA)
+        deadline = time.monotonic() + _SET_UP_DEADLINE_S
+        while True:
+            try:
+                _set_up(conn)
+                break
+            except sqlite3.OperationalError as exc:
+                # SQLite's message for SQLITE_BUSY; any other error is final.
+                if str(exc) != "database is locked" or time.monotonic() >= deadline:
+                    raise
+                time.sleep(_SET_UP_RETRY_S)
     except sqlite3.Error as exc:
         conn.close()
         raise CacheError(f"cannot use response store {path}: {exc}") from exc
@@ -251,12 +289,14 @@ class ResponseCache:
 
     The database runs in WAL mode with ``synchronous=NORMAL``: a put is
     committed when it returns and survives a killed process, and several
-    processes can share one directory. One connection serves every worker
-    thread under a lock and is closed when the cache is dropped, which
-    folds the write-ahead log back into the database. A store that is not
-    a database raises ``CacheError`` and is left as it is. With no
-    directory nothing is stored and every lookup is a miss. Hit/miss/entry
-    counters are in-process and monotone.
+    processes can share one directory. They can also start on it
+    together: opening retries the WAL switch for up to two seconds while
+    another process holds the lock it needs (``_open_store``). One
+    connection serves every worker thread under a lock and is closed when
+    the cache is dropped, which folds the write-ahead log back into the
+    database. A store that is not a database raises ``CacheError`` and is
+    left as it is. With no directory nothing is stored and every lookup is
+    a miss. Hit/miss/entry counters are in-process and monotone.
     """
 
     def __init__(self, root: str | None):

@@ -6,11 +6,14 @@ from collections import Counter
 import dataclasses
 from dataclasses import fields
 import json
+import marshal
 import os
 from pathlib import Path
+import random
 import shutil
 import sqlite3
 import tempfile
+import threading
 import time
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,11 +23,13 @@ from conftest import (
     CORPUS_PATH,
     MODEL,
     Reply,
+    ScriptedBackend,
     StubBackend,
     make_config,
     make_lm_config,
     scripted_server,
 )
+from qasum import harness
 from qasum.cli import main
 from qasum.corpus import load_corpus, sample_icl_examples, split_corpus
 from qasum.harness import (
@@ -569,6 +574,180 @@ def test_eval_subsample_is_stable(tmp_path):
     m2 = run_eval(cfg2, tmp_path / "b", backend=StubBackend(reply=" s"))
     assert m1.eval_ids == m2.eval_ids
     assert len(m1.eval_ids) == 3  # one per domain
+
+
+# --- scoring on every core ---------------------------------------------------
+
+
+OUTPUT_FILES = ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_k.csv")
+FORK = getattr(os, "fork", None)
+
+
+def seeded_corpus(path, size, seed=0):
+    """A News corpus of ``size`` instances drawn from a small vocabulary,
+    so summaries and references share some words and scores differ."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(40)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(size):
+            fh.write(json.dumps({
+                "id": f"doc-{i:02d}", "domain": "News", "task": "xsum",
+                "article": " ".join(rng.choices(vocab, k=60)),
+                "reference": " ".join(rng.choices(vocab, k=rng.randint(1, 25))),
+            }) + "\n")
+    return path
+
+
+def seeded_reply(prompt: str) -> str:
+    """Answers and a summary of words sampled from the prompt, seeded by it."""
+    rng = random.Random(prompt)
+    words = prompt.split()
+    return f" A1: {rng.choice(words)}.\nSummary: {' '.join(rng.sample(words, rng.randint(0, 30)))}"
+
+
+def outputs_with_cpus(monkeypatch, cfg, out_dir, backend, cpus):
+    """``run_eval`` as if ``cpus`` CPUs were usable: the rows, the bytes of
+    its CSVs and manifest rows, and how many helpers it forked."""
+    forks = []
+
+    def counted_fork():
+        pid = FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    manifest = run_eval(cfg, out_dir, backend=backend)
+    files = {name: (out_dir / name).read_bytes() for name in OUTPUT_FILES}
+    # The manifest's first line holds the run's fields, wall time included.
+    files["manifest rows"] = (out_dir / "manifest.json").read_bytes().split(b"\n", 1)[1]
+    return manifest.rows, files, len(forks)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def seeded_case(tmp_path, case):
+    """A config and backend for one corpus shape: the acceptance fixture at
+    qa k = 0..5, or a seeded corpus whose eval set (7 instances, or 1)
+    does not split evenly into shares."""
+    ranking = tmp_path / "ranking.json"
+    if case == "acceptance-fixture":
+        synthetic_ranking(ranking)
+        cfg = make_config(method="qa", k_values=range(6), ranking=ranking)
+        return cfg, ScriptedBackend(load_corpus(CORPUS_PATH)), 3
+    synthetic_ranking(ranking, domains=("News",))
+    corpus = seeded_corpus(tmp_path / "corpus.jsonl", 15)  # 8 to the pool, 7 to eval
+    subsample = 1 if case == "one-instance" else None
+    cfg = make_config(method="qa", k_values=range(6), ranking=ranking, corpus=str(corpus),
+                      eval_subsample=subsample)
+    return cfg, StubBackend(seeded_reply), subsample or 7
+
+
+@pytest.mark.parametrize("case", ["acceptance-fixture", "seven-instances", "one-instance"])
+def test_eval_outputs_are_identical_for_any_helper_count(tmp_path, monkeypatch, case):
+    cfg, backend, instances = seeded_case(tmp_path, case)
+    rows, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "cpus-1", backend, 1)
+    assert forks == 0
+    assert len(rows) == 6 * instances
+    for helpers in (1, 3):
+        out = tmp_path / f"helpers-{helpers}"
+        got = outputs_with_cpus(monkeypatch, cfg, out, backend, helpers + 1)
+        assert got == (rows, files, min(helpers, instances - 1))
+        assert_no_child_left()
+
+
+def rows_with_cpus(monkeypatch, cfg, out_dir, backend, cpus):
+    """The rows of ``run_eval`` as if ``cpus`` CPUs were usable."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    return run_eval(cfg, out_dir, backend=backend).rows
+
+
+def patch_helper_scoring(monkeypatch, in_helper, in_caller=None):
+    """Run ``in_helper(scores)`` on what ``_score`` returns in a forked
+    helper, and ``in_caller()`` before the caller's own ``_score``."""
+    caller = os.getpid()
+    score = harness._score
+
+    def patched(*args):
+        if os.getpid() != caller:
+            return in_helper(score(*args))
+        if in_caller is not None:
+            in_caller()
+        return score(*args)
+
+    monkeypatch.setattr(harness, "_score", patched)
+
+
+def helper_exits(scores):
+    os._exit(3)
+
+
+def helper_drops_a_row(scores):
+    return scores[:-1]
+
+
+HELPER_FAULTS = {
+    "exits-before-writing": (helper_exits, False),
+    "writes-a-row-too-few": (helper_drops_a_row, False),
+    "writes-a-cut-payload": (None, True),
+}
+
+
+@pytest.mark.parametrize("fault", HELPER_FAULTS, ids=HELPER_FAULTS)
+def test_a_failed_helper_share_is_scored_by_the_caller(tmp_path, monkeypatch, fault):
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+    expected = rows_with_cpus(monkeypatch, cfg, tmp_path / "serial", backend, 1)
+    in_helper, cut_payload = HELPER_FAULTS[fault]
+    if in_helper is not None:
+        patch_helper_scoring(monkeypatch, in_helper)
+    if cut_payload:
+        dumps = marshal.dumps
+        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-5])
+    assert rows_with_cpus(monkeypatch, cfg, tmp_path / "faulty", backend, 4) == expected
+    assert_no_child_left()
+
+
+def test_an_error_in_the_callers_share_propagates_and_every_helper_is_reaped(
+        tmp_path, monkeypatch):
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+
+    def slow_helper(scores):
+        time.sleep(60)
+        return scores
+
+    def caller_fails():
+        raise RuntimeError("scoring failed")
+
+    patch_helper_scoring(monkeypatch, slow_helper, caller_fails)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        rows_with_cpus(monkeypatch, cfg, tmp_path / "out", backend, 4)
+    assert time.monotonic() - started < 30  # the helpers were killed, not waited for
+    assert_no_child_left()
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_never_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+    expected = rows_with_cpus(monkeypatch, cfg, tmp_path / "serial", backend, 1)
+
+    def no_fork():
+        raise AssertionError("forked while another thread was alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert rows_with_cpus(monkeypatch, cfg, tmp_path / "threaded", backend, 4) == expected
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_manifest_round_trip(tmp_path):

@@ -9,12 +9,17 @@ compare -> report flow. Output must match the replay goldens byte for byte.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from conftest import CORPUS_PATH, GOLDEN_DIR, MODEL, Reply, scripted_server
 from qasum.cli import main
 from qasum.lm import CompletionRequest
 
 MAX_IN_FLIGHT = 4
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def scripted_reply(scripted):
@@ -83,3 +88,57 @@ def test_full_flow_over_real_http(tmp_path, scripted_backend):
     assert main(["report", str(qa_dir / "manifest.json"), "--out", str(report_dir)]) == 0
     for name in ("overall.md", "by_domain_k.csv", "parse_summary.csv"):
         assert (report_dir / name).read_bytes() == (GOLDEN_DIR / f"report_{name}").read_bytes()
+
+
+SWEEP = {
+    "icl": ("--method", "icl"),
+    "qa-ds": ("--method", "qa", "--k", "0,1,2"),
+    "qa-global": ("--method", "qa", "--scope", "global", "--k", "0,1,2"),
+}
+EVAL_OUTPUTS = ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_k.csv")
+
+
+def outputs(out_dir):
+    """An eval run's CSVs, and its manifest rows: the manifest's first line
+    holds the cache counts and wall time, which differ between runs."""
+    files = {name: (out_dir / name).read_bytes() for name in EVAL_OUTPUTS}
+    files["manifest rows"] = (out_dir / "manifest.json").read_bytes().split(b"\n", 1)[1]
+    return files
+
+
+def test_a_sweep_started_together_on_one_cold_store_matches_one_run_after_another(
+        tmp_path, scripted_backend):
+    with scripted_server(scripted_reply(scripted_backend)) as server:
+        def config(name):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "lm": {"model": MODEL, "backend": "http", "endpoint": server.url, "timeout": 10},
+                "pool_fraction": 0.5,
+                "seed": 0,
+                "icl_examples": 1,
+                "cache_dir": str(tmp_path / f"{name}-cache"),
+            }))
+            return str(path)
+
+        ranking = tmp_path / "ranking.json"
+        assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", config("rank"),
+                     "--out", str(ranking)]) == 0
+
+        def argv(name, sweep):
+            return ["eval", *SWEEP[name], "--corpus", str(CORPUS_PATH), "--config", config(sweep),
+                    "--ranking", str(ranking), "--out", str(tmp_path / sweep / name)]
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        together = [subprocess.Popen([sys.executable, "-m", "qasum.cli", *argv(name, "together")],
+                                     env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     text=True)
+                    for name in SWEEP]
+        for process in together:
+            _, err = process.communicate(timeout=60)
+            assert (process.returncode, err) == (0, "")
+        for name in SWEEP:
+            assert main(argv(name, "in-turn")) == 0
+
+    for name in SWEEP:
+        assert outputs(tmp_path / "together" / name) == outputs(tmp_path / "in-turn" / name)

@@ -401,6 +401,67 @@ def test_two_processes_write_one_store_at_once(tmp_path):
         assert_all_stored(tmp_path, tag, 300)
 
 
+OPENERS = 4
+OPEN_ROUNDS = 100
+
+
+def test_processes_that_open_one_new_store_together_all_succeed(tmp_path):
+    # Each round the openers block on one pipe, and closing its write end
+    # wakes them all at once, so they create one new store together. SQLite
+    # fails one of two connections that both hold a shared lock and both ask
+    # to upgrade it, at once and without waiting out the busy timeout.
+    code = (
+        "import os, sys\n"
+        "from qasum.lm import CacheError, ResponseCache\n"
+        "root, *gates = sys.argv[1:]\n"
+        "print('ready', flush=True)\n"
+        "for n, gate in enumerate(gates):\n"
+        "    os.read(int(gate), 1)\n"
+        "    try:\n"
+        "        ResponseCache(os.path.join(root, str(n)))\n"
+        "    except CacheError as exc:\n"
+        "        print(f'round {n}: {exc}', flush=True)\n"
+        "    else:\n"
+        "        print('ok', flush=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    gates = [os.pipe() for _ in range(OPEN_ROUNDS)]
+    read_ends = [read_end for read_end, _ in gates]
+    try:
+        openers = [
+            subprocess.Popen([sys.executable, "-c", code, str(tmp_path), *map(str, read_ends)],
+                             env=env, pass_fds=read_ends, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for _ in range(OPENERS)
+        ]
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)
+    failures = []
+    try:
+        for opener in openers:
+            assert opener.stdout.readline() == "ready\n"
+        for _, write_end in gates:
+            os.close(write_end)
+            failures += [line for line in (o.stdout.readline() for o in openers)
+                         if line != "ok\n"]
+    finally:
+        for _, write_end in gates:
+            try:
+                os.close(write_end)
+            except OSError:  # closed above
+                pass
+        for opener in openers:
+            out, err = opener.communicate(timeout=60)
+            assert (opener.returncode, out, err) == (0, "", "")
+    assert failures == []
+    for n in range(OPEN_ROUNDS):
+        store = sqlite3.connect(tmp_path / str(n) / "cache.sqlite")
+        assert store.execute("PRAGMA journal_mode").fetchall() == [("wal",)]
+        store.close()
+
+
 def test_map_workers_share_one_connection(tmp_path):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
