@@ -2,19 +2,20 @@
 
 All functions are pure. Every score is taken on a candidate's tokens
 against a ``Reference``: a reference summary tokenized once, with the
-counts and LCS masks that scoring reads. So ``eval`` and ``rank`` each
-tokenize a reference once per instance and each candidate once. Scores
-are stored as fractions in [0, 1] and rendered x100 only at the
-reporting layer.
+bigram counts and LCS masks that scoring reads. So ``eval`` and
+``rank`` each tokenize a reference once per instance and each candidate
+once. Scores are stored as fractions in [0, 1] and rendered x100 only
+at the reporting layer.
 
 ROUGE-N clips n-gram counts (Lin 2004), and answer overlap precision is
-ROUGE-1 precision. Counters key unigrams by the token itself and bigrams
-by a 2-tuple of tokens.
+ROUGE-1 precision. A reference's token counts are read from its LCS
+masks, one set bit per occurrence, and its bigram counts from a Counter.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 import re
 
@@ -83,21 +84,15 @@ class ScoreRow:
     parse_status: str  # ok | fallback | failed
 
 
-def _bigrams(tokens: list[str]) -> Counter:
-    """Counts of the 2-tuples of adjacent tokens."""
-    return Counter(zip(tokens, tokens[1:]))
-
-
-def _clipped_matches(cand: Counter, ref: Counter) -> int:
-    """Sum over shared keys of the smaller of the two counts."""
-    common = cand.keys() & ref.keys()
-    return sum(map(min, map(cand.__getitem__, common), map(ref.__getitem__, common)))
-
-
-def _ngram_score(cand: Counter, ref: Counter) -> RougeScore:
-    matched = _clipped_matches(cand, ref)
-    cand_total = cand.total()
-    ref_total = ref.total()
+def _clipped_score(grams: Iterable, ref: dict, count: Callable[[int], int],
+                   cand_total: int, ref_total: int) -> RougeScore:
+    """ROUGE-N of a candidate's n-grams ``grams`` against ``ref``, which maps
+    each n-gram of the reference to a value that ``count`` turns into its
+    count there. Only the n-grams ``ref`` holds are counted: any other would
+    add ``min(c, 0) = 0`` to the clipped match. The totals are each side's
+    n-gram count; a zero total scores 0."""
+    shared = Counter(filter(ref.__contains__, grams))
+    matched = sum(map(min, shared.values(), map(count, map(ref.__getitem__, shared))))
     precision = matched / cand_total if cand_total else 0.0
     recall = matched / ref_total if ref_total else 0.0
     return RougeScore.from_pr(precision, recall)
@@ -151,31 +146,35 @@ def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int]) -> RougeS
 
 @dataclass(frozen=True, slots=True)
 class Reference:
-    """A reference summary tokenized once, with the 1- and 2-gram counts
-    that ROUGE-1/2 clip against and the ``lcs_masks`` ROUGE-L reads, for
-    scoring several candidates. ``unigrams`` is keyed by token,
-    ``bigrams`` by 2-tuples of tokens."""
+    """A reference summary tokenized once, for scoring several candidates:
+    its ``tokens``, its ``bigrams`` (a Counter keyed by 2-tuples of tokens)
+    that ROUGE-2 clips against, and its ``masks`` (``lcs_masks``) that
+    ROUGE-L reads. A token's count here is ``masks[t].bit_count()``, the
+    set bits of its mask, so ROUGE-1 needs no Counter of its own."""
 
     tokens: list[str]
-    unigrams: Counter
     bigrams: Counter
     masks: dict[str, int]
 
     @staticmethod
     def from_text(text: str) -> "Reference":
         tokens = tokenize(text)
-        return Reference(tokens, Counter(tokens), _bigrams(tokens), lcs_masks(tokens))
+        return Reference(tokens, Counter(zip(tokens, tokens[1:])), lcs_masks(tokens))
 
 
 def rouge_scores(
     candidate: list[str], reference: Reference
 ) -> tuple[RougeScore, RougeScore, RougeScore]:
     """ROUGE-1, ROUGE-2 and ROUGE-L of candidate tokens against a reference.
+    A token's reference count is its mask's set bits, a bigram's its
+    ``bigrams`` count.
     A component whose denominator is zero scores 0, so an empty candidate
     or reference scores all zeros, and a one-token one scores 0 on ROUGE-2."""
+    n, m = len(candidate), len(reference.tokens)
     return (
-        _ngram_score(Counter(candidate), reference.unigrams),
-        _ngram_score(_bigrams(candidate), reference.bigrams),
+        _clipped_score(candidate, reference.masks, int.bit_count, n, m),
+        _clipped_score(zip(candidate, candidate[1:]), reference.bigrams, int,
+                       max(n - 1, 0), max(m - 1, 0)),
         _lcs_score(candidate, reference.tokens, reference.masks),
     )
 
@@ -188,7 +187,8 @@ def overlap_precision(answer: list[str], reference: Reference) -> float:
     repeating a reference word is not rewarded, and the matched count is
     divided by the answer's token count. An answer with no tokens scores 0.
     """
-    return _ngram_score(Counter(answer), reference.unigrams).precision
+    return _clipped_score(answer, reference.masks, int.bit_count,
+                          len(answer), len(reference.tokens)).precision
 
 
 @dataclass(frozen=True, slots=True)

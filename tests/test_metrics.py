@@ -361,7 +361,7 @@ def test_row_scorer_equals_public_rouge(candidate, reference):
 
 
 @settings(deadline=None, max_examples=300)
-@given(scorer_texts, scorer_texts)
+@given(st.one_of(scorer_texts, st.text()), st.one_of(scorer_texts, st.text()))
 def test_rouge_n_equals_textbook_oracle(candidate, reference):
     cand, ref = tokenize(candidate), tokenize(reference)
     r1, r2, _ = rouge_scores(cand, Reference.from_text(reference))
@@ -373,6 +373,44 @@ def test_rouge_n_equals_textbook_oracle(candidate, reference):
 @given(st.one_of(scorer_texts, st.text()), st.one_of(scorer_texts, st.text()))
 def test_overlap_is_rouge_1_precision(answer, reference):
     assert overlap(answer, reference) == rouge_n_oracle(tokenize(answer), tokenize(reference), 1)[0]
+
+
+@pytest.mark.parametrize("seed,len_cand,len_ref,alphabet", [
+    (1, 200, 1000, 3), (2, 1000, 200, 8), (3, 600, 700, 50),
+])
+def test_rouge_n_long_inputs_match_oracle(seed, len_cand, len_ref, alphabet):
+    # Hundreds of tokens over few words: masks are wide and n-grams repeat.
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(alphabet)]
+    ref = [rng.choice(vocab) for _ in range(len_ref)]
+    reference = Reference.from_text(" ".join(ref))
+    assert reference.tokens == ref
+    bigram = tuple(ref[:2])
+    in_ref = sum(pair == bigram for pair in zip(ref, ref[1:]))
+    candidates = {
+        "random": [rng.choice(vocab) for _ in range(len_cand)],
+        # Holds one reference bigram more often than the reference does.
+        "clipped": list(bigram) * (in_ref + 3),
+        "disjoint": [f"x{i % alphabet}" for i in range(len_cand)],
+    }
+    for name, cand in candidates.items():
+        r1, r2, _ = rouge_scores(cand, reference)
+        assert as_tuple(r1) == rouge_n_oracle(cand, ref, 1), name
+        assert as_tuple(r2) == rouge_n_oracle(cand, ref, 2), name
+        assert overlap_precision(cand, reference) == rouge_n_oracle(cand, ref, 1)[0], name
+    assert rouge_scores(candidates["clipped"], reference)[1].precision < 1.0
+    assert rouge_scores(candidates["disjoint"], reference)[0] == RougeScore.zero()
+
+
+long_texts = st.lists(st.sampled_from(WORDS), max_size=200).map(" ".join)
+
+
+@given(st.one_of(scorer_texts, st.text(), long_texts))
+def test_reference_mask_bits_count_each_token(text):
+    reference = Reference.from_text(text)
+    tokens = reference.tokens
+    bits = {t: mask.bit_count() for t, mask in reference.masks.items()}
+    assert bits == {t: tokens.count(t) for t in tokens}
 
 
 def test_row_scorer_edge_cases():
