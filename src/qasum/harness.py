@@ -21,7 +21,7 @@ import types
 import typing
 
 from .corpus import DEFAULT_DOMAINS, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
-from .lm import CacheStats, CompletionClient, LmConfig, compute_max_tokens
+from .lm import CacheStats, CompletionClient, LmConfig
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
 from .prompting import (IclExample, PARSE_FAILED, ParsedOutput, PromptFrame, parse_output,
                         qa_frame)
@@ -514,16 +514,13 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             cells[domain, task, k] = (None if any(None in e.answers for e in icl)
                                       else qa_frame(qs, icl))
 
-    # Stage 3: one completion per (instance, k), parsed. The prompt is
-    # glued inside the worker, so only the prompts in flight are alive.
+    # Stage 3: one completion per (instance, k), parsed. ``generate`` glues
+    # the prompt, so only the prompts in flight are alive.
     def summarize(job) -> ParsedOutput:
         article, frame = job
         if frame is None:
             return _FAILED
-        gen = client.generate(frame.head + article + frame.tail,
-                              max_tokens=compute_max_tokens(frame.k),
-                              stop_sequences=frame.stop_sequences)
-        return parse_output(gen.completion, frame.k)
+        return parse_output(client.generate(frame, article).completion, frame.k)
 
     jobs = [(inst.article, cells[inst.domain, inst.task, k])
             for inst in instances for k in k_values]

@@ -1,6 +1,7 @@
 """Pluggable text-completion backend with a persistent response cache.
 
-Two backends share one request shape: an HTTP client for any
+Two backends serve one request shape, which ``CompletionClient.generate``
+builds from a prompt frame and its article: an HTTP client for any
 prompt-in/text-out completion endpoint, and a replay backend that serves
 pre-recorded responses for deterministic tests. The HTTP client is built
 on the standard library's ``http.client``: it keeps at most one
@@ -71,8 +72,6 @@ class LmConfig:
     model: str
     backend: str = "http"  # http | replay
     endpoint: str = ""
-    max_tokens: int = 512
-    greedy: bool = True
     timeout: float = 60.0
     max_retries: int = 3
     max_in_flight: int = 1
@@ -82,8 +81,6 @@ class LmConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
         if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
@@ -103,7 +100,6 @@ class CompletionRequest:
     model: str
     prompt: str
     max_tokens: int
-    greedy: bool
     stop_sequences: tuple[str, ...]
     key: str
 
@@ -133,26 +129,28 @@ _framed_model = functools.lru_cache(maxsize=64)(_framed)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _framed_settings(max_tokens: int, greedy: bool, stop_sequences: tuple[str, ...]) -> bytes:
-    """The framed fields after the prompt: max_tokens, greedy, each stop."""
-    return b"".join(map(_framed, (str(max_tokens), "1" if greedy else "0", *stop_sequences)))
+def _framed_settings(max_tokens: int, stop_sequences: tuple[str, ...]) -> bytes:
+    """The framed fields after the prompt: max_tokens, ``1``, each stop."""
+    return b"".join(map(_framed, (str(max_tokens), "1", *stop_sequences)))
 
 
-def cache_key(
-    model: str, prompt: str, max_tokens: int, greedy: bool, stop_sequences: tuple[str, ...]
-) -> str:
+def cache_key(model: str, prompt: str, max_tokens: int, stop_sequences: tuple[str, ...]) -> str:
     """Stable digest over every field that can change the completion:
-    SHA-256 over model, prompt, max_tokens (decimal), greedy (``1`` or
-    ``0``) and then each stop sequence, each field as its UTF-8 bytes
-    preceded by their length in 8 big-endian bytes. The length prefixes
-    keep field boundaries apart, so no two requests frame to the same
-    bytes. Only the prompt is framed per call; the other fields' bytes
-    are memoized per distinct value."""
+    SHA-256 over model, prompt, max_tokens (decimal), the constant ``1``
+    and then each stop sequence, each field as its UTF-8 bytes preceded
+    by their length in 8 big-endian bytes. The length prefixes keep field
+    boundaries apart, so no two requests frame to the same bytes. Only
+    the prompt is framed per call; the other fields' bytes are memoized
+    per distinct value.
+
+    The ``1`` stands where earlier keys framed a greedy flag, ``1`` for
+    greedy decoding, the only decoding there is now; framing it keeps
+    every key, and so every recorded store and replay fixture, the same."""
     data = prompt.encode("utf-8")
     digest = hashlib.sha256(_framed_model(model))
     digest.update(len(data).to_bytes(8, "big"))
     digest.update(data)
-    digest.update(_framed_settings(max_tokens, greedy, tuple(stop_sequences)))
+    digest.update(_framed_settings(max_tokens, tuple(stop_sequences)))
     return digest.hexdigest()
 
 
@@ -210,8 +208,9 @@ _stops_json = functools.lru_cache(maxsize=64)(json.dumps)
 def _request_columns(request: CompletionRequest) -> tuple:
     """The request's columns: key, model, prompt, max_tokens, greedy and the
     stop sequences as JSON, that JSON built once per distinct tuple. They
-    are ``_SELECT``'s parameters and the start of ``_INSERT``'s row."""
-    return (request.key, request.model, request.prompt, request.max_tokens, request.greedy,
+    are ``_SELECT``'s parameters and the start of ``_INSERT``'s row. Greedy
+    is always 1, as ``cache_key`` frames it, so older stores still hit."""
+    return (request.key, request.model, request.prompt, request.max_tokens, 1,
             _stops_json(request.stop_sequences))
 
 
@@ -347,8 +346,9 @@ def _close_connections(idle: list) -> None:
 
 
 class HttpBackend:
-    """POSTs ``{model, prompt, max_tokens, temperature, stop}`` as JSON and
-    reads the first completion text; retries transient failures with backoff.
+    """POSTs ``{model, prompt, max_tokens, temperature, stop}`` as JSON, the
+    temperature always 0 (greedy), and reads the first completion text;
+    retries transient failures with backoff.
 
     Idle keep-alive connections wait in one list: a call takes one, or opens
     a new one when the list is empty, and puts it back after a complete
@@ -384,9 +384,8 @@ class HttpBackend:
             "model": request.model,
             "prompt": request.prompt,
             "max_tokens": request.max_tokens,
+            "temperature": 0.0,
         }
-        if request.greedy:
-            body["temperature"] = 0.0
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
         payload = json.dumps(body).encode("utf-8")
@@ -551,24 +550,26 @@ class CompletionClient:
         else:
             self._backend = HttpBackend(config)
 
-    def generate(self, prompt: str, *, max_tokens: int | None = None,
-                 stop_sequences: tuple[str, ...] = ()) -> Generation:
-        """Complete ``prompt``, consulting the cache first and storing the
-        result on a miss. A fresh completion is cut at its earliest stop
-        sequence before it is cached, so every completion this returns,
-        fresh, cached or replayed, is already cut."""
+    def generate(self, frame, article: str) -> Generation:
+        """Complete ``article`` in ``frame``, a ``prompting.PromptFrame``:
+        the prompt is ``frame.head + article + frame.tail``, decoded
+        greedily within ``compute_max_tokens(frame.k)`` tokens and stopped
+        at ``frame.stop_sequences``. The cache is consulted first and the
+        result stored on a miss. A fresh completion is cut at its earliest
+        stop sequence before it is cached, so every completion this
+        returns, fresh, cached or replayed, is already cut."""
+        prompt = frame.head + article + frame.tail
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        effective_max = max_tokens if max_tokens is not None else self.config.max_tokens
-        stops = tuple(stop_sequences)
+        max_tokens = compute_max_tokens(frame.k)
+        stops = frame.stop_sequences
         started = time.perf_counter()
         request = CompletionRequest(
             model=self.config.model,
             prompt=prompt,
-            max_tokens=effective_max,
-            greedy=self.config.greedy,
+            max_tokens=max_tokens,
             stop_sequences=stops,
-            key=cache_key(self.config.model, prompt, effective_max, self.config.greedy, stops),
+            key=cache_key(self.config.model, prompt, max_tokens, stops),
         )
 
         reply = self._cache.get(request)

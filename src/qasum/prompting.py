@@ -72,9 +72,11 @@ def render_output_block(answers: tuple[str, ...] | list[str], summary: str) -> s
 @dataclass(frozen=True, slots=True)
 class PromptFrame:
     """A prompt with its target article left out: the prompt is
-    ``head + article + tail``. ``k`` is the number of questions whose
-    answers ``parse_output`` expects before the summary (0 when the
-    completion is the summary, or a single answer)."""
+    ``head + article + tail``, as ``CompletionClient.generate`` glues it.
+    ``k`` is the number of questions whose answers ``parse_output``
+    expects before the summary (0 when the completion is the summary, or
+    a single answer); it also sets the request's budget,
+    ``compute_max_tokens(k)``."""
 
     head: str
     tail: str

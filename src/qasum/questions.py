@@ -100,9 +100,7 @@ def answer_question(client: CompletionClient, article: str, question: QuestionSp
     """The model's answer to one question about one article. Ranking scores
     these answers and qa prompts show them for their examples; sharing this
     one request means eval reuses the cache entries ranking wrote."""
-    frame = single_qa_frame(question)
-    return client.generate(frame.head + article + frame.tail,
-                           stop_sequences=frame.stop_sequences).completion.strip()
+    return client.generate(single_qa_frame(question), article).completion.strip()
 
 
 def rank_questions(

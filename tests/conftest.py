@@ -150,8 +150,7 @@ class StubBackend:
 
 
 def make_lm_config(**overrides) -> LmConfig:
-    base = dict(model=MODEL, backend="replay", max_tokens=512, greedy=True,
-                max_in_flight=2)
+    base = dict(model=MODEL, backend="replay", max_in_flight=2)
     base.update(overrides)
     return LmConfig(**base)
 

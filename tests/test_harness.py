@@ -10,6 +10,7 @@ import marshal
 import os
 from pathlib import Path
 import random
+import re
 import shutil
 import sqlite3
 import tempfile
@@ -165,10 +166,10 @@ def test_config_rejects_missing_and_mistyped_values(doc, message):
 
 def test_config_names_every_missing_and_mistyped_value():
     with pytest.raises(ValueError) as exc:
-        config_from_dict({"lm": {"model": "m", "greedy": 1, "timeout": True},
+        config_from_dict({"lm": {"model": "m", "endpoint": 1, "timeout": True},
                           "seed": 1.5, "domains": ["News", 2], "cache_dir": None})
     assert str(exc.value) == (
-        "corpus: missing; lm.greedy: expected bool, got int; "
+        "corpus: missing; lm.endpoint: expected str, got int; "
         "lm.timeout: expected number, got bool; seed: expected int, got number; "
         "domains: expected list of str or null, got list"
     )
@@ -266,15 +267,28 @@ def test_eval_qa_requires_ranking(tmp_path):
         run_eval(cfg, tmp_path)
 
 
+def questions_asked(prompt: str) -> int:
+    """The k of a request's frame: the ``Q<i>:`` lines after its last qa
+    instruction, 0 for a summary or a single-question prompt."""
+    if prompt.startswith(SINGLE_QA_INSTRUCTION):
+        return 0
+    target = prompt.rsplit(QA_INSTRUCTION, 1)[-1]
+    return len(re.findall(r"^Q\d+: ", target, flags=re.M))
+
+
 def test_eval_qa_sets_max_tokens_per_k(tmp_path):
     ranking = tmp_path / "ranking.json"
     synthetic_ranking(ranking)
     backend = StubBackend(reply=" A1: a.\nSummary: s.")
-    cfg = make_config(method="qa", k_values=(0, 1), ranking=ranking,
+    cfg = make_config(method="qa", k_values=(0, 1, 2), ranking=ranking,
                       cache_dir=tmp_path / "c")
     run_eval(cfg, tmp_path, backend=backend)
-    max_tokens_seen = {p.max_tokens for p in backend.requests}
-    assert {512, 544} <= max_tokens_seen
+    for request in backend.requests:
+        assert request.max_tokens == 512 + 32 * questions_asked(request.prompt)
+    answers = [r for r in backend.requests if r.prompt.startswith(SINGLE_QA_INSTRUCTION)]
+    assert answers and {r.max_tokens for r in answers} == {512}
+    summaries = [r for r in backend.requests if not r.prompt.startswith(SINGLE_QA_INSTRUCTION)]
+    assert {r.max_tokens for r in summaries} == {512, 544, 576}
 
 
 class FailingBackend:
@@ -962,6 +976,18 @@ def test_cli_eval_unknown_config_key_exit_code(tmp_path, capsys, key, value):
                  "--method", "vanilla", "--out", str(out_dir)])
     assert code == 1
     assert capsys.readouterr().err == f"error: unknown config key(s): {key}\n"
+    assert not out_dir.exists()
+
+
+def test_cli_eval_refuses_the_removed_budget_and_decoding_keys(tmp_path, capsys):
+    # Every request's budget comes from its prompt and every request is
+    # greedy, so a config that still sets either is refused, not ignored.
+    config = write_cli_config(tmp_path, max_tokens=512, greedy=True)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "vanilla", "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown config key(s): lm.greedy, lm.max_tokens\n"
     assert not out_dir.exists()
 
 

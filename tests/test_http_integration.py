@@ -30,7 +30,6 @@ def scripted_reply(scripted):
             model=body["model"],
             prompt=body["prompt"],
             max_tokens=body["max_tokens"],
-            greedy=body.get("temperature") == 0.0,
             stop_sequences=tuple(body.get("stop", ())),
             key="",
         )

@@ -37,8 +37,16 @@ from qasum.lm import (
     compute_max_tokens,
     truncate_at_stop,
 )
+from qasum.prompting import IclExample, PromptFrame, qa_frame, single_qa_frame
+from qasum.questions import builtin_bank
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def bare(*stop_sequences):
+    """A frame that adds nothing to its article, so the prompt is the
+    article itself, asked at k = 0's budget of 512 tokens."""
+    return PromptFrame("", "", 0, stop_sequences)
 
 
 def make_client(tmp_path, backend=None, **overrides):
@@ -64,18 +72,17 @@ def test_compute_max_tokens_rejects_negative():
 
 
 def test_cache_key_stable():
-    args = ("m", "prompt", 512, True, ("stop",))
+    args = ("m", "prompt", 512, ("stop",))
     assert cache_key(*args) == cache_key(*args)
 
 
 def test_cache_key_sensitive_to_every_field():
-    base = dict(model="m", prompt="p", max_tokens=512, greedy=True, stop_sequences=("s",))
+    base = dict(model="m", prompt="p", max_tokens=512, stop_sequences=("s",))
     baseline = cache_key(**base)
     perturbed = [
         dict(base, model="m2"),
         dict(base, prompt="p2"),
         dict(base, max_tokens=513),
-        dict(base, greedy=False),
         dict(base, stop_sequences=("s", "t")),
         dict(base, stop_sequences=()),
     ]
@@ -91,7 +98,7 @@ def test_cache_key_sensitive_to_every_field():
 
 def test_cache_key_known_answer():
     # Each field's UTF-8 bytes after their length in 8 big-endian bytes:
-    # model, prompt, max_tokens, greedy, then each stop sequence.
+    # model, prompt, max_tokens, the constant 1, then each stop sequence.
     framed = (
         b"\0\0\0\0\0\0\0\x02m1"
         b"\0\0\0\0\0\0\0\x0acaf\xc3\xa9 \"q\"\n"
@@ -101,20 +108,18 @@ def test_cache_key_known_answer():
         b"\0\0\0\0\0\0\0\x00"
     )
     expected = hashlib.sha256(framed).hexdigest()
-    assert cache_key("m1", 'caf\u00e9 "q"\n', 544, True, ("\n\n", "")) == expected
+    assert cache_key("m1", 'caf\u00e9 "q"\n', 544, ("\n\n", "")) == expected
 
 
 def test_cache_key_random_perturbations():
     rng = random.Random(0)
-    fields = ["model", "prompt", "max_tokens", "greedy", "stop_sequences"]
-    base = dict(model="m", prompt="p", max_tokens=512, greedy=True, stop_sequences=("s",))
+    fields = ["model", "prompt", "max_tokens", "stop_sequences"]
+    base = dict(model="m", prompt="p", max_tokens=512, stop_sequences=("s",))
     for _ in range(100):
         field = rng.choice(fields)
         mutated = dict(base)
         if field == "max_tokens":
             mutated[field] = base[field] + rng.randint(1, 100)
-        elif field == "greedy":
-            mutated[field] = not base[field]
         elif field == "stop_sequences":
             mutated[field] = base[field] + (f"x{rng.random()}",)
         else:
@@ -123,19 +128,19 @@ def test_cache_key_random_perturbations():
 
 
 KEY_TEXT = st.text(alphabet=["a", "b", "\0", '"', "\\", "\n", "\u00e9", "\U0001f600"], max_size=3)
-KEY_REQUEST = st.tuples(KEY_TEXT, KEY_TEXT, st.sampled_from([1, 512, 544]), st.booleans(),
+KEY_REQUEST = st.tuples(KEY_TEXT, KEY_TEXT, st.sampled_from([1, 512, 544]),
                         st.lists(KEY_TEXT, max_size=3).map(tuple))
 
 
 def reframings(request):
     """Requests like ``request`` whose text fields (model, prompt, each
     stop sequence) join to the same string, cut at other boundaries."""
-    model, prompt, max_tokens, greedy, stops = request
+    model, prompt, max_tokens, stops = request
     text = model + prompt + "".join(stops)
 
     def cut(points):
         parts = [text[i:j] for i, j in zip([0, *points], [*points, len(text)])]
-        return (parts[0], parts[1], max_tokens, greedy, tuple(parts[2:]))
+        return (parts[0], parts[1], max_tokens, tuple(parts[2:]))
 
     return st.lists(st.integers(0, len(text)), min_size=1, max_size=4).map(sorted).map(cut)
 
@@ -146,11 +151,11 @@ def test_cache_keys_are_equal_iff_requests_are(a, data):
     assert (cache_key(*a) == cache_key(*b)) == (a == b)
 
 
-def framed_sha256(model, prompt, max_tokens, greedy, stop_sequences):
+def framed_sha256(model, prompt, max_tokens, stop_sequences):
     """SHA-256 over each field's UTF-8 bytes after their length in 8
-    big-endian bytes: model, prompt, max_tokens, greedy, each stop."""
+    big-endian bytes: model, prompt, max_tokens, the constant 1, each stop."""
     framed = b""
-    for field in (model, prompt, str(max_tokens), "1" if greedy else "0", *stop_sequences):
+    for field in (model, prompt, str(max_tokens), "1", *stop_sequences):
         data = field.encode("utf-8")
         framed += len(data).to_bytes(8, "big") + data
     return hashlib.sha256(framed).hexdigest()
@@ -160,7 +165,7 @@ def framed_sha256(model, prompt, max_tokens, greedy, stop_sequences):
 # fields and differ in others, as the requests of one run do.
 MEMO_TEXT = st.sampled_from(["", "m", "m\u00e9", "\U0001f600", "\n\n", "A1:"])
 MEMO_REQUEST = st.tuples(MEMO_TEXT, st.text(max_size=8), st.sampled_from([1, 512, 544]),
-                         st.booleans(), st.lists(MEMO_TEXT, max_size=3).map(tuple))
+                         st.lists(MEMO_TEXT, max_size=3).map(tuple))
 
 
 @given(st.lists(MEMO_REQUEST, min_size=1, max_size=8))
@@ -169,14 +174,35 @@ def test_cache_key_is_the_framed_digest(requests):
         assert cache_key(*request) == framed_sha256(*request)
 
 
+# Requests and their keys as stores recorded them when the budget and greedy
+# decoding were config settings, at their defaults of 512 and true.
+RECORDED_REQUESTS = {
+    "single-question": (
+        single_qa_frame(builtin_bank()[0]),
+        "f80b8f215b1b979b8d7bc3e1bc0672c6d1a04725d1f69d5c1d82ab8f1e4c6b47", 512),
+    "two-questions-one-example": (
+        qa_frame(builtin_bank()[:2], [IclExample("An example article.", "Its summary.",
+                                                 ("a1", "a2"))]),
+        "9591991356bff3d439bc3d01d10cebc16ffc40f9709adac2900a9440839ef149", 576),
+}
+
+
+@pytest.mark.parametrize("frame, key, max_tokens", RECORDED_REQUESTS.values(),
+                         ids=RECORDED_REQUESTS.keys())
+def test_requests_keep_the_keys_recorded_stores_hold(tmp_path, frame, key, max_tokens):
+    backend = StubBackend()
+    make_client(tmp_path, backend=backend).generate(frame, "The cat sat on the mat.")
+    [request] = backend.requests
+    assert (request.key, request.max_tokens) == (key, max_tokens)
+
+
 # --- cache -------------------------------------------------------------------
 
 
 def request_for(prompt, model="m1"):
-    """The request ``CompletionClient.generate(prompt)`` makes at the
-    default config."""
-    return CompletionRequest(model=model, prompt=prompt, max_tokens=512, greedy=True,
-                             stop_sequences=(), key=cache_key(model, prompt, 512, True, ()))
+    """The request ``CompletionClient.generate(bare(), prompt)`` makes."""
+    return CompletionRequest(model=model, prompt=prompt, max_tokens=512,
+                             stop_sequences=(), key=cache_key(model, prompt, 512, ()))
 
 
 def read_rows(root):
@@ -224,12 +250,12 @@ def test_cache_two_distinct_misses(tmp_path):
 
 def test_cache_layout_on_disk(tmp_path):
     client = make_client(tmp_path)
-    gen = client.generate("hello world", stop_sequences=("END",))
+    gen = client.generate(bare("END"), "hello world")
     assert not gen.from_cache
     [row] = read_rows(tmp_path / "cache")
     timestamp = row.pop("timestamp")
     assert row == {
-        "key": cache_key("m1", "hello world", 512, True, ("END",)),
+        "key": cache_key("m1", "hello world", 512, ("END",)),
         "model": "m1",
         "prompt": "hello world",
         "max_tokens": 512,
@@ -253,7 +279,7 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
     # A store another writer made, in the layout above: greedy as 1 and
     # the stop sequences as JSON text, with json.dumps's default spacing.
     stops = ("END", "\n\n")
-    key = cache_key("m1", "café prompt", 544, True, stops)
+    key = cache_key("m1", "café prompt", 544, stops)
     conn = sqlite3.connect(tmp_path / "cache.sqlite", isolation_level=None)
     try:
         conn.execute(
@@ -266,7 +292,7 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
                       "recorded é", "length", 1700000000.0))
     finally:
         conn.close()
-    request = CompletionRequest("m1", "café prompt", 544, True, stops, key)
+    request = CompletionRequest("m1", "café prompt", 544, stops, key)
     replayed = ReplayBackend(str(tmp_path)).complete(request)
     cache = ResponseCache(str(tmp_path))
     assert cache.get(request) == replayed == ("recorded é", "length")
@@ -276,8 +302,8 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
 def test_generate_second_call_hits_cache(tmp_path):
     backend = StubBackend()
     client = make_client(tmp_path, backend=backend)
-    first = client.generate("prompt")
-    second = client.generate("prompt")
+    first = client.generate(bare(), "prompt")
+    second = client.generate(bare(), "prompt")
     assert not first.from_cache
     assert second.from_cache
     assert second.completion == first.completion
@@ -287,8 +313,8 @@ def test_generate_second_call_hits_cache(tmp_path):
 def test_generate_without_cache_dir_stores_nothing():
     backend = StubBackend()
     client = CompletionClient(LmConfig(model="m1", backend="replay"), backend=backend)
-    assert not client.generate("prompt").from_cache
-    assert not client.generate("prompt").from_cache
+    assert not client.generate(bare(), "prompt").from_cache
+    assert not client.generate(bare(), "prompt").from_cache
     assert len(backend.requests) == 2
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 2, 0)
@@ -304,6 +330,7 @@ BAD_ROWS = {
     "mismatched-model": "UPDATE entries SET model = 'm2'",
     "mismatched-prompt": "UPDATE entries SET prompt = 'another prompt'",
     "mismatched-max-tokens": "UPDATE entries SET max_tokens = 513",
+    # A row recorded with sampled decoding, which no request asks for.
     "mismatched-greedy": "UPDATE entries SET greedy = 0",
     "mismatched-stop-sequences": """UPDATE entries SET stop_sequences = '["x"]'""",
     # The request's own prompt bytes, stored as a BLOB instead of TEXT.
@@ -313,16 +340,16 @@ BAD_ROWS = {
 
 @pytest.mark.parametrize("update", BAD_ROWS.values(), ids=BAD_ROWS.keys())
 def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, update):
-    make_client(tmp_path, backend=StubBackend(reply="old")).generate("prompt")
+    make_client(tmp_path, backend=StubBackend(reply="old")).generate(bare(), "prompt")
     write_sql(tmp_path / "cache", update)
     client = make_client(tmp_path, backend=StubBackend(reply="fresh"))
-    gen = client.generate("prompt")
+    gen = client.generate(bare(), "prompt")
     assert (gen.completion, gen.from_cache) == ("fresh", False)
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
     [row] = read_rows(tmp_path / "cache")
     assert (row["prompt"], row["completion"]) == ("prompt", "fresh")
-    assert client.generate("prompt").from_cache
+    assert client.generate(bare(), "prompt").from_cache
 
 
 def test_store_that_is_not_a_database_is_an_error_and_left_alone(tmp_path):
@@ -340,7 +367,7 @@ def test_store_that_is_not_a_database_is_an_error_and_left_alone(tmp_path):
 def test_dropped_client_leaves_no_write_ahead_log(tmp_path):
     client = make_client(tmp_path)
     for i in range(20):
-        client.generate(f"prompt {i}")
+        client.generate(bare(), f"prompt {i}")
     assert (tmp_path / "cache" / "cache.sqlite-wal").exists()
     del client
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.sqlite"]
@@ -359,8 +386,8 @@ def run_writer(root, tag, n, *, start=0.0, linger=0.0):
         "cache = ResponseCache(root)\n"
         "for i in range(int(n)):\n"
         "    prompt = f'{tag} {i}'\n"
-        "    key = cache_key('m1', prompt, 512, True, ())\n"
-        "    request = CompletionRequest('m1', prompt, 512, True, (), key)\n"
+        "    key = cache_key('m1', prompt, 512, ())\n"
+        "    request = CompletionRequest('m1', prompt, 512, (), key)\n"
         "    cache.put(request, f'completion {prompt}', 'stop')\n"
         "print('done', flush=True)\n"
         "time.sleep(float(linger))\n"
@@ -468,7 +495,7 @@ def test_map_workers_share_one_connection(tmp_path):
     try:
         client = make_client(tmp_path, StubBackend(lambda prompt: f"done {prompt}"),
                              max_in_flight=8)
-        gens = client.map(lambda i: client.generate(f"prompt {i}"), range(200))
+        gens = client.map(lambda i: client.generate(bare(), f"prompt {i}"), range(200))
     finally:
         sys.setswitchinterval(switch)
     assert [g.completion for g in gens] == [f"done prompt {i}" for i in range(200)]
@@ -479,7 +506,7 @@ def test_map_workers_share_one_connection(tmp_path):
 
 def test_generate_rejects_empty_prompt(tmp_path):
     with pytest.raises(ValueError):
-        make_client(tmp_path).generate("")
+        make_client(tmp_path).generate(bare(), "")
 
 
 def test_truncates_at_first_stop():
@@ -503,7 +530,7 @@ def test_truncate_at_stop_cuts_at_earliest_occurrence(text, stops):
 def test_generate_applies_stop_sequences(tmp_path):
     backend = StubBackend(reply="summary text\nNEXT EXAMPLE trailing")
     client = make_client(tmp_path, backend=backend)
-    gen = client.generate("p", stop_sequences=("NEXT EXAMPLE",))
+    gen = client.generate(bare("NEXT EXAMPLE"), "p")
     assert gen.completion == "summary text\n"
     assert gen.finish_reason == "stop"
 
@@ -518,17 +545,17 @@ def test_replay_round_trip(tmp_path):
         cache_dir=str(record_dir),
         backend=StubBackend(reply="hello"),
     )
-    recorder.generate("prompt p")
+    recorder.generate(bare(), "prompt p")
 
     replayer = CompletionClient(
         LmConfig(model="m1", backend="replay"),
         cache_dir=str(tmp_path / "fresh"),
         replay_dir=str(record_dir),
     )
-    gen = replayer.generate("prompt p")
+    gen = replayer.generate(bare(), "prompt p")
     assert gen.completion == "hello"
     assert not gen.from_cache  # served by the replay backend, then cached
-    assert replayer.generate("prompt p").from_cache
+    assert replayer.generate(bare(), "prompt p").from_cache
 
 
 def test_replay_miss_is_an_error(tmp_path):
@@ -538,18 +565,18 @@ def test_replay_miss_is_an_error(tmp_path):
         replay_dir=str(tmp_path / "empty"),
     )
     with pytest.raises(ReplayMiss):
-        client.generate("never recorded")
+        client.generate(bare(), "never recorded")
 
 
 @pytest.mark.parametrize("update", BAD_ROWS.values(), ids=BAD_ROWS.keys())
 def test_replay_unreadable_recording_is_a_miss(tmp_path, update):
-    make_client(tmp_path, backend=StubBackend(reply="recorded")).generate("prompt p")
+    make_client(tmp_path, backend=StubBackend(reply="recorded")).generate(bare(), "prompt p")
     write_sql(tmp_path / "cache", update)
     client = CompletionClient(LmConfig(model="m1", backend="replay"),
                               replay_dir=str(tmp_path / "cache"))
-    key = cache_key("m1", "prompt p", 512, True, ())
+    key = cache_key("m1", "prompt p", 512, ())
     with pytest.raises(ReplayMiss, match=key) as excinfo:
-        client.generate("prompt p")
+        client.generate(bare(), "prompt p")
     assert str(tmp_path / "cache" / "cache.sqlite") in str(excinfo.value)
 
 
@@ -560,23 +587,23 @@ def test_replay_unreadable_store_is_a_miss(tmp_path, store):
     if store is not None:
         path.write_bytes(store)
     client = CompletionClient(LmConfig(model="m1", backend="replay"), replay_dir=str(tmp_path))
-    with pytest.raises(ReplayMiss, match=cache_key("m1", "p", 512, True, ())) as excinfo:
-        client.generate("p")
+    with pytest.raises(ReplayMiss, match=cache_key("m1", "p", 512, ())) as excinfo:
+        client.generate(bare(), "p")
     assert str(path) in str(excinfo.value)
     if store is not None:
         assert path.read_bytes() == store
 
 
 def test_replay_opens_the_store_read_only(tmp_path):
-    make_client(tmp_path, backend=StubBackend(reply="recorded")).generate("prompt p")
+    make_client(tmp_path, backend=StubBackend(reply="recorded")).generate(bare(), "prompt p")
     store = tmp_path / "cache" / "cache.sqlite"
     before = store.read_bytes()
     listing = sorted(p.name for p in store.parent.iterdir())
     replayer = CompletionClient(LmConfig(model="m1", backend="replay"),
                                 replay_dir=str(tmp_path / "cache"))
-    assert replayer.generate("prompt p").completion == "recorded"
+    assert replayer.generate(bare(), "prompt p").completion == "recorded"
     with pytest.raises(ReplayMiss):
-        replayer.generate("prompt q")
+        replayer.generate(bare(), "prompt q")
     assert sorted(p.name for p in store.parent.iterdir()) == listing
     del replayer
     assert store.read_bytes() == before
@@ -623,9 +650,8 @@ def make_http_backend(endpoint, **overrides):
 def complete(backend, prompt="p", stop_sequences=()):
     cfg = backend._config
     return backend.complete(CompletionRequest(
-        model=cfg.model, prompt=prompt, max_tokens=cfg.max_tokens,
-        greedy=cfg.greedy, stop_sequences=stop_sequences,
-        key=cache_key(cfg.model, prompt, cfg.max_tokens, cfg.greedy, stop_sequences),
+        model=cfg.model, prompt=prompt, max_tokens=512, stop_sequences=stop_sequences,
+        key=cache_key(cfg.model, prompt, 512, stop_sequences),
     ))
 
 
@@ -770,7 +796,7 @@ def test_http_connections_never_outnumber_calls_in_flight(tmp_path):
                 http_config(server.url, max_in_flight=8, max_retries=0),
                 cache_dir=str(tmp_path / "cache"),
             )
-            gens = client.map(lambda i: client.generate(f"prompt {i}"), range(64))
+            gens = client.map(lambda i: client.generate(bare(), f"prompt {i}"), range(64))
             del client
     finally:
         sys.setswitchinterval(switch)
@@ -840,7 +866,7 @@ def test_max_in_flight_bounds_backend_concurrency(tmp_path):
         cache_dir=str(tmp_path / "cache"),
         backend=backend,
     )
-    client.map(lambda i: client.generate(f"prompt {i}"), range(16))
+    client.map(lambda i: client.generate(bare(), f"prompt {i}"), range(16))
     assert backend.max_active == 2
 
 

@@ -248,7 +248,7 @@ def generate_and_parse(reply: str, frame):
     """A completion as a run sees it: cut by ``CompletionClient.generate``
     at the frame's stop sequences, then parsed."""
     client = CompletionClient(make_lm_config(), backend=StubBackend(reply))
-    gen = client.generate(around(frame, TARGET_ARTICLE), stop_sequences=frame.stop_sequences)
+    gen = client.generate(frame, TARGET_ARTICLE)
     return parse_output(gen.completion, frame.k)
 
 

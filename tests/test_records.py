@@ -44,7 +44,7 @@ RECORDS = {
                        "k_values", (1,)),
     Generation: (lambda: Generation("text", "stop", False, 1.5), "from_cache", True),
     IclExample: (lambda: IclExample("article", "reference", ("one",)), "answers", ()),
-    LmConfig: (lambda: LmConfig("m1", endpoint="http://localhost:1/v1"), "max_tokens", 64),
+    LmConfig: (lambda: LmConfig("m1", endpoint="http://localhost:1/v1"), "max_retries", 5),
     ParsedOutput: (lambda: ParsedOutput(("one",), "summary", "ok"), "parse_status", "failed"),
     PromptFrame: (lambda: PromptFrame("head", "tail", 1, ("stop",)), "k", 2),
     QuestionSpec: (lambda: QuestionSpec("topic", "What?"), "text", "Why?"),
