@@ -15,7 +15,7 @@ from .corpus import (
     split_corpus,
 )
 from .harness import ExperimentConfig, RunManifest, run_compare, run_eval, run_rank, run_report
-from .lm import CompletionClient, Generation, LmConfig, compute_max_tokens
+from .lm import CompletionClient, LmConfig, compute_max_tokens
 from .metrics import (Reference, RougeScore, ScoreRow, aggregate, overlap_precision, rouge_scores,
                       tokenize)
 from .prompting import (
@@ -44,7 +44,6 @@ __all__ = [
     "CorpusSplit",
     "CompletionClient",
     "ExperimentConfig",
-    "Generation",
     "IclExample",
     "LmConfig",
     "ParsedOutput",

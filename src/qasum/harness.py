@@ -488,13 +488,12 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             questions[domain, k] = top_k(orderings[domain], k)
 
     # Stage 2: each example's answer to each question it is shown with,
-    # requested once.
+    # requested once. Every k's questions are a prefix of the largest k's.
     answer_jobs: dict[tuple[str, str], tuple] = {}
     for (domain, _), group in examples.items():
-        for k in k_values:
-            for example in group:
-                for q in questions[domain, k]:
-                    answer_jobs[example.id, q.key] = (example, q)
+        for example in group:
+            for q in questions[domain, k_values[-1]]:
+                answer_jobs[example.id, q.key] = (example, q)
 
     def answer(job) -> str:
         example, question = job
@@ -520,7 +519,8 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
         article, frame = job
         if frame is None:
             return _FAILED
-        return parse_output(client.generate(frame, article).completion, frame.k)
+        completion, _ = client.generate(frame, article)
+        return parse_output(completion, frame.k)
 
     jobs = [(inst.article, cells[inst.domain, inst.task, k])
             for inst in instances for k in k_values]

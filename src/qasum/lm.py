@@ -10,7 +10,9 @@ checks HTTPS certificates against the system CA store, fails at once on
 an untrusted one, and does not follow redirects.
 
 Every backend's ``complete`` returns a ``(completion, finish_reason)``
-pair, and that pair is what the cache stores and returns. Responses are
+pair, and that pair is what the cache stores and returns and what
+``generate`` returns. A request's cache key is derived from its fields
+when it is built, so no request carries another's key. Responses are
 cached in one SQLite database, ``<cache_dir>/cache.sqlite`` (WAL mode),
 keyed by a digest of the request, so interrupted runs resume without
 re-spending LM calls. A run repeats a few models, budgets and stop
@@ -24,7 +26,7 @@ directory can be pointed at directly as a replay fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import functools
 import hashlib
 import http.client
@@ -88,23 +90,6 @@ class LmConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class Generation:
-    completion: str
-    finish_reason: str  # stop | length | error
-    from_cache: bool
-    latency_ms: float
-
-
-@dataclass(frozen=True, slots=True)
-class CompletionRequest:
-    model: str
-    prompt: str
-    max_tokens: int
-    stop_sequences: tuple[str, ...]
-    key: str
-
-
-@dataclass(frozen=True, slots=True)
 class CacheStats:
     hits: int
     misses: int
@@ -152,6 +137,23 @@ def cache_key(model: str, prompt: str, max_tokens: int, stop_sequences: tuple[st
     digest.update(data)
     digest.update(_framed_settings(max_tokens, tuple(stop_sequences)))
     return digest.hexdigest()
+
+
+@dataclass(frozen=True, slots=True)
+class CompletionRequest:
+    """One completion request. ``key`` is not passed in: it is
+    ``cache_key`` of the other four fields, derived once on construction,
+    so ``dataclasses.replace`` derives it anew."""
+
+    model: str
+    prompt: str
+    max_tokens: int
+    stop_sequences: tuple[str, ...]
+    key: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", cache_key(self.model, self.prompt, self.max_tokens,
+                                                  self.stop_sequences))
 
 
 class CacheError(Exception):
@@ -550,37 +552,28 @@ class CompletionClient:
         else:
             self._backend = HttpBackend(config)
 
-    def generate(self, frame, article: str) -> Generation:
+    def generate(self, frame, article: str) -> tuple[str, str]:
         """Complete ``article`` in ``frame``, a ``prompting.PromptFrame``:
         the prompt is ``frame.head + article + frame.tail``, decoded
         greedily within ``compute_max_tokens(frame.k)`` tokens and stopped
-        at ``frame.stop_sequences``. The cache is consulted first and the
-        result stored on a miss. A fresh completion is cut at its earliest
-        stop sequence before it is cached, so every completion this
-        returns, fresh, cached or replayed, is already cut."""
+        at ``frame.stop_sequences``. Returns the ``(completion,
+        finish_reason)`` pair, fresh, cached or replayed. The cache is
+        consulted first and the pair stored on a miss. A fresh completion
+        is cut at its earliest stop sequence before it is cached, and then
+        finishes with ``"stop"``, so every completion this returns is
+        already cut."""
         prompt = frame.head + article + frame.tail
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        max_tokens = compute_max_tokens(frame.k)
-        stops = frame.stop_sequences
-        started = time.perf_counter()
-        request = CompletionRequest(
-            model=self.config.model,
-            prompt=prompt,
-            max_tokens=max_tokens,
-            stop_sequences=stops,
-            key=cache_key(self.config.model, prompt, max_tokens, stops),
-        )
-
+        request = CompletionRequest(self.config.model, prompt, compute_max_tokens(frame.k),
+                                    frame.stop_sequences)
         reply = self._cache.get(request)
-        from_cache = reply is not None
-        if not from_cache:
+        if reply is None:
             text, finish = self._backend.complete(request)
-            text, truncated = truncate_at_stop(text, stops)
+            text, truncated = truncate_at_stop(text, request.stop_sequences)
             reply = (text, "stop" if truncated else finish)
             self._cache.put(request, *reply)
-        return Generation(*reply, from_cache=from_cache,
-                          latency_ms=(time.perf_counter() - started) * 1000)
+        return reply
 
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]`` with at most ``max_in_flight``

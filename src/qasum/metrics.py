@@ -1,10 +1,10 @@
 """Text-overlap metrics: tokenizer, ROUGE-1/2/L, answer overlap precision, aggregation.
 
-All functions are pure. Every score is taken on a candidate's tokens
-against a ``Reference``: a reference summary tokenized once, with the
-bigram counts and LCS masks that scoring reads. So ``eval`` and
-``rank`` each tokenize a reference once per instance and each candidate
-once. Scores are stored as fractions in [0, 1] and rendered x100 only
+All functions are pure. Every ROUGE score is taken on a candidate's
+tokens against a ``Reference``: a reference summary tokenized once, with
+the bigram counts and LCS masks that scoring reads. Overlap precision
+reads the LCS masks alone. So ``eval`` and ``rank`` each tokenize a
+reference once per instance and each candidate once. Scores are stored as fractions in [0, 1] and rendered x100 only
 at the reporting layer.
 
 ROUGE-N clips n-gram counts (Lin 2004), and answer overlap precision is
@@ -179,16 +179,16 @@ def rouge_scores(
     )
 
 
-def overlap_precision(answer: list[str], reference: Reference) -> float:
+def overlap_precision(answer: list[str], masks: dict[str, int]) -> float:
     """Fraction of the answer's tokens that also occur in the reference:
-    ROUGE-1 precision.
+    ROUGE-1 precision, read from the reference's ``lcs_masks``.
 
     Each token's count is clipped at its count in the reference, so
     repeating a reference word is not rewarded, and the matched count is
     divided by the answer's token count. An answer with no tokens scores 0.
+    The reference's length enters recall alone, so none is passed.
     """
-    return _clipped_score(answer, reference.masks, int.bit_count,
-                          len(answer), len(reference.tokens)).precision
+    return _clipped_score(answer, masks, int.bit_count, len(answer), 0).precision
 
 
 @dataclass(frozen=True, slots=True)

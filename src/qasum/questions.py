@@ -19,7 +19,7 @@ import time
 
 from .corpus import subsample_per_domain
 from .lm import CompletionClient
-from .metrics import Reference, overlap_precision, tokenize
+from .metrics import lcs_masks, overlap_precision, tokenize
 from .prompting import single_qa_frame
 
 
@@ -100,7 +100,8 @@ def answer_question(client: CompletionClient, article: str, question: QuestionSp
     """The model's answer to one question about one article. Ranking scores
     these answers and qa prompts show them for their examples; sharing this
     one request means eval reuses the cache entries ranking wrote."""
-    return client.generate(single_qa_frame(question), article).completion.strip()
+    completion, _ = client.generate(single_qa_frame(question), article)
+    return completion.strip()
 
 
 def rank_questions(
@@ -136,11 +137,11 @@ def rank_questions(
     # Score instance by instance, so each reference is tokenized once.
     cells: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for n, inst in enumerate(selected):
-        reference = Reference.from_text(inst.reference)
+        masks = lcs_masks(tokenize(inst.reference))
         for question, answer in zip(_BANK, answers[n * len(_BANK) : (n + 1) * len(_BANK)]):
             if answer is None:
                 continue  # the call failed; excluded from the mean
-            score = overlap_precision(tokenize(answer), reference)
+            score = overlap_precision(tokenize(answer), masks)
             cells.setdefault((inst.domain, question.key), []).append((inst.id, score))
 
     domains: dict[str, tuple[RankedQuestion, ...]] = {}

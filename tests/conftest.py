@@ -137,16 +137,18 @@ class ScriptedBackend:
 
 
 class StubBackend:
-    """Fixed or callable completion for unit tests; records every request."""
+    """Fixed or callable completion, with a fixed finish reason, for unit
+    tests; records every request."""
 
-    def __init__(self, reply="stub completion"):
+    def __init__(self, reply="stub completion", finish_reason="stop"):
         self.reply = reply
+        self.finish_reason = finish_reason
         self.requests: list[CompletionRequest] = []
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
         self.requests.append(request)
         text = self.reply(request.prompt) if callable(self.reply) else self.reply
-        return text, "stop"
+        return text, self.finish_reason
 
 
 def make_lm_config(**overrides) -> LmConfig:

@@ -31,7 +31,6 @@ def scripted_reply(scripted):
             prompt=body["prompt"],
             max_tokens=body["max_tokens"],
             stop_sequences=tuple(body.get("stop", ())),
-            key="",
         )
         text, finish = scripted.complete(request)
         choices = {"choices": [{"text": text, "finish_reason": finish}]}

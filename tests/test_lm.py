@@ -5,6 +5,7 @@ The HTTP backend is tested over real localhost sockets against
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 from pathlib import Path
@@ -196,13 +197,23 @@ def test_requests_keep_the_keys_recorded_stores_hold(tmp_path, frame, key, max_t
     assert (request.key, request.max_tokens) == (key, max_tokens)
 
 
+def test_request_key_is_its_fields_digest():
+    request = CompletionRequest("m1", "a prompt", 544, ("END",))
+    assert request.key == cache_key("m1", "a prompt", 544, ("END",))
+    reprompted = dataclasses.replace(request, prompt="another prompt")
+    assert reprompted.key == cache_key("m1", "another prompt", 544, ("END",))
+    restopped = dataclasses.replace(request, stop_sequences=())
+    assert restopped.key == cache_key("m1", "a prompt", 544, ())
+    with pytest.raises(TypeError):
+        CompletionRequest("m1", "a prompt", 544, ("END",), request.key)
+
+
 # --- cache -------------------------------------------------------------------
 
 
 def request_for(prompt, model="m1"):
     """The request ``CompletionClient.generate(bare(), prompt)`` makes."""
-    return CompletionRequest(model=model, prompt=prompt, max_tokens=512,
-                             stop_sequences=(), key=cache_key(model, prompt, 512, ()))
+    return CompletionRequest(model=model, prompt=prompt, max_tokens=512, stop_sequences=())
 
 
 def read_rows(root):
@@ -250,8 +261,8 @@ def test_cache_two_distinct_misses(tmp_path):
 
 def test_cache_layout_on_disk(tmp_path):
     client = make_client(tmp_path)
-    gen = client.generate(bare("END"), "hello world")
-    assert not gen.from_cache
+    client.generate(bare("END"), "hello world")
+    assert client.cache_stats().misses == 1
     [row] = read_rows(tmp_path / "cache")
     timestamp = row.pop("timestamp")
     assert row == {
@@ -292,7 +303,8 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
                       "recorded é", "length", 1700000000.0))
     finally:
         conn.close()
-    request = CompletionRequest("m1", "café prompt", 544, stops, key)
+    request = CompletionRequest("m1", "café prompt", 544, stops)
+    assert request.key == key
     replayed = ReplayBackend(str(tmp_path)).complete(request)
     cache = ResponseCache(str(tmp_path))
     assert cache.get(request) == replayed == ("recorded é", "length")
@@ -304,17 +316,17 @@ def test_generate_second_call_hits_cache(tmp_path):
     client = make_client(tmp_path, backend=backend)
     first = client.generate(bare(), "prompt")
     second = client.generate(bare(), "prompt")
-    assert not first.from_cache
-    assert second.from_cache
-    assert second.completion == first.completion
+    assert second == first
     assert len(backend.requests) == 1
+    stats = client.cache_stats()
+    assert (stats.hits, stats.misses) == (1, 1)
 
 
 def test_generate_without_cache_dir_stores_nothing():
     backend = StubBackend()
     client = CompletionClient(LmConfig(model="m1", backend="replay"), backend=backend)
-    assert not client.generate(bare(), "prompt").from_cache
-    assert not client.generate(bare(), "prompt").from_cache
+    client.generate(bare(), "prompt")
+    client.generate(bare(), "prompt")
     assert len(backend.requests) == 2
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 2, 0)
@@ -342,14 +354,16 @@ BAD_ROWS = {
 def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, update):
     make_client(tmp_path, backend=StubBackend(reply="old")).generate(bare(), "prompt")
     write_sql(tmp_path / "cache", update)
-    client = make_client(tmp_path, backend=StubBackend(reply="fresh"))
-    gen = client.generate(bare(), "prompt")
-    assert (gen.completion, gen.from_cache) == ("fresh", False)
+    backend = StubBackend(reply="fresh")
+    client = make_client(tmp_path, backend=backend)
+    assert client.generate(bare(), "prompt") == ("fresh", "stop")
+    assert len(backend.requests) == 1
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
     [row] = read_rows(tmp_path / "cache")
     assert (row["prompt"], row["completion"]) == ("prompt", "fresh")
-    assert client.generate(bare(), "prompt").from_cache
+    assert client.generate(bare(), "prompt") == ("fresh", "stop")
+    assert (len(backend.requests), client.cache_stats().hits) == (1, 1)
 
 
 def test_store_that_is_not_a_database_is_an_error_and_left_alone(tmp_path):
@@ -380,14 +394,13 @@ def run_writer(root, tag, n, *, start=0.0, linger=0.0):
     and lives ``linger`` seconds more."""
     code = (
         "import sys, time\n"
-        "from qasum.lm import CompletionRequest, ResponseCache, cache_key\n"
+        "from qasum.lm import CompletionRequest, ResponseCache\n"
         "root, tag, n, start, linger = sys.argv[1:]\n"
         "time.sleep(max(0.0, float(start) - time.time()))\n"
         "cache = ResponseCache(root)\n"
         "for i in range(int(n)):\n"
         "    prompt = f'{tag} {i}'\n"
-        "    key = cache_key('m1', prompt, 512, ())\n"
-        "    request = CompletionRequest('m1', prompt, 512, (), key)\n"
+        "    request = CompletionRequest('m1', prompt, 512, ())\n"
         "    cache.put(request, f'completion {prompt}', 'stop')\n"
         "print('done', flush=True)\n"
         "time.sleep(float(linger))\n"
@@ -498,9 +511,9 @@ def test_map_workers_share_one_connection(tmp_path):
         gens = client.map(lambda i: client.generate(bare(), f"prompt {i}"), range(200))
     finally:
         sys.setswitchinterval(switch)
-    assert [g.completion for g in gens] == [f"done prompt {i}" for i in range(200)]
-    assert not any(g.from_cache for g in gens)
-    assert client.cache_stats().entries == 200
+    assert gens == [(f"done prompt {i}", "stop") for i in range(200)]
+    stats = client.cache_stats()
+    assert (stats.hits, stats.misses, stats.entries) == (0, 200, 200)
     assert len(read_rows(tmp_path / "cache")) == 200
 
 
@@ -530,9 +543,27 @@ def test_truncate_at_stop_cuts_at_earliest_occurrence(text, stops):
 def test_generate_applies_stop_sequences(tmp_path):
     backend = StubBackend(reply="summary text\nNEXT EXAMPLE trailing")
     client = make_client(tmp_path, backend=backend)
-    gen = client.generate(bare("NEXT EXAMPLE"), "p")
-    assert gen.completion == "summary text\n"
-    assert gen.finish_reason == "stop"
+    assert client.generate(bare("NEXT EXAMPLE"), "p") == ("summary text\n", "stop")
+
+
+def test_generate_returns_the_backend_reply_on_every_path(tmp_path):
+    # Fresh, then from the cache: the backend's pair, a length finish too.
+    backend = StubBackend(reply="text", finish_reason="length")
+    recorder = make_client(tmp_path / "recorded", backend=backend)
+    assert recorder.generate(bare("END"), "p") == ("text", "length")
+    assert recorder.generate(bare("END"), "p") == ("text", "length")
+    stats = recorder.cache_stats()
+    assert (len(backend.requests), stats.hits, stats.misses) == (1, 1, 1)
+    del recorder
+    # Replayed from that store by a client with no cache of its own.
+    replayer = CompletionClient(LmConfig(model="m1", backend="replay"),
+                                replay_dir=str(tmp_path / "recorded" / "cache"))
+    assert replayer.generate(bare("END"), "p") == ("text", "length")
+    # A completion cut at a stop sequence finished there.
+    cut = make_client(tmp_path / "cut", backend=StubBackend("text END more", "length"))
+    assert cut.generate(bare("END"), "p") == ("text ", "stop")
+    assert cut.generate(bare("END"), "p") == ("text ", "stop")
+    assert cut.cache_stats().hits == 1
 
 
 # --- replay backend ----------------------------------------------------------
@@ -552,10 +583,10 @@ def test_replay_round_trip(tmp_path):
         cache_dir=str(tmp_path / "fresh"),
         replay_dir=str(record_dir),
     )
-    gen = replayer.generate(bare(), "prompt p")
-    assert gen.completion == "hello"
-    assert not gen.from_cache  # served by the replay backend, then cached
-    assert replayer.generate(bare(), "prompt p").from_cache
+    assert replayer.generate(bare(), "prompt p") == ("hello", "stop")
+    assert replayer.cache_stats().misses == 1  # served by the replay backend, then cached
+    assert replayer.generate(bare(), "prompt p") == ("hello", "stop")
+    assert replayer.cache_stats().hits == 1
 
 
 def test_replay_miss_is_an_error(tmp_path):
@@ -601,7 +632,7 @@ def test_replay_opens_the_store_read_only(tmp_path):
     listing = sorted(p.name for p in store.parent.iterdir())
     replayer = CompletionClient(LmConfig(model="m1", backend="replay"),
                                 replay_dir=str(tmp_path / "cache"))
-    assert replayer.generate(bare(), "prompt p").completion == "recorded"
+    assert replayer.generate(bare(), "prompt p") == ("recorded", "stop")
     with pytest.raises(ReplayMiss):
         replayer.generate(bare(), "prompt q")
     assert sorted(p.name for p in store.parent.iterdir()) == listing
@@ -650,9 +681,7 @@ def make_http_backend(endpoint, **overrides):
 def complete(backend, prompt="p", stop_sequences=()):
     cfg = backend._config
     return backend.complete(CompletionRequest(
-        model=cfg.model, prompt=prompt, max_tokens=512, stop_sequences=stop_sequences,
-        key=cache_key(cfg.model, prompt, 512, stop_sequences),
-    ))
+        model=cfg.model, prompt=prompt, max_tokens=512, stop_sequences=stop_sequences))
 
 
 def test_http_success_and_body_shape():
@@ -800,7 +829,7 @@ def test_http_connections_never_outnumber_calls_in_flight(tmp_path):
             del client
     finally:
         sys.setswitchinterval(switch)
-    assert [g.completion for g in gens] == ["ok"] * 64
+    assert gens == [("ok", "stop")] * 64
     assert len(server.posts) == 64
     assert 1 <= server.connections <= 8
 

@@ -248,8 +248,8 @@ def generate_and_parse(reply: str, frame):
     """A completion as a run sees it: cut by ``CompletionClient.generate``
     at the frame's stop sequences, then parsed."""
     client = CompletionClient(make_lm_config(), backend=StubBackend(reply))
-    gen = client.generate(frame, TARGET_ARTICLE)
-    return parse_output(gen.completion, frame.k)
+    completion, _ = client.generate(frame, TARGET_ARTICLE)
+    return parse_output(completion, frame.k)
 
 
 def test_parse_k0_cuts_at_stop_sentinel():

@@ -12,7 +12,6 @@ from qasum import (
     Corpus,
     CorpusSplit,
     ExperimentConfig,
-    Generation,
     IclExample,
     LmConfig,
     ParsedOutput,
@@ -42,7 +41,6 @@ RECORDS = {
     ExperimentConfig: (lambda: ExperimentConfig(corpus="c.jsonl", lm=LmConfig("m1"),
                                                 k_values=(0, 2)),
                        "k_values", (1,)),
-    Generation: (lambda: Generation("text", "stop", False, 1.5), "from_cache", True),
     IclExample: (lambda: IclExample("article", "reference", ("one",)), "answers", ()),
     LmConfig: (lambda: LmConfig("m1", endpoint="http://localhost:1/v1"), "max_retries", 5),
     ParsedOutput: (lambda: ParsedOutput(("one",), "summary", "ok"), "parse_status", "failed"),
