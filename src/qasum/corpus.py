@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 import math
+from operator import attrgetter, itemgetter
 import random
 
 from .metrics import has_tokens
@@ -17,6 +18,8 @@ DEFAULT_DOMAINS = ("Commonsense", "Dialogue", "News", "Public Places", "Reviews"
 
 RECORD_FIELDS = ("id", "domain", "task", "article", "reference")
 _RECORD_KEYS = dict.fromkeys(RECORD_FIELDS).keys()
+_record_values = itemgetter(*RECORD_FIELDS)
+_by_id = attrgetter("id")
 
 
 class CorpusError(Exception):
@@ -75,9 +78,21 @@ def _reject_surrogates(rec: dict, line_no: int) -> None:
 
 def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     """Load and validate a JSONL corpus; aborts at the first bad record,
-    among them one whose domain is not one of ``domains`` (case-sensitive)."""
+    among them one whose domain is not one of ``domains`` (case-sensitive).
+
+    Each line is decoded by ``json.loads``. A record's five fields are
+    read out once, in ``RECORD_FIELDS`` order, and a well-formed record
+    passes two checks: a JSON object with exactly those keys, and five
+    strings. A
+    record that fails either goes to ``_validate_record``, which names
+    what is wrong. Only a record with a non-ASCII field is searched for a
+    lone surrogate, since one is never ASCII and ``isascii`` is O(1).
+    Then come the id, domain and token checks, and the instance is built
+    from the five values positionally.
+    """
     instances: list[TaskInstance] = []
     seen: set[str] = set()
+    allowed = frozenset(domains)
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -87,24 +102,25 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-                # The common well-formed record passes in one check; anything
-                # else goes to _validate_record, which names what is wrong.
-                if not (type(rec) is dict and rec.keys() == _RECORD_KEYS
-                        and all(type(v) is str for v in rec.values())):
+                if not (type(rec) is dict and rec.keys() == _RECORD_KEYS):
                     _validate_record(rec, line_no)
-                # A lone surrogate is never ASCII, and isascii() is O(1).
-                if not all(map(str.isascii, rec.values())):
+                values = id_, domain, task, article, reference = _record_values(rec)
+                if not (type(id_) is type(domain) is type(task) is type(article)
+                        is type(reference) is str):
+                    _validate_record(rec, line_no)
+                if not (id_.isascii() and domain.isascii() and task.isascii()
+                        and article.isascii() and reference.isascii()):
                     _reject_surrogates(rec, line_no)
-                if rec["id"] in seen:
-                    raise CorpusError(f"line {line_no}: duplicate id {rec['id']!r}")
-                if rec["domain"] not in domains:
-                    raise CorpusError(f"line {line_no}: unknown domain {rec['domain']!r}")
-                if not has_tokens(rec["article"]):
+                if id_ in seen:
+                    raise CorpusError(f"line {line_no}: duplicate id {id_!r}")
+                if domain not in allowed:
+                    raise CorpusError(f"line {line_no}: unknown domain {domain!r}")
+                if not has_tokens(article):
                     raise CorpusError(f"line {line_no}: article is empty after tokenization")
-                if not has_tokens(rec["reference"]):
+                if not has_tokens(reference):
                     raise CorpusError(f"line {line_no}: reference is empty after tokenization")
-                seen.add(rec["id"])
-                instances.append(TaskInstance(**rec))
+                seen.add(id_)
+                instances.append(TaskInstance(*values))
     except UnicodeDecodeError:
         # The text reader decodes a buffer at a time, so it cannot name the
         # line (and may fail before reaching a bad record ahead of it in the
@@ -149,14 +165,14 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
         if len(members) < 2:
             raise CorpusError(
                 f"group ({domain!r}, {task!r}) has {len(members)} instance(s); need >= 2")
-        members = sorted(members, key=lambda i: i.id)
+        members = sorted(members, key=_by_id)
         rng = _group_rng(seed, domain, task)
         shuffled = rng.sample(members, len(members))
         n_pool = max(1, math.ceil(pool_fraction * len(members)))
         pool.extend(shuffled[:n_pool])
         eval_set.extend(shuffled[n_pool:])
-    return CorpusSplit(icl_pool=tuple(sorted(pool, key=lambda i: i.id)),
-                       eval_set=tuple(sorted(eval_set, key=lambda i: i.id)))
+    return CorpusSplit(icl_pool=tuple(sorted(pool, key=_by_id)),
+                       eval_set=tuple(sorted(eval_set, key=_by_id)))
 
 
 def subsample_per_domain(
@@ -170,10 +186,10 @@ def subsample_per_domain(
         by_domain.setdefault(inst.domain, []).append(inst)
     selected: list[TaskInstance] = []
     for domain in sorted(by_domain):
-        members = sorted(by_domain[domain], key=lambda i: i.id)
+        members = sorted(by_domain[domain], key=_by_id)
         if count is not None and count < len(members):
             chosen = _group_rng(seed, label, domain).sample(members, count)
-            members = sorted(chosen, key=lambda i: i.id)
+            members = sorted(chosen, key=_by_id)
         selected.extend(members)
     return selected
 

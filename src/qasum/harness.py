@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import csv
 import json
+from json.encoder import encode_basestring
 import marshal
+from operator import attrgetter
 import os
 import signal
 import threading
@@ -216,19 +218,6 @@ class RunManifest:
         return {status: statuses.count(status) for status in PARSE_STATUSES}
 
 
-def _row_to_dict(row: ScoreRow) -> dict:
-    out = {
-        "id": row.id,
-        "method": row.method,
-        "domain": row.domain,
-        "k": row.k,
-        "parse_status": row.parse_status,
-    }
-    for name, score in (("rouge1", row.rouge1), ("rouge2", row.rouge2), ("rougeL", row.rougeL)):
-        out[name] = {"p": score.precision, "r": score.recall, "f1": score.f1}
-    return out
-
-
 def _row_from_dict(doc: dict) -> ScoreRow:
     def score(name):
         s = doc[name]
@@ -257,12 +246,27 @@ def _row_from_dict(doc: dict) -> ScoreRow:
     )
 
 
+# One manifest row as ``json.dumps(row, ensure_ascii=False,
+# separators=(",", ":"))`` writes it: the labels, each through the function
+# that encoder quotes strings with, and the numbers through ``repr``, which
+# is what it writes for an int and a finite float.
+_ROW_TEMPLATE = (
+    '{"id":%s,"method":%s,"domain":%s,"k":%r,"parse_status":%s,'
+    '"rouge1":{"p":%r,"r":%r,"f1":%r},"rouge2":{"p":%r,"r":%r,"f1":%r},'
+    '"rougeL":{"p":%r,"r":%r,"f1":%r}}'
+)
+
+
 def save_manifest(manifest: RunManifest, path) -> None:
     """Write ``manifest`` as one compact JSON document: the run's fields on
     the first line, then ``rows`` with one row per line.
 
-    Each row is encoded on its own (``json.dump`` never uses the C
-    encoder), so the whole document is never one string in memory.
+    The first line is encoded by ``json``. Each row is rendered by one
+    ``%`` template, exactly as the compact ``json`` encoder would write it:
+    its labels quoted by ``json.encoder.encode_basestring``, the function
+    that encoder quotes strings with, and its k and scores through
+    ``repr``. Rows are written one at a time, so the whole document is
+    never one string in memory.
     """
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     head = encode({
@@ -270,11 +274,18 @@ def save_manifest(manifest: RunManifest, path) -> None:
         "cache": asdict(manifest.cache),
         "wall_clock_s": manifest.wall_clock_s,
     })
+    quote = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ',"rows":[')
         separator = "\n"
         for row in manifest.rows:
-            fh.write(separator + encode(_row_to_dict(row)))
+            r1, r2, rl = row.rouge1, row.rouge2, row.rougeL
+            fh.write(separator + _ROW_TEMPLATE % (
+                quote(row.id), quote(row.method), quote(row.domain), row.k,
+                quote(row.parse_status),
+                r1.precision, r1.recall, r1.f1, r2.precision, r2.recall, r2.f1,
+                rl.precision, rl.recall, rl.f1,
+            ))
             separator = ",\n"
         fh.write("\n]}\n")
 
@@ -544,7 +555,7 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
         for (inst, k), parsed, (rouge1, rouge2, rougeL)
         in zip(((inst, k) for inst in instances for k in k_values), outputs, scores)
     ]
-    rows.sort(key=lambda r: (r.id, r.k))
+    rows.sort(key=attrgetter("id", "k"))
 
     manifest = RunManifest(
         config=cfg.snapshot(),

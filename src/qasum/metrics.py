@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 import re
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -202,12 +204,25 @@ class AggregateRow:
     rougeL: RougeScore
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The float total of ``values``, added one by one from the left.
+
+    Python 3.12 made ``sum`` add floats with compensation, so its totals
+    can differ in the last bit by version, and with them a mean, a CSV
+    cell rounded from it and a question order decided by a tie. This is
+    what ``sum`` does on 3.10 and 3.11, so every output reads the same on
+    every version."""
+    return reduce(add, values, 0.0)
+
+
 def _mean_score(scores: list[RougeScore]) -> RougeScore:
+    """The mean of each component, its total taken left to right in row
+    order by ``left_sum``, so a mean is the same on every Python version."""
     n = len(scores)
     return RougeScore(
-        sum(s.precision for s in scores) / n,
-        sum(s.recall for s in scores) / n,
-        sum(s.f1 for s in scores) / n,
+        left_sum(s.precision for s in scores) / n,
+        left_sum(s.recall for s in scores) / n,
+        left_sum(s.f1 for s in scores) / n,
     )
 
 
@@ -215,7 +230,8 @@ def aggregate(rows: list[ScoreRow], group_by: tuple[str, ...]) -> list[Aggregate
     """Arithmetic mean of every metric component per group.
 
     ``group_by`` is any subset of ``GROUP_FIELDS``; groups come out in
-    deterministic sorted order. Raises ValueError on an empty row list.
+    deterministic sorted order, and each mean is over its group's rows in
+    the order given. Raises ValueError on an empty row list.
     """
     if not rows:
         raise ValueError("no rows to aggregate")

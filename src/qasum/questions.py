@@ -19,7 +19,7 @@ import time
 
 from .corpus import subsample_per_domain
 from .lm import CompletionClient
-from .metrics import lcs_masks, overlap_precision, tokenize
+from .metrics import lcs_masks, left_sum, overlap_precision, tokenize
 from .prompting import single_qa_frame
 
 
@@ -154,8 +154,9 @@ def rank_questions(
             if not samples:
                 raise RankingError(f"no successful answers for question {question.key!r}"
                                    f" in domain {domain!r}")
-            # Sum in id order so the float total is reproducible.
-            total = sum(score for _, score in sorted(samples))
+            # Sum in id order, left to right, so the float total is
+            # reproducible, on every Python version too.
+            total = left_sum(score for _, score in sorted(samples))
             ranked.append(RankedQuestion(question.key, total / len(samples), len(samples)))
         ranked.sort(key=lambda r: (-r.mean_precision, _BANK_ORDER[r.key]))
         domains[domain] = tuple(ranked)
@@ -184,7 +185,7 @@ def global_ranking(table: RankingTable) -> tuple[RankedQuestion, ...]:
         for r in ranked:
             per_domain.setdefault(r.key, []).append(r.mean_precision)
     entries = [
-        RankedQuestion(q.key, sum(scores) / len(scores), len(scores))
+        RankedQuestion(q.key, left_sum(scores) / len(scores), len(scores))
         for q in _BANK
         if (scores := per_domain.get(q.key))
     ]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
+import csv
 import dataclasses
 from dataclasses import fields
+import io
 import json
 import marshal
 import os
@@ -46,7 +48,7 @@ from qasum.harness import (
     save_manifest,
 )
 from qasum.lm import CacheStats, LmConfig, LmError, RateLimited
-from qasum.metrics import RougeScore, ScoreRow
+from qasum.metrics import AggregateRow, RougeScore, ScoreRow, aggregate
 from qasum.prompting import (
     QA_INSTRUCTION,
     SINGLE_QA_INSTRUCTION,
@@ -793,11 +795,144 @@ def test_manifest_round_trip(tmp_path):
 def test_aggregates_recompute_from_rows(tmp_path):
     cfg = make_config(method="icl", cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" s"))
-    from qasum.metrics import aggregate
 
     (agg,) = aggregate(list(manifest.rows), ("method", "k"))
-    manual = sum(r.rougeL.f1 for r in manifest.rows) / len(manifest.rows)
-    assert agg.rougeL.f1 == pytest.approx(manual, abs=1e-12)
+    manual = 0.0
+    for row in manifest.rows:
+        manual += row.rougeL.f1
+    assert agg.rougeL.f1 == manual / len(manifest.rows)
+
+
+# Labels as run_eval and load_manifest pass them through: any text with no
+# lone surrogate, with quotes, backslashes, control characters, U+2028 and
+# non-ASCII text drawn often.
+LABELS = st.text(st.characters(codec="utf-8")
+                 | st.sampled_from('",\\\x00\x1f\x7f\n\r\t\u2028\u2029é東'), max_size=6)
+SCORE_VALUES = st.floats(0, 1) | st.sampled_from([0, 1])
+SCORES = st.builds(RougeScore, SCORE_VALUES, SCORE_VALUES, SCORE_VALUES)
+
+
+@st.composite
+def score_rows(draw, labels=LABELS, statuses=LABELS) -> ScoreRow:
+    return ScoreRow(id=draw(labels), method=draw(labels), domain=draw(labels),
+                    k=draw(st.integers(0, 10)), rouge1=draw(SCORES), rouge2=draw(SCORES),
+                    rougeL=draw(SCORES), parse_status=draw(statuses))
+
+
+def row_as_dict(row: ScoreRow) -> dict:
+    """A manifest row in the key layout ``save_manifest`` has always written."""
+    out = {"id": row.id, "method": row.method, "domain": row.domain, "k": row.k,
+           "parse_status": row.parse_status}
+    for name in ("rouge1", "rouge2", "rougeL"):
+        score = getattr(row, name)
+        out[name] = {"p": score.precision, "r": score.recall, "f1": score.f1}
+    return out
+
+
+def manifest_of(rows) -> RunManifest:
+    return RunManifest(config={"method": "qa", "lm": {"model": 'm "α"'}}, rows=tuple(rows),
+                       cache=CacheStats(1, 2, 3), wall_clock_s=0.5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(score_rows(statuses=st.sampled_from(harness.PARSE_STATUSES) | LABELS),
+                min_size=1, max_size=5, unique_by=lambda row: (row.id, row.k)))
+@example([ScoreRow(id='a"\\\n\u2028', method="qa", domain="\x00é", k=10,
+                   rouge1=RougeScore(0, 1, 0.1), rouge2=RougeScore(5e-324, 1 / 3, 1.0),
+                   rougeL=RougeScore(0.0, 0.995, 0.125), parse_status="ok")])
+def test_manifest_rows_are_json_dumps_of_the_row_layout(rows):
+    manifest = manifest_of(rows)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "manifest.json"
+        save_manifest(manifest, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        expected = [json.dumps(row_as_dict(row), ensure_ascii=False, separators=(",", ":"))
+                    for row in rows]
+        assert lines[1:-2] == [line + "," for line in expected[:-1]] + expected[-1:]
+        assert lines[-2:] == ["]}", ""]
+        if all(row.parse_status in harness.PARSE_STATUSES for row in rows):
+            assert load_manifest(path) == manifest
+        else:
+            with pytest.raises(ValueError, match="unknown parse_status"):
+                load_manifest(path)
+
+
+def csv_text(header, rows) -> str:
+    """What ``csv.writer`` writes for ``header`` and ``rows``, with ``\\n`` line ends."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(score_rows(), min_size=1, max_size=5))
+@example([ScoreRow(id="a,b", method='q"a', domain="x\ny", k=3,
+                   rouge1=RougeScore(0.125, 0.995, 1 / 3), rouge2=RougeScore(5e-324, 1.0, 0.00125),
+                   rougeL=RougeScore(0, 1, 0.5), parse_status="o\rk")])
+def test_per_instance_cells_are_the_scores_to_two_decimals(rows):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "per_instance.csv"
+        harness.write_per_instance_csv(manifest_of(rows), path)
+        text = path.read_bytes().decode("utf-8")
+    cells = [[row.id, row.domain, row.method, row.k, row.parse_status]
+             + [f"{x * 100:.2f}" for score in (row.rouge1, row.rouge2, row.rougeL)
+                for x in (score.precision, score.recall, score.f1)] for row in rows]
+    header = ["id", "domain", "method", "k", "parse_status", *harness.METRIC_COLUMNS]
+    assert text == csv_text(header, cells)
+
+
+# 0.995 * 100 and 0.00125 * 100 land on 99.5 and 0.125 exactly; the second
+# rounds to even.
+@pytest.mark.parametrize("score, cell", [
+    (0.125, "12.50"), (0.995, "99.50"), (1 / 3, "33.33"), (5e-324, "0.00"), (1.0, "100.00"),
+    (0.00125, "0.12"), (0, "0.00"), (1, "100.00"),
+])
+def test_per_instance_csv_quotes_and_rounds_the_edges(tmp_path, score, cell):
+    scores = RougeScore(score, score, score)
+    row = ScoreRow(id="a,b", method='q"a', domain="x\ny", k=3, rouge1=scores, rouge2=scores,
+                   rougeL=scores, parse_status="ok")
+    harness.write_per_instance_csv(manifest_of([row]), tmp_path / "p.csv")
+    _, line = (tmp_path / "p.csv").read_bytes().decode("utf-8").split("\n", 1)
+    assert line == '"a,b","x\ny","q""a",3,ok,' + ",".join([cell] * 9) + "\n"
+
+
+def aggregate_left_to_right(rows, group_by):
+    """Each group's mean, its total added one row at a time in row order:
+    the oracle ``aggregate`` must equal exactly."""
+    fields = [f for f in ("method", "domain", "k") if f in group_by]
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(tuple(getattr(row, f) for f in fields), []).append(row)
+    out = []
+    for key in sorted(groups):
+        members = groups[key]
+        means = []
+        for name in ("rouge1", "rouge2", "rougeL"):
+            totals = [0.0, 0.0, 0.0]
+            for row in members:
+                score = getattr(row, name)
+                totals[0] += score.precision
+                totals[1] += score.recall
+                totals[2] += score.f1
+            means.append(RougeScore(*(total / len(members) for total in totals)))
+        out.append(AggregateRow(tuple(zip(fields, key)), len(members), *means))
+    return out
+
+
+GROUPINGS = [(), ("domain",), ("method", "k"), ("domain", "k")]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(score_rows(labels=st.sampled_from(["News", "qa", "é"]) | LABELS),
+                min_size=1, max_size=12),
+       st.sampled_from(GROUPINGS))
+@example([ScoreRow(id="x", method="qa", domain="News", k=0, rouge1=score, rouge2=score,
+                   rougeL=score, parse_status="ok") for score in [RougeScore(0.1, 0.1, 0.1)] * 10],
+         ())
+def test_aggregate_is_the_left_to_right_mean_of_each_group(rows, group_by):
+    assert aggregate(rows, group_by) == aggregate_left_to_right(rows, group_by)
 
 
 # --- compare -----------------------------------------------------------------

@@ -15,6 +15,7 @@ from qasum.metrics import (
     aggregate,
     has_tokens,
     lcs_length,
+    left_sum,
     lcs_masks,
     overlap_precision,
     rouge_scores,
@@ -478,6 +479,15 @@ def test_aggregate_mean():
     (out,) = aggregate(rows, ("method",))
     assert out.n == 2
     assert out.rougeL.f1 == pytest.approx(0.3)
+
+
+def test_means_add_left_to_right_on_every_python():
+    # Added left to right, ten 0.1s make 0.9999999999999999; the compensated
+    # sum of Python 3.12 and later makes 1.0, and so a mean of 0.1.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    rows = [make_row(f"r{n}", f1=0.1) for n in range(10)]
+    (out,) = aggregate(rows, ())
+    assert out.rouge1.precision == out.rouge2.recall == out.rougeL.f1 == 0.09999999999999999
 
 
 def test_aggregate_partitions_by_domain():

@@ -285,6 +285,13 @@ def test_global_means_per_domain_precisions():
     assert [e.key for e in ranking] == ["topic", "key_pts", "entities"]
 
 
+def test_global_means_add_left_to_right_on_every_python():
+    table = RankingTable(model="m1", seed=0, subsample=None, created_at="t",
+                         domains={f"D{n}": (RankedQuestion("topic", 0.1, 1),) for n in range(10)})
+    (entry,) = global_ranking(table)
+    assert entry.mean_precision == 0.09999999999999999
+
+
 def test_top_k_on_global_ranking():
     ranking = global_ranking(two_domain_table())
     assert [q.key for q in top_k(ranking, 2)] == ["topic", "key_pts"]
