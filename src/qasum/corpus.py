@@ -11,6 +11,7 @@ import json
 import math
 from operator import attrgetter, itemgetter
 import random
+import re
 
 from .metrics import has_tokens
 
@@ -20,6 +21,11 @@ RECORD_FIELDS = ("id", "domain", "task", "article", "reference")
 _RECORD_KEYS = dict.fromkeys(RECORD_FIELDS).keys()
 _record_values = itemgetter(*RECORD_FIELDS)
 _by_id = attrgetter("id")
+
+# The C0 controls and DEL: no id, task or domain name may hold one. These
+# labels go into CSVs, where Python's csv writer before 3.13 leaves a bare
+# carriage return unquoted, and a reader then splits the row in two.
+CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f]")
 
 
 class CorpusError(Exception):
@@ -76,6 +82,14 @@ def _reject_surrogates(rec: dict, line_no: int) -> None:
             raise CorpusError(f"line {line_no}: field {f!r} holds a lone surrogate") from None
 
 
+def _reject_control_characters(rec: dict, line_no: int) -> None:
+    for f in ("id", "task"):
+        found = CONTROL_CHARACTER.search(rec[f])
+        if found:
+            raise CorpusError(
+                f"line {line_no}: field {f!r} holds control character {found.group()!r}")
+
+
 def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     """Load and validate a JSONL corpus; aborts at the first bad record,
     among them one whose domain is not one of ``domains`` (case-sensitive).
@@ -87,8 +101,10 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
     record that fails either goes to ``_validate_record``, which names
     what is wrong. Only a record with a non-ASCII field is searched for a
     lone surrogate, since one is never ASCII and ``isascii`` is O(1).
-    Then come the id, domain and token checks, and the instance is built
-    from the five values positionally.
+    Only an id or task that ``isprintable`` refuses is searched for a
+    control character (U+0000 to U+001F, U+007F); for ASCII text the two
+    tests agree. Then come the id, domain and token checks, and the
+    instance is built from the five values positionally.
     """
     instances: list[TaskInstance] = []
     seen: set[str] = set()
@@ -111,6 +127,8 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
                 if not (id_.isascii() and domain.isascii() and task.isascii()
                         and article.isascii() and reference.isascii()):
                     _reject_surrogates(rec, line_no)
+                if not (id_.isprintable() and task.isprintable()):
+                    _reject_control_characters(rec, line_no)
                 if id_ in seen:
                     raise CorpusError(f"line {line_no}: duplicate id {id_!r}")
                 if domain not in allowed:

@@ -22,7 +22,14 @@ import time
 import types
 import typing
 
-from .corpus import DEFAULT_DOMAINS, load_corpus, sample_icl_examples, split_corpus, subsample_per_domain
+from .corpus import (
+    CONTROL_CHARACTER,
+    DEFAULT_DOMAINS,
+    load_corpus,
+    sample_icl_examples,
+    split_corpus,
+    subsample_per_domain,
+)
 from .lm import CacheStats, CompletionClient, LmConfig
 from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
 from .prompting import (IclExample, PARSE_FAILED, ParsedOutput, PromptFrame, parse_output,
@@ -92,6 +99,9 @@ class ExperimentConfig:
                 raise ValueError("domains: must list at least one domain")
             if len(set(self.domains)) != len(self.domains):
                 raise ValueError("domains: names must be unique")
+            for name in self.domains:
+                if CONTROL_CHARACTER.search(name):
+                    raise ValueError(f"domains: {name!r} holds a control character")
 
     def snapshot(self) -> dict:
         """The config as a manifest stores it: JSON values, tuples as lists,

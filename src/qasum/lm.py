@@ -5,9 +5,10 @@ builds from a prompt frame and its article: an HTTP client for any
 prompt-in/text-out completion endpoint, and a replay backend that serves
 pre-recorded responses for deterministic tests. The HTTP client is built
 on the standard library's ``http.client``: it keeps at most one
-keep-alive connection per call in flight, reads no proxy settings,
-checks HTTPS certificates against the system CA store, fails at once on
-an untrusted one, and does not follow redirects.
+keep-alive connection per call in flight, sends each request, head and
+body, in one write, reads no proxy settings, checks HTTPS certificates
+against the system CA store, fails at once on an untrusted one, and does
+not follow redirects.
 
 Every backend's ``complete`` returns a ``(completion, finish_reason)``
 pair, and that pair is what the cache stores and returns and what
@@ -347,10 +348,57 @@ def _close_connections(idle: list) -> None:
         idle.pop().close()
 
 
+# The request headers after Content-Length, in the order http.client
+# writes a request's own headers.
+_BODY_HEADERS = b"Content-Type: application/json\r\nUser-Agent: qasum\r\n"
+
+
+def _authorization(api_key: str) -> bytes:
+    """The ``Authorization`` header line for ``api_key``, encoded as
+    ``http.client`` encodes a header value: Latin-1, so a key that holds
+    another character raises ``UnicodeEncodeError``. A key that holds a
+    line break raises ``ValueError``, since it would end the header early."""
+    value = f"Bearer {api_key}".encode("latin-1")
+    if b"\r" in value or b"\n" in value:
+        raise ValueError(f"{API_KEY_ENV} holds a line break")
+    return b"Authorization: " + value + b"\r\n"
+
+
+def _request_head(host: str, port: int, default_port: int, path: str) -> bytes:
+    """A POST's request line and its ``Host`` and ``Accept-Encoding``
+    headers, as ``http.client`` writes them: the host ASCII or else IDNA,
+    an IPv6 literal bracketed without its zone, and the port left out when
+    it is the scheme's default. A path that ``http.client`` would refuse
+    to send, one with a space, a control character or a non-ASCII
+    character, raises ``ValueError``."""
+    if not (path.isascii() and path.isprintable()) or " " in path:
+        raise ValueError(f"endpoint path holds a space, a control or a non-ASCII character: "
+                         f"{path!r}")
+    try:
+        host_enc = host.encode("ascii")
+    except UnicodeEncodeError:
+        host_enc = host.encode("idna")
+    if b":" in host_enc:
+        host_enc = b"[" + host_enc.partition(b"%")[0] + b"]"
+    if port != default_port:
+        host_enc += b":%d" % port
+    return b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
+        path.encode("ascii"), host_enc)
+
+
 class HttpBackend:
     """POSTs ``{model, prompt, max_tokens, temperature, stop}`` as JSON, the
     temperature always 0 (greedy), and reads the first completion text;
     retries transient failures with backoff.
+
+    Each request goes out in one write: the head, built once per backend
+    but for its ``Content-Length`` and ``Authorization`` lines, and the
+    JSON body are joined and sent with one ``sendall``. The bytes are the
+    ones ``HTTPConnection.request`` writes, headers in its order, but that
+    sends head and body in two writes, so on a ``TCP_NODELAY`` socket a
+    call crosses as two segments and wakes the server twice.
+    ``HTTPConnection`` still connects, wraps TLS and holds the timeout,
+    and ``HTTPResponse`` reads the reply.
 
     Idle keep-alive connections wait in one list: a call takes one, or opens
     a new one when the list is empty, and puts it back after a complete
@@ -370,12 +418,16 @@ class HttpBackend:
         connection = (
             http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         )
+        # An explicit port keeps http.client from reading one off an IPv6
+        # literal's last group.
+        port = url.port or connection.default_port
         self._new_connection = functools.partial(
-            connection, url.hostname, url.port, timeout=config.timeout
+            connection, url.hostname, port, timeout=config.timeout
         )
-        self._path = url.path or "/"
+        path = url.path or "/"
         if url.query:
-            self._path += "?" + url.query
+            path += "?" + url.query
+        self._head = _request_head(url.hostname, port, connection.default_port, path)
         self._config = config
         self._sleep = sleep
         self._idle: list = []
@@ -391,17 +443,17 @@ class HttpBackend:
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
         payload = json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json", "User-Agent": "qasum"}
         api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        message = b"%sContent-Length: %d\r\n%s%s\r\n%s" % (
+            self._head, len(payload), _BODY_HEADERS,
+            _authorization(api_key) if api_key else b"", payload)
 
         attempts = self._config.max_retries + 1
         last_error: Exception | None = None
         rate_limited = False
         for attempt in range(attempts):
             try:
-                status, reply, location = self._post(payload, headers)
+                status, reply, location = self._post(message)
             except ssl.SSLCertVerificationError as exc:
                 # An untrusted certificate stays untrusted: no retry can pass.
                 raise BackendUnreachable(f"certificate verification failed: {exc}") from exc
@@ -433,26 +485,37 @@ class HttpBackend:
             raise RateLimited(f"gave up after {attempts} attempts: {last_error}")
         raise BackendUnreachable(f"gave up after {attempts} attempts: {last_error}")
 
-    def _post(self, payload: bytes, headers: dict) -> tuple[int, bytes, str | None]:
+    def _post(self, message: bytes) -> tuple[int, bytes, str | None]:
         """One POST on an idle connection, or on a new one if none is idle."""
         try:
             conn = self._idle.pop()
         except IndexError:
-            return self._exchange(self._new_connection(), payload, headers)
+            return self._exchange(self._new_connection(), message)
         try:
-            return self._exchange(conn, payload, headers)
+            return self._exchange(conn, message)
         except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
             # The server may close an idle keep-alive connection at any time.
             # A request that fails on one goes once more on a new connection
             # (RFC 9112 section 9.3.1); a completion request changes no state
             # on the server, so sending it twice is safe.
-            return self._exchange(self._new_connection(), payload, headers)
+            return self._exchange(self._new_connection(), message)
 
-    def _exchange(self, conn, payload: bytes, headers: dict) -> tuple[int, bytes, str | None]:
+    def _exchange(self, conn, message: bytes) -> tuple[int, bytes, str | None]:
+        """Send ``message``, head and body, in one write on ``conn``, which
+        connects first if it has no socket, and read the whole reply. On
+        any failure the reply and the connection are closed, as
+        ``HTTPConnection.getresponse`` closes them."""
         try:
-            conn.request("POST", self._path, payload, headers)
-            resp = conn.getresponse()
-            reply = resp.read()
+            if conn.sock is None:
+                conn.connect()
+            conn.sock.sendall(message)
+            resp = http.client.HTTPResponse(conn.sock, method="POST")
+            try:
+                resp.begin()
+                reply = resp.read()
+            except BaseException:
+                resp.close()
+                raise
         except BaseException:
             conn.close()
             raise

@@ -124,6 +124,29 @@ def test_unknown_domain(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("field", ["id", "task"])
+@pytest.mark.parametrize("control", ["\x00", "\t", "\n", "\r", "\x1f", "\x7f"])
+@pytest.mark.parametrize("text", ["ab", "é東"], ids=["ascii", "non-ascii"])
+def test_control_character_in_a_label_rejected(tmp_path, field, control, text):
+    path = tmp_path / "c.jsonl"
+    rec = record("b")
+    rec[field] = text[0] + control + text[1]
+    write_jsonl(path, [record("a"), rec])
+    with pytest.raises(CorpusError) as excinfo:
+        load_corpus(path)
+    assert str(excinfo.value) == f"line 2: field {field!r} holds control character {control!r}"
+
+
+def test_other_unprintable_characters_pass_in_labels_and_controls_in_text(tmp_path):
+    # U+0085, U+00A0 and U+2028 are not printable but are no C0 control,
+    # and the article, reference and domain are never written to a CSV.
+    path = tmp_path / "c.jsonl"
+    rec = record("a\x85\xa0\u2028", task="x\u2029", article="one\ttwo\r\nthree",
+                 reference="a\x00b", domain="News")
+    write_jsonl(path, [rec])
+    assert load_corpus(path).instances == (TaskInstance(**rec),)
+
+
 def test_custom_registry_admits_new_domains(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", domain="Sports")])
@@ -161,6 +184,11 @@ def plain_load(path) -> Corpus:
                 for f in RECORD_FIELDS:
                     if re.search("[\ud800-\udfff]", rec[f]):
                         raise CorpusError(f"line {line_no}: field {f!r} holds a lone surrogate")
+            for f in ("id", "task"):
+                control = re.search("[\x00-\x1f\x7f]", rec[f])
+                if control:
+                    raise CorpusError(
+                        f"line {line_no}: field {f!r} holds control character {control[0]!r}")
             if rec["id"] in seen:
                 raise CorpusError(f"line {line_no}: duplicate id {rec['id']!r}")
             if rec["domain"] not in DEFAULT_DOMAINS:
@@ -250,6 +278,8 @@ def corpus_lines(draw) -> str:
 @example(json.dumps(record("d", reference="naïve"), ensure_ascii=False))
 @example("\x85\u3000")
 @example(json.dumps({**record("d"), "task": None}))
+@example(json.dumps(record("d\r", task="x\x7f")))
+@example(json.dumps(record("d", task="東\x00"), ensure_ascii=False))
 @example(json.dumps({"tsak" if f == "task" else f: v for f, v in record("d").items()}))
 def test_load_corpus_agrees_with_the_plain_checks(line):
     lines = [json.dumps(record("a")), json.dumps(record("b", article="café")), line,

@@ -18,6 +18,7 @@ import sqlite3
 import tempfile
 import threading
 import time
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -129,6 +130,18 @@ def test_config_rejects_duplicate_domains():
     with pytest.raises(ValueError, match="^domains: must list at least one domain$"):
         config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": []})
     assert config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}}).domains is None
+
+
+@pytest.mark.parametrize("name", ["Ne\rws", "\x00", "News\x7f", "é\n", "\t"])
+def test_config_rejects_a_control_character_in_a_domain(tmp_path, capsys, name):
+    with pytest.raises(ValueError) as exc:
+        config_from_dict({"corpus": "c.jsonl", "lm": {"model": "m"}, "domains": ["News", name]})
+    assert str(exc.value) == f"domains: {name!r} holds a control character"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lm": {"model": MODEL, "backend": "replay"}, "domains": [name]}))
+    assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--out", str(tmp_path / "ranking.json")]) == 1
+    assert "holds a control character" in capsys.readouterr().err
 
 
 def test_config_rejects_every_unknown_key_at_both_levels():
@@ -933,6 +946,55 @@ GROUPINGS = [(), ("domain",), ("method", "k"), ("domain", "k")]
          ())
 def test_aggregate_is_the_left_to_right_mean_of_each_group(rows, group_by):
     assert aggregate(rows, group_by) == aggregate_left_to_right(rows, group_by)
+
+
+# Labels as the loader and the config let them through: any text with no
+# lone surrogate, no C0 control and no DEL, with quotes, commas, spaces,
+# U+0085, U+2028 and non-ASCII text drawn often.
+CSV_LABELS = st.text(
+    st.characters(codec="utf-8", exclude_characters="".join(map(chr, [*range(32), 127])))
+    | st.sampled_from('",\\ \x85\xa0\u2028\u2029é東'), max_size=6)
+CSV_NAMES = ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_k.csv",
+             "compare.csv", "by_domain_k.csv", "parse_summary.csv")
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(score_rows(labels=CSV_LABELS, statuses=st.sampled_from(harness.PARSE_STATUSES)),
+                min_size=1, max_size=5, unique_by=lambda row: (row.id, row.k)),
+       CSV_LABELS, CSV_LABELS)
+@example([ScoreRow(id='a,"b', method="\u2028", domain="", k=0, rouge1=RougeScore(0, 1, 0.5),
+                   rouge2=RougeScore(0, 1, 0.5), rougeL=RougeScore(0, 1, 0.5),
+                   parse_status="ok")], "qa", "\x85 é")
+def test_every_csv_reads_back_as_the_rows_written(rows, method_a, method_b):
+    written = {}
+    write_csv = harness._write_csv
+
+    def recording_write_csv(path, header, rows):
+        rows = [header, *rows]
+        written[Path(path).name] = [[str(cell) for cell in row] for row in rows]
+        write_csv(path, rows[0], rows[1:])
+
+    manifest = manifest_of(rows)
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(harness, "_write_csv", recording_write_csv):
+        out = Path(scratch)
+        harness.write_per_instance_csv(manifest, out / "per_instance.csv")
+        harness.write_aggregate_csv(manifest, ("method", "k"), out / "aggregate_method_k.csv")
+        harness.write_aggregate_csv(manifest, ("domain", "k"), out / "aggregate_domain_k.csv")
+        for name, method in (("a.json", method_a), ("b.json", method_b)):
+            config = {"method": method, "lm": {"model": "m"}}
+            save_manifest(dataclasses.replace(manifest, config=config), out / name)
+        harness.run_compare([out / "a.json", out / "b.json"], out / "compare.csv")
+        harness.run_report(out / "a.json", out)
+        assert sorted(written) == sorted(CSV_NAMES)
+        for name in CSV_NAMES:
+            assert read_csv(out / name) == written[name], name
+    assert [line[0] for line in written["per_instance.csv"][1:]] == [row.id for row in rows]
 
 
 # --- compare -----------------------------------------------------------------

@@ -7,20 +7,26 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import http.client
+import io
+import json
 import os
 from pathlib import Path
 import random
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
 import threading
 import time
+import urllib.parse
 
 from hypothesis import given, strategies as st
 import pytest
 
-from conftest import Reply, StubBackend, scripted_server
+from conftest import CORPUS_PATH, Reply, StubBackend, scripted_server
+from qasum.cli import main
 from qasum.lm import (
     FATAL_LM_ERRORS,
     BackendUnreachable,
@@ -864,6 +870,120 @@ def test_import_pulls_in_only_the_standard_library():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.split() == []
+
+
+OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(Reply().body), Reply().body)
+
+
+class RecordingSocket:
+    """A connected socket as ``http.client`` uses one: keeps each write and
+    reads back one 200 reply."""
+
+    def __init__(self, address):
+        self.address = address
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def setsockopt(self, *args):
+        pass
+
+    def makefile(self, mode):
+        return io.BytesIO(OK_REPLY)
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def recording_sockets(monkeypatch):
+    """Every socket an ``HTTPConnection`` made after this fixture opens, in
+    order; none reaches the network."""
+    sockets = []
+
+    def create_connection(address, *args, **kwargs):
+        sockets.append(RecordingSocket(address))
+        return sockets[-1]
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    return sockets
+
+
+@pytest.mark.parametrize("api_key", [None, "sek-1"], ids=["no-key", "key"])
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:8123/v1/completions",
+    "http://127.0.0.1:8123/v1/completions?api-version=2024-02-01&x=a%20b",
+    "http://example.com:80/v1",
+    "http://[::1]:8000/v1",
+])
+def test_http_request_is_what_http_client_writes_in_one_write(
+        monkeypatch, recording_sockets, endpoint, api_key):
+    if api_key is None:
+        monkeypatch.delenv("QASUM_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("QASUM_API_KEY", api_key)
+    backend = make_http_backend(endpoint)
+    assert complete(backend, prompt='p é "q"\n', stop_sequences=("END",)) == ("ok", "stop")
+
+    # The same call as HTTPConnection.request sends it: the headers the
+    # backend has always passed, and the same JSON body.
+    url = urllib.parse.urlsplit(endpoint)
+    headers = {"Content-Type": "application/json", "User-Agent": "qasum"}
+    if api_key is not None:
+        headers["Authorization"] = f"Bearer {api_key}"
+    body = json.dumps({"model": "m1", "prompt": 'p é "q"\n', "max_tokens": 512,
+                       "temperature": 0.0, "stop": ["END"]}).encode("utf-8")
+    oracle = http.client.HTTPConnection(url.hostname, url.port)
+    oracle.request("POST", url.path + (f"?{url.query}" if url.query else ""), body, headers)
+
+    sent, expected = recording_sockets
+    assert sent.address == expected.address
+    assert len(expected.writes) == 2  # http.client writes the head, then the body
+    assert sent.writes == [b"".join(expected.writes)]
+
+
+def test_http_ipv6_endpoint_without_a_port_uses_the_default_one(recording_sockets):
+    backend = make_http_backend("http://[::1]/v1")
+    assert complete(backend) == ("ok", "stop")
+    [sent] = recording_sockets
+    assert sent.address == ("::1", 80)
+    assert b"\r\nHost: [::1]\r\n" in sent.writes[0]
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://lm.test/v1 completions",
+    "http://lm.test/v1/\x7fcompletions",
+    "http://lm.test/v1/complétions",
+])
+def test_http_rejects_an_endpoint_path_http_client_cannot_send(endpoint):
+    with pytest.raises(ValueError, match="endpoint path"):
+        HttpBackend(http_config(endpoint))
+
+
+@pytest.mark.parametrize("api_key, error", [
+    ("sek\r", ValueError),
+    ("se\nk", ValueError),
+    ("sek\r\n x", ValueError),
+    ("sek€", UnicodeEncodeError),
+], ids=["cr", "lf", "folded", "not-latin-1"])
+def test_http_unsendable_api_key_fails_before_any_connection(
+        tmp_path, capsys, monkeypatch, api_key, error):
+    monkeypatch.setenv("QASUM_API_KEY", api_key)
+    with scripted_server(Reply()) as server:
+        backend = make_http_backend(server.url)
+        with pytest.raises(error):
+            complete(backend)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "lm": {"model": "m1", "backend": "http", "endpoint": server.url, "timeout": 2},
+            "pool_fraction": 0.5,
+        }))
+        assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                     "--out", str(tmp_path / "ranking.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (server.connections, len(server.posts)) == (0, 0)
+    assert backend.sleeps == []
 
 
 # --- bounded concurrency -----------------------------------------------------
