@@ -242,6 +242,10 @@ def _row_from_dict(doc: dict) -> ScoreRow:
         raise TypeError(f"row {doc['id']!r}: {', '.join(labels)} must be strings and k an int")
     if doc["parse_status"] not in PARSE_STATUSES:
         raise ValueError(f"row {doc['id']!r}: unknown parse_status {doc['parse_status']!r}")
+    for key in ("id", "method", "domain"):
+        found = CONTROL_CHARACTER.search(doc[key])
+        if found:
+            raise ValueError(f"row {doc['id']!r}: {key} holds control character {found.group()!r}")
     if not 0 <= doc["k"] <= 10:
         raise ValueError(f"row {doc['id']!r}: k={doc['k']} outside [0, 10]")
     return ScoreRow(
@@ -302,9 +306,10 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 def load_manifest(path) -> RunManifest:
     """Read a ``save_manifest`` file; ValueError names a file of another shape,
-    or a row whose k is outside [0, 10] or whose scores are not all numbers in
-    [0, 1]. The ``parse_counts``, ``eval_ids`` and row ``model`` of older files
-    are ignored."""
+    or a row whose k is outside [0, 10], whose scores are not all numbers in
+    [0, 1], or whose id, method or domain holds a control character, which
+    would split its line in a CSV written from it. The ``parse_counts``,
+    ``eval_ids`` and row ``model`` of older files are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -3,12 +3,14 @@
 Two backends serve one request shape, which ``CompletionClient.generate``
 builds from a prompt frame and its article: an HTTP client for any
 prompt-in/text-out completion endpoint, and a replay backend that serves
-pre-recorded responses for deterministic tests. The HTTP client is built
-on the standard library's ``http.client``: it keeps at most one
+pre-recorded responses for deterministic tests. The HTTP client connects
+through the standard library's ``http.client``: it keeps at most one
 keep-alive connection per call in flight, sends each request, head and
-body, in one write, reads no proxy settings, checks HTTPS certificates
-against the system CA store, fails at once on an untrusted one, and does
-not follow redirects.
+body, in one write, and reads each reply itself, by ``http.client``'s
+rules, through one buffered reader per connection. It reads no proxy
+settings, checks HTTPS certificates against the system CA store, loaded
+once into one SSL context per backend, fails at once on an untrusted
+certificate, and does not follow redirects.
 
 Every backend's ``complete`` returns a ``(completion, finish_reason)``
 pair, and that pair is what the cache stores and returns and what
@@ -31,8 +33,11 @@ from dataclasses import dataclass, field
 import functools
 import hashlib
 import http.client
+import io
 import json
+from json.encoder import encode_basestring_ascii
 import os
+import re
 import sqlite3
 import ssl
 import threading
@@ -343,9 +348,222 @@ class ResponseCache:
             return CacheStats(self._hits, self._misses, self._entries)
 
 
+# http.client's limits on a reply: the longest line it reads, and the most
+# lines in one header block, the block's closing empty line included.
+_MAXLINE = http.client._MAXLINE
+_MAXHEADERS = http.client._MAXHEADERS
+
+# The lines that the ``email`` package's header parser, which http.client
+# hands a reply's header block to, takes as part of the block: a field name
+# and its colon, a folded continuation line, or an mbox "From " line.
+_HEADER_LINE = re.compile(r"From |[!-9;-~]*:|[\t ]")
+
+
+def _read_header_block(reader) -> list[bytes]:
+    """A header block's lines as ``http.client`` reads them: up to and
+    including the first empty line, or up to the end of the stream."""
+    lines = []
+    while True:
+        line = reader.readline(_MAXLINE + 1)
+        if len(line) > _MAXLINE:
+            raise http.client.LineTooLong("header line")
+        lines.append(line)
+        if len(lines) > _MAXHEADERS:
+            raise http.client.HTTPException(f"got more than {_MAXHEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return lines
+
+
+def _fields(lines: list[bytes]) -> dict[str, list[str]]:
+    """The values of each header field in ``lines``, in order, keyed by the
+    field's lower-cased name, as the ``email`` parser behind ``http.client``
+    reads them. That parser splits the Latin-1 text at CR, LF and CRLF,
+    ends the block at the first line that is not a field, a fold or a
+    "From " line, and skips "From " lines and lines with no name before
+    the colon. A folded line joins its field's value, and a value loses its
+    leading spaces and tabs and its trailing line breaks."""
+    fields: dict[str, list[str]] = {}
+    name = value = None
+    for line in io.StringIO(b"".join(lines).decode("latin-1"), newline=""):
+        if not _HEADER_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if name is not None:
+                value += line
+            continue
+        if name is not None:
+            fields.setdefault(name, []).append(value.rstrip("\r\n"))
+            name = None
+        colon = line.find(":")
+        if colon > 0 and not line.startswith("From "):
+            name, value = line[:colon].lower(), line[colon + 1:].lstrip(" \t")
+    if name is not None:
+        fields.setdefault(name, []).append(value.rstrip("\r\n"))
+    return fields
+
+
+def _read_status(reader) -> tuple[str, int]:
+    """A status line's version and status, checked as ``http.client``
+    checks them."""
+    line = str(reader.readline(_MAXLINE + 1), "iso-8859-1")
+    if len(line) > _MAXLINE:
+        raise http.client.LineTooLong("status line")
+    if not line:
+        # The server closed the connection before it replied.
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    try:
+        version, status, _ = line.split(None, 2)
+    except ValueError:
+        try:
+            version, status = line.split(None, 1)
+        except ValueError:
+            version = ""
+    if not version.startswith("HTTP/"):
+        raise http.client.BadStatusLine(line)
+    try:
+        status = int(status)
+    except ValueError:
+        raise http.client.BadStatusLine(line) from None
+    if not 100 <= status <= 999:
+        raise http.client.BadStatusLine(line)
+    return version, status
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
+
+
+def _read_chunked(reader) -> bytes:
+    """A chunked body: each chunk's size in hex, its extensions dropped,
+    then the chunk and its line break, up to a chunk of size 0; then the
+    trailer lines, dropped, up to an empty line or the end of the stream."""
+    chunks = []
+    try:
+        while True:
+            line = reader.readline(_MAXLINE + 1)
+            if len(line) > _MAXLINE:
+                raise http.client.LineTooLong("chunk size")
+            try:
+                size = int(line.partition(b";")[0], 16)
+            except ValueError:
+                raise http.client.IncompleteRead(b"") from None
+            if size == 0:
+                break
+            chunks.append(_read_exactly(reader, size))
+            _read_exactly(reader, 2)
+    except http.client.IncompleteRead as exc:
+        raise http.client.IncompleteRead(b"".join(chunks)) from exc
+    while True:
+        line = reader.readline(_MAXLINE + 1)
+        if len(line) > _MAXLINE:
+            raise http.client.LineTooLong("trailer line")
+        if line in (b"\r\n", b"\n", b""):
+            return b"".join(chunks)
+
+
+def _read_reply(reader) -> tuple[int, bytes, str | None, bool]:
+    """Read one reply to a POST from ``reader``, the buffered reader of its
+    connection's socket, and return ``(status, body, location,
+    will_close)``: the final status, the whole body, the ``Location``
+    values joined by ``", "`` or None, and whether the connection ends
+    with this reply.
+
+    The reply is read by ``http.client.HTTPResponse``'s rules (RFC 9112
+    sections 4 to 7), with the same limits and the same exceptions: 100
+    Continue replies are skipped; Content-Length and Transfer-Encoding
+    count from their first field, and a Content-Length that is not a
+    number, or is negative, counts as absent; 204, 304 and 1xx replies
+    have no body; a body with neither a length nor the chunked coding is
+    read to the end of the stream, and a short one raises
+    ``IncompleteRead``. The connection stays open after an HTTP/1.1 reply
+    unless its Connection field names ``close``, and after an HTTP/1.0 one
+    only when it asks for keep-alive, and only if the body's end is known
+    without the connection closing."""
+    version, status = _read_status(reader)
+    while status == 100:
+        _read_header_block(reader)
+        version, status = _read_status(reader)
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        http_11 = False
+    elif version.startswith("HTTP/1."):
+        http_11 = True
+    else:
+        raise http.client.UnknownProtocol(version)
+    fields = _fields(_read_header_block(reader))
+
+    def first(name):
+        values = fields.get(name)
+        return values[0] if values else None
+
+    connection = first("connection")
+    if http_11:
+        will_close = bool(connection) and "close" in connection.lower()
+    else:
+        proxy_connection = first("proxy-connection")
+        will_close = not (first("keep-alive")
+                          or connection and "keep-alive" in connection.lower()
+                          or proxy_connection and "keep-alive" in proxy_connection.lower())
+    coding = first("transfer-encoding")
+    chunked = bool(coding) and coding.lower() == "chunked"
+    length = None
+    declared = first("content-length")
+    if declared and not chunked:
+        try:
+            length = int(declared)
+        except ValueError:
+            pass
+        else:
+            if length < 0:
+                length = None
+    if status in (204, 304) or status < 200:
+        length = 0
+    if not chunked and length is None:
+        will_close = True
+
+    if chunked:
+        body = _read_chunked(reader)
+    elif length is None:
+        body = reader.read()
+    else:
+        body = _read_exactly(reader, length)
+    location = fields.get("location")
+    return status, body, ", ".join(location) if location else None, will_close
+
+
+def _close(link: tuple) -> None:
+    """Close a connection and its socket's reader."""
+    conn, reader = link
+    reader.close()
+    conn.close()
+
+
 def _close_connections(idle: list) -> None:
     while idle:
-        idle.pop().close()
+        _close(idle.pop())
+
+
+# A completion request's JSON body as ``json.dumps`` writes it: the model
+# and the prompt quoted by ``encode_basestring_ascii``, the budget, greedy
+# decoding, and the ``stop`` field when there are stop sequences.
+_BODY_TEMPLATE = '{"model": %s, "prompt": %s, "max_tokens": %d, "temperature": 0.0%s}'
+
+
+@functools.lru_cache(maxsize=64)
+def _stop_field(stop_sequences: tuple[str, ...]) -> str:
+    return ', "stop": ' + json.dumps(stop_sequences) if stop_sequences else ""
+
+
+def _json_body(model: str, prompt: str, max_tokens: int,
+               stop_sequences: tuple[str, ...]) -> bytes:
+    """The bytes of ``json.dumps({"model": model, "prompt": prompt,
+    "max_tokens": max_tokens, "temperature": 0.0, "stop":
+    list(stop_sequences)}).encode()``, the ``stop`` field left out when
+    there are no stop sequences, rendered without building an encoder."""
+    return (_BODY_TEMPLATE % (encode_basestring_ascii(model), encode_basestring_ascii(prompt),
+                              max_tokens, _stop_field(stop_sequences))).encode("ascii")
 
 
 # The request headers after Content-Length, in the order http.client
@@ -397,8 +615,20 @@ class HttpBackend:
     ones ``HTTPConnection.request`` writes, headers in its order, but that
     sends head and body in two writes, so on a ``TCP_NODELAY`` socket a
     call crosses as two segments and wakes the server twice.
-    ``HTTPConnection`` still connects, wraps TLS and holds the timeout,
-    and ``HTTPResponse`` reads the reply.
+    The JSON body is rendered from one ``%`` template, its strings quoted by
+    the function ``json.dumps`` quotes them with, so its bytes are
+    ``json.dumps(body).encode()``; the ``stop`` field is built once per
+    distinct tuple of stop sequences.
+
+    ``HTTPConnection`` still connects, wraps TLS and holds the timeout.
+    Every https connection of one backend shares one SSL context, built as
+    ``HTTPSConnection`` builds its default one, so the CA store is loaded
+    once per backend rather than once per connection. Each connection gets
+    one buffered reader of its socket when it connects, and ``_read_reply``
+    reads every reply on it by ``http.client``'s rules. ``HTTPResponse``
+    would build a new reader for each reply and hand its header block to
+    the ``email`` package's parser, which costs more client CPU than the
+    rest of a localhost call.
 
     Idle keep-alive connections wait in one list: a call takes one, or opens
     a new one when the list is empty, and puts it back after a complete
@@ -413,17 +643,23 @@ class HttpBackend:
             raise ValueError(f"endpoint is not an http(s) URL with a host: {config.endpoint!r}")
         if url.username is not None:
             raise ValueError("endpoint must not carry credentials; set QASUM_API_KEY instead")
-        # An HTTPSConnection checks the server's certificate against the
-        # system CA store by default.
-        connection = (
-            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        )
+        options = {"timeout": config.timeout}
+        if url.scheme == "https":
+            connection = http.client.HTTPSConnection
+            # The context HTTPSConnection would build for each connection:
+            # one that checks the server's certificate against the system CA
+            # store, offers HTTP/1.1 by ALPN and allows post-handshake auth.
+            context = ssl._create_default_https_context()
+            context.set_alpn_protocols(["http/1.1"])
+            if context.post_handshake_auth is not None:
+                context.post_handshake_auth = True
+            options["context"] = context
+        else:
+            connection = http.client.HTTPConnection
         # An explicit port keeps http.client from reading one off an IPv6
         # literal's last group.
         port = url.port or connection.default_port
-        self._new_connection = functools.partial(
-            connection, url.hostname, port, timeout=config.timeout
-        )
+        self._new_connection = functools.partial(connection, url.hostname, port, **options)
         path = url.path or "/"
         if url.query:
             path += "?" + url.query
@@ -434,15 +670,8 @@ class HttpBackend:
         weakref.finalize(self, _close_connections, self._idle)
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
-        body: dict = {
-            "model": request.model,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": 0.0,
-        }
-        if request.stop_sequences:
-            body["stop"] = list(request.stop_sequences)
-        payload = json.dumps(body).encode("utf-8")
+        payload = _json_body(request.model, request.prompt, request.max_tokens,
+                             request.stop_sequences)
         api_key = os.environ.get(API_KEY_ENV)
         message = b"%sContent-Length: %d\r\n%s%s\r\n%s" % (
             self._head, len(payload), _BODY_HEADERS,
@@ -488,42 +717,47 @@ class HttpBackend:
     def _post(self, message: bytes) -> tuple[int, bytes, str | None]:
         """One POST on an idle connection, or on a new one if none is idle."""
         try:
-            conn = self._idle.pop()
+            link = self._idle.pop()
         except IndexError:
-            return self._exchange(self._new_connection(), message)
+            return self._exchange(self._connect(), message)
         try:
-            return self._exchange(conn, message)
+            return self._exchange(link, message)
         except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
             # The server may close an idle keep-alive connection at any time.
             # A request that fails on one goes once more on a new connection
             # (RFC 9112 section 9.3.1); a completion request changes no state
             # on the server, so sending it twice is safe.
-            return self._exchange(self._new_connection(), message)
+            return self._exchange(self._connect(), message)
 
-    def _exchange(self, conn, message: bytes) -> tuple[int, bytes, str | None]:
-        """Send ``message``, head and body, in one write on ``conn``, which
-        connects first if it has no socket, and read the whole reply. On
-        any failure the reply and the connection are closed, as
-        ``HTTPConnection.getresponse`` closes them."""
+    def _connect(self) -> tuple:
+        """A new connection, connected, and the one buffered reader of its
+        socket; the connection is closed if it fails to connect."""
+        conn = self._new_connection()
         try:
-            if conn.sock is None:
-                conn.connect()
-            conn.sock.sendall(message)
-            resp = http.client.HTTPResponse(conn.sock, method="POST")
-            try:
-                resp.begin()
-                reply = resp.read()
-            except BaseException:
-                resp.close()
-                raise
+            conn.connect()
+            return conn, conn.sock.makefile("rb")
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
+
+    def _exchange(self, link: tuple, message: bytes) -> tuple[int, bytes, str | None]:
+        """Send ``message``, head and body, in one write on ``link``'s
+        connection and read the whole reply with ``_read_reply`` from its
+        reader. The connection and its reader go back to the idle list
+        after a reply that leaves the connection open; they are closed
+        together after one that ends it, and on any failure."""
+        conn, reader = link
+        try:
+            conn.sock.sendall(message)
+            status, reply, location, will_close = _read_reply(reader)
+        except BaseException:
+            _close(link)
+            raise
+        if will_close:
+            _close(link)
         else:
-            self._idle.append(conn)
-        return resp.status, reply, resp.getheader("Location")
+            self._idle.append(link)
+        return status, reply, location
 
     @staticmethod
     def _parse_response(reply: bytes) -> tuple[str, str]:

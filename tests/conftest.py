@@ -225,6 +225,12 @@ class Reply:
     reply, then the connection closes without notice), ``reset`` (the
     connection is reset before any reply), ``truncate`` (the connection
     closes halfway through the body).
+
+    ``framing`` says how the body's end is marked: ``length`` (an HTTP/1.1
+    reply with Content-Length), ``chunked`` (an HTTP/1.1 reply in two
+    chunks and an empty last one, the first chunk with an extension, then
+    a trailer field) or ``close`` (an HTTP/1.0 reply with no length, whose
+    body ends when the server closes the connection).
     """
 
     status: int = 200
@@ -232,6 +238,24 @@ class Reply:
     headers: tuple[tuple[str, str], ...] = ()
     fault: str | None = None
     delay: float = 0.0
+    framing: str = "length"
+
+
+def frame_reply(reply: Reply) -> bytes:
+    """``reply``'s status line, header block and body as they go on the
+    wire, framed by ``reply.framing``."""
+    body = reply.body[: len(reply.body) // 2] if reply.fault == "truncate" else reply.body
+    head = [f"HTTP/1.{0 if reply.framing == 'close' else 1} {reply.status} Scripted",
+            "Content-Type: application/json"]
+    if reply.framing == "length":
+        head.append(f"Content-Length: {len(reply.body)}")
+    elif reply.framing == "chunked":
+        head.append("Transfer-Encoding: chunked")
+        half = len(body) // 2
+        body = b"%x;note=first\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Checksum: none\r\n\r\n" % (
+            half, body[:half], len(body) - half, body[half:])
+    head.extend(f"{name}: {value}" for name, value in reply.headers)
+    return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
 
 
 @dataclass(frozen=True)
@@ -299,13 +323,9 @@ def scripted_server(*script: Reply | Callable[[dict], Reply], tls: bool = False)
                 self.close_connection = True
                 return
             time.sleep(reply.delay)
-            head = [f"HTTP/1.1 {reply.status} Scripted",
-                    "Content-Type: application/json",
-                    f"Content-Length: {len(reply.body)}",
-                    *(f"{name}: {value}" for name, value in reply.headers)]
-            body = reply.body[: len(reply.body) // 2] if reply.fault == "truncate" else reply.body
-            self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body)
-            self.close_connection = reply.fault in ("close", "truncate")
+            self.wfile.write(frame_reply(reply))
+            self.close_connection = (reply.fault in ("close", "truncate")
+                                     or reply.framing == "close")
 
         def log_message(self, *args):
             pass

@@ -847,10 +847,25 @@ def manifest_of(rows) -> RunManifest:
                        cache=CacheStats(1, 2, 3), wall_clock_s=0.5)
 
 
+def manifest_refusal(row: ScoreRow) -> str | None:
+    """How ``load_manifest`` starts to say why it refuses ``row``: an unknown
+    parse status, or a C0 control or DEL in id, method or domain. None if
+    it takes the row."""
+    if row.parse_status not in harness.PARSE_STATUSES:
+        return "unknown parse_status"
+    for key in ("id", "method", "domain"):
+        if any(c < " " or c == "\x7f" for c in getattr(row, key)):
+            return f"{key} holds control character"
+    return None
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(score_rows(statuses=st.sampled_from(harness.PARSE_STATUSES) | LABELS),
                 min_size=1, max_size=5, unique_by=lambda row: (row.id, row.k)))
 @example([ScoreRow(id='a"\\\n\u2028', method="qa", domain="\x00é", k=10,
+                   rouge1=RougeScore(0, 1, 0.1), rouge2=RougeScore(5e-324, 1 / 3, 1.0),
+                   rougeL=RougeScore(0.0, 0.995, 0.125), parse_status="ok")])
+@example([ScoreRow(id='a"\\\u2028', method="q\u2029a", domain="é", k=10,
                    rouge1=RougeScore(0, 1, 0.1), rouge2=RougeScore(5e-324, 1 / 3, 1.0),
                    rougeL=RougeScore(0.0, 0.995, 0.125), parse_status="ok")])
 def test_manifest_rows_are_json_dumps_of_the_row_layout(rows):
@@ -863,10 +878,11 @@ def test_manifest_rows_are_json_dumps_of_the_row_layout(rows):
                     for row in rows]
         assert lines[1:-2] == [line + "," for line in expected[:-1]] + expected[-1:]
         assert lines[-2:] == ["]}", ""]
-        if all(row.parse_status in harness.PARSE_STATUSES for row in rows):
+        refusal = next(filter(None, map(manifest_refusal, rows)), None)
+        if refusal is None:
             assert load_manifest(path) == manifest
         else:
-            with pytest.raises(ValueError, match="unknown parse_status"):
+            with pytest.raises(ValueError, match=refusal):
                 load_manifest(path)
 
 
@@ -1503,6 +1519,27 @@ def test_cli_bad_manifest_exit_code(tmp_path, capsys, name):
     assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: not a run manifest (")
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["id", "method", "domain"])
+def test_cli_refuses_manifests_with_a_control_character_in_a_row_label(tmp_path, capsys, key):
+    # A bare CR in a label would go unquoted into compare.csv on Python 3.12
+    # and before, and a CSV reader would split its row in two.
+    paths = [manifest_with_mean(tmp_path, name, 0.5) for name in ("a.json", "b.json")]
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for row in doc["rows"]:
+            row[key] = "Ne\rws" + row[key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "compare.csv"
+    assert main(["compare", *map(str, paths), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[0]}: not a run manifest (")
+    assert f"{key} holds control character '\\r'" in err
+    assert not out.exists()
+    assert main(["report", str(paths[0]), "--out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {paths[0]}: not a run manifest (")
+    assert not (tmp_path / "report").exists()
 
 
 def test_cli_compare_single_manifest_exit_code(tmp_path, capsys):

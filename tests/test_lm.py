@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import http.client
 import io
+import itertools
 import json
 import os
 from pathlib import Path
@@ -22,10 +23,10 @@ import threading
 import time
 import urllib.parse
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from conftest import CORPUS_PATH, Reply, StubBackend, scripted_server
+from conftest import CORPUS_PATH, TLS_CERT, Reply, StubBackend, scripted_server
 from qasum.cli import main
 from qasum.lm import (
     FATAL_LM_ERRORS,
@@ -40,6 +41,8 @@ from qasum.lm import (
     ReplayBackend,
     ReplayMiss,
     ResponseCache,
+    _json_body,
+    _read_reply,
     cache_key,
     compute_max_tokens,
     truncate_at_stop,
@@ -840,6 +843,44 @@ def test_http_connections_never_outnumber_calls_in_flight(tmp_path):
     assert 1 <= server.connections <= 8
 
 
+@pytest.mark.parametrize("framing, connections", [("chunked", 1), ("close", 3)])
+def test_http_reads_chunked_and_close_delimited_replies(framing, connections):
+    # A chunked reply leaves its connection open for the next call. An
+    # HTTP/1.0 reply with no length ends with its connection, so each call
+    # opens a new one, and none of them is a retry on a dead one.
+    body = b'{"choices": [{"text": "framed", "finish_reason": "length"}]}'
+    with scripted_server(Reply(body=body, framing=framing)) as server:
+        backend = make_http_backend(server.url, max_retries=0)
+        for _ in range(3):
+            assert complete(backend) == ("framed", "length")
+            assert len(backend._idle) == (framing == "chunked")
+    assert backend.sleeps == []
+    assert (len(server.posts), server.connections) == (3, connections)
+
+
+def test_https_connections_share_one_ssl_context(monkeypatch):
+    # The fixture certificate is its own CA, so trusting its file trusts
+    # the server. The server closes each connection after its reply, so
+    # three calls open three connections.
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    contexts = []
+    connect = http.client.HTTPSConnection.connect
+
+    def recording_connect(self):
+        connect(self)
+        contexts.append(self.sock.context)
+
+    monkeypatch.setattr(http.client.HTTPSConnection, "connect", recording_connect)
+    with scripted_server(Reply(fault="close"), tls=True) as server:
+        backend = make_http_backend(server.url, max_retries=0)
+        for _ in range(3):
+            assert complete(backend) == ("ok", "stop")
+    assert (server.connections, len(server.posts)) == (3, 3)
+    assert len(contexts) == 3
+    assert all(context is contexts[0] for context in contexts)
+    assert backend.sleeps == []
+
+
 @pytest.mark.parametrize("endpoint", [
     "ftp://lm.test/v1/completions",
     "localhost:8000/v1/completions",
@@ -984,6 +1025,193 @@ def test_http_unsendable_api_key_fails_before_any_connection(
     assert capsys.readouterr().err.startswith("error: ")
     assert (server.connections, len(server.posts)) == (0, 0)
     assert backend.sleeps == []
+
+
+# --- reply reader and request body ------------------------------------------
+
+
+class PiecewiseStream(io.RawIOBase):
+    """A socket's byte stream that yields ``data`` in pieces of ``sizes``,
+    cycled, as a socket yields what has arrived so far."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        self._data = data
+        self._pos = 0
+        self._sizes = itertools.cycle(sizes)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), next(self._sizes), len(self._data) - self._pos)
+        buffer[:n] = self._data[self._pos:self._pos + n]
+        self._pos += n
+        return n
+
+
+class PiecewiseSocket:
+    def __init__(self, data: bytes, sizes: list[int]):
+        self._data = data
+        self._sizes = sizes
+
+    def makefile(self, mode):
+        return io.BufferedReader(PiecewiseStream(self._data, self._sizes))
+
+
+def http_client_reads(data: bytes, sizes: list[int]):
+    """What ``http.client`` reads from a reply to a POST: ``(status, body,
+    Location, will_close)``, or the class of the exception it raises."""
+    resp = http.client.HTTPResponse(PiecewiseSocket(data, sizes), method="POST")
+    try:
+        resp.begin()
+        return resp.status, resp.read(), resp.getheader("Location"), resp.will_close
+    except Exception as exc:
+        return type(exc)
+    finally:
+        resp.close()
+
+
+def reader_reads(data: bytes, sizes: list[int]):
+    reader = PiecewiseSocket(data, sizes).makefile("rb")
+    try:
+        return _read_reply(reader)
+    except Exception as exc:
+        return type(exc)
+    finally:
+        reader.close()
+
+
+LONG = b"x" * (http.client._MAXLINE + 1)
+LATIN_1 = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=8)
+
+
+def cased(name: str):
+    return st.sampled_from([name, name.lower(), name.upper()])
+
+
+@st.composite
+def fields(draw, body_size: int) -> bytes:
+    """One header line without its line end: a field that decides how the
+    reply is framed or whether the connection stays, a Location, any field,
+    or a line the email parser treats specially."""
+    lengths = st.integers(-2, body_size + 3).map(str) | st.sampled_from(
+        ["", "-1", "abc", " 7 ", "+3", "1_0", "0x5", "\xa05"])
+    name, value = draw(st.one_of(
+        st.tuples(cased("Content-Length"), lengths),
+        st.tuples(cased("Transfer-Encoding"),
+                  st.sampled_from(["chunked", "Chunked", "chunked ", "gzip, chunked", ""])),
+        st.tuples(cased("Connection"),
+                  st.sampled_from(["close", "keep-alive", "Keep-Alive", "Upgrade, Close", ""])),
+        st.tuples(cased("Keep-Alive"), st.sampled_from(["timeout=5", ""])),
+        st.tuples(cased("Proxy-Connection"), st.sampled_from(["keep-alive", "close"])),
+        st.tuples(cased("Location"), LATIN_1),
+        st.tuples(st.sampled_from(["X-Any", "From here", "Bad Name", "", "X\rContent-Length"]),
+                  LATIN_1),
+    ))
+    separator = draw(st.sampled_from([": ", ":", ":\t ", " : "]))
+    line = (name + separator + value).encode("latin-1")
+    if draw(st.integers(0, 9)) == 0:
+        line = draw(st.sampled_from([b" folded", b"\tfolded: 3", b"From me", b"no colon"]))
+    return line
+
+
+@st.composite
+def chunked_body(draw, body: bytes, eol: bytes) -> bytes:
+    out = []
+    rest = body
+    while rest:
+        size = draw(st.integers(1, len(rest)))
+        size_field = draw(st.sampled_from(["%x", "%X", "0%x", "0x%x", " %x "])) % size
+        if draw(st.integers(0, 5)) == 0:
+            size_field = draw(st.sampled_from(["zz", "-1", ""]))
+        extension = draw(st.sampled_from([b"", b";ext", b";a=b;c=\"d\""]))
+        out.append(size_field.encode() + extension + eol + rest[:size] + b"\r\n")
+        rest = rest[size:]
+    out.append(b"0" + draw(st.sampled_from([b"", b";last"])) + eol)
+    trailer = draw(st.lists(st.sampled_from([b"X-Trailer: t", b"Content-Length: 9"]), max_size=2))
+    out.extend(line + eol for line in trailer)
+    out.append(eol)
+    return b"".join(out)
+
+
+@st.composite
+def replies(draw) -> bytes:
+    """A reply to a POST: 100 Continue replies, a status line, a header
+    block and a body framed by length, by chunks or by the end of the
+    stream, with at most one over-long line or over-long header block,
+    and maybe cut short anywhere."""
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    oversize = None
+    if draw(st.integers(0, 4)) == 0:
+        oversize = draw(st.sampled_from(["status", "field", "fields", "chunk", "trailer",
+                                         "continue"]))
+    parts = []
+    for _ in range(draw(st.integers(0, 2))):
+        parts.append(b"HTTP/1.1 100 Continue" + eol)
+        parts.extend(draw(fields(0)) + eol for _ in range(draw(st.integers(0, 2))))
+        if oversize == "continue":
+            parts.append(LONG + eol)
+        parts.append(eol)
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    if draw(st.integers(0, 7)) == 0:
+        version = draw(st.sampled_from(["HTTP/0.9", "HTTP/1.2", "HTTP/2", "ICY", ""]))
+    status = draw(st.sampled_from(["200", "200", "204", "304", "101", "103", "307", "404",
+                                   "500", "+201"]))
+    if draw(st.integers(0, 7)) == 0:
+        status = draw(st.sampled_from(["099", "1000", "2x0", ""]))
+    reason = draw(st.sampled_from(["", " OK", " Moved Permanently"]))
+    parts.append((version + " " + status + reason).encode() + eol)
+    if oversize == "status":
+        parts[-1] = LONG + eol
+    body = draw(st.binary(max_size=40))
+    chunked = draw(st.booleans())
+    lines = draw(st.lists(fields(len(body)), max_size=6))
+    if chunked:
+        lines.insert(draw(st.integers(0, len(lines))), b"Transfer-Encoding: chunked")
+    if oversize == "field":
+        lines.append(b"X-Long: " + LONG)
+    if oversize == "fields":
+        # With its empty line, a header block of more than _MAXHEADERS lines.
+        lines = [b"X-Many: 1"] * draw(st.integers(http.client._MAXHEADERS - 2,
+                                                   http.client._MAXHEADERS + 1))
+    parts.extend(line + eol for line in lines)
+    parts.append(eol)
+    if chunked:
+        body = draw(chunked_body(body, eol))
+        if oversize == "chunk":
+            body = LONG + eol + body
+        if oversize == "trailer":
+            body = body[:-len(eol)] + LONG + eol + eol
+    parts.append(body)
+    data = b"".join(parts)
+    if draw(st.integers(0, 3)):
+        return data
+    return data[:draw(st.integers(0, len(data)))]
+
+
+@settings(deadline=None, max_examples=400)
+@given(replies(), st.lists(st.integers(1, 512), min_size=1, max_size=4))
+@example(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"3;x=y\r\nabc\r\n2\r\nde\r\n0\r\nX-T: 1\r\n\r\n", [1])
+@example(b"HTTP/1.0 200 OK\r\nKeep-Alive: 5\r\nContent-Length: 2\r\n\r\nok", [7])
+@example(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 307 R\r\nLocation: a\r\n"
+         b"location: b\r\nContent-Length: 0\r\n\r\n", [3])
+@example(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 2\r\n\r\nabc", [2])
+@example(b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nabc", [5])
+@example(b"HTTP/1.1 204 OK\r\n" + b"X: 1\r\n" * (http.client._MAXHEADERS - 1) + b"\r\n", [64])
+@example(b"HTTP/1.1 204 OK\r\n" + b"X: 1\r\n" * http.client._MAXHEADERS + b"\r\n", [64])
+def test_reply_reader_reads_what_http_client_reads(data, sizes):
+    assert reader_reads(data, sizes) == http_client_reads(data, sizes)
+
+
+@settings(max_examples=300)
+@given(st.text(), st.text(), st.integers(), st.lists(st.text(), max_size=3).map(tuple))
+@example("m", 'p é "q"\n\ud800', 512, ("\n\n", "END"))
+def test_request_body_is_json_dumps_of_the_request(model, prompt, max_tokens, stop_sequences):
+    body = {"model": model, "prompt": prompt, "max_tokens": max_tokens, "temperature": 0.0}
+    if stop_sequences:
+        body["stop"] = list(stop_sequences)
+    assert _json_body(model, prompt, max_tokens, stop_sequences) == json.dumps(body).encode()
 
 
 # --- bounded concurrency -----------------------------------------------------
