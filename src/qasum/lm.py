@@ -18,13 +18,14 @@ pair, and that pair is what the cache stores and returns and what
 when it is built, so no request carries another's key. Responses are
 cached in one SQLite database, ``<cache_dir>/cache.sqlite`` (WAL mode),
 keyed by a digest of the request, so interrupted runs resume without
-re-spending LM calls. A run repeats a few models, budgets and stop
-sequences over many prompts, so the framed bytes of those fields in the
-digest, and the stop sequences' JSON column, are each built once per
-distinct value; only the prompt is encoded per request. A store that is
-not a database aborts the run with ``CacheError`` and is never replaced.
-The replay backend opens a recorded store read-only, so a recorded cache
-directory can be pointed at directly as a replay fixture.
+re-spending LM calls. A row stores that digest, not the prompt text, so
+the store holds completions and little else. A run repeats a few models,
+budgets and stop sequences over many prompts, so the framed bytes of those
+fields in the digest, and the stop sequences' JSON column, are each built
+once per distinct value; only the prompt is encoded per request. A store
+that is not a database aborts the run with ``CacheError`` and is never
+replaced. The replay backend opens a recorded store read-only, so a
+recorded cache directory can be pointed at directly as a replay fixture.
 """
 
 from __future__ import annotations
@@ -186,10 +187,13 @@ _SCHEMA = (
 )
 _INSERT = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
 # The request fields are compared by SQLite, byte for byte, so a hit reads
-# back only the completion and its finish reason.
+# back only the completion and its finish reason. The prompt column matches
+# either the prompt text, which rows written before the column held the key
+# keep, or the row's own key, which ``put`` writes there now; ``key = ?``
+# has already pinned that key to the request's.
 _SELECT = (
-    "SELECT completion, finish_reason FROM entries WHERE key = ? AND model = ? AND prompt = ?"
-    " AND max_tokens = ? AND greedy = ? AND stop_sequences = ?"
+    "SELECT completion, finish_reason FROM entries WHERE key = ? AND model = ?"
+    " AND prompt IN (?, key) AND max_tokens = ? AND greedy = ? AND stop_sequences = ?"
 )
 
 
@@ -213,12 +217,15 @@ def _connect(target: str, *, uri: bool = False) -> sqlite3.Connection:
 _stops_json = functools.lru_cache(maxsize=64)(json.dumps)
 
 
-def _request_columns(request: CompletionRequest) -> tuple:
-    """The request's columns: key, model, prompt, max_tokens, greedy and the
-    stop sequences as JSON, that JSON built once per distinct tuple. They
-    are ``_SELECT``'s parameters and the start of ``_INSERT``'s row. Greedy
-    is always 1, as ``cache_key`` frames it, so older stores still hit."""
-    return (request.key, request.model, request.prompt, request.max_tokens, 1,
+def _request_columns(request: CompletionRequest, prompt: str) -> tuple:
+    """The request's columns: key, model, ``prompt``, max_tokens, greedy and
+    the stop sequences as JSON, that JSON built once per distinct tuple.
+    With the prompt text they are ``_SELECT``'s parameters; with the key in
+    the prompt's place they start ``_INSERT``'s row. The key is a digest of
+    the prompt among the other fields, so a row needs no copy of the text to
+    tell its request apart. Greedy is always 1, as ``cache_key`` frames it,
+    so older stores still hit."""
+    return (request.key, request.model, prompt, request.max_tokens, 1,
             _stops_json(request.stop_sequences))
 
 
@@ -226,7 +233,7 @@ def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> tuple[str, 
     """The stored ``(completion, finish_reason)`` for ``request``, or None
     when its row is absent, has no string completion, or holds other
     request fields."""
-    row = conn.execute(_SELECT, _request_columns(request)).fetchone()
+    row = conn.execute(_SELECT, _request_columns(request, request.prompt)).fetchone()
     if row is None or not isinstance(row[0], str):
         return None
     return row[0], row[1] if isinstance(row[1], str) else "stop"
@@ -294,6 +301,11 @@ class ResponseCache:
     the ``(completion, finish_reason)`` pair a backend's ``complete``
     returns.
 
+    The row's ``prompt`` column holds the request's key, not its prompt
+    text: the key already digests the prompt, and the text made up most of
+    the store. Rows of earlier versions, which hold the text, still hit; a
+    row that misses is rewritten in the new form.
+
     The database runs in WAL mode with ``synchronous=NORMAL``: a put is
     committed when it returns and survives a killed process, and several
     processes can share one directory. They can also start on it
@@ -335,7 +347,7 @@ class ResponseCache:
     def put(self, request: CompletionRequest, completion: str, finish_reason: str) -> None:
         if self._conn is None:
             return
-        row = (*_request_columns(request), completion, finish_reason, time.time())
+        row = (*_request_columns(request, request.key), completion, finish_reason, time.time())
         with self._lock:
             try:
                 self._conn.execute(_INSERT, row)
@@ -352,6 +364,12 @@ class ResponseCache:
 # lines in one header block, the block's closing empty line included.
 _MAXLINE = http.client._MAXLINE
 _MAXHEADERS = http.client._MAXHEADERS
+
+# The longest body, or chunk of a chunked body, that a reply may declare. A
+# completion reply is kilobytes; a buffered reader allocates the whole length
+# it is asked for before it reads, and raises ``OverflowError`` on a length
+# above ``sys.maxsize``, which no retry would catch.
+_MAX_BODY = 64 * 1024 * 1024
 
 # The lines that the ``email`` package's header parser, which http.client
 # hands a reply's header block to, takes as part of the block: a field name
@@ -452,6 +470,8 @@ def _read_chunked(reader) -> bytes:
                 raise http.client.IncompleteRead(b"") from None
             if size == 0:
                 break
+            if size > _MAX_BODY:
+                raise http.client.HTTPException(f"chunk of {size} bytes declared")
             chunks.append(_read_exactly(reader, size))
             _read_exactly(reader, 2)
     except http.client.IncompleteRead as exc:
@@ -478,7 +498,9 @@ def _read_reply(reader) -> tuple[int, bytes, str | None, bool]:
     number, or is negative, counts as absent; 204, 304 and 1xx replies
     have no body; a body with neither a length nor the chunked coding is
     read to the end of the stream, and a short one raises
-    ``IncompleteRead``. The connection stays open after an HTTP/1.1 reply
+    ``IncompleteRead``. One limit is added: a declared length or chunk
+    size above ``_MAX_BODY`` raises ``HTTPException`` before what it
+    declares is read. The connection stays open after an HTTP/1.1 reply
     unless its Connection field names ``close``, and after an HTTP/1.0 one
     only when it asks for keep-alive, and only if the body's end is known
     without the connection closing."""
@@ -527,6 +549,8 @@ def _read_reply(reader) -> tuple[int, bytes, str | None, bool]:
         body = _read_chunked(reader)
     elif length is None:
         body = reader.read()
+    elif length > _MAX_BODY:
+        raise http.client.HTTPException(f"body of {length} bytes declared")
     else:
         body = _read_exactly(reader, length)
     location = fields.get("location")

@@ -41,6 +41,7 @@ from qasum.lm import (
     ReplayBackend,
     ReplayMiss,
     ResponseCache,
+    _MAX_BODY,
     _json_body,
     _read_reply,
     cache_key,
@@ -274,10 +275,11 @@ def test_cache_layout_on_disk(tmp_path):
     assert client.cache_stats().misses == 1
     [row] = read_rows(tmp_path / "cache")
     timestamp = row.pop("timestamp")
+    key = cache_key("m1", "hello world", 512, ("END",))
     assert row == {
-        "key": cache_key("m1", "hello world", 512, ("END",)),
+        "key": key,
         "model": "m1",
-        "prompt": "hello world",
+        "prompt": key,
         "max_tokens": 512,
         "greedy": 1,
         "stop_sequences": '["END"]',
@@ -318,6 +320,47 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
     cache = ResponseCache(str(tmp_path))
     assert cache.get(request) == replayed == ("recorded é", "length")
     assert cache.stats().hits == 1
+
+
+def write_old_row(root, prompt, completion):
+    """A row for ``request_for(prompt)`` in the form earlier versions wrote,
+    with the prompt text in the ``prompt`` column, put in by raw SQL."""
+    write_sql(root, "INSERT INTO entries VALUES (?, 'm1', ?, 512, 1, '[]', ?, 'stop', 0.0)",
+              (request_for(prompt).key, prompt, completion))
+
+
+def test_old_rows_with_prompt_text_and_new_rows_with_keys_both_hit(tmp_path):
+    root = tmp_path / "cache"
+    make_client(tmp_path, backend=StubBackend(reply="new")).generate(bare(), "new prompt")
+    write_old_row(root, "old prompt", "old")
+    assert {row["prompt"] for row in read_rows(root)} == {
+        request_for("new prompt").key, "old prompt"}
+    backend = StubBackend()
+    client = make_client(tmp_path, backend=backend)
+    assert client.generate(bare(), "old prompt") == ("old", "stop")
+    assert client.generate(bare(), "new prompt") == ("new", "stop")
+    assert (backend.requests, client.cache_stats().hits) == ([], 2)
+    del client
+    replayer = ReplayBackend(str(root))
+    assert replayer.complete(request_for("old prompt")) == ("old", "stop")
+    assert replayer.complete(request_for("new prompt")) == ("new", "stop")
+
+
+def test_new_row_copied_under_another_requests_key_misses(tmp_path):
+    root = tmp_path / "cache"
+    make_client(tmp_path, backend=StubBackend(reply="a's")).generate(bare(), "prompt a")
+    # The row holds its own key in the prompt column, so under b's key it
+    # names another request.
+    write_sql(root, "INSERT INTO entries SELECT ?, model, prompt, max_tokens, greedy,"
+              " stop_sequences, completion, finish_reason, timestamp FROM entries",
+              (request_for("prompt b").key,))
+    with pytest.raises(ReplayMiss, match=request_for("prompt b").key):
+        ReplayBackend(str(root)).complete(request_for("prompt b"))
+    backend = StubBackend(reply="b's")
+    client = make_client(tmp_path, backend=backend)
+    assert client.generate(bare(), "prompt b") == ("b's", "stop")
+    assert client.generate(bare(), "prompt a") == ("a's", "stop")
+    assert [request.prompt for request in backend.requests] == ["prompt b"]
 
 
 def test_generate_second_call_hits_cache(tmp_path):
@@ -370,9 +413,23 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, update):
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
     [row] = read_rows(tmp_path / "cache")
-    assert (row["prompt"], row["completion"]) == ("prompt", "fresh")
+    assert (row["prompt"], row["completion"]) == (cache_key("m1", "prompt", 512, ()), "fresh")
     assert client.generate(bare(), "prompt") == ("fresh", "stop")
     assert (len(backend.requests), client.cache_stats().hits) == (1, 1)
+
+
+@pytest.mark.parametrize("update", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_corrupt_old_row_is_a_miss_in_the_cache_and_in_replay(tmp_path, update):
+    root = tmp_path / "cache"
+    make_client(tmp_path)  # creates the store
+    write_old_row(root, "prompt", "old")
+    write_sql(root, update)
+    with pytest.raises(ReplayMiss, match=request_for("prompt").key):
+        ReplayBackend(str(root)).complete(request_for("prompt"))
+    backend = StubBackend(reply="fresh")
+    client = make_client(tmp_path, backend=backend)
+    assert client.generate(bare(), "prompt") == ("fresh", "stop")
+    assert (len(backend.requests), client.cache_stats().misses) == (1, 1)
 
 
 def test_store_that_is_not_a_database_is_an_error_and_left_alone(tmp_path):
@@ -395,6 +452,22 @@ def test_dropped_client_leaves_no_write_ahead_log(tmp_path):
     del client
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.sqlite"]
     assert len(read_rows(tmp_path / "cache")) == 20
+
+
+def test_store_holds_no_prompt_text(tmp_path):
+    prompts = [f"prompt {i}: " + " ".join(f"wörd{i}-{j}" for j in range(800))
+               for i in range(5)]
+    client = make_client(tmp_path, backend=StubBackend(reply="done"))
+    for prompt in prompts:
+        client.generate(bare(), prompt)
+    del client
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.sqlite"]
+    store = (tmp_path / "cache" / "cache.sqlite").read_bytes()
+    assert len(store) < sum(len(prompt.encode()) for prompt in prompts) / 3
+    for prompt in prompts:
+        data = prompt.encode()
+        assert data not in store and data[:64] not in store
+        assert request_for(prompt).key.encode() in store
 
 
 def run_writer(root, tag, n, *, start=0.0, linger=0.0):
@@ -805,6 +878,35 @@ def test_http_malformed_response():
     assert backend.sleeps == []
 
 
+# Replies that declare a body, or a chunk of one, longer than sys.maxsize;
+# each is an HTTP/1.0 reply whose only framing header is the one given.
+HUGE_REPLIES = {
+    "content-length": Reply(body=b"", framing="close", headers=(("Content-Length", "9" * 20),)),
+    "chunk-size": Reply(body=b"1" + b"0" * 20 + b"\r\nabc", framing="close",
+                        headers=(("Transfer-Encoding", "chunked"),)),
+}
+
+
+@pytest.mark.parametrize("reply", HUGE_REPLIES.values(), ids=HUGE_REPLIES.keys())
+def test_http_huge_declared_length_is_retried_then_unreachable(tmp_path, capsys, reply):
+    with scripted_server(reply) as server:
+        backend = make_http_backend(server.url)
+        with pytest.raises(BackendUnreachable, match="bytes declared"):
+            complete(backend)
+        assert len(server.posts) == backend._config.max_retries + 1
+        assert backend.sleeps == [0.5, 1.0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "lm": {"model": "m1", "backend": "http", "endpoint": server.url, "timeout": 2,
+                   "max_retries": 0},
+            "pool_fraction": 0.5,
+        }))
+        assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                     "--out", str(tmp_path / "ranking.json")]) == 4
+    assert "backend unreachable: gave up after 1 attempts" in capsys.readouterr().err
+    assert not (tmp_path / "ranking.json").exists()
+
+
 def test_http_keeps_one_connection_alive_across_calls():
     with scripted_server(Reply()) as server:
         backend = make_http_backend(server.url)
@@ -1202,6 +1304,24 @@ def replies(draw) -> bytes:
 @example(b"HTTP/1.1 204 OK\r\n" + b"X: 1\r\n" * http.client._MAXHEADERS + b"\r\n", [64])
 def test_reply_reader_reads_what_http_client_reads(data, sizes):
     assert reader_reads(data, sizes) == http_client_reads(data, sizes)
+
+
+@pytest.mark.parametrize("head, body", [
+    (b"Content-Length: %d" % (_MAX_BODY + 1), b""),
+    (b"Content-Length: " + b"9" * 20, b""),
+    (b"Transfer-Encoding: chunked", b"%x\r\nabc\r\n0\r\n\r\n" % (_MAX_BODY + 1)),
+    (b"Transfer-Encoding: chunked", b"2\r\nab\r\n" + b"f" * 20 + b";x\r\nabc\r\n0\r\n\r\n"),
+], ids=["length-above-bound", "length-above-maxsize", "chunk-above-bound",
+        "chunk-above-maxsize"])
+def test_reply_reader_refuses_a_huge_declared_length_before_reading_it(head, body):
+    # http.client asks its reader for the whole length: it allocates that
+    # much, or raises OverflowError above sys.maxsize.
+    data = b"HTTP/1.1 200 OK\r\n" + head + b"\r\n\r\n" + body
+    reader = PiecewiseSocket(data, [4096]).makefile("rb")
+    with pytest.raises(http.client.HTTPException, match="bytes declared") as excinfo:
+        _read_reply(reader)
+    assert type(excinfo.value) is http.client.HTTPException
+    assert reader.read() in (b"", b"abc\r\n0\r\n\r\n")
 
 
 @settings(max_examples=300)
