@@ -16,8 +16,8 @@ from .corpus import (
 )
 from .harness import ExperimentConfig, RunManifest, run_compare, run_eval, run_rank, run_report
 from .lm import CompletionClient, LmConfig, compute_max_tokens
-from .metrics import (Reference, RougeScore, ScoreRow, aggregate, overlap_precision, rouge_scores,
-                      tokenize)
+from .metrics import (Reference, RougeScore, ScoreRow, ScoreTable, aggregate, overlap_precision,
+                      rouge_scores, tokenize)
 from .prompting import (
     IclExample,
     ParsedOutput,
@@ -54,6 +54,7 @@ __all__ = [
     "RougeScore",
     "RunManifest",
     "ScoreRow",
+    "ScoreTable",
     "TaskInstance",
     "aggregate",
     "builtin_bank",

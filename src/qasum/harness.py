@@ -5,16 +5,23 @@ the one-time-per-domain ranking cost is paid once and reused. Evaluation
 runs its completion requests through ``CompletionClient.map``, records
 per-instance ROUGE rows, and emits plot-ready CSV aggregates;
 compare/report render cross-run tables from saved run manifests.
+
+A run's rows stay in columns, a ``metrics.ScoreTable``, from scorer to
+file to reader: the scorers write each row's nine floats into one array,
+``run_eval`` orders the rows by an index permutation, ``load_manifest``
+fills the columns from the parsed document, and the writers and
+``aggregate`` read them. No ``ScoreRow`` is built unless a caller reads one.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import csv
 import json
 from json.encoder import encode_basestring
-import marshal
-from operator import attrgetter
+import math
+from operator import itemgetter
 import os
 import signal
 import threading
@@ -31,7 +38,8 @@ from .corpus import (
     subsample_per_domain,
 )
 from .lm import CacheStats, CompletionClient, LmConfig
-from .metrics import Reference, RougeScore, ScoreRow, aggregate, rouge_scores, tokenize
+from .metrics import (Reference, RougeScore, ScoreRow, ScoreTable, aggregate, rouge_values,
+                      tokenize)
 from .prompting import (IclExample, PARSE_FAILED, ParsedOutput, PromptFrame, parse_output,
                         qa_frame)
 from .questions import (
@@ -209,22 +217,27 @@ def _type_name(hint) -> str:
 class RunManifest:
     """Everything needed to reproduce or re-render one evaluation run. Every
     count and mean it reports, its eval ids and parse counts too, is derived
-    from ``rows``."""
+    from ``rows``, a ``ScoreTable``; any other sequence of ``ScoreRow``s
+    passed as ``rows`` is put into one."""
 
     config: dict
-    rows: tuple[ScoreRow, ...]
+    rows: ScoreTable
     cache: CacheStats
     wall_clock_s: float
+
+    def __post_init__(self):
+        if not isinstance(self.rows, ScoreTable):
+            object.__setattr__(self, "rows", ScoreTable.from_rows(self.rows))
 
     @property
     def eval_ids(self) -> tuple[str, ...]:
         """Each row's instance id once, sorted by id as the rows are."""
-        return tuple(sorted({row.id for row in self.rows}))
+        return tuple(sorted(set(self.rows.id)))
 
     @property
     def parse_counts(self) -> dict[str, int]:
         """Rows per parse status, in ``PARSE_STATUSES`` order."""
-        statuses = [row.parse_status for row in self.rows]
+        statuses = self.rows.parse_status
         return {status: statuses.count(status) for status in PARSE_STATUSES}
 
 
@@ -275,12 +288,12 @@ def save_manifest(manifest: RunManifest, path) -> None:
     """Write ``manifest`` as one compact JSON document: the run's fields on
     the first line, then ``rows`` with one row per line.
 
-    The first line is encoded by ``json``. Each row is rendered by one
-    ``%`` template, exactly as the compact ``json`` encoder would write it:
-    its labels quoted by ``json.encoder.encode_basestring``, the function
-    that encoder quotes strings with, and its k and scores through
-    ``repr``. Rows are written one at a time, so the whole document is
-    never one string in memory.
+    The first line is encoded by ``json``. Each row is rendered from the
+    table's columns by one ``%`` template, exactly as the compact ``json``
+    encoder would write it: its labels quoted by
+    ``json.encoder.encode_basestring``, the function that encoder quotes
+    strings with, and its k and scores through ``repr``. Rows are written
+    one at a time, so the whole document is never one string in memory.
     """
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     head = encode({
@@ -288,43 +301,90 @@ def save_manifest(manifest: RunManifest, path) -> None:
         "cache": asdict(manifest.cache),
         "wall_clock_s": manifest.wall_clock_s,
     })
-    quote = encode_basestring
+    table, quote = manifest.rows, encode_basestring
+    rows = map(_ROW_TEMPLATE.__mod__, zip(
+        map(quote, table.id), map(quote, table.method), map(quote, table.domain), table.k,
+        map(quote, table.parse_status), *table.scores))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ',"rows":[')
         separator = "\n"
-        for row in manifest.rows:
-            r1, r2, rl = row.rouge1, row.rouge2, row.rougeL
-            fh.write(separator + _ROW_TEMPLATE % (
-                quote(row.id), quote(row.method), quote(row.domain), row.k,
-                quote(row.parse_status),
-                r1.precision, r1.recall, r1.f1, r2.precision, r2.recall, r2.f1,
-                rl.precision, rl.recall, rl.f1,
-            ))
+        for row in rows:
+            fh.write(separator + row)
             separator = ",\n"
         fh.write("\n]}\n")
+
+
+_row_values = itemgetter("id", "method", "domain", "k", "parse_status",
+                         "rouge1", "rouge2", "rougeL")
+_score_values = itemgetter("p", "r", "f1")
+
+
+def _table_from_dicts(docs) -> ScoreTable:
+    """A manifest's parsed ``rows`` as a table.
+
+    Each row's values are read out once and pass one chained check: four
+    strings, a k in [0, 10], a known parse status and nine floats in
+    [0, 1]. Then the labels of all rows are searched for a control
+    character at once, and the columns are filled. If any row fails, every
+    row goes through ``_row_from_dict``, which names the first problem, or
+    takes a row the check is stricter than (one with a score written as
+    an int, say)."""
+    ids, methods, domains, ks, statuses, scores = [], [], [], [], [], []
+    for doc in docs:
+        try:
+            id_, method, domain, k, status, rouge1, rouge2, rougeL = _row_values(doc)
+            a, b, c = _score_values(rouge1)
+            d, e, f = _score_values(rouge2)
+            g, h, i = _score_values(rougeL)
+        except (KeyError, TypeError):
+            break
+        if not (type(id_) is type(method) is type(domain) is type(status) is str
+                and type(k) is int and 0 <= k <= 10 and status in PARSE_STATUSES
+                and type(a) is type(b) is type(c) is type(d) is type(e) is type(f)
+                is type(g) is type(h) is type(i) is float
+                and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0
+                and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0
+                and 0.0 <= g <= 1.0 and 0.0 <= h <= 1.0 and 0.0 <= i <= 1.0):
+            break
+        ids.append(id_)
+        methods.append(method)
+        domains.append(domain)
+        ks.append(k)
+        statuses.append(status)
+        scores += a, b, c, d, e, f, g, h, i
+    else:
+        labels = "".join(ids) + "".join(set(methods)) + "".join(set(domains))
+        if not CONTROL_CHARACTER.search(labels):
+            return ScoreTable(ids, methods, domains, ks, statuses,
+                              (array("d", scores[n::9]) for n in range(9)))
+    return ScoreTable.from_rows(map(_row_from_dict, docs))
 
 
 def load_manifest(path) -> RunManifest:
     """Read a ``save_manifest`` file; ValueError names a file of another shape,
     or a row whose k is outside [0, 10], whose scores are not all numbers in
     [0, 1], or whose id, method or domain holds a control character, which
-    would split its line in a CSV written from it. The ``parse_counts``,
-    ``eval_ids`` and row ``model`` of older files are ignored."""
+    would split its line in a CSV written from it, or cache counts that are
+    not non-negative ints, or a wall-clock time that is not a finite
+    non-negative number. The ``parse_counts``, ``eval_ids`` and row
+    ``model`` of older files are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not (isinstance(doc["config"], dict) and isinstance(doc["config"].get("lm", {}), dict)
                 and doc["rows"]):
             raise TypeError("config and config.lm must be objects, rows non-empty")
-        rows = tuple(_row_from_dict(r) for r in doc["rows"])
-        if len({(row.id, row.k) for row in rows}) < len(rows):
+        rows = _table_from_dicts(doc["rows"])
+        if len(set(zip(rows.id, rows.k))) < len(rows):
             raise ValueError("two rows score the same (id, k)")
-        return RunManifest(
-            config=doc["config"],
-            rows=rows,
-            cache=CacheStats(**doc["cache"]),
-            wall_clock_s=doc["wall_clock_s"],
-        )
+        cache = CacheStats(**doc["cache"])
+        if not all(type(n) is int and n >= 0 for n in (cache.hits, cache.misses, cache.entries)):
+            raise ValueError(f"cache counts are not all non-negative ints: {doc['cache']!r}")
+        wall_clock_s = doc["wall_clock_s"]
+        if not (type(wall_clock_s) in (int, float) and 0 <= wall_clock_s < math.inf):
+            raise ValueError(f"wall_clock_s is not a non-negative number: {wall_clock_s!r}")
+        return RunManifest(config=doc["config"], rows=rows, cache=cache,
+                           wall_clock_s=wall_clock_s)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a run manifest ({type(exc).__name__}: {exc})") from exc
 
@@ -347,7 +407,8 @@ def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
 
 _FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
 
-Scores = tuple[RougeScore, RougeScore, RougeScore]
+# The bytes of one row's nine scores in an ``array('d')``.
+_ROW_BYTES = 9 * array("d").itemsize
 
 
 def _usable_cpus() -> int:
@@ -358,22 +419,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _score(instances, summaries: list[str], per_instance: int) -> list[Scores]:
+def _score(instances, summaries: list[str], per_instance: int) -> array:
     """ROUGE-1/2/L of each instance's ``per_instance`` summaries against
-    its reference, in order. Instance by instance, so only one reference's
-    token table is alive at a time."""
-    scores = []
+    its reference, in order: each row's nine ``rouge_values``, row after
+    row, in one ``array('d')``. Instance by instance, so only one
+    reference's token table is alive at a time."""
+    scores = array("d")
     for n, inst in enumerate(instances):
         reference = Reference.from_text(inst.reference)
         for summary in summaries[n * per_instance : (n + 1) * per_instance]:
-            scores.append(rouge_scores(tokenize(summary), reference))
+            scores.extend(rouge_values(tokenize(summary), reference))
     return scores
 
 
 def _fork_scorer(instances, summaries: list[str], per_instance: int,
                  other_pipes: list[int]) -> tuple[int, int]:
-    """Fork a helper that ``_score``s one share and writes the nine floats
-    of each row, as one ``marshal``ed list, to a pipe; returns its pid and
+    """Fork a helper that ``_score``s one share and writes the share's
+    doubles, the bytes of its ``array('d')``, to a pipe; returns its pid and
     the pipe's read end. The helper closes every other pipe end, touches
     nothing else it inherited (no store connection, no socket) and leaves
     through ``os._exit``, so no cleanup of the caller's runs twice."""
@@ -389,10 +451,9 @@ def _fork_scorer(instances, summaries: list[str], per_instance: int,
         try:
             for fd in (read_end, *other_pipes):
                 os.close(fd)
-            floats = [x for row in _score(instances, summaries, per_instance)
-                      for score in row for x in (score.precision, score.recall, score.f1)]
+            scores = _score(instances, summaries, per_instance)
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(floats))
+                pipe.write(scores.tobytes())
             status = 0
         finally:
             os._exit(status)
@@ -400,23 +461,15 @@ def _fork_scorer(instances, summaries: list[str], per_instance: int,
     return pid, read_end
 
 
-def _received(read_end: int, rows: int) -> list[Scores] | None:
-    """The ``rows`` scores a helper wrote to ``read_end``, or None when it
-    wrote fewer bytes or floats than that."""
+def _received(read_end: int, rows: int) -> bytes | None:
+    """The doubles of the ``rows`` scores a helper wrote to ``read_end``, or
+    None when it wrote any other number of bytes."""
     with open(read_end, "rb", closefd=False) as pipe:
         payload = pipe.read()
-    try:
-        floats = marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):
-        return None
-    if type(floats) is not list or len(floats) != 9 * rows:
-        return None
-    # Three floats to a score, three scores to a row.
-    scores = map(RougeScore, *[iter(floats)] * 3)
-    return list(zip(scores, scores, scores))
+    return payload if len(payload) == rows * _ROW_BYTES else None
 
 
-def _score_rows(instances, summaries: list[str], per_instance: int) -> list[Scores]:
+def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
     """``_score`` over every instance, on every usable core.
 
     The instances are split into contiguous shares, one per usable CPU and
@@ -446,10 +499,13 @@ def _score_rows(instances, summaries: list[str], per_instance: int) -> list[Scor
                 break
         scores = _score(*share(*spans[0]))
         for n, (lo, hi) in enumerate(spans[1:]):
-            received = None
+            payload = None
             if n < len(helpers):
-                received = _received(helpers[n][1], (hi - lo) * per_instance)
-            scores += _score(*share(lo, hi)) if received is None else received
+                payload = _received(helpers[n][1], (hi - lo) * per_instance)
+            if payload is None:
+                scores += _score(*share(lo, hi))
+            else:
+                scores.frombytes(payload)
         return scores
     finally:
         for pid, read_end in helpers:
@@ -555,26 +611,29 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     # Stage 4: score every (instance, k) row on every usable core. Each
     # process scores its share instance by instance, so only one reference's
     # token table is alive at a time in each.
-    scores = _score_rows(instances, [parsed.summary for parsed in outputs], len(k_values))
-    rows = [
-        ScoreRow(
-            id=inst.id,
-            method=cfg.method,
-            domain=inst.domain,
-            k=k,
-            rouge1=rouge1,
-            rouge2=rouge2,
-            rougeL=rougeL,
-            parse_status=parsed.parse_status,
-        )
-        for (inst, k), parsed, (rouge1, rouge2, rougeL)
-        in zip(((inst, k) for inst in instances for k in k_values), outputs, scores)
-    ]
-    rows.sort(key=attrgetter("id", "k"))
+    per_instance = len(k_values)
+    scores = _score_rows(instances, [parsed.summary for parsed in outputs], per_instance)
+
+    # The rows in (id, k) order: ids are unique and each instance's rows
+    # run in ascending k, so ordering the instances by id orders the rows.
+    order = sorted(range(len(instances)), key=[inst.id for inst in instances].__getitem__)
+    width = 9 * per_instance
+    ordered = array("d")
+    for n in order:
+        ordered += scores[n * width : (n + 1) * width]
+    rows = ScoreTable(
+        id=[instances[n].id for n in order for _ in k_values],
+        method=[cfg.method] * (len(order) * per_instance),
+        domain=[instances[n].domain for n in order for _ in k_values],
+        k=list(k_values) * len(order),
+        parse_status=[outputs[n * per_instance + j].parse_status
+                      for n in order for j in range(per_instance)],
+        scores=(ordered[c::9] for c in range(9)),
+    )
 
     manifest = RunManifest(
         config=cfg.snapshot(),
-        rows=tuple(rows),
+        rows=rows,
         cache=client.cache_stats(),
         wall_clock_s=time.monotonic() - started,
     )
@@ -610,16 +669,17 @@ def _write_csv(path, header: list, rows) -> None:
 
 
 def write_per_instance_csv(manifest: RunManifest, path) -> None:
+    table = manifest.rows
     _write_csv(
         path,
         ["id", "domain", "method", "k", "parse_status", *METRIC_COLUMNS],
-        ([row.id, row.domain, row.method, row.k, row.parse_status]
-         + _metric_cells(row.rouge1, row.rouge2, row.rougeL) for row in manifest.rows),
+        zip(table.id, table.domain, table.method, table.k, table.parse_status,
+            *(map(_fmt, column) for column in table.scores)),
     )
 
 
 def write_aggregate_csv(manifest: RunManifest, group_by: tuple[str, ...], path) -> None:
-    groups = aggregate(list(manifest.rows), group_by)
+    groups = aggregate(manifest.rows, group_by)
     fields = [name for name, _ in groups[0].group]
     _write_csv(
         path,
@@ -645,9 +705,9 @@ def run_compare(manifest_paths, out_path) -> list[dict]:
     if len(manifest_paths) < 2:
         raise ValueError("compare needs at least two manifests")
     manifests = [load_manifest(p) for p in manifest_paths]
-    base_pairs = {(r.id, r.domain) for r in manifests[0].rows}
+    base_pairs = set(zip(manifests[0].rows.id, manifests[0].rows.domain))
     for m in manifests[1:]:
-        if {(r.id, r.domain) for r in m.rows} != base_pairs:
+        if set(zip(m.rows.id, m.rows.domain)) != base_pairs:
             raise MismatchedEvalSets("manifests evaluate different instance sets")
 
     raw = [_manifest_label(m) for m in manifests]
@@ -659,7 +719,7 @@ def run_compare(manifest_paths, out_path) -> list[dict]:
 
     # Every manifest has rows in every scope, so its groups line up with ``scopes``.
     scopes = ["overall", *sorted({domain for _, domain in base_pairs})]
-    groups = [aggregate(list(m.rows), ()) + aggregate(list(m.rows), ("domain",)) for m in manifests]
+    groups = [aggregate(m.rows, ()) + aggregate(m.rows, ("domain",)) for m in manifests]
 
     table = []
     cells = []
@@ -681,7 +741,7 @@ def run_report(manifest_path, out_dir) -> None:
     per-domain x k CSV, and (c) a parse-status summary."""
     manifest = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
-    rows = list(manifest.rows)
+    rows = manifest.rows
     model = manifest.config.get("lm", {}).get("model", "?")
 
     by_method_k = aggregate(rows, ("method", "k"))

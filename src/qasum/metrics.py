@@ -10,15 +10,22 @@ at the reporting layer.
 ROUGE-N clips n-gram counts (Lin 2004), and answer overlap precision is
 ROUGE-1 precision. A reference's token counts are read from its LCS
 masks, one set bit per occurrence, and its bigram counts from a Counter.
+
+A run's rows are held as columns in a ``ScoreTable``: five label columns
+and nine ``array('d')`` score columns, one per component of ROUGE-1/2/L.
+``rouge_values`` scores a candidate into those nine floats without
+building a ``RougeScore``, ``aggregate`` means the columns, and a
+``ScoreRow`` is built only when a table's row is read.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 import re
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -52,6 +59,13 @@ def has_tokens(text: str) -> bool:
     return _TOKEN_RE.search(text) is not None
 
 
+def _prf(precision: float, recall: float) -> tuple[float, float, float]:
+    """``precision``, ``recall`` and their F1, which is 0 when both are."""
+    if precision + recall > 0:
+        return precision, recall, 2 * precision * recall / (precision + recall)
+    return precision, recall, 0.0
+
+
 @dataclass(frozen=True, slots=True)
 class RougeScore:
     precision: float
@@ -60,11 +74,7 @@ class RougeScore:
 
     @staticmethod
     def from_pr(precision: float, recall: float) -> "RougeScore":
-        if precision + recall > 0:
-            f1 = 2 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-        return RougeScore(precision, recall, f1)
+        return RougeScore(*_prf(precision, recall))
 
     @staticmethod
     def zero() -> "RougeScore":
@@ -86,18 +96,102 @@ class ScoreRow:
     parse_status: str  # ok | fallback | failed
 
 
+LABEL_FIELDS = ("id", "method", "domain", "k", "parse_status")
+# Each score column's ScoreRow attribute, in column order.
+_SCORE_GETTERS = tuple(attrgetter(f"{name}.{part}") for name in ("rouge1", "rouge2", "rougeL")
+                      for part in ("precision", "recall", "f1"))
+
+
+def _score_column(values: list) -> Sequence[float]:
+    """``values`` as an ``array('d')``, or as given if one is not a float."""
+    return array("d", values) if set(map(type, values)) <= {float} else values
+
+
+def _same_values(a: Sequence, b: Sequence) -> bool:
+    """Whether two columns hold equal values, an array and a list too."""
+    return a == b if type(a) is type(b) else list(a) == list(b)
+
+
+class ScoreTable(Sequence[ScoreRow]):
+    """A run's rows, in the order given, held as columns: the read-only
+    sequence of ``ScoreRow``s that ``RunManifest.rows`` is.
+
+    Five label columns are named after the ``ScoreRow`` field each holds,
+    so ``table.k[i]`` is ``table[i].k``: ``id``, ``method``, ``domain``,
+    ``k`` and ``parse_status``. ``scores`` holds nine score columns:
+    ROUGE-1's precision, recall and F1, then ROUGE-2's and ROUGE-L's, so
+    ``table.scores[4][i]`` is ``table[i].rouge2.recall``. A score column is
+    an ``array('d')``. ``from_rows`` keeps a column that holds any value
+    other than a float (an int 0 from a hand-written manifest, say) as the
+    list of its values as given, so the table writes them as the rows did.
+
+    A row is built only when it is read, by index or by iteration. Two
+    tables are equal when their columns hold equal values, as two tuples of
+    their rows would be. Neither a table nor its columns change once built.
+    """
+
+    __slots__ = (*LABEL_FIELDS, "scores")
+
+    def __init__(self, id: list[str], method: list[str], domain: list[str], k: list[int],
+                 parse_status: list[str], scores: Iterable[Sequence[float]]):
+        self.id, self.method, self.domain, self.k, self.parse_status = (
+            id, method, domain, k, parse_status)
+        self.scores = tuple(scores)
+        if len(self.scores) != 9 or any(len(c) != len(id) for c in self._columns()):
+            raise ValueError("a ScoreTable takes five label columns and nine score columns,"
+                             " all of one length")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[ScoreRow]) -> ScoreTable:
+        rows = list(rows)
+        return cls(*(list(map(attrgetter(name), rows)) for name in LABEL_FIELDS),
+                   (_score_column(list(map(value, rows))) for value in _SCORE_GETTERS))
+
+    def _columns(self) -> tuple[Sequence, ...]:
+        return (self.id, self.method, self.domain, self.k, self.parse_status, *self.scores)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = [column[index] for column in self._columns()]
+            return ScoreTable(*columns[:5], columns[5:])
+        s = self.scores
+        return ScoreRow(self.id[index], self.method[index], self.domain[index], self.k[index],
+                        RougeScore(s[0][index], s[1][index], s[2][index]),
+                        RougeScore(s[3][index], s[4][index], s[5][index]),
+                        RougeScore(s[6][index], s[7][index], s[8][index]),
+                        self.parse_status[index])
+
+    def __iter__(self):
+        s = self.scores
+        return map(ScoreRow, self.id, self.method, self.domain, self.k,
+                   map(RougeScore, s[0], s[1], s[2]), map(RougeScore, s[3], s[4], s[5]),
+                   map(RougeScore, s[6], s[7], s[8]), self.parse_status)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return len(self) == len(other) and all(map(_same_values, self._columns(),
+                                                   other._columns()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_rows({list(self)!r})"
+
+
 def _clipped_score(grams: Iterable, ref: dict, count: Callable[[int], int],
-                   cand_total: int, ref_total: int) -> RougeScore:
-    """ROUGE-N of a candidate's n-grams ``grams`` against ``ref``, which maps
-    each n-gram of the reference to a value that ``count`` turns into its
-    count there. Only the n-grams ``ref`` holds are counted: any other would
-    add ``min(c, 0) = 0`` to the clipped match. The totals are each side's
-    n-gram count; a zero total scores 0."""
+                   cand_total: int, ref_total: int) -> tuple[float, float, float]:
+    """ROUGE-N precision, recall and F1 of a candidate's n-grams ``grams``
+    against ``ref``, which maps each n-gram of the reference to a value that
+    ``count`` turns into its count there. Only the n-grams ``ref`` holds are
+    counted: any other would add ``min(c, 0) = 0`` to the clipped match. The
+    totals are each side's n-gram count; a zero total scores 0."""
     shared = Counter(filter(ref.__contains__, grams))
     matched = sum(map(min, shared.values(), map(count, map(ref.__getitem__, shared))))
     precision = matched / cand_total if cand_total else 0.0
     recall = matched / ref_total if ref_total else 0.0
-    return RougeScore.from_pr(precision, recall)
+    return _prf(precision, recall)
 
 
 def lcs_masks(b: list[str]) -> dict[str, int]:
@@ -139,11 +233,12 @@ def lcs_length(a: list[str], b: list[str], masks: dict[str, int] | None = None) 
     return len(b) - (v & full).bit_count()
 
 
-def _lcs_score(cand: list[str], ref: list[str], masks: dict[str, int]) -> RougeScore:
+def _lcs_score(cand: list[str], ref: list[str],
+               masks: dict[str, int]) -> tuple[float, float, float]:
     if not cand or not ref:
-        return RougeScore.zero()
+        return 0.0, 0.0, 0.0
     lcs = lcs_length(cand, ref, masks)
-    return RougeScore.from_pr(lcs / len(cand), lcs / len(ref))
+    return _prf(lcs / len(cand), lcs / len(ref))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,21 +259,28 @@ class Reference:
         return Reference(tokens, Counter(zip(tokens, tokens[1:])), lcs_masks(tokens))
 
 
-def rouge_scores(
-    candidate: list[str], reference: Reference
-) -> tuple[RougeScore, RougeScore, RougeScore]:
-    """ROUGE-1, ROUGE-2 and ROUGE-L of candidate tokens against a reference.
-    A token's reference count is its mask's set bits, a bigram's its
-    ``bigrams`` count.
+def rouge_values(candidate: list[str], reference: Reference) -> tuple[float, ...]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L of candidate tokens against a reference,
+    as nine floats in ``ScoreTable`` column order: each metric's precision,
+    recall and F1. A token's reference count is its mask's set bits, a
+    bigram's its ``bigrams`` count.
     A component whose denominator is zero scores 0, so an empty candidate
     or reference scores all zeros, and a one-token one scores 0 on ROUGE-2."""
     n, m = len(candidate), len(reference.tokens)
     return (
-        _clipped_score(candidate, reference.masks, int.bit_count, n, m),
-        _clipped_score(zip(candidate, candidate[1:]), reference.bigrams, int,
-                       max(n - 1, 0), max(m - 1, 0)),
-        _lcs_score(candidate, reference.tokens, reference.masks),
+        *_clipped_score(candidate, reference.masks, int.bit_count, n, m),
+        *_clipped_score(zip(candidate, candidate[1:]), reference.bigrams, int,
+                        max(n - 1, 0), max(m - 1, 0)),
+        *_lcs_score(candidate, reference.tokens, reference.masks),
     )
+
+
+def rouge_scores(
+    candidate: list[str], reference: Reference
+) -> tuple[RougeScore, RougeScore, RougeScore]:
+    """``rouge_values`` as ROUGE-1, ROUGE-2 and ROUGE-L ``RougeScore``s."""
+    values = rouge_values(candidate, reference)
+    return RougeScore(*values[:3]), RougeScore(*values[3:6]), RougeScore(*values[6:])
 
 
 def overlap_precision(answer: list[str], masks: dict[str, int]) -> float:
@@ -190,7 +292,7 @@ def overlap_precision(answer: list[str], masks: dict[str, int]) -> float:
     divided by the answer's token count. An answer with no tokens scores 0.
     The reference's length enters recall alone, so none is passed.
     """
-    return _clipped_score(answer, masks, int.bit_count, len(answer), 0).precision
+    return _clipped_score(answer, masks, int.bit_count, len(answer), 0)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,23 +317,15 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
-def _mean_score(scores: list[RougeScore]) -> RougeScore:
-    """The mean of each component, its total taken left to right in row
-    order by ``left_sum``, so a mean is the same on every Python version."""
-    n = len(scores)
-    return RougeScore(
-        left_sum(s.precision for s in scores) / n,
-        left_sum(s.recall for s in scores) / n,
-        left_sum(s.f1 for s in scores) / n,
-    )
-
-
-def aggregate(rows: list[ScoreRow], group_by: tuple[str, ...]) -> list[AggregateRow]:
+def aggregate(rows: Sequence[ScoreRow], group_by: tuple[str, ...]) -> list[AggregateRow]:
     """Arithmetic mean of every metric component per group.
 
     ``group_by`` is any subset of ``GROUP_FIELDS``; groups come out in
     deterministic sorted order, and each mean is over its group's rows in
-    the order given. Raises ValueError on an empty row list.
+    the order given, its total taken left to right by ``left_sum``, so a
+    mean is the same on every Python version. A ``ScoreTable``'s columns
+    are read as they are; other rows are put into one first. Raises
+    ValueError on an empty row list.
     """
     if not rows:
         raise ValueError("no rows to aggregate")
@@ -239,24 +333,23 @@ def aggregate(rows: list[ScoreRow], group_by: tuple[str, ...]) -> list[Aggregate
     unknown = set(group_by) - set(GROUP_FIELDS)
     if unknown:
         raise ValueError(f"unknown group fields: {sorted(unknown)}")
+    table = rows if isinstance(rows, ScoreTable) else ScoreTable.from_rows(rows)
 
-    groups: dict[tuple, list[ScoreRow]] = {}
-    for row in rows:
-        key = tuple(getattr(row, f) for f in fields)
-        groups.setdefault(key, []).append(row)
+    # Each group's row indices, in row order.
+    groups: dict[tuple, Sequence[int]] = {(): range(len(table))}
+    if fields:
+        groups = {}
+        for i, key in enumerate(zip(*(getattr(table, f) for f in fields))):
+            groups.setdefault(key, []).append(i)
 
     out = []
     # Per-position types are homogeneous (k is int, the rest str), so the
     # tuples sort directly and k orders numerically.
     for key in sorted(groups):
         members = groups[key]
-        out.append(
-            AggregateRow(
-                group=tuple(zip(fields, key)),
-                n=len(members),
-                rouge1=_mean_score([r.rouge1 for r in members]),
-                rouge2=_mean_score([r.rouge2 for r in members]),
-                rougeL=_mean_score([r.rougeL for r in members]),
-            )
-        )
+        n = len(members)
+        means = [left_sum(map(column.__getitem__, members)) / n for column in table.scores]
+        out.append(AggregateRow(group=tuple(zip(fields, key)), n=n,
+                                rouge1=RougeScore(*means[:3]), rouge2=RougeScore(*means[3:6]),
+                                rougeL=RougeScore(*means[6:])))
     return out

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import array
 from collections import Counter
 import csv
 import dataclasses
 from dataclasses import fields
+import hashlib
 import io
 import json
-import marshal
 import os
 from pathlib import Path
 import random
@@ -49,7 +50,7 @@ from qasum.harness import (
     save_manifest,
 )
 from qasum.lm import CacheStats, LmConfig, LmError, RateLimited
-from qasum.metrics import AggregateRow, RougeScore, ScoreRow, aggregate
+from qasum.metrics import AggregateRow, RougeScore, ScoreRow, ScoreTable, aggregate
 from qasum.prompting import (
     QA_INSTRUCTION,
     SINGLE_QA_INSTRUCTION,
@@ -716,7 +717,14 @@ def helper_exits(scores):
 
 
 def helper_drops_a_row(scores):
-    return scores[:-1]
+    return scores[:-9]  # nine doubles to a row
+
+
+class CutArray(array.array):
+    """An ``array`` whose bytes lose their last five: a payload cut mid-double."""
+
+    def tobytes(self):
+        return super().tobytes()[:-5]
 
 
 HELPER_FAULTS = {
@@ -734,8 +742,7 @@ def test_a_failed_helper_share_is_scored_by_the_caller(tmp_path, monkeypatch, fa
     if in_helper is not None:
         patch_helper_scoring(monkeypatch, in_helper)
     if cut_payload:
-        dumps = marshal.dumps
-        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-5])
+        monkeypatch.setattr(harness, "array", CutArray)
     assert rows_with_cpus(monkeypatch, cfg, tmp_path / "faulty", backend, 4) == expected
     assert_no_child_left()
 
@@ -777,6 +784,54 @@ def test_eval_never_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# --- rows held as columns ----------------------------------------------------
+
+
+def count_constructions(monkeypatch) -> Counter:
+    """Count each ``ScoreRow`` and ``RougeScore`` this process builds from now on."""
+    built: Counter = Counter()
+    for cls in (ScoreRow, RougeScore):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_warm_eval_and_load_build_no_score_objects(tmp_path, monkeypatch):
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+    cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+    cold, _, _ = outputs_with_cpus(monkeypatch, cfg, tmp_path / "cold", backend, 3)
+    built = count_constructions(monkeypatch)
+    warm, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "warm", backend, 3)
+    loaded = load_manifest(tmp_path / "warm" / "manifest.json")
+    # Only each aggregate CSV line's three means are RougeScores.
+    groups = sum(files[name].count(b"\n") - 1
+                 for name in ("aggregate_method_k.csv", "aggregate_domain_k.csv"))
+    assert built == Counter(RougeScore=3 * groups)
+    assert forks == 2 and len(warm) > groups
+    assert loaded.cache.misses == 0 and loaded.cache.hits > 0
+    assert warm == cold and loaded.rows == warm
+
+
+# What this run gave before its rows were held as columns: the SHA-256 of
+# ``repr`` of its tuple of ScoreRows, and of manifest.json after the first
+# line, which holds the run's fields and its wall-clock time.
+SEVEN_INSTANCE_ROWS_SHA256 = "4771ff48c7ee5fd4ff80da3c971cb7f453f8c271ea088eb91f288b2b0126de54"
+SEVEN_INSTANCE_MANIFEST_ROWS_SHA256 = "cf228af3fb36daf14d745e96d95eaa4cbf2d9e33e32afbf624d14411ab28e2bb"
+
+
+def test_eval_rows_and_manifest_bytes_are_those_of_row_objects(tmp_path, monkeypatch):
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+    rows, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "run", backend, 3)
+    assert forks == 2
+    digest = hashlib.sha256(repr(tuple(rows)).encode("utf-8")).hexdigest()
+    assert digest == SEVEN_INSTANCE_ROWS_SHA256
+    assert hashlib.sha256(files["manifest rows"]).hexdigest() == SEVEN_INSTANCE_MANIFEST_ROWS_SHA256
+    assert tuple(load_manifest(tmp_path / "run" / "manifest.json").rows) == tuple(rows)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -826,10 +881,10 @@ SCORES = st.builds(RougeScore, SCORE_VALUES, SCORE_VALUES, SCORE_VALUES)
 
 
 @st.composite
-def score_rows(draw, labels=LABELS, statuses=LABELS) -> ScoreRow:
+def score_rows(draw, labels=LABELS, statuses=LABELS, scores=SCORES) -> ScoreRow:
     return ScoreRow(id=draw(labels), method=draw(labels), domain=draw(labels),
-                    k=draw(st.integers(0, 10)), rouge1=draw(SCORES), rouge2=draw(SCORES),
-                    rougeL=draw(SCORES), parse_status=draw(statuses))
+                    k=draw(st.integers(0, 10)), rouge1=draw(scores), rouge2=draw(scores),
+                    rougeL=draw(scores), parse_status=draw(statuses))
 
 
 def row_as_dict(row: ScoreRow) -> dict:
@@ -1011,6 +1066,49 @@ def test_every_csv_reads_back_as_the_rows_written(rows, method_a, method_b):
         for name in CSV_NAMES:
             assert read_csv(out / name) == written[name], name
     assert [line[0] for line in written["per_instance.csv"][1:]] == [row.id for row in rows]
+
+
+# Scores a table must give back as given: the ends of [0, 1], a negative
+# zero, the smallest subnormal, a repeating fraction, and 0 and 1 as ints.
+TABLE_SCORE_VALUES = st.floats(0, 1) | st.sampled_from([0, 1, 0.0, -0.0, 1.0, 5e-324, 1 / 3])
+TABLE_ROWS = st.lists(
+    score_rows(labels=CSV_LABELS, statuses=st.sampled_from(harness.PARSE_STATUSES),
+               scores=st.builds(RougeScore, TABLE_SCORE_VALUES, TABLE_SCORE_VALUES,
+                                TABLE_SCORE_VALUES)),
+    max_size=6, unique_by=lambda row: (row.id, row.k))
+
+
+def with_float_scores(row: ScoreRow) -> ScoreRow:
+    """``row`` with each score a float: an equal row, as ``0 == 0.0``."""
+    def floats(score):
+        return RougeScore(*map(float, (score.precision, score.recall, score.f1)))
+
+    return dataclasses.replace(row, rouge1=floats(row.rouge1), rouge2=floats(row.rouge2),
+                               rougeL=floats(row.rougeL))
+
+
+@settings(deadline=None, max_examples=200)
+@given(TABLE_ROWS, TABLE_ROWS)
+@example([ScoreRow(id="a", method="qa", domain="é", k=0, rouge1=RougeScore(0, 1, 5e-324),
+                   rouge2=RougeScore(1 / 3, -0.0, 1.0), rougeL=RougeScore(0.0, 1, 0.5),
+                   parse_status="ok")], [])
+def test_a_score_table_holds_its_rows(rows, others):
+    table = ScoreTable.from_rows(rows)
+    assert len(table) == len(rows)
+    assert repr(list(table)) == repr(rows)  # ints and -0.0 come back as given
+    assert [table[i] for i in range(-len(rows), len(rows))] == rows + rows
+    assert list(table[1:-1]) == rows[1:-1]
+    assert (table == ScoreTable.from_rows(others)) == (rows == others)
+    assert table == ScoreTable.from_rows(map(with_float_scores, rows))
+    if not rows:
+        return
+    manifest = manifest_of(rows)
+    assert manifest == dataclasses.replace(manifest, rows=table)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "manifest.json"
+        save_manifest(manifest, path)
+        loaded = load_manifest(path)
+    assert loaded.rows == table and repr(list(loaded.rows)) == repr(rows)
 
 
 # --- compare -----------------------------------------------------------------
@@ -1501,14 +1599,40 @@ def bad_manifests(tmp_path):
         "score-above-one": {**doc, "rows": [{**row, "rougeL": {"p": 7.0, "r": 7.0, "f1": 7.0}}]},
         "negative-k": {**doc, "rows": [{**row, "k": -3}]},
         "k-above-ten": {**doc, "rows": [{**row, "k": 11}]},
+        "string-wall-clock": {**doc, "wall_clock_s": "soon"},
+        "negative-wall-clock": {**doc, "wall_clock_s": -1.5},
+        "nan-wall-clock": {**doc, "wall_clock_s": nan},
+        "string-cache-count": {**doc, "cache": {**doc["cache"], "hits": "x"}},
+        "negative-cache-count": {**doc, "cache": {**doc["cache"], "hits": -5}},
+        "bool-cache-count": {**doc, "cache": {**doc["cache"], "misses": True}},
     }
+
+
+@pytest.mark.parametrize("name, problem", [
+    ("string-wall-clock", "ValueError: wall_clock_s is not a non-negative number: 'soon'"),
+    ("negative-wall-clock", "ValueError: wall_clock_s is not a non-negative number: -1.5"),
+    ("nan-wall-clock", "ValueError: wall_clock_s is not a non-negative number: nan"),
+    ("string-cache-count", "ValueError: cache counts are not all non-negative ints: "
+                           "{'hits': 'x', 'misses': 0, 'entries': 0}"),
+    ("negative-cache-count", "ValueError: cache counts are not all non-negative ints: "
+                             "{'hits': -5, 'misses': 0, 'entries': 0}"),
+    ("bool-cache-count", "ValueError: cache counts are not all non-negative ints: "
+                         "{'hits': 0, 'misses': True, 'entries': 0}"),
+])
+def test_load_manifest_refuses_run_fields_that_are_not_counts_or_times(tmp_path, name, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bad_manifests(tmp_path)[name]))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: not a run manifest ({problem})")):
+        load_manifest(bad)
 
 
 @pytest.mark.parametrize("name", ["no-config", "lm-not-an-object", "empty-object", "list",
                                   "no-rows", "row-list", "string-score", "int-domain",
                                   "unknown-status", "repeated-row", "nan-score", "inf-score",
                                   "negative-score", "score-above-one", "negative-k",
-                                  "k-above-ten", "not-json"])
+                                  "k-above-ten", "string-wall-clock", "negative-wall-clock",
+                                  "nan-wall-clock", "string-cache-count",
+                                  "negative-cache-count", "bool-cache-count", "not-json"])
 def test_cli_bad_manifest_exit_code(tmp_path, capsys, name):
     good = manifest_with_mean(tmp_path, "good.json", 0.5)
     bad = tmp_path / "bad.json"
