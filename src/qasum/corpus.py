@@ -196,20 +196,18 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
 def subsample_per_domain(
     instances, count: int | None, seed: int, label: str
 ) -> list[TaskInstance]:
-    """``instances`` by domain (domains sorted, ids sorted within each),
-    keeping ``count`` from each domain that has more: a sample seeded by
+    """``instances`` sorted by id, keeping ``count`` from each domain that
+    has more: a sample of the domain's instances in id order, seeded by
     (seed, label, domain) alone, so reruns pick the same ids."""
     by_domain: dict[str, list[TaskInstance]] = {}
     for inst in instances:
         by_domain.setdefault(inst.domain, []).append(inst)
     selected: list[TaskInstance] = []
-    for domain in sorted(by_domain):
-        members = sorted(by_domain[domain], key=_by_id)
+    for domain, members in by_domain.items():
         if count is not None and count < len(members):
-            chosen = _group_rng(seed, label, domain).sample(members, count)
-            members = sorted(chosen, key=_by_id)
-        selected.extend(members)
-    return selected
+            members = _group_rng(seed, label, domain).sample(sorted(members, key=_by_id), count)
+        selected += members
+    return sorted(selected, key=_by_id)
 
 
 def sample_icl_examples(

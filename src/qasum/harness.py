@@ -7,10 +7,11 @@ per-instance ROUGE rows, and emits plot-ready CSV aggregates;
 compare/report render cross-run tables from saved run manifests.
 
 A run's rows stay in columns, a ``metrics.ScoreTable``, from scorer to
-file to reader: the scorers write each row's nine floats into one array,
-``run_eval`` orders the rows by an index permutation, ``load_manifest``
-fills the columns from the parsed document, and the writers and
-``aggregate`` read them. No ``ScoreRow`` is built unless a caller reads one.
+file to reader: the scorers write each row's nine floats into one array in
+(id, k) order, the order ``subsample_per_domain`` gives the instances in,
+``load_manifest`` fills the columns from the parsed document, and the
+writers and ``aggregate`` read them. No ``ScoreRow`` is built unless a
+caller reads one.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .corpus import (
     subsample_per_domain,
 )
 from .lm import CacheStats, CompletionClient, LmConfig
-from .metrics import (Reference, RougeScore, ScoreRow, ScoreTable, aggregate, rouge_values,
-                      tokenize)
-from .prompting import (IclExample, PARSE_FAILED, ParsedOutput, PromptFrame, parse_output,
-                        qa_frame)
+from .metrics import Reference, RougeScore, ScoreTable, aggregate, rouge_values, tokenize
+from .prompting import (IclExample, PARSE_FAILED, PARSE_STATUSES, ParsedOutput, PromptFrame,
+                        parse_output, qa_frame)
 from .questions import (
     RankingError,
     RankingTable,
@@ -56,7 +56,6 @@ from .questions import (
 
 METHODS = ("vanilla", "icl", "qa")
 SCOPES = ("domain_specific", "global")
-PARSE_STATUSES = ("ok", "fallback", "failed")
 _LM_FIELDS = frozenset(f.name for f in fields(LmConfig))
 
 METRIC_COLUMNS = ("r1_p", "r1_r", "r1_f", "r2_p", "r2_r", "r2_f", "rl_p", "rl_r", "rl_f")
@@ -241,14 +240,16 @@ class RunManifest:
         return {status: statuses.count(status) for status in PARSE_STATUSES}
 
 
-def _row_from_dict(doc: dict) -> ScoreRow:
+def _checked_row(doc: dict) -> tuple:
+    """A manifest row's values in ``ScoreTable`` column order: its five
+    labels, then its nine scores. Raises naming what is wrong with the row."""
     def score(name):
         s = doc[name]
         if not all(type(s[v]) in (int, float) for v in ("p", "r", "f1")):
             raise TypeError(f"row {doc['id']!r}: {name} scores are not all numbers")
         if not all(0 <= s[v] <= 1 for v in ("p", "r", "f1")):  # false for NaN too
             raise ValueError(f"row {doc['id']!r}: {name} scores are not all in [0, 1]")
-        return RougeScore(s["p"], s["r"], s["f1"])
+        return _score_values(s)
 
     labels = ("id", "method", "domain", "parse_status")
     if not all(isinstance(doc[key], str) for key in labels) or type(doc["k"]) is not int:
@@ -261,16 +262,7 @@ def _row_from_dict(doc: dict) -> ScoreRow:
             raise ValueError(f"row {doc['id']!r}: {key} holds control character {found.group()!r}")
     if not 0 <= doc["k"] <= 10:
         raise ValueError(f"row {doc['id']!r}: k={doc['k']} outside [0, 10]")
-    return ScoreRow(
-        id=doc["id"],
-        method=doc["method"],
-        domain=doc["domain"],
-        k=doc["k"],
-        rouge1=score("rouge1"),
-        rouge2=score("rouge2"),
-        rougeL=score("rougeL"),
-        parse_status=doc["parse_status"],
-    )
+    return (*_row_values(doc)[:5], *score("rouge1"), *score("rouge2"), *score("rougeL"))
 
 
 # One manifest row as ``json.dumps(row, ensure_ascii=False,
@@ -320,15 +312,15 @@ _score_values = itemgetter("p", "r", "f1")
 
 
 def _table_from_dicts(docs) -> ScoreTable:
-    """A manifest's parsed ``rows`` as a table.
+    """A manifest's parsed ``rows`` as a table, filled in one pass.
 
     Each row's values are read out once and pass one chained check: four
     strings, a k in [0, 10], a known parse status and nine floats in
-    [0, 1]. Then the labels of all rows are searched for a control
-    character at once, and the columns are filled. If any row fails, every
-    row goes through ``_row_from_dict``, which names the first problem, or
-    takes a row the check is stricter than (one with a score written as
-    an int, say)."""
+    [0, 1]. A row that fails it goes to ``_checked_row``, which names its
+    problem, or gives its values when the check is stricter than the format
+    (a score written as an int, say). Then the labels of all rows are
+    searched for a control character at once. Either refusal names the
+    first faulty row, as ``_checked_row`` run over the rows would."""
     ids, methods, domains, ks, statuses, scores = [], [], [], [], [], []
     for doc in docs:
         try:
@@ -336,28 +328,32 @@ def _table_from_dicts(docs) -> ScoreTable:
             a, b, c = _score_values(rouge1)
             d, e, f = _score_values(rouge2)
             g, h, i = _score_values(rougeL)
+            read = True
         except (KeyError, TypeError):
-            break
-        if not (type(id_) is type(method) is type(domain) is type(status) is str
+            read = False
+        if not (read and type(id_) is type(method) is type(domain) is type(status) is str
                 and type(k) is int and 0 <= k <= 10 and status in PARSE_STATUSES
                 and type(a) is type(b) is type(c) is type(d) is type(e) is type(f)
                 is type(g) is type(h) is type(i) is float
                 and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0
                 and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0
                 and 0.0 <= g <= 1.0 and 0.0 <= h <= 1.0 and 0.0 <= i <= 1.0):
-            break
+            try:
+                id_, method, domain, k, status, a, b, c, d, e, f, g, h, i = _checked_row(doc)
+            except (KeyError, TypeError, ValueError):
+                for earlier in docs:  # a control character in an earlier row comes first
+                    _checked_row(earlier)
+                raise
         ids.append(id_)
         methods.append(method)
         domains.append(domain)
         ks.append(k)
         statuses.append(status)
         scores += a, b, c, d, e, f, g, h, i
-    else:
-        labels = "".join(ids) + "".join(set(methods)) + "".join(set(domains))
-        if not CONTROL_CHARACTER.search(labels):
-            return ScoreTable(ids, methods, domains, ks, statuses,
-                              (array("d", scores[n::9]) for n in range(9)))
-    return ScoreTable.from_rows(map(_row_from_dict, docs))
+    if CONTROL_CHARACTER.search("".join(ids) + "".join(set(methods)) + "".join(set(domains))):
+        for doc in docs:  # raises at the first row that holds one
+            _checked_row(doc)
+    return ScoreTable(ids, methods, domains, ks, statuses, (scores[n::9] for n in range(9)))
 
 
 def load_manifest(path) -> RunManifest:
@@ -614,21 +610,15 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     per_instance = len(k_values)
     scores = _score_rows(instances, [parsed.summary for parsed in outputs], per_instance)
 
-    # The rows in (id, k) order: ids are unique and each instance's rows
-    # run in ascending k, so ordering the instances by id orders the rows.
-    order = sorted(range(len(instances)), key=[inst.id for inst in instances].__getitem__)
-    width = 9 * per_instance
-    ordered = array("d")
-    for n in order:
-        ordered += scores[n * width : (n + 1) * width]
+    # The instances are in id order and each one's rows in ascending k, so
+    # the rows are in (id, k) order.
     rows = ScoreTable(
-        id=[instances[n].id for n in order for _ in k_values],
-        method=[cfg.method] * (len(order) * per_instance),
-        domain=[instances[n].domain for n in order for _ in k_values],
-        k=list(k_values) * len(order),
-        parse_status=[outputs[n * per_instance + j].parse_status
-                      for n in order for j in range(per_instance)],
-        scores=(ordered[c::9] for c in range(9)),
+        id=[inst.id for inst in instances for _ in k_values],
+        method=[cfg.method] * len(outputs),
+        domain=[inst.domain for inst in instances for _ in k_values],
+        k=list(k_values) * len(instances),
+        parse_status=[parsed.parse_status for parsed in outputs],
+        scores=(scores[c::9] for c in range(9)),
     )
 
     manifest = RunManifest(

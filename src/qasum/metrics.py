@@ -102,16 +102,6 @@ _SCORE_GETTERS = tuple(attrgetter(f"{name}.{part}") for name in ("rouge1", "roug
                       for part in ("precision", "recall", "f1"))
 
 
-def _score_column(values: list) -> Sequence[float]:
-    """``values`` as an ``array('d')``, or as given if one is not a float."""
-    return array("d", values) if set(map(type, values)) <= {float} else values
-
-
-def _same_values(a: Sequence, b: Sequence) -> bool:
-    """Whether two columns hold equal values, an array and a list too."""
-    return a == b if type(a) is type(b) else list(a) == list(b)
-
-
 class ScoreTable(Sequence[ScoreRow]):
     """A run's rows, in the order given, held as columns: the read-only
     sequence of ``ScoreRow``s that ``RunManifest.rows`` is.
@@ -120,10 +110,9 @@ class ScoreTable(Sequence[ScoreRow]):
     so ``table.k[i]`` is ``table[i].k``: ``id``, ``method``, ``domain``,
     ``k`` and ``parse_status``. ``scores`` holds nine score columns:
     ROUGE-1's precision, recall and F1, then ROUGE-2's and ROUGE-L's, so
-    ``table.scores[4][i]`` is ``table[i].rouge2.recall``. A score column is
-    an ``array('d')``. ``from_rows`` keeps a column that holds any value
-    other than a float (an int 0 from a hand-written manifest, say) as the
-    list of its values as given, so the table writes them as the rows did.
+    ``table.scores[4][i]`` is ``table[i].rouge2.recall``. The constructor
+    stores each label column as a list and each score column as an
+    ``array('d')``, so an int score given to it comes back as a float.
 
     A row is built only when it is read, by index or by iteration. Two
     tables are equal when their columns hold equal values, as two tuples of
@@ -132,20 +121,21 @@ class ScoreTable(Sequence[ScoreRow]):
 
     __slots__ = (*LABEL_FIELDS, "scores")
 
-    def __init__(self, id: list[str], method: list[str], domain: list[str], k: list[int],
-                 parse_status: list[str], scores: Iterable[Sequence[float]]):
-        self.id, self.method, self.domain, self.k, self.parse_status = (
-            id, method, domain, k, parse_status)
-        self.scores = tuple(scores)
-        if len(self.scores) != 9 or any(len(c) != len(id) for c in self._columns()):
+    def __init__(self, id: Iterable[str], method: Iterable[str], domain: Iterable[str],
+                 k: Iterable[int], parse_status: Iterable[str],
+                 scores: Iterable[Iterable[float]]):
+        self.id, self.method, self.domain, self.k, self.parse_status = map(
+            list, (id, method, domain, k, parse_status))
+        self.scores = tuple(array("d", column) for column in scores)
+        if len(self.scores) != 9 or any(len(c) != len(self) for c in self._columns()):
             raise ValueError("a ScoreTable takes five label columns and nine score columns,"
                              " all of one length")
 
     @classmethod
     def from_rows(cls, rows: Iterable[ScoreRow]) -> ScoreTable:
         rows = list(rows)
-        return cls(*(list(map(attrgetter(name), rows)) for name in LABEL_FIELDS),
-                   (_score_column(list(map(value, rows))) for value in _SCORE_GETTERS))
+        return cls(*(map(attrgetter(name), rows) for name in LABEL_FIELDS),
+                   (map(value, rows) for value in _SCORE_GETTERS))
 
     def _columns(self) -> tuple[Sequence, ...]:
         return (self.id, self.method, self.domain, self.k, self.parse_status, *self.scores)
@@ -173,8 +163,7 @@ class ScoreTable(Sequence[ScoreRow]):
     def __eq__(self, other):
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return len(self) == len(other) and all(map(_same_values, self._columns(),
-                                                   other._columns()))
+        return self._columns() == other._columns()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}.from_rows({list(self)!r})"

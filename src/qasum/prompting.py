@@ -37,6 +37,7 @@ SUMMARY_MARKER = "Summary:"
 PARSE_OK = "ok"
 PARSE_FALLBACK = "fallback"
 PARSE_FAILED = "failed"
+PARSE_STATUSES = (PARSE_OK, PARSE_FALLBACK, PARSE_FAILED)
 
 # A k-question prompt's answers follow ANSWER_MARKERS[:k]; a prompt asks
 # at most ten questions, the size of the built-in bank.

@@ -134,15 +134,16 @@ def rank_questions(
 
     answers = client.map(ask, [(inst, q) for inst in selected for q in _BANK])
 
-    # Score instance by instance, so each reference is tokenized once.
-    cells: dict[tuple[str, str], list[tuple[str, float]]] = {}
+    # Score instance by instance, so each reference is tokenized once. The
+    # sample is in id order, so each cell's scores are too.
+    cells: dict[tuple[str, str], list[float]] = {}
     for n, inst in enumerate(selected):
         masks = lcs_masks(tokenize(inst.reference))
         for question, answer in zip(_BANK, answers[n * len(_BANK) : (n + 1) * len(_BANK)]):
             if answer is None:
                 continue  # the call failed; excluded from the mean
             score = overlap_precision(tokenize(answer), masks)
-            cells.setdefault((inst.domain, question.key), []).append((inst.id, score))
+            cells.setdefault((inst.domain, question.key), []).append(score)
 
     domains: dict[str, tuple[RankedQuestion, ...]] = {}
     # Domains come from the input, not the sample, so an empty sample still
@@ -156,8 +157,8 @@ def rank_questions(
                                    f" in domain {domain!r}")
             # Sum in id order, left to right, so the float total is
             # reproducible, on every Python version too.
-            total = left_sum(score for _, score in sorted(samples))
-            ranked.append(RankedQuestion(question.key, total / len(samples), len(samples)))
+            ranked.append(RankedQuestion(question.key, left_sum(samples) / len(samples),
+                                         len(samples)))
         ranked.sort(key=lambda r: (-r.mean_precision, _BANK_ORDER[r.key]))
         domains[domain] = tuple(ranked)
 

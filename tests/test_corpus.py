@@ -391,17 +391,21 @@ def test_sample_rejects_zero_count():
 
 
 def test_subsample_per_domain_is_the_seeded_per_domain_sample():
-    instances = [
-        TaskInstance(id=f"{d[0]}{n:02d}", domain=d, task="t", article="a", reference="r")
-        for d in ("Reviews", "News") for n in range(12)
-    ]
-    random.Random(1).shuffle(instances)
-    picked = subsample_per_domain(instances, 5, seed=7, label="eval")
-    expected = []
-    for domain in ("News", "Reviews"):
-        ids = sorted(i.id for i in instances if i.domain == domain)
-        expected += sorted(random.Random(f"7|eval|{domain}").sample(ids, 5))
-    assert [i.id for i in picked] == expected
+    # Ids grouped by domain, so id order is domain order, then ids that
+    # interleave the domains, so it is not.
+    for id_format in ("{initial}{n:02d}", "{n:02d}{initial}"):
+        instances = [
+            TaskInstance(id=id_format.format(initial=d[0], n=n), domain=d, task="t",
+                         article="a", reference="r")
+            for d in ("Reviews", "News") for n in range(12)
+        ]
+        random.Random(1).shuffle(instances)
+        picked = subsample_per_domain(instances, 5, seed=7, label="eval")
+        expected = []
+        for domain in ("News", "Reviews"):
+            ids = sorted(i.id for i in instances if i.domain == domain)
+            expected += random.Random(f"7|eval|{domain}").sample(ids, 5)
+        assert [i.id for i in picked] == sorted(expected), id_format
     everything = subsample_per_domain(instances, None, seed=7, label="eval")
     assert [i.id for i in everything] == sorted(i.id for i in instances)
     assert subsample_per_domain(instances, 12, seed=7, label="eval") == everything

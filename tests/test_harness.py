@@ -49,13 +49,15 @@ from qasum.harness import (
     run_rank,
     save_manifest,
 )
-from qasum.lm import CacheStats, LmConfig, LmError, RateLimited
-from qasum.metrics import AggregateRow, RougeScore, ScoreRow, ScoreTable, aggregate
+from qasum.lm import CacheStats, CompletionClient, LmConfig, LmError, RateLimited
+from qasum.metrics import (AggregateRow, Reference, RougeScore, ScoreRow, ScoreTable, aggregate,
+                           rouge_values, tokenize)
 from qasum.prompting import (
     QA_INSTRUCTION,
     SINGLE_QA_INSTRUCTION,
     SUMMARY_MARKER,
     VANILLA_INSTRUCTION,
+    parse_output,
     single_qa_frame,
 )
 from qasum.questions import (
@@ -613,15 +615,16 @@ OUTPUT_FILES = ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_
 FORK = getattr(os, "fork", None)
 
 
-def seeded_corpus(path, size, seed=0):
-    """A News corpus of ``size`` instances drawn from a small vocabulary,
-    so summaries and references share some words and scores differ."""
+def seeded_corpus(path, size, seed=0, domains=("News",)):
+    """A corpus of ``size`` instances drawn from a small vocabulary, so
+    summaries and references share some words and scores differ. The
+    instances take ``domains`` in turn, so their ids interleave domains."""
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(40)]
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(size):
             fh.write(json.dumps({
-                "id": f"doc-{i:02d}", "domain": "News", "task": "xsum",
+                "id": f"doc-{i:02d}", "domain": domains[i % len(domains)], "task": "xsum",
                 "article": " ".join(rng.choices(vocab, k=60)),
                 "reference": " ".join(rng.choices(vocab, k=rng.randint(1, 25))),
             }) + "\n")
@@ -663,21 +666,25 @@ def assert_no_child_left():
 def seeded_case(tmp_path, case):
     """A config and backend for one corpus shape: the acceptance fixture at
     qa k = 0..5, or a seeded corpus whose eval set (7 instances, or 1)
-    does not split evenly into shares."""
+    does not split evenly into shares. In "two-domains" the seeded ids
+    alternate between News and Dialogue, so id order is not domain order."""
     ranking = tmp_path / "ranking.json"
     if case == "acceptance-fixture":
         synthetic_ranking(ranking)
         cfg = make_config(method="qa", k_values=range(6), ranking=ranking)
         return cfg, ScriptedBackend(load_corpus(CORPUS_PATH)), 3
-    synthetic_ranking(ranking, domains=("News",))
-    corpus = seeded_corpus(tmp_path / "corpus.jsonl", 15)  # 8 to the pool, 7 to eval
+    domains = ("News", "Dialogue") if case == "two-domains" else ("News",)
+    synthetic_ranking(ranking, domains=domains)
+    # 8 to the pool and 7 to eval; in two domains, 4 + 4 and 4 + 3.
+    corpus = seeded_corpus(tmp_path / "corpus.jsonl", 15, domains=domains)
     subsample = 1 if case == "one-instance" else None
     cfg = make_config(method="qa", k_values=range(6), ranking=ranking, corpus=str(corpus),
                       eval_subsample=subsample)
     return cfg, StubBackend(seeded_reply), subsample or 7
 
 
-@pytest.mark.parametrize("case", ["acceptance-fixture", "seven-instances", "one-instance"])
+@pytest.mark.parametrize("case", ["acceptance-fixture", "seven-instances", "one-instance",
+                                  "two-domains"])
 def test_eval_outputs_are_identical_for_any_helper_count(tmp_path, monkeypatch, case):
     cfg, backend, instances = seeded_case(tmp_path, case)
     rows, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "cpus-1", backend, 1)
@@ -688,6 +695,29 @@ def test_eval_outputs_are_identical_for_any_helper_count(tmp_path, monkeypatch, 
         got = outputs_with_cpus(monkeypatch, cfg, out, backend, helpers + 1)
         assert got == (rows, files, min(helpers, instances - 1))
         assert_no_child_left()
+
+
+def test_eval_rows_are_in_id_order_and_each_holds_its_own_scores(tmp_path, monkeypatch):
+    cfg, backend, instances = seeded_case(tmp_path, "two-domains")
+    completions = {}
+    generate = CompletionClient.generate
+
+    def recording_generate(self, frame, article):
+        reply = generate(self, frame, article)
+        completions[article, frame.k] = reply[0]
+        return reply
+
+    monkeypatch.setattr(CompletionClient, "generate", recording_generate)
+    rows, _, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "run", backend, 3)
+    assert forks == 2 and len(rows) == 6 * instances
+    assert list(rows.domain) != sorted(rows.domain)  # the ids interleave the domains
+    assert list(zip(rows.id, rows.k)) == sorted(zip(rows.id, rows.k))
+    by_id = {inst.id: inst for inst in load_corpus(cfg.corpus).instances}
+    for n, (id_, k) in enumerate(zip(rows.id, rows.k)):
+        inst = by_id[id_]
+        summary = parse_output(completions[inst.article, k], k).summary
+        expected = rouge_values(tokenize(summary), Reference.from_text(inst.reference))
+        assert tuple(column[n] for column in rows.scores) == expected, (id_, k)
 
 
 def rows_with_cpus(monkeypatch, cfg, out_dir, backend, cpus):
@@ -897,6 +927,15 @@ def row_as_dict(row: ScoreRow) -> dict:
     return out
 
 
+def with_float_scores(row: ScoreRow) -> ScoreRow:
+    """``row`` with each score a float: an equal row, as ``0 == 0.0``."""
+    def floats(score):
+        return RougeScore(*map(float, (score.precision, score.recall, score.f1)))
+
+    return dataclasses.replace(row, rouge1=floats(row.rouge1), rouge2=floats(row.rouge2),
+                               rougeL=floats(row.rougeL))
+
+
 def manifest_of(rows) -> RunManifest:
     return RunManifest(config={"method": "qa", "lm": {"model": 'm "α"'}}, rows=tuple(rows),
                        cache=CacheStats(1, 2, 3), wall_clock_s=0.5)
@@ -904,14 +943,19 @@ def manifest_of(rows) -> RunManifest:
 
 def manifest_refusal(row: ScoreRow) -> str | None:
     """How ``load_manifest`` starts to say why it refuses ``row``: an unknown
-    parse status, or a C0 control or DEL in id, method or domain. None if
-    it takes the row."""
+    parse status, or a C0 control or DEL in id, method or domain, with the
+    row's id. None if it takes the row."""
     if row.parse_status not in harness.PARSE_STATUSES:
-        return "unknown parse_status"
+        return f"row {row.id!r}: unknown parse_status"
     for key in ("id", "method", "domain"):
         if any(c < " " or c == "\x7f" for c in getattr(row, key)):
-            return f"{key} holds control character"
+            return f"row {row.id!r}: {key} holds control character"
     return None
+
+
+def plain_row(id_: str, parse_status: str = "ok", scores=RougeScore(0.0, 1.0, 0.5)) -> ScoreRow:
+    return ScoreRow(id=id_, method="qa", domain="News", k=0, rouge1=scores, rouge2=scores,
+                    rougeL=scores, parse_status=parse_status)
 
 
 @settings(deadline=None, max_examples=200)
@@ -923,21 +967,27 @@ def manifest_refusal(row: ScoreRow) -> str | None:
 @example([ScoreRow(id='a"\\\u2028', method="q\u2029a", domain="é", k=10,
                    rouge1=RougeScore(0, 1, 0.1), rouge2=RougeScore(5e-324, 1 / 3, 1.0),
                    rougeL=RougeScore(0.0, 0.995, 0.125), parse_status="ok")])
+# A control character in the last row only, and a control character in a
+# row that passes the loader's type check before a row that fails it: the
+# refusal names the first faulty row.
+@example([plain_row("a"), plain_row("b"), plain_row("c\x1b")])
+@example([plain_row("a\r"), plain_row("b", parse_status="bogus")])
 def test_manifest_rows_are_json_dumps_of_the_row_layout(rows):
     manifest = manifest_of(rows)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "manifest.json"
         save_manifest(manifest, path)
         lines = path.read_text(encoding="utf-8").split("\n")
-        expected = [json.dumps(row_as_dict(row), ensure_ascii=False, separators=(",", ":"))
-                    for row in rows]
+        # A table holds its scores as floats, so an int score is written as one.
+        expected = [json.dumps(row_as_dict(with_float_scores(row)), ensure_ascii=False,
+                               separators=(",", ":")) for row in rows]
         assert lines[1:-2] == [line + "," for line in expected[:-1]] + expected[-1:]
         assert lines[-2:] == ["]}", ""]
         refusal = next(filter(None, map(manifest_refusal, rows)), None)
         if refusal is None:
             assert load_manifest(path) == manifest
         else:
-            with pytest.raises(ValueError, match=refusal):
+            with pytest.raises(ValueError, match=re.escape(refusal)):
                 load_manifest(path)
 
 
@@ -1068,7 +1118,7 @@ def test_every_csv_reads_back_as_the_rows_written(rows, method_a, method_b):
     assert [line[0] for line in written["per_instance.csv"][1:]] == [row.id for row in rows]
 
 
-# Scores a table must give back as given: the ends of [0, 1], a negative
+# Scores a table must give back as floats: the ends of [0, 1], a negative
 # zero, the smallest subnormal, a repeating fraction, and 0 and 1 as ints.
 TABLE_SCORE_VALUES = st.floats(0, 1) | st.sampled_from([0, 1, 0.0, -0.0, 1.0, 5e-324, 1 / 3])
 TABLE_ROWS = st.lists(
@@ -1078,24 +1128,18 @@ TABLE_ROWS = st.lists(
     max_size=6, unique_by=lambda row: (row.id, row.k))
 
 
-def with_float_scores(row: ScoreRow) -> ScoreRow:
-    """``row`` with each score a float: an equal row, as ``0 == 0.0``."""
-    def floats(score):
-        return RougeScore(*map(float, (score.precision, score.recall, score.f1)))
-
-    return dataclasses.replace(row, rouge1=floats(row.rouge1), rouge2=floats(row.rouge2),
-                               rougeL=floats(row.rougeL))
-
-
 @settings(deadline=None, max_examples=200)
 @given(TABLE_ROWS, TABLE_ROWS)
 @example([ScoreRow(id="a", method="qa", domain="é", k=0, rouge1=RougeScore(0, 1, 5e-324),
                    rouge2=RougeScore(1 / 3, -0.0, 1.0), rougeL=RougeScore(0.0, 1, 0.5),
                    parse_status="ok")], [])
+@example([plain_row("a"), plain_row("b", scores=RougeScore(0, 1, 1)), plain_row("c")], [])
 def test_a_score_table_holds_its_rows(rows, others):
     table = ScoreTable.from_rows(rows)
+    floats = list(map(with_float_scores, rows))
     assert len(table) == len(rows)
-    assert repr(list(table)) == repr(rows)  # ints and -0.0 come back as given
+    # Ints come back as floats; -0.0 and 5e-324 come back as given.
+    assert repr(list(table)) == repr(floats)
     assert [table[i] for i in range(-len(rows), len(rows))] == rows + rows
     assert list(table[1:-1]) == rows[1:-1]
     assert (table == ScoreTable.from_rows(others)) == (rows == others)
@@ -1108,7 +1152,13 @@ def test_a_score_table_holds_its_rows(rows, others):
         path = Path(scratch) / "manifest.json"
         save_manifest(manifest, path)
         loaded = load_manifest(path)
-    assert loaded.rows == table and repr(list(loaded.rows)) == repr(rows)
+        # The middle row written by hand with its scores as drawn, ints too.
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["rows"][len(rows) // 2] = row_as_dict(rows[len(rows) // 2])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        hand_written = load_manifest(path)
+    assert loaded.rows == table and repr(list(loaded.rows)) == repr(floats)
+    assert hand_written == loaded and repr(list(hand_written.rows)) == repr(floats)
 
 
 # --- compare -----------------------------------------------------------------
