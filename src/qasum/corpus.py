@@ -27,6 +27,12 @@ _by_id = attrgetter("id")
 # carriage return unquoted, and a reader then splits the row in two.
 CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f]")
 
+# Bytes read and decoded at a time; see load_corpus for why 64 KiB.
+_BLOCK_BYTES = 1 << 16
+# Decodes each record where it sits in its block; configured as the decoder
+# json.loads uses, so the two read any line alike.
+_DECODER = json.JSONDecoder()
+
 
 class CorpusError(Exception):
     pass
@@ -45,17 +51,12 @@ class TaskInstance:
 
 @dataclass(frozen=True, slots=True)
 class Corpus:
+    """A validated corpus: its instances in file order."""
+
     instances: tuple[TaskInstance, ...]
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def groups(self) -> dict[tuple[str, str], list[TaskInstance]]:
-        """Instances keyed by (domain, task), in file order."""
-        out: dict[tuple[str, str], list[TaskInstance]] = {}
-        for inst in self.instances:
-            out.setdefault((inst.domain, inst.task), []).append(inst)
-        return out
 
 
 def _validate_record(obj: object, line_no: int) -> None:
@@ -91,70 +92,137 @@ def _reject_control_characters(rec: dict, line_no: int) -> None:
 
 
 def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
-    """Load and validate a JSONL corpus; aborts at the first bad record,
-    among them one whose domain is not one of ``domains`` (case-sensitive).
+    """Load and validate a JSONL corpus; aborts at the first bad line,
+    among them one whose domain is not one of ``domains`` (case-sensitive)
+    and one holding a byte that is not UTF-8.
 
-    Each line is decoded by ``json.loads``. A record's five fields are
-    read out once, in ``RECORD_FIELDS`` order, and a well-formed record
-    passes two checks: a JSON object with exactly those keys, and five
-    strings. A
-    record that fails either goes to ``_validate_record``, which names
-    what is wrong. Only a record with a non-ASCII field is searched for a
-    lone surrogate, since one is never ASCII and ``isascii`` is O(1).
-    Only an id or task that ``isprintable`` refuses is searched for a
-    control character (U+0000 to U+001F, U+007F); for ASCII text the two
-    tests agree. Then come the id, domain and token checks, and the
-    instance is built from the five values positionally.
+    The file is read as bytes, ``_BLOCK_BYTES`` (64 KiB) at a time, and
+    each block is decoded once (``_numbered_records``). 64 KiB holds about
+    twenty records of a paper-shape corpus and five of 12 KB. Blocks of
+    256 KiB or 1 MiB read a corpus of 12 KB lines more slowly, and a block
+    is held about three times over while it is decoded (read, joined to
+    the line carried into it, and decoded), so a 1 MiB block adds about
+    3 MB to peak memory. Each record is decoded where it sits in its
+    block; only a line that is not one JSON value up to its line break
+    goes through ``json.loads``.
+
+    A record's five fields are read out once, in ``RECORD_FIELDS`` order,
+    and a well-formed record passes two checks: a JSON object with exactly
+    those keys, and five strings. A record that fails either goes to
+    ``_validate_record``, which names what is wrong. Only a record with a
+    non-ASCII field is searched for a lone surrogate, since one is never
+    ASCII and ``isascii`` is O(1). Only an id or task that ``isprintable``
+    refuses is searched for a control character (U+0000 to U+001F,
+    U+007F); for ASCII text the two tests agree. Then come the id, domain
+    and token checks, and the instance is built from the five values
+    positionally.
     """
     instances: list[TaskInstance] = []
     seen: set[str] = set()
     allowed = frozenset(domains)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.isspace():  # the reader never yields an empty line
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-                if not (type(rec) is dict and rec.keys() == _RECORD_KEYS):
-                    _validate_record(rec, line_no)
-                values = id_, domain, task, article, reference = _record_values(rec)
-                if not (type(id_) is type(domain) is type(task) is type(article)
-                        is type(reference) is str):
-                    _validate_record(rec, line_no)
-                if not (id_.isascii() and domain.isascii() and task.isascii()
-                        and article.isascii() and reference.isascii()):
-                    _reject_surrogates(rec, line_no)
-                if not (id_.isprintable() and task.isprintable()):
-                    _reject_control_characters(rec, line_no)
-                if id_ in seen:
-                    raise CorpusError(f"line {line_no}: duplicate id {id_!r}")
-                if domain not in allowed:
-                    raise CorpusError(f"line {line_no}: unknown domain {domain!r}")
-                if not has_tokens(article):
-                    raise CorpusError(f"line {line_no}: article is empty after tokenization")
-                if not has_tokens(reference):
-                    raise CorpusError(f"line {line_no}: reference is empty after tokenization")
-                seen.add(id_)
-                instances.append(TaskInstance(*values))
-    except UnicodeDecodeError:
-        # The text reader decodes a buffer at a time, so it cannot name the
-        # line (and may fail before reaching a bad record ahead of it in the
-        # buffer); find the first bad byte in the file's bytes.
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start]  # lines end at \r\n, \r or \n, as the reader counts
-            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise CorpusError(
-                f"line {line_no}: invalid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
-            ) from None
-        raise  # the file changed between the two reads
+    for line_no, rec in _numbered_records(path):
+        if not (type(rec) is dict and rec.keys() == _RECORD_KEYS):
+            _validate_record(rec, line_no)
+        values = id_, domain, task, article, reference = _record_values(rec)
+        if not (type(id_) is type(domain) is type(task) is type(article)
+                is type(reference) is str):
+            _validate_record(rec, line_no)
+        if not (id_.isascii() and domain.isascii() and task.isascii()
+                and article.isascii() and reference.isascii()):
+            _reject_surrogates(rec, line_no)
+        if not (id_.isprintable() and task.isprintable()):
+            _reject_control_characters(rec, line_no)
+        if id_ in seen:
+            raise CorpusError(f"line {line_no}: duplicate id {id_!r}")
+        if domain not in allowed:
+            raise CorpusError(f"line {line_no}: unknown domain {domain!r}")
+        if not has_tokens(article):
+            raise CorpusError(f"line {line_no}: article is empty after tokenization")
+        if not has_tokens(reference):
+            raise CorpusError(f"line {line_no}: reference is empty after tokenization")
+        seen.add(id_)
+        instances.append(TaskInstance(*values))
     return Corpus(instances=tuple(instances))
+
+
+def _numbered_records(path):
+    """Yield each line of the file at ``path`` that is not blank as its
+    1-based line number and its decoded JSON value, as a text-mode
+    reader would count and split the lines (at ``\\n``, ``\\r\\n`` or
+    ``\\r``). Raises ``CorpusError`` at the first line that is not JSON,
+    or at the first byte that is not UTF-8, once every line before it has
+    been yielded.
+
+    The file is read in blocks of ``_BLOCK_BYTES``. A block is cut after
+    its last line break, and the part line after it is carried into the
+    next block, so no record or UTF-8 character is split. A ``\\r`` that
+    ends a block is carried too, as it may start a ``\\r\\n``. A line
+    longer than a block is gathered in a list and joined once.
+    """
+    with open(path, "rb") as fh:
+        line_no = 0
+        parts: list[bytes] = []  # the line the blocks read so far end inside
+        while True:
+            block = fh.read(_BLOCK_BYTES)
+            if block:
+                cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+                if not cut:
+                    parts.append(block)
+                    continue
+                parts.append(block[:cut])
+                data = b"".join(parts)
+                parts = [block[cut:]]
+            else:
+                data = b"".join(parts)
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # Check the lines before the bad byte's line first.
+                start = exc.start
+                good = max(data.rfind(b"\n", 0, start), data.rfind(b"\r", 0, start)) + 1
+                line_no = yield from _decode_lines(data[:good].decode("utf-8"), line_no)
+                raise CorpusError(f"line {line_no + 1}: invalid UTF-8: "
+                                  f"byte 0x{data[start]:02x} ({exc.reason})") from None
+            line_no = yield from _decode_lines(text, line_no)
+            if not block:
+                return
+
+
+def _decode_lines(text: str, line_no: int):
+    """Yield the number and JSON value of each line of ``text`` that is not
+    blank, numbering on from ``line_no``; return the last line's number.
+
+    A line that is one JSON value ending at its line break is decoded in
+    place by ``_DECODER``. Any other line (blank, or with whitespace
+    around its value, a BOM, extra data or invalid JSON) goes through
+    ``json.loads`` alone, which decodes it or names its fault.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    decode = _DECODER.raw_decode
+    pos = 0
+    end = len(text)
+    while pos < end:
+        line_no += 1
+        stop = text.find("\n", pos)
+        if stop < 0:
+            stop = end
+        try:
+            rec, at = decode(text, pos)
+        except json.JSONDecodeError:
+            at = -1
+        if at != stop:
+            line = text[pos:stop + 1]
+            if line.isspace():
+                pos = stop + 1
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
+        yield line_no, rec
+        pos = stop + 1
+    return line_no
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,23 +242,32 @@ def _group_rng(seed: int, *parts: str) -> random.Random:
 
 def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit:
     """Stratified split: each (domain, task) group sends ceil(fraction*size)
-    instances (at least 1) to the ICL pool, the rest to the eval set."""
+    instances (at least 1) to the ICL pool, the rest to the eval set.
+
+    The instances are sorted by id once, so each group is in id order as
+    it is built, and one pass over the sorted instances then deals them to
+    the pool and the eval set. Ids are unique, as ``load_corpus`` checks.
+    """
     if not 0 < pool_fraction < 1:
         raise ValueError("pool_fraction must be in (0, 1)")
-    pool: list[TaskInstance] = []
-    eval_set: list[TaskInstance] = []
-    for (domain, task), members in sorted(corpus.groups().items()):
+    ordered = sorted(corpus.instances, key=_by_id)
+    groups: dict[tuple[str, str], list[TaskInstance]] = {}
+    for inst in ordered:
+        groups.setdefault((inst.domain, inst.task), []).append(inst)
+    pool_ids: set[str] = set()
+    for (domain, task), members in sorted(groups.items()):
         if len(members) < 2:
             raise CorpusError(
                 f"group ({domain!r}, {task!r}) has {len(members)} instance(s); need >= 2")
-        members = sorted(members, key=_by_id)
         rng = _group_rng(seed, domain, task)
         shuffled = rng.sample(members, len(members))
         n_pool = max(1, math.ceil(pool_fraction * len(members)))
-        pool.extend(shuffled[:n_pool])
-        eval_set.extend(shuffled[n_pool:])
-    return CorpusSplit(icl_pool=tuple(sorted(pool, key=_by_id)),
-                       eval_set=tuple(sorted(eval_set, key=_by_id)))
+        pool_ids.update(map(_by_id, shuffled[:n_pool]))
+    pool: list[TaskInstance] = []
+    eval_set: list[TaskInstance] = []
+    for inst in ordered:
+        (pool if inst.id in pool_ids else eval_set).append(inst)
+    return CorpusSplit(icl_pool=tuple(pool), eval_set=tuple(eval_set))
 
 
 def subsample_per_domain(

@@ -90,8 +90,10 @@ class LmConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if not self.timeout > 0:  # NaN too
-            raise ValueError("timeout must be > 0")
+        # NaN fails too. A socket cannot wait longer than TIMEOUT_MAX, and
+        # JSON's Infinity would fail only at the first call.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX} seconds")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 

@@ -7,10 +7,13 @@ from pathlib import Path
 import random
 import re
 import tempfile
+import time
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from qasum import corpus as corpus_module
 from qasum.corpus import (
     DEFAULT_DOMAINS,
     RECORD_FIELDS,
@@ -91,8 +94,15 @@ def test_lone_surrogate_rejected(tmp_path, field):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("bad_line", [1, 3, 400])  # 400: past the text reader's first buffer
-def test_invalid_utf8_rejected(tmp_path, newline, bad_line):
+@pytest.mark.parametrize("bad_line, block_bytes", [
+    pytest.param(1, corpus_module._BLOCK_BYTES, id="1"),
+    pytest.param(3, corpus_module._BLOCK_BYTES, id="3"),
+    pytest.param(400, corpus_module._BLOCK_BYTES, id="400"),  # 400: ~44 KB into the file
+    pytest.param(3, 7, id="3-in-7-byte-blocks"),
+    pytest.param(400, 64, id="400-in-64-byte-blocks"),
+])
+def test_invalid_utf8_rejected(tmp_path, monkeypatch, newline, bad_line, block_bytes):
+    monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
     lines = [json.dumps(record(f"r{n:03}")).encode("utf-8") for n in range(1, 501)]
     lines[bad_line - 1] = lines[bad_line - 1].replace(b"some article", b"some \xff\xfe article")
     path = tmp_path / "c.jsonl"
@@ -100,6 +110,37 @@ def test_invalid_utf8_rejected(tmp_path, newline, bad_line):
     with pytest.raises(CorpusError) as excinfo:
         load_corpus(path)
     assert str(excinfo.value) == f"line {bad_line}: invalid UTF-8: byte 0xff (invalid start byte)"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("block_bytes", [corpus_module._BLOCK_BYTES, 5])
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(b"{not json",
+                 "line 2: invalid JSON: Expecting property name enclosed in double quotes",
+                 id="invalid-json"),
+    pytest.param(json.dumps(record("a")).encode(), "line 2: duplicate id 'a'", id="duplicate-id"),
+])
+def test_a_bad_line_is_named_before_a_bad_byte_after_it(
+        tmp_path, monkeypatch, newline, block_bytes, bad, message):
+    monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    lines = [json.dumps(record("a")).encode(), bad, b"\xff", json.dumps(record("c")).encode()]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(newline.encode("ascii").join(lines))
+    with pytest.raises(CorpusError) as excinfo:
+        load_corpus(path)
+    assert str(excinfo.value) == message
+
+
+def test_a_line_far_longer_than_a_block_is_read_in_linear_time(tmp_path, monkeypatch):
+    # Gathering the line by adding each block to the bytes before it would
+    # copy about 125 GB here.
+    monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", 64)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "' + b"x" * 4_000_000 + b'"\n')
+    started = time.perf_counter()
+    with pytest.raises(CorpusError, match="^line 1: invalid JSON: "):
+        load_corpus(path)
+    assert time.perf_counter() - started < 5
 
 
 def test_empty_article_after_tokenization(tmp_path):
@@ -236,6 +277,9 @@ FIELD_VALUES = {
 # but the file reader does not.
 WHITESPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"), min_size=1)
 
+# JSON whitespace, other whitespace, and extra data.
+AROUND_A_RECORD = st.sampled_from(["", "", "", " ", " \t", "\x85", " 1", "]"])
+
 
 def escape_surrogates(text: str) -> str:
     """A lone surrogate cannot be written as UTF-8; its JSON \\u escape can."""
@@ -247,9 +291,11 @@ def corpus_lines(draw) -> str:
     """One line of a corpus file: mostly a record, its keys permuted, with
     up to three changes (a lone surrogate added to a field, any JSON value
     in a field, a field dropped, a key added), written with or without
-    ensure_ascii; else a whitespace-only line, any JSON value, or a
-    truncated record."""
-    kind = draw(st.sampled_from(["record"] * 7 + ["whitespace", "any-json", "truncated"]))
+    ensure_ascii, sometimes with whitespace or extra data around it; else a
+    whitespace-only line, any JSON value, a truncated record, or a record
+    broken over two lines."""
+    kind = draw(st.sampled_from(
+        ["record"] * 7 + ["whitespace", "any-json", "truncated", "two-lines"]))
     if kind == "whitespace":
         return draw(WHITESPACE)
     if kind == "any-json":
@@ -268,26 +314,36 @@ def corpus_lines(draw) -> str:
             rec[draw(st.text(max_size=6))] = draw(WORDS | JSON_VALUES)
     rec = {key: rec[key] for key in draw(st.permutations(list(rec)))}
     text = escape_surrogates(json.dumps(rec, ensure_ascii=draw(st.booleans())))
-    return text[:-1] if kind == "truncated" else text
+    if kind == "truncated":
+        return text[:-1]
+    if kind == "two-lines":
+        return text.replace(", ", ",\n", 1)
+    return draw(AROUND_A_RECORD) + text + draw(AROUND_A_RECORD)
 
 
 @settings(deadline=None, max_examples=300)
-@given(corpus_lines())
-@example(json.dumps(record("d", article="café \ud800")))
-@example(escape_surrogates(json.dumps(record("d", article="café \ud800"), ensure_ascii=False)))
-@example(json.dumps(record("d", reference="naïve"), ensure_ascii=False))
-@example("\x85\u3000")
-@example(json.dumps({**record("d"), "task": None}))
-@example(json.dumps(record("d\r", task="x\x7f")))
-@example(json.dumps(record("d", task="東\x00"), ensure_ascii=False))
-@example(json.dumps({"tsak" if f == "task" else f: v for f, v in record("d").items()}))
-def test_load_corpus_agrees_with_the_plain_checks(line):
+@given(corpus_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.integers(1, 64))
+@example(json.dumps(record("d", article="café \ud800")), "\n", 64)
+@example(escape_surrogates(json.dumps(record("d", article="café \ud800"), ensure_ascii=False)),
+         "\r\n", 1)
+@example(json.dumps(record("d", reference="naïve"), ensure_ascii=False), "\r", 2)
+@example("\x85\u3000", "\r\n", 3)
+@example(json.dumps({**record("d"), "task": None}), "\n", 64)
+@example(json.dumps(record("d\r", task="x\x7f")), "\r", 64)
+@example(json.dumps(record("d", task="東\x00"), ensure_ascii=False), "\n", 1)
+@example(json.dumps({"tsak" if f == "task" else f: v for f, v in record("d").items()}), "\n", 64)
+def test_load_corpus_agrees_with_the_plain_checks(line, newline, block_bytes):
+    """Lines end in a drawn line ending, and the file is read in blocks of
+    a drawn size, so records, \\r\\n pairs and UTF-8 characters straddle
+    the blocks' edges."""
     lines = [json.dumps(record("a")), json.dumps(record("b", article="café")), line,
              json.dumps(record("c"), ensure_ascii=False)]
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "c.jsonl"
-        path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
-        assert load_outcome(load_corpus, path) == load_outcome(plain_load, path)
+        path.write_text("".join(text + newline for text in lines), encoding="utf-8", newline="")
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            outcome = load_outcome(load_corpus, path)
+        assert outcome == load_outcome(plain_load, path)
 
 
 # --- splitting ---------------------------------------------------------------

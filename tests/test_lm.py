@@ -1440,8 +1440,8 @@ def test_map_non_lm_exception_propagates(tmp_path):
 def test_config_validates_bounds():
     with pytest.raises(ValueError):
         LmConfig(model="m", max_in_flight=0)
-    for timeout in (0, -1.0):
-        with pytest.raises(ValueError):
+    for timeout in (0, -1.0, float("inf"), 1e10):
+        with pytest.raises(ValueError, match="timeout"):
             LmConfig(model="m", timeout=timeout)
     with pytest.raises(ValueError):
         LmConfig(model="m", max_retries=-1)
