@@ -6,13 +6,17 @@ BackendUnreachable, among them an endpoint that redirects (3xx) or refuses
 every request (401/403/404/405); 5 RateLimited; 6 ReplayMiss, a replay
 fixture gap; 7 RankingError, a ranking that cannot drive the run; 8
 MismatchedEvalSets; 1 anything else: a bad config or other ValueError,
-OSError, CacheError (a response store that is not a database) and LmError.
+OSError, CacheError (a response store that is not a database) and LmError;
+143 SIGTERM, after the completions already received are committed to the
+response store.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 
 from .corpus import CorpusError
 from .harness import (
@@ -121,8 +125,18 @@ def _cmd_report(args) -> int:
 _HANDLERS = {"rank": _cmd_rank, "eval": _cmd_eval, "compare": _cmd_compare, "report": _cmd_report}
 
 
+def _terminate(signum, frame):
+    # 143 is 128 + SIGTERM, the status a shell reports for a process that
+    # SIGTERM ended. As an exception it unwinds the command, so
+    # ``CompletionClient.map`` commits the completions it holds on the way.
+    raise SystemExit(143)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Only the main thread may set a signal handler.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main_thread else None
     try:
         return _HANDLERS[args.command](args)
     except CorpusError as exc:
@@ -146,6 +160,9 @@ def main(argv=None) -> int:
     except (CacheError, LmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -195,7 +195,8 @@ def _decode_lines(text: str, line_no: int):
     A line that is one JSON value ending at its line break is decoded in
     place by ``_DECODER``. Any other line (blank, or with whitespace
     around its value, a BOM, extra data or invalid JSON) goes through
-    ``json.loads`` alone, which decodes it or names its fault.
+    ``json.loads`` alone, which decodes it or names its fault: invalid JSON,
+    an integer too long to convert, or nesting too deep to decode.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -209,7 +210,7 @@ def _decode_lines(text: str, line_no: int):
             stop = end
         try:
             rec, at = decode(text, pos)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             at = -1
         if at != stop:
             line = text[pos:stop + 1]
@@ -218,8 +219,11 @@ def _decode_lines(text: str, line_no: int):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                # Besides malformed JSON, the decoder refuses an integer of
+                # more than 4,300 digits and nesting past its recursion limit.
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise CorpusError(f"line {line_no}: invalid JSON: {msg}") from exc
         yield line_no, rec
         pos = stop + 1
     return line_no

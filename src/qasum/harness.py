@@ -120,9 +120,14 @@ _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:
-    """Build a config from a JSON file, then apply non-None overrides."""
+    """Build a config from a JSON file, then apply non-None overrides. A
+    file that cannot be decoded, including one nested too deeply or holding
+    an integer too long to convert, raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not a JSON document ({type(exc).__name__}: {exc})") from exc
     return config_from_dict(doc, **overrides)
 
 
@@ -381,7 +386,7 @@ def load_manifest(path) -> RunManifest:
             raise ValueError(f"wall_clock_s is not a non-negative number: {wall_clock_s!r}")
         return RunManifest(config=doc["config"], rows=rows, cache=cache,
                            wall_clock_s=wall_clock_s)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not a run manifest ({type(exc).__name__}: {exc})") from exc
 
 

@@ -258,7 +258,7 @@ def load_ranking(path) -> RankingTable:
             created_at=doc["created_at"],
             domains=domains,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise RankingError(f"{path}: not a ranking file ({type(exc).__name__}: {exc})") from exc
     for domain, ranked in domains.items():
         seen: set[str] = set()

@@ -38,6 +38,14 @@ PROMPT_GOLDEN_DIR = FIXTURES / "prompts"
 TLS_CERT = FIXTURES / "localhost-cert.pem"
 TLS_KEY = FIXTURES / "localhost-key.pem"
 
+# JSON documents that the standard decoder refuses although they are
+# well formed: nesting deeper than its recursion limit, and an integer
+# longer than int() converts (4,300 digits).
+UNDECODABLE_JSON = {
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "huge-integer": '{"id": ' + "7" * 5_000 + "}",
+}
+
 MODEL = "scripted-1"
 SEED = 0
 POOL_FRACTION = 0.5

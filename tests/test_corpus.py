@@ -13,7 +13,9 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from conftest import UNDECODABLE_JSON
 from qasum import corpus as corpus_module
+from qasum.cli import main
 from qasum.corpus import (
     DEFAULT_DOMAINS,
     RECORD_FIELDS,
@@ -60,6 +62,21 @@ def test_invalid_json_line(tmp_path):
     path.write_text('{"id": "a"\n', encoding="utf-8")
     with pytest.raises(CorpusError, match="^line 1: invalid JSON: "):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("line", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+def test_json_the_decoder_refuses_is_named_by_its_line(tmp_path, capsys, line):
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join([json.dumps(record("a")), line, json.dumps(record("b"))]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 2: invalid JSON: "):
+        load_corpus(path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lm": {"model": "m1", "backend": "http",
+                                         "endpoint": "http://127.0.0.1:9/v1"}}))
+    assert main(["rank", "--corpus", str(path), "--config", str(config),
+                 "--out", str(tmp_path / "ranking.json")]) == 3
+    assert capsys.readouterr().err.startswith("corpus error: line 2: invalid JSON: ")
 
 
 def test_extra_field_rejected(tmp_path):

@@ -30,6 +30,7 @@ from conftest import (
     Reply,
     ScriptedBackend,
     StubBackend,
+    UNDECODABLE_JSON,
     make_config,
     make_lm_config,
     scripted_server,
@@ -1693,6 +1694,40 @@ def test_cli_bad_manifest_exit_code(tmp_path, capsys, name):
     assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: not a run manifest (")
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+def test_cli_manifest_the_json_decoder_refuses_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["report", str(bad), "--out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not a run manifest (")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+def test_cli_ranking_file_the_json_decoder_refuses_exit_code(tmp_path, replay_dir, capsys,
+                                                             text):
+    ranking = tmp_path / "ranking.json"
+    ranking.write_text(text)
+    config = write_cli_config(tmp_path, replay_dir=replay_dir)
+    out_dir = tmp_path / "run"
+    code = main(["eval", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--method", "qa", "--ranking", str(ranking), "--out", str(out_dir)])
+    assert code == 7
+    assert capsys.readouterr().err.startswith(f"ranking error: {ranking}: not a ranking file (")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+def test_cli_config_the_json_decoder_refuses_exit_code(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "ranking.json"
+    assert main(["rank", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: not a JSON document (")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["id", "method", "domain"])

@@ -5,6 +5,7 @@ The HTTP backend is tested over real localhost sockets against
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import http.client
@@ -1435,6 +1436,247 @@ def test_map_non_lm_exception_propagates(tmp_path):
 
     with pytest.raises(ValueError):
         client.map(fn, range(6))
+
+
+# --- group commit: when a map's puts reach the store --------------------------
+
+
+def generate_all(client, n):
+    """A map that completes ``prompt 0`` to ``prompt n-1`` through ``client``."""
+    return client.map(lambda i: client.generate(bare(), f"prompt {i}"), range(n))
+
+
+def blocking_reply(at, entered, release):
+    """A ``StubBackend`` reply that answers ``done <prompt>``, but for
+    ``prompt <at>`` first sets ``entered`` and waits for ``release``."""
+
+    def reply(prompt):
+        if prompt == f"prompt {at}":
+            entered.set()
+            assert release.wait(30)
+        return f"done {prompt}"
+
+    return reply
+
+
+@contextlib.contextmanager
+def map_blocked_at(client, at, n):
+    """Run ``generate_all(client, n)`` on a thread until its backend call for
+    ``prompt <at>`` blocks; yield, then let it finish and join it. The
+    client's backend must be a ``StubBackend``; its reply becomes a
+    ``blocking_reply``."""
+    entered, release = threading.Event(), threading.Event()
+    client._backend.reply = blocking_reply(at, entered, release)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(generate_all(client, n)))
+    thread.start()
+    try:
+        assert entered.wait(30)
+        yield
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert results == [[(f"done prompt {i}", "stop") for i in range(n)]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_a_map_that_raises_has_committed_every_completion_before_it(tmp_path, n):
+    def reply(prompt):
+        if prompt == f"prompt {n - 1}":
+            raise BackendUnreachable("down")
+        return f"done {prompt}"
+
+    client = make_client(tmp_path, StubBackend(reply), max_in_flight=1)
+    with pytest.raises(BackendUnreachable):
+        generate_all(client, 10)
+    other = ResponseCache(str(tmp_path / "cache"))
+    for i in range(n - 1):
+        assert other.get(request_for(f"prompt {i}")) == (f"done prompt {i}", "stop")
+    assert other.get(request_for(f"prompt {n - 1}")) is None
+    assert len(read_rows(tmp_path / "cache")) == n - 1
+
+
+@pytest.mark.parametrize("flush_after", [0, 0.1, 3600])
+def test_identical_requests_in_one_map_cost_one_backend_call(tmp_path, monkeypatch,
+                                                             flush_after):
+    monkeypatch.setattr("qasum.lm._FLUSH_AFTER_S", flush_after)
+    backend = StubBackend(lambda prompt: f"done {prompt}")
+    client = make_client(tmp_path, backend, max_in_flight=1)
+    prompts = ["a", "b", "a", "a", "b"]
+    assert client.map(lambda p: client.generate(bare(), p), prompts) == [
+        (f"done {p}", "stop") for p in prompts]
+    assert [request.prompt for request in backend.requests] == ["a", "b"]
+    stats = client.cache_stats()
+    assert (stats.hits, stats.misses, stats.entries) == (3, 2, 2)
+
+
+@pytest.mark.parametrize("flush_after", [0, 0.1, 3600])
+def test_another_store_connection_commits_while_a_map_waits(tmp_path, monkeypatch,
+                                                            flush_after):
+    # Any transaction left open between puts would hold the store's write
+    # lock, and the other put would wait out the busy timeout of 5 s.
+    monkeypatch.setattr("qasum.lm._FLUSH_AFTER_S", flush_after)
+    client = make_client(tmp_path, StubBackend(), max_in_flight=1)
+    with map_blocked_at(client, 3, 5):
+        other = ResponseCache(str(tmp_path / "cache"))
+        started = time.monotonic()
+        other.put(request_for("other"), "other's", "stop")
+        assert time.monotonic() - started < 1.0
+        assert ResponseCache(str(tmp_path / "cache")).get(request_for("other")) == (
+            "other's", "stop")
+    assert len(read_rows(tmp_path / "cache")) == 6
+
+
+@pytest.mark.parametrize("flush_after, committed_while_blocked", [(0, 3), (3600, 0)])
+def test_a_maps_puts_are_committed_once_the_oldest_is_old_enough(
+        tmp_path, monkeypatch, flush_after, committed_while_blocked):
+    monkeypatch.setattr("qasum.lm._FLUSH_AFTER_S", flush_after)
+    client = make_client(tmp_path, StubBackend(), max_in_flight=1)
+    with map_blocked_at(client, 3, 5):
+        assert len(read_rows(tmp_path / "cache")) == committed_while_blocked
+        assert len(client._cache._pending) == 3 - committed_while_blocked
+    assert client._cache._pending == {}
+    assert len(read_rows(tmp_path / "cache")) == 5
+
+
+@pytest.mark.parametrize("flush_after", [0, 0.001, 3600])
+def test_map_workers_buffer_and_flush_puts_without_losing_one(tmp_path, monkeypatch,
+                                                              flush_after):
+    # Eight workers on two cores put and read through one buffer, with
+    # flushes between puts; each prompt is asked twice, so a worker can
+    # read a row another has just put, pending or committed.
+    monkeypatch.setattr("qasum.lm._FLUSH_AFTER_S", flush_after)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        client = make_client(tmp_path, StubBackend(lambda prompt: f"done {prompt}"),
+                             max_in_flight=8)
+        gens = client.map(lambda i: client.generate(bare(), f"prompt {i % 200}"), range(400))
+    finally:
+        sys.setswitchinterval(switch)
+    assert gens == [(f"done prompt {i % 200}", "stop") for i in range(400)]
+    assert client._cache._pending == {}
+    stats = client.cache_stats()
+    assert stats.hits + stats.misses == 400 and stats.misses == stats.entries >= 200
+    other = ResponseCache(str(tmp_path / "cache"))
+    for i in range(200):
+        assert other.get(request_for(f"prompt {i}")) == (f"done prompt {i}", "stop")
+    assert len(read_rows(tmp_path / "cache")) == 200
+
+
+def fails_at(i, error):
+    """A map item function that completes ``prompt <item>``, but raises
+    ``error`` on item ``i``."""
+
+    def run(client, item):
+        if item == i:
+            raise error("fails")
+        return client.generate(bare(), f"prompt {item}")
+
+    return run
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+@pytest.mark.parametrize("fail_at, error", [
+    (None, None), (0, LmError), (5, LmError), (0, BackendUnreachable), (5, RateLimited),
+    (5, ValueError), (5, KeyboardInterrupt), (11, SystemExit),
+])
+def test_no_put_is_left_pending_when_a_map_returns_or_raises(tmp_path, monkeypatch,
+                                                             max_in_flight, fail_at, error):
+    monkeypatch.setattr("qasum.lm._FLUSH_AFTER_S", 3600)  # no flush before the map ends
+    client = make_client(tmp_path, StubBackend(), max_in_flight=max_in_flight)
+    run = fails_at(fail_at, error or LmError)
+    if error is None or error is LmError:
+        client.map(lambda item: run(client, item), range(12))
+    else:
+        with pytest.raises(error):
+            client.map(lambda item: run(client, item), range(12))
+    assert client._cache._pending == {}
+    assert len(read_rows(tmp_path / "cache")) == client.cache_stats().entries
+
+
+class CommitFails:
+    """A store connection whose next ``COMMIT`` raises ``error``."""
+
+    def __init__(self, conn, error):
+        self._conn = conn
+        self._error = error
+
+    def execute(self, sql, *args):
+        if sql == "COMMIT" and self._error is not None:
+            error, self._error = self._error, None
+            raise error
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+@pytest.mark.parametrize("error, raised", [
+    (sqlite3.OperationalError("disk I/O error"), CacheError),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+])
+def test_an_interrupted_flush_is_rolled_back_and_keeps_its_rows(tmp_path, monkeypatch,
+                                                                 error, raised):
+    monkeypatch.setattr("qasum.lm._FLUSH_AFTER_S", 3600)
+    client = make_client(tmp_path, StubBackend(lambda prompt: f"done {prompt}"))
+    cache = client._cache
+    conn = cache._conn
+    cache._conn = CommitFails(conn, error)
+    with pytest.raises(raised):
+        generate_all(client, 4)
+    assert not conn.in_transaction
+    assert read_rows(tmp_path / "cache") == []
+    assert len(cache._pending) == 4
+    # The kept rows are served, and the next flush commits them.
+    assert generate_all(client, 5) == [(f"done prompt {i}", "stop") for i in range(5)]
+    assert cache._pending == {}
+    assert len(read_rows(tmp_path / "cache")) == 5
+
+
+def test_sigterm_ends_rank_with_143_and_every_completion_received_stored(tmp_path):
+    # The first three calls are answered at once, and the fourth only once
+    # the process has gone; with no handler SIGTERM would end it before its
+    # map committed the three.
+    arrived, release = threading.Event(), threading.Event()
+
+    def held(body):
+        arrived.set()
+        release.wait(30)
+        return Reply()
+
+    with scripted_server(Reply(), Reply(), Reply(), held) as server:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "lm": {"model": "m1", "backend": "http", "endpoint": server.url, "timeout": 30},
+            "pool_fraction": 0.5,
+            "cache_dir": str(tmp_path / "cache"),
+        }))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        rank = subprocess.Popen(
+            [sys.executable, "-m", "qasum.cli", "rank", "--corpus", str(CORPUS_PATH),
+             "--config", str(config), "--out", str(tmp_path / "ranking.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert arrived.wait(30)
+            rank.send_signal(signal.SIGTERM)
+            out, err = rank.communicate(timeout=30)
+        finally:
+            release.set()
+            if rank.poll() is None:
+                rank.kill()
+                rank.communicate()
+    assert (rank.returncode, out, err) == (143, "", "")
+    assert len(server.posts) == 4
+    rows = read_rows(tmp_path / "cache")
+    assert [row["completion"] for row in rows] == ["ok"] * 3
+    assert sorted(row["key"] for row in rows) == sorted(
+        CompletionRequest(post.body["model"], post.body["prompt"], post.body["max_tokens"],
+                          tuple(post.body["stop"])).key
+        for post in server.posts[:3])
+    assert not (tmp_path / "ranking.json").exists()
 
 
 def test_config_validates_bounds():
