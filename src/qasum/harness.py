@@ -22,6 +22,7 @@ import csv
 import json
 from json.encoder import encode_basestring
 import math
+import mmap
 from operator import itemgetter
 import os
 import signal
@@ -320,12 +321,13 @@ def _table_from_dicts(docs) -> ScoreTable:
     """A manifest's parsed ``rows`` as a table, filled in one pass.
 
     Each row's values are read out once and pass one chained check: four
-    strings, a k in [0, 10], a known parse status and nine floats in
-    [0, 1]. A row that fails it goes to ``_checked_row``, which names its
-    problem, or gives its values when the check is stricter than the format
-    (a score written as an int, say). Then the labels of all rows are
-    searched for a control character at once. Either refusal names the
-    first faulty row, as ``_checked_row`` run over the rows would."""
+    strings, a k in [0, 10], a known parse status, nine floats in [0, 1]
+    and an id, method and domain that ``isprintable`` accepts, which no
+    text holding a control character is. A row that fails it goes to
+    ``_checked_row``, which names its problem, or gives its values when
+    the check is stricter than the format (a score written as an int, or a
+    label holding U+2029, say). So rows are checked once, in file order,
+    and a refusal names the first faulty row."""
     ids, methods, domains, ks, statuses, scores = [], [], [], [], [], []
     for doc in docs:
         try:
@@ -342,22 +344,15 @@ def _table_from_dicts(docs) -> ScoreTable:
                 is type(g) is type(h) is type(i) is float
                 and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0
                 and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0
-                and 0.0 <= g <= 1.0 and 0.0 <= h <= 1.0 and 0.0 <= i <= 1.0):
-            try:
-                id_, method, domain, k, status, a, b, c, d, e, f, g, h, i = _checked_row(doc)
-            except (KeyError, TypeError, ValueError):
-                for earlier in docs:  # a control character in an earlier row comes first
-                    _checked_row(earlier)
-                raise
+                and 0.0 <= g <= 1.0 and 0.0 <= h <= 1.0 and 0.0 <= i <= 1.0
+                and id_.isprintable() and method.isprintable() and domain.isprintable()):
+            id_, method, domain, k, status, a, b, c, d, e, f, g, h, i = _checked_row(doc)
         ids.append(id_)
         methods.append(method)
         domains.append(domain)
         ks.append(k)
         statuses.append(status)
         scores += a, b, c, d, e, f, g, h, i
-    if CONTROL_CHARACTER.search("".join(ids) + "".join(set(methods)) + "".join(set(domains))):
-        for doc in docs:  # raises at the first row that holds one
-            _checked_row(doc)
     return ScoreTable(ids, methods, domains, ks, statuses, (scores[n::9] for n in range(9)))
 
 
@@ -367,8 +362,9 @@ def load_manifest(path) -> RunManifest:
     [0, 1], or whose id, method or domain holds a control character, which
     would split its line in a CSV written from it, or cache counts that are
     not non-negative ints, or a wall-clock time that is not a finite
-    non-negative number. The ``parse_counts``, ``eval_ids`` and row
-    ``model`` of older files are ignored."""
+    non-negative number. Rows are checked once each, in file order, so a
+    refusal names the first faulty row. The ``parse_counts``, ``eval_ids``
+    and row ``model`` of older files are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -433,43 +429,6 @@ def _score(instances, summaries: list[str], per_instance: int) -> array:
     return scores
 
 
-def _fork_scorer(instances, summaries: list[str], per_instance: int,
-                 other_pipes: list[int]) -> tuple[int, int]:
-    """Fork a helper that ``_score``s one share and writes the share's
-    doubles, the bytes of its ``array('d')``, to a pipe; returns its pid and
-    the pipe's read end. The helper closes every other pipe end, touches
-    nothing else it inherited (no store connection, no socket) and leaves
-    through ``os._exit``, so no cleanup of the caller's runs twice."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (read_end, *other_pipes):
-                os.close(fd)
-            scores = _score(instances, summaries, per_instance)
-            with open(write_end, "wb") as pipe:
-                pipe.write(scores.tobytes())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _received(read_end: int, rows: int) -> bytes | None:
-    """The doubles of the ``rows`` scores a helper wrote to ``read_end``, or
-    None when it wrote any other number of bytes."""
-    with open(read_end, "rb", closefd=False) as pipe:
-        payload = pipe.read()
-    return payload if len(payload) == rows * _ROW_BYTES else None
-
-
 def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
     """``_score`` over every instance, on every usable core.
 
@@ -478,41 +437,65 @@ def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
     forked helper scores each other one. With no ``os.fork`` (Windows), or
     while another thread is alive, since a fork copies no other thread and
     can leave the child waiting on a lock one of them held, the caller
-    scores every share itself. A share whose helper fails, or cannot be
-    forked, is scored by the caller too. Each helper is killed if still
-    running and reaped before this returns or raises.
+    scores every share itself.
+
+    The helpers hand back their scores through one anonymous shared
+    mapping of every row's doubles, which each inherits: a helper writes
+    its share's ``array('d')`` bytes into the share's slice, touches
+    nothing else it inherited (no store connection, no socket) and leaves
+    through ``os._exit``, so no cleanup of the caller's runs twice. A slice
+    of any other length is refused, and the helper exits 1. The caller
+    reaps the helpers in share order and takes a share's slice only from a
+    helper that exited 0; a share whose helper failed, or could not be
+    forked, it scores itself. Each helper is killed if still running and
+    reaped before this returns or raises.
     """
     shares = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         shares = max(1, min(_usable_cpus(), len(instances)))
+    if shares == 1:
+        return _score(instances, summaries, per_instance)
     bounds = [len(instances) * i // shares for i in range(shares + 1)]
     spans = list(zip(bounds, bounds[1:]))
 
     def share(lo, hi):
         return instances[lo:hi], summaries[lo * per_instance : hi * per_instance], per_instance
 
-    helpers: list[tuple[int, int]] = []
+    def place(lo, hi):
+        return slice(lo * per_instance * _ROW_BYTES, hi * per_instance * _ROW_BYTES)
+
+    shared = mmap.mmap(-1, len(instances) * per_instance * _ROW_BYTES)
+    helpers: list[int] = []  # in share order, each until it is reaped
     try:
         for lo, hi in spans[1:]:
             try:
-                helpers.append(_fork_scorer(*share(lo, hi), [fd for _, fd in helpers]))
+                pid = os.fork()
             except OSError:  # no more processes: the caller scores the rest
                 break
+            if pid == 0:
+                status = 1
+                try:
+                    shared[place(lo, hi)] = _score(*share(lo, hi)).tobytes()
+                    status = 0
+                finally:
+                    os._exit(status)
+            helpers.append(pid)
         scores = _score(*share(*spans[0]))
-        for n, (lo, hi) in enumerate(spans[1:]):
-            payload = None
-            if n < len(helpers):
-                payload = _received(helpers[n][1], (hi - lo) * per_instance)
-            if payload is None:
-                scores += _score(*share(lo, hi))
+        for lo, hi in spans[1:]:
+            status = 1
+            if helpers:
+                status = os.waitpid(helpers[0], 0)[1]
+                del helpers[0]
+            if status == 0:
+                scores.frombytes(shared[place(lo, hi)])
             else:
-                scores.frombytes(payload)
+                scores += _score(*share(lo, hi))
         return scores
     finally:
-        for pid, read_end in helpers:
-            os.close(read_end)
+        for pid in helpers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        shared.close()
 
 
 def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:

@@ -861,6 +861,11 @@ class HttpBackend:
             raise LmError(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
             raise LmError(f"malformed completion response: text is {type(text).__name__}")
+        if not text.isascii():  # a lone surrogate is never ASCII, and the store cannot hold one
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise LmError(f"malformed completion response: {exc}") from exc
         finish = choice.get("finish_reason") or "stop"
         if finish not in ("stop", "length", "error"):
             finish = "stop"

@@ -15,7 +15,9 @@ from pathlib import Path
 import random
 import re
 import shutil
+import signal
 import sqlite3
+import sys
 import tempfile
 import threading
 import time
@@ -747,6 +749,10 @@ def helper_exits(scores):
     os._exit(3)
 
 
+def helper_is_killed(scores):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def helper_drops_a_row(scores):
     return scores[:-9]  # nine doubles to a row
 
@@ -760,6 +766,7 @@ class CutArray(array.array):
 
 HELPER_FAULTS = {
     "exits-before-writing": (helper_exits, False),
+    "killed-by-a-signal": (helper_is_killed, False),
     "writes-a-row-too-few": (helper_drops_a_row, False),
     "writes-a-cut-payload": (None, True),
 }
@@ -775,6 +782,16 @@ def test_a_failed_helper_share_is_scored_by_the_caller(tmp_path, monkeypatch, fa
     if cut_payload:
         monkeypatch.setattr(harness, "array", CutArray)
     assert rows_with_cpus(monkeypatch, cfg, tmp_path / "faulty", backend, 4) == expected
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_eval_leaves_no_descriptor_open(tmp_path, monkeypatch, cpus):
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+    before = sorted(os.listdir("/proc/self/fd"))
+    rows_with_cpus(monkeypatch, cfg, tmp_path / "out", backend, cpus)
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
 
 

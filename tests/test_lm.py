@@ -879,6 +879,18 @@ def test_http_malformed_response():
     assert backend.sleeps == []
 
 
+def test_http_reply_holding_a_lone_surrogate_fails_only_its_own_item(tmp_path):
+    # JSON can spell a lone surrogate, which no store row can hold.
+    surrogate = Reply(body=b'{"choices": [{"text": "x\\ud800y", "finish_reason": "stop"}]}')
+    with scripted_server(Reply(), surrogate, Reply()) as server:
+        client = CompletionClient(http_config(server.url, max_in_flight=1),
+                                  cache_dir=str(tmp_path / "cache"),
+                                  backend=make_http_backend(server.url))
+        assert generate_all(client, 4) == [("ok", "stop"), None, ("ok", "stop"), ("ok", "stop")]
+    assert len(server.posts) == 4
+    assert len(read_rows(tmp_path / "cache")) == 3
+
+
 # Replies that declare a body, or a chunk of one, longer than sys.maxsize;
 # each is an HTTP/1.0 reply whose only framing header is the one given.
 HUGE_REPLIES = {
