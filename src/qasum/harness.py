@@ -222,17 +222,12 @@ def _type_name(hint) -> str:
 class RunManifest:
     """Everything needed to reproduce or re-render one evaluation run. Every
     count and mean it reports, its eval ids and parse counts too, is derived
-    from ``rows``, a ``ScoreTable``; any other sequence of ``ScoreRow``s
-    passed as ``rows`` is put into one."""
+    from ``rows``, a ``ScoreTable``."""
 
     config: dict
     rows: ScoreTable
     cache: CacheStats
     wall_clock_s: float
-
-    def __post_init__(self):
-        if not isinstance(self.rows, ScoreTable):
-            object.__setattr__(self, "rows", ScoreTable.from_rows(self.rows))
 
     @property
     def eval_ids(self) -> tuple[str, ...]:

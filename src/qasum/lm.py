@@ -644,19 +644,16 @@ def _close_connections(idle: list) -> None:
 _BODY_TEMPLATE = '{"model": %s, "prompt": %s, "max_tokens": %d, "temperature": 0.0%s}'
 
 
-@functools.lru_cache(maxsize=64)
-def _stop_field(stop_sequences: tuple[str, ...]) -> str:
-    return ', "stop": ' + json.dumps(stop_sequences) if stop_sequences else ""
-
-
 def _json_body(model: str, prompt: str, max_tokens: int,
                stop_sequences: tuple[str, ...]) -> bytes:
     """The bytes of ``json.dumps({"model": model, "prompt": prompt,
     "max_tokens": max_tokens, "temperature": 0.0, "stop":
     list(stop_sequences)}).encode()``, the ``stop`` field left out when
-    there are no stop sequences, rendered without building an encoder."""
+    there are no stop sequences, rendered without building an encoder; the
+    stop sequences' JSON is the store's, built once per distinct tuple."""
+    stop = ', "stop": ' + _stops_json(stop_sequences) if stop_sequences else ""
     return (_BODY_TEMPLATE % (encode_basestring_ascii(model), encode_basestring_ascii(prompt),
-                              max_tokens, _stop_field(stop_sequences))).encode("ascii")
+                              max_tokens, stop)).encode("ascii")
 
 
 # The request headers after Content-Length, in the order http.client
@@ -857,7 +854,7 @@ class HttpBackend:
         try:
             choice = json.loads(reply)["choices"][0]
             text = choice["text"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise LmError(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
             raise LmError(f"malformed completion response: text is {type(text).__name__}")

@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, attrgetter
+from operator import add
 import re
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -72,14 +72,6 @@ class RougeScore:
     recall: float
     f1: float
 
-    @staticmethod
-    def from_pr(precision: float, recall: float) -> "RougeScore":
-        return RougeScore(*_prf(precision, recall))
-
-    @staticmethod
-    def zero() -> "RougeScore":
-        return RougeScore(0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True, slots=True)
 class ScoreRow:
@@ -97,14 +89,13 @@ class ScoreRow:
 
 
 LABEL_FIELDS = ("id", "method", "domain", "k", "parse_status")
-# Each score column's ScoreRow attribute, in column order.
-_SCORE_GETTERS = tuple(attrgetter(f"{name}.{part}") for name in ("rouge1", "rouge2", "rougeL")
-                      for part in ("precision", "recall", "f1"))
 
 
 class ScoreTable(Sequence[ScoreRow]):
     """A run's rows, in the order given, held as columns: the read-only
-    sequence of ``ScoreRow``s that ``RunManifest.rows`` is.
+    sequence of ``ScoreRow``s that ``RunManifest.rows`` is and ``aggregate``
+    reads. The constructor, which takes the columns, is the only way a table
+    is built; ``repr`` renders that call.
 
     Five label columns are named after the ``ScoreRow`` field each holds,
     so ``table.k[i]`` is ``table[i].k``: ``id``, ``method``, ``domain``,
@@ -130,12 +121,6 @@ class ScoreTable(Sequence[ScoreRow]):
         if len(self.scores) != 9 or any(len(c) != len(self) for c in self._columns()):
             raise ValueError("a ScoreTable takes five label columns and nine score columns,"
                              " all of one length")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[ScoreRow]) -> ScoreTable:
-        rows = list(rows)
-        return cls(*(map(attrgetter(name), rows) for name in LABEL_FIELDS),
-                   (map(value, rows) for value in _SCORE_GETTERS))
 
     def _columns(self) -> tuple[Sequence, ...]:
         return (self.id, self.method, self.domain, self.k, self.parse_status, *self.scores)
@@ -166,7 +151,7 @@ class ScoreTable(Sequence[ScoreRow]):
         return self._columns() == other._columns()
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}.from_rows({list(self)!r})"
+        return type(self).__name__ + repr((*self._columns()[:5], self.scores))
 
 
 def _clipped_score(grams: Iterable, ref: dict, count: Callable[[int], int],
@@ -306,15 +291,14 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
-def aggregate(rows: Sequence[ScoreRow], group_by: tuple[str, ...]) -> list[AggregateRow]:
-    """Arithmetic mean of every metric component per group.
+def aggregate(rows: ScoreTable, group_by: tuple[str, ...]) -> list[AggregateRow]:
+    """Arithmetic mean of every metric component per group of ``rows``.
 
     ``group_by`` is any subset of ``GROUP_FIELDS``; groups come out in
     deterministic sorted order, and each mean is over its group's rows in
     the order given, its total taken left to right by ``left_sum``, so a
-    mean is the same on every Python version. A ``ScoreTable``'s columns
-    are read as they are; other rows are put into one first. Raises
-    ValueError on an empty row list.
+    mean is the same on every Python version. The table's columns are read
+    as they are. Raises ValueError on a table with no rows.
     """
     if not rows:
         raise ValueError("no rows to aggregate")
@@ -322,13 +306,12 @@ def aggregate(rows: Sequence[ScoreRow], group_by: tuple[str, ...]) -> list[Aggre
     unknown = set(group_by) - set(GROUP_FIELDS)
     if unknown:
         raise ValueError(f"unknown group fields: {sorted(unknown)}")
-    table = rows if isinstance(rows, ScoreTable) else ScoreTable.from_rows(rows)
 
     # Each group's row indices, in row order.
-    groups: dict[tuple, Sequence[int]] = {(): range(len(table))}
+    groups: dict[tuple, Sequence[int]] = {(): range(len(rows))}
     if fields:
         groups = {}
-        for i, key in enumerate(zip(*(getattr(table, f) for f in fields))):
+        for i, key in enumerate(zip(*(getattr(rows, f) for f in fields))):
             groups.setdefault(key, []).append(i)
 
     out = []
@@ -337,7 +320,7 @@ def aggregate(rows: Sequence[ScoreRow], group_by: tuple[str, ...]) -> list[Aggre
     for key in sorted(groups):
         members = groups[key]
         n = len(members)
-        means = [left_sum(map(column.__getitem__, members)) / n for column in table.scores]
+        means = [left_sum(map(column.__getitem__, members)) / n for column in rows.scores]
         out.append(AggregateRow(group=tuple(zip(fields, key)), n=n,
                                 rouge1=RougeScore(*means[:3]), rouge2=RougeScore(*means[3:6]),
                                 rougeL=RougeScore(*means[6:])))

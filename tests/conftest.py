@@ -22,6 +22,7 @@ import pytest
 from qasum.corpus import Corpus, load_corpus
 from qasum.harness import ExperimentConfig, run_eval, run_rank
 from qasum.lm import CompletionRequest, LmConfig
+from qasum.metrics import LABEL_FIELDS, ScoreTable
 from qasum.prompting import (
     QA_INSTRUCTION,
     SINGLE_QA_INSTRUCTION,
@@ -188,6 +189,16 @@ def make_config(
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def table_of(rows) -> ScoreTable:
+    """``ScoreRow``s as the ``ScoreTable`` a manifest holds and ``aggregate``
+    reads: each label column, then each metric's precision, recall and F1."""
+    rows = list(rows)
+    return ScoreTable(*([getattr(row, name) for row in rows] for name in LABEL_FIELDS),
+                      ([getattr(getattr(row, metric), part) for row in rows]
+                       for metric in ("rouge1", "rouge2", "rougeL")
+                       for part in ("precision", "recall", "f1")))
 
 
 @pytest.fixture(scope="session")

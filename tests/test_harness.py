@@ -36,6 +36,7 @@ from conftest import (
     make_config,
     make_lm_config,
     scripted_server,
+    table_of,
 )
 from qasum import harness
 from qasum.cli import main
@@ -912,7 +913,7 @@ def test_aggregates_recompute_from_rows(tmp_path):
     cfg = make_config(method="icl", cache_dir=tmp_path / "c")
     manifest = run_eval(cfg, tmp_path, backend=StubBackend(reply=" s"))
 
-    (agg,) = aggregate(list(manifest.rows), ("method", "k"))
+    (agg,) = aggregate(manifest.rows, ("method", "k"))
     manual = 0.0
     for row in manifest.rows:
         manual += row.rougeL.f1
@@ -955,7 +956,7 @@ def with_float_scores(row: ScoreRow) -> ScoreRow:
 
 
 def manifest_of(rows) -> RunManifest:
-    return RunManifest(config={"method": "qa", "lm": {"model": 'm "α"'}}, rows=tuple(rows),
+    return RunManifest(config={"method": "qa", "lm": {"model": 'm "α"'}}, rows=table_of(rows),
                        cache=CacheStats(1, 2, 3), wall_clock_s=0.5)
 
 
@@ -1084,7 +1085,7 @@ GROUPINGS = [(), ("domain",), ("method", "k"), ("domain", "k")]
                    rougeL=score, parse_status="ok") for score in [RougeScore(0.1, 0.1, 0.1)] * 10],
          ())
 def test_aggregate_is_the_left_to_right_mean_of_each_group(rows, group_by):
-    assert aggregate(rows, group_by) == aggregate_left_to_right(rows, group_by)
+    assert aggregate(table_of(rows), group_by) == aggregate_left_to_right(rows, group_by)
 
 
 # Labels as the loader and the config let them through: any text with no
@@ -1153,15 +1154,16 @@ TABLE_ROWS = st.lists(
                    parse_status="ok")], [])
 @example([plain_row("a"), plain_row("b", scores=RougeScore(0, 1, 1)), plain_row("c")], [])
 def test_a_score_table_holds_its_rows(rows, others):
-    table = ScoreTable.from_rows(rows)
+    table = table_of(rows)
     floats = list(map(with_float_scores, rows))
     assert len(table) == len(rows)
     # Ints come back as floats; -0.0 and 5e-324 come back as given.
     assert repr(list(table)) == repr(floats)
     assert [table[i] for i in range(-len(rows), len(rows))] == rows + rows
     assert list(table[1:-1]) == rows[1:-1]
-    assert (table == ScoreTable.from_rows(others)) == (rows == others)
-    assert table == ScoreTable.from_rows(map(with_float_scores, rows))
+    assert (table == table_of(others)) == (rows == others)
+    assert table == table_of(map(with_float_scores, rows))
+    assert eval(repr(table), {"ScoreTable": ScoreTable, "array": array.array}) == table
     if not rows:
         return
     manifest = manifest_of(rows)
@@ -1184,7 +1186,7 @@ def test_a_score_table_holds_its_rows(rows, others):
 
 def manifest_with_mean(tmp_path, name, f1, method="icl", scope="domain_specific"):
     score = RougeScore(f1, f1, f1)
-    rows = tuple(
+    rows = table_of(
         ScoreRow(id=i, method=method, domain="News", k=0,
                  rouge1=score, rouge2=score, rougeL=score, parse_status="ok")
         for i in ("x", "y")
@@ -1203,7 +1205,7 @@ def manifest_with_mean(tmp_path, name, f1, method="icl", scope="domain_specific"
 def with_row_id_changed(manifest: RunManifest, index: int, new_id: str) -> RunManifest:
     rows = list(manifest.rows)
     rows[index] = dataclasses.replace(rows[index], id=new_id)
-    return dataclasses.replace(manifest, rows=tuple(rows))
+    return dataclasses.replace(manifest, rows=table_of(rows))
 
 
 def older_layout(doc: dict, eval_ids, parse_counts) -> dict:
@@ -1246,9 +1248,9 @@ def test_compare_averages_each_scope_over_its_rows_pooling_k(tmp_path):
 
     def manifest(name, method, f1s):
         scores = [RougeScore(f1, f1, f1) for f1 in f1s]
-        rows = tuple(ScoreRow(id=i, method=method, domain=domain, k=k, rouge1=s, rouge2=s,
-                              rougeL=s, parse_status="ok")
-                     for (i, domain, k), s in zip(cells, scores))
+        rows = table_of(ScoreRow(id=i, method=method, domain=domain, k=k, rouge1=s, rouge2=s,
+                                 rougeL=s, parse_status="ok")
+                        for (i, domain, k), s in zip(cells, scores))
         save_manifest(RunManifest(config={"method": method, "lm": {"model": "m"}}, rows=rows,
                                   cache=CacheStats(0, 0, 0), wall_clock_s=0.0), tmp_path / name)
         return tmp_path / name

@@ -27,7 +27,7 @@ import urllib.parse
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from conftest import CORPUS_PATH, TLS_CERT, Reply, StubBackend, scripted_server
+from conftest import CORPUS_PATH, TLS_CERT, UNDECODABLE_JSON, Reply, StubBackend, scripted_server
 from qasum.cli import main
 from qasum.lm import (
     FATAL_LM_ERRORS,
@@ -883,6 +883,18 @@ def test_http_reply_holding_a_lone_surrogate_fails_only_its_own_item(tmp_path):
     # JSON can spell a lone surrogate, which no store row can hold.
     surrogate = Reply(body=b'{"choices": [{"text": "x\\ud800y", "finish_reason": "stop"}]}')
     with scripted_server(Reply(), surrogate, Reply()) as server:
+        client = CompletionClient(http_config(server.url, max_in_flight=1),
+                                  cache_dir=str(tmp_path / "cache"),
+                                  backend=make_http_backend(server.url))
+        assert generate_all(client, 4) == [("ok", "stop"), None, ("ok", "stop"), ("ok", "stop")]
+    assert len(server.posts) == 4
+    assert len(read_rows(tmp_path / "cache")) == 3
+
+
+def test_http_reply_nested_past_the_decoders_limit_fails_only_its_own_item(tmp_path):
+    # The decoder refuses such a reply with RecursionError, not ValueError.
+    nested = Reply(body=UNDECODABLE_JSON["deep-nesting"].encode("ascii"))
+    with scripted_server(Reply(), nested, Reply()) as server:
         client = CompletionClient(http_config(server.url, max_in_flight=1),
                                   cache_dir=str(tmp_path / "cache"),
                                   backend=make_http_backend(server.url))

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import table_of
 from qasum.metrics import (
     Reference,
     RougeScore,
@@ -20,6 +21,7 @@ from qasum.metrics import (
     overlap_precision,
     rouge_scores,
     tokenize,
+    _prf,
 )
 
 WORDS = ["the", "cat", "sat", "dog", "ran", "on", "a", "mat", "fast", "now"]
@@ -238,7 +240,7 @@ def test_rouge_n_empty_candidate_scores_zero():
 
 
 def test_rouge_n_too_short_for_ngrams():
-    assert scores("cat", "cat")[1] == RougeScore.zero()
+    assert scores("cat", "cat")[1] == RougeScore(0.0, 0.0, 0.0)
 
 
 def test_rouge_l_identity():
@@ -254,8 +256,8 @@ def test_rouge_l_hand_lcs():
 
 
 def test_rouge_l_empty_inputs():
-    assert scores("", "the cat")[2] == RougeScore.zero()
-    assert scores("the cat", "")[2] == RougeScore.zero()
+    assert scores("", "the cat")[2] == RougeScore(0.0, 0.0, 0.0)
+    assert scores("the cat", "")[2] == RougeScore(0.0, 0.0, 0.0)
 
 
 # --- LCS ---------------------------------------------------------------------
@@ -400,7 +402,7 @@ def test_rouge_n_long_inputs_match_oracle(seed, len_cand, len_ref, alphabet):
         assert as_tuple(r2) == rouge_n_oracle(cand, ref, 2), name
         assert overlap_precision(cand, reference.masks) == rouge_n_oracle(cand, ref, 1)[0], name
     assert rouge_scores(candidates["clipped"], reference)[1].precision < 1.0
-    assert rouge_scores(candidates["disjoint"], reference)[0] == RougeScore.zero()
+    assert rouge_scores(candidates["disjoint"], reference)[0] == RougeScore(0.0, 0.0, 0.0)
 
 
 long_texts = st.lists(st.sampled_from(WORDS), max_size=200).map(" ".join)
@@ -460,7 +462,7 @@ def test_matched_ngrams_bounded(a_tokens, b_tokens):
 def test_f1_is_monotone_in_precision_and_recall(p1, r1, dp, dr):
     p2 = min(1.0, p1 + dp)
     r2 = min(1.0, r1 + dr)
-    assert RougeScore.from_pr(p2, r2).f1 >= RougeScore.from_pr(p1, r1).f1 - 1e-12
+    assert _prf(p2, r2)[2] >= _prf(p1, r1)[2] - 1e-12
 
 
 # --- aggregation -------------------------------------------------------------
@@ -476,7 +478,7 @@ def make_row(id_, domain="News", k=0, f1=0.5, method="icl"):
 
 def test_aggregate_mean():
     rows = [make_row("a", f1=0.2), make_row("b", f1=0.4)]
-    (out,) = aggregate(rows, ("method",))
+    (out,) = aggregate(table_of(rows), ("method",))
     assert out.n == 2
     assert out.rougeL.f1 == pytest.approx(0.3)
 
@@ -486,20 +488,20 @@ def test_means_add_left_to_right_on_every_python():
     # sum of Python 3.12 and later makes 1.0, and so a mean of 0.1.
     assert left_sum([0.1] * 10) == 0.9999999999999999
     rows = [make_row(f"r{n}", f1=0.1) for n in range(10)]
-    (out,) = aggregate(rows, ())
+    (out,) = aggregate(table_of(rows), ())
     assert out.rouge1.precision == out.rouge2.recall == out.rougeL.f1 == 0.09999999999999999
 
 
 def test_aggregate_partitions_by_domain():
     rows = [make_row("a", domain="News"), make_row("b", domain="Reviews")]
-    out = aggregate(rows, ("domain",))
+    out = aggregate(table_of(rows), ("domain",))
     assert len(out) == 2
     assert [dict(g.group)["domain"] for g in out] == ["News", "Reviews"]
 
 
 def test_aggregate_single_row_identity():
     row = make_row("a", f1=0.7)
-    (out,) = aggregate([row], ("method", "k"))
+    (out,) = aggregate(table_of([row]), ("method", "k"))
     assert out.rouge1 == row.rouge1
     assert out.rougeL == row.rougeL
     assert out.n == 1
@@ -507,15 +509,15 @@ def test_aggregate_single_row_identity():
 
 def test_aggregate_empty_raises():
     with pytest.raises(ValueError, match="^no rows to aggregate$"):
-        aggregate([], ("method",))
+        aggregate(table_of([]), ("method",))
 
 
 def test_aggregate_unknown_field():
     with pytest.raises(ValueError):
-        aggregate([make_row("a")], ("flavor",))
+        aggregate(table_of([make_row("a")]), ("flavor",))
 
 
 def test_aggregate_sorts_k_numerically():
     rows = [make_row("a", k=10), make_row("b", k=2), make_row("c", k=0)]
-    out = aggregate(rows, ("k",))
+    out = aggregate(table_of(rows), ("k",))
     assert [dict(g.group)["k"] for g in out] == [0, 2, 10]

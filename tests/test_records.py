@@ -7,6 +7,7 @@ import dataclasses
 
 import pytest
 
+from conftest import table_of
 import qasum
 from qasum import (
     Corpus,
@@ -51,7 +52,8 @@ RECORDS = {
                    "seed", 1),
     Reference: (lambda: Reference.from_text("alpha beta alpha"), "tokens", ["beta"]),
     RougeScore: (lambda: RougeScore(0.5, 0.25, 1 / 3), "recall", 0.5),
-    RunManifest: (lambda: RunManifest({"method": "qa"}, (score_row(),), CacheStats(1, 0, 0), 2.0),
+    RunManifest: (lambda: RunManifest({"method": "qa"}, table_of([score_row()]), CacheStats(1, 0, 0),
+                                      2.0),
                   "wall_clock_s", 3.0),
     ScoreRow: (score_row, "k", 3),
     TaskInstance: (lambda: TaskInstance("i1", "News", "t", "a", "r"), "reference", "s"),
