@@ -20,9 +20,9 @@ cached in one SQLite database, ``<cache_dir>/cache.sqlite`` (WAL mode),
 keyed by a digest of the request, so interrupted runs resume without
 re-spending LM calls. A row stores that digest, not the prompt text, so
 the store holds completions and little else. A run repeats a few models,
-budgets and stop sequences over many prompts, so the framed bytes of those
-fields in the digest, and the stop sequences' JSON column, are each built
-once per distinct value; only the prompt is encoded per request. Inside
+budgets and stops over many prompts, so the framed bytes of those fields
+in the digest, and the stop's JSON column, are each built once per
+distinct value; only the prompt is encoded per request. Inside
 ``CompletionClient.map`` the store commits its puts in groups: a put
 commits every pending one once the oldest has waited ``_FLUSH_AFTER_S``
 (0.1 s), and the map commits the rest when it returns or raises. So a
@@ -130,19 +130,19 @@ _framed_model = functools.lru_cache(maxsize=64)(_framed)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _framed_settings(max_tokens: int, stop_sequences: tuple[str, ...]) -> bytes:
-    """The framed fields after the prompt: max_tokens, ``1``, each stop."""
-    return b"".join(map(_framed, (str(max_tokens), "1", *stop_sequences)))
+def _framed_settings(max_tokens: int, stop: str) -> bytes:
+    """The framed fields after the prompt: max_tokens, ``1``, the stop."""
+    return b"".join(map(_framed, (str(max_tokens), "1", stop)))
 
 
-def cache_key(model: str, prompt: str, max_tokens: int, stop_sequences: tuple[str, ...]) -> str:
+def cache_key(model: str, prompt: str, max_tokens: int, stop: str) -> str:
     """Stable digest over every field that can change the completion:
     SHA-256 over model, prompt, max_tokens (decimal), the constant ``1``
-    and then each stop sequence, each field as its UTF-8 bytes preceded
-    by their length in 8 big-endian bytes. The length prefixes keep field
-    boundaries apart, so no two requests frame to the same bytes. Only
-    the prompt is framed per call; the other fields' bytes are memoized
-    per distinct value.
+    and the stop, each field as its UTF-8 bytes preceded by their length
+    in 8 big-endian bytes. The length prefixes keep field boundaries
+    apart, so no two requests frame to the same bytes. Only the prompt is
+    framed per call; the other fields' bytes are memoized per distinct
+    value.
 
     The ``1`` stands where earlier keys framed a greedy flag, ``1`` for
     greedy decoding, the only decoding there is now; framing it keeps
@@ -151,7 +151,7 @@ def cache_key(model: str, prompt: str, max_tokens: int, stop_sequences: tuple[st
     digest = hashlib.sha256(_framed_model(model))
     digest.update(len(data).to_bytes(8, "big"))
     digest.update(data)
-    digest.update(_framed_settings(max_tokens, tuple(stop_sequences)))
+    digest.update(_framed_settings(max_tokens, stop))
     return digest.hexdigest()
 
 
@@ -164,12 +164,12 @@ class CompletionRequest:
     model: str
     prompt: str
     max_tokens: int
-    stop_sequences: tuple[str, ...]
+    stop: str
     key: str = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "key", cache_key(self.model, self.prompt, self.max_tokens,
-                                                  self.stop_sequences))
+                                                  self.stop))
 
 
 class CacheError(Exception):
@@ -233,19 +233,23 @@ def _connect(target: str, *, uri: bool = False) -> sqlite3.Connection:
     return conn
 
 
-_stops_json = functools.lru_cache(maxsize=64)(json.dumps)
+@functools.lru_cache(maxsize=64)
+def _stop_json(stop: str) -> str:
+    """``json.dumps([stop])``: the stop as the store's stop column and a
+    request body's ``stop`` field hold it."""
+    return json.dumps([stop])
 
 
 def _request_columns(request: CompletionRequest, prompt: str) -> tuple:
     """The request's columns: key, model, ``prompt``, max_tokens, greedy and
-    the stop sequences as JSON, that JSON built once per distinct tuple.
-    With the prompt text they are ``_SELECT``'s parameters; with the key in
-    the prompt's place they start ``_INSERT``'s row. The key is a digest of
-    the prompt among the other fields, so a row needs no copy of the text to
+    the stop as ``_stop_json`` writes it, once per distinct stop. With the
+    prompt text they are ``_SELECT``'s parameters; with the key in the
+    prompt's place they start ``_INSERT``'s row. The key is a digest of the
+    prompt among the other fields, so a row needs no copy of the text to
     tell its request apart. Greedy is always 1, as ``cache_key`` frames it,
     so older stores still hit."""
     return (request.key, request.model, prompt, request.max_tokens, 1,
-            _stops_json(request.stop_sequences))
+            _stop_json(request.stop))
 
 
 def _lookup(conn: sqlite3.Connection, request: CompletionRequest) -> tuple[str, str] | None:
@@ -640,20 +644,17 @@ def _close_connections(idle: list) -> None:
 
 # A completion request's JSON body as ``json.dumps`` writes it: the model
 # and the prompt quoted by ``encode_basestring_ascii``, the budget, greedy
-# decoding, and the ``stop`` field when there are stop sequences.
-_BODY_TEMPLATE = '{"model": %s, "prompt": %s, "max_tokens": %d, "temperature": 0.0%s}'
+# decoding, and the one stop.
+_BODY_TEMPLATE = '{"model": %s, "prompt": %s, "max_tokens": %d, "temperature": 0.0, "stop": %s}'
 
 
-def _json_body(model: str, prompt: str, max_tokens: int,
-               stop_sequences: tuple[str, ...]) -> bytes:
+def _json_body(model: str, prompt: str, max_tokens: int, stop: str) -> bytes:
     """The bytes of ``json.dumps({"model": model, "prompt": prompt,
-    "max_tokens": max_tokens, "temperature": 0.0, "stop":
-    list(stop_sequences)}).encode()``, the ``stop`` field left out when
-    there are no stop sequences, rendered without building an encoder; the
-    stop sequences' JSON is the store's, built once per distinct tuple."""
-    stop = ', "stop": ' + _stops_json(stop_sequences) if stop_sequences else ""
+    "max_tokens": max_tokens, "temperature": 0.0, "stop": [stop]}).encode()``,
+    rendered without building an encoder; the stop's JSON is the store's
+    column, built once per distinct stop."""
     return (_BODY_TEMPLATE % (encode_basestring_ascii(model), encode_basestring_ascii(prompt),
-                              max_tokens, stop)).encode("ascii")
+                              max_tokens, _stop_json(stop))).encode("ascii")
 
 
 # The request headers after Content-Length, in the order http.client
@@ -708,7 +709,7 @@ class HttpBackend:
     The JSON body is rendered from one ``%`` template, its strings quoted by
     the function ``json.dumps`` quotes them with, so its bytes are
     ``json.dumps(body).encode()``; the ``stop`` field is built once per
-    distinct tuple of stop sequences.
+    distinct stop.
 
     ``HTTPConnection`` still connects, wraps TLS and holds the timeout.
     Every https connection of one backend shares one SSL context, built as
@@ -760,8 +761,7 @@ class HttpBackend:
         weakref.finalize(self, _close_connections, self._idle)
 
     def complete(self, request: CompletionRequest) -> tuple[str, str]:
-        payload = _json_body(request.model, request.prompt, request.max_tokens,
-                             request.stop_sequences)
+        payload = _json_body(request.model, request.prompt, request.max_tokens, request.stop)
         api_key = os.environ.get(API_KEY_ENV)
         message = b"%sContent-Length: %d\r\n%s%s\r\n%s" % (
             self._head, len(payload), _BODY_HEADERS,
@@ -909,20 +909,6 @@ class ReplayBackend:
         return reply
 
 
-def truncate_at_stop(text: str, stop_sequences: tuple[str, ...]) -> tuple[str, bool]:
-    """Cut ``text`` at the earliest stop-sequence occurrence, if any."""
-    cut = None
-    for stop in stop_sequences:
-        if not stop:
-            continue
-        idx = text.find(stop)
-        if idx != -1 and (cut is None or idx < cut):
-            cut = idx
-    if cut is None:
-        return text, False
-    return text[:cut], True
-
-
 class CompletionClient:
     """Cache-fronted completion client, safe for concurrent workers.
 
@@ -948,22 +934,25 @@ class CompletionClient:
         """Complete ``article`` in ``frame``, a ``prompting.PromptFrame``:
         the prompt is ``frame.head + article + frame.tail``, decoded
         greedily within ``compute_max_tokens(frame.k)`` tokens and stopped
-        at ``frame.stop_sequences``. Returns the ``(completion,
-        finish_reason)`` pair, fresh, cached or replayed. The cache is
-        consulted first and the pair stored on a miss. A fresh completion
-        is cut at its earliest stop sequence before it is cached, and then
+        at ``frame.stop``. Returns the ``(completion, finish_reason)``
+        pair, fresh, cached or replayed. The cache is consulted first and
+        the pair stored on a miss. A fresh completion that holds the stop
+        is cut before its first occurrence before it is cached, and then
         finishes with ``"stop"``, so every completion this returns is
-        already cut."""
+        already cut. An empty prompt or an empty stop raises
+        ``ValueError`` before any lookup or call."""
         prompt = frame.head + article + frame.tail
         if not prompt:
             raise ValueError("prompt must be non-empty")
+        if not frame.stop:
+            raise ValueError("stop must be non-empty")
         request = CompletionRequest(self.config.model, prompt, compute_max_tokens(frame.k),
-                                    frame.stop_sequences)
+                                    frame.stop)
         reply = self._cache.get(request)
         if reply is None:
             text, finish = self._backend.complete(request)
-            text, truncated = truncate_at_stop(text, request.stop_sequences)
-            reply = (text, "stop" if truncated else finish)
+            cut = text.find(request.stop)
+            reply = (text, finish) if cut == -1 else (text[:cut], "stop")
             self._cache.put(request, *reply)
         return reply
 
@@ -976,7 +965,9 @@ class CompletionClient:
 
         A per-request ``LmError`` gives None for its item. ``FATAL_LM_ERRORS``
         would fail every item alike, so they propagate, as does any other
-        exception; no item starts after one has raised.
+        exception, a helper thread's failure to start too; no item starts
+        after one has raised, and every helper has ended before this
+        raises.
 
         The items' store puts are grouped (``ResponseCache.grouped``): a
         put commits every pending one once the oldest has waited
@@ -1007,12 +998,15 @@ class CompletionClient:
                     errors.append(exc)
                     stop.set()
 
-        helpers = [threading.Thread(target=work)
-                   for _ in range(min(self.config.max_in_flight, len(items)) - 1)]
+        helpers = []
         with self._cache.grouped():
-            for helper in helpers:
-                helper.start()
             try:
+                # A helper that fails to start raises here, and the ones
+                # already running are stopped and joined below.
+                for _ in range(min(self.config.max_in_flight, len(items)) - 1):
+                    helper = threading.Thread(target=work)
+                    helper.start()
+                    helpers.append(helper)
                 work()
             finally:
                 stop.set()

@@ -10,8 +10,8 @@ Everything in it but the article depends only on the questions and
 examples, so an evaluation run renders one frame per prompt cell and
 glues each instance's article into it. ``single_qa_frame`` asks one
 question and is used by the ranking phase and for the examples' answers.
-Each prompt stops at its own instruction, so a completion that starts
-another example is cut there by ``CompletionClient.generate``.
+Each prompt has one stop, its own instruction, so a completion that
+starts another example is cut there by ``CompletionClient.generate``.
 Completions are parsed back into per-question answers plus a summary,
 with graceful fallback states so a batch run never aborts on one bad
 generation.
@@ -77,12 +77,13 @@ class PromptFrame:
     ``k`` is the number of questions whose answers ``parse_output``
     expects before the summary (0 when the completion is the summary, or
     a single answer); it also sets the request's budget,
-    ``compute_max_tokens(k)``."""
+    ``compute_max_tokens(k)``. ``stop`` is the text the completion is cut
+    before: the prompt's own instruction."""
 
     head: str
     tail: str
     k: int
-    stop_sequences: tuple[str, ...]
+    stop: str
 
 
 def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> PromptFrame:
@@ -109,7 +110,7 @@ def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> P
             for ex in icl_examples
         )
         return PromptFrame(head=f"{blocks}{VANILLA_INSTRUCTION}\n", tail=f"\n{SUMMARY_MARKER}",
-                           k=0, stop_sequences=(VANILLA_INSTRUCTION,))
+                           k=0, stop=VANILLA_INSTRUCTION)
 
     q_block = "\n".join(f"Q{i}: {q.text}" for i, q in enumerate(questions, start=1))
     blocks = "".join(
@@ -121,7 +122,7 @@ def qa_frame(questions: list[QuestionSpec], icl_examples: list[IclExample]) -> P
         head=f"{blocks}{QA_INSTRUCTION}\n",
         tail=f"\n{q_block}\nA:",
         k=k,
-        stop_sequences=(QA_INSTRUCTION,),
+        stop=QA_INSTRUCTION,
     )
 
 
@@ -129,7 +130,7 @@ def single_qa_frame(question: QuestionSpec) -> PromptFrame:
     """The ranking-phase prompt around its article: one question, and the
     whole completion is the answer (no markers to parse)."""
     return PromptFrame(head=f"{SINGLE_QA_INSTRUCTION}\n", tail=f"\nQ: {question.text}\nA:",
-                       k=0, stop_sequences=(SINGLE_QA_INSTRUCTION,))
+                       k=0, stop=SINGLE_QA_INSTRUCTION)
 
 
 def _strip_template_period(span: str) -> str:
@@ -141,9 +142,9 @@ def _strip_template_period(span: str) -> str:
 
 def parse_output(completion: str, k: int) -> ParsedOutput:
     """Recover answers and summary from a completion that
-    ``CompletionClient.generate`` has already cut at its prompt's stop
-    sequences. ``k`` is the prompt's question count (its frame's ``k``);
-    the answers are read after the markers ``A1:`` … ``Ak:``.
+    ``CompletionClient.generate`` has already cut at its prompt's stop.
+    ``k`` is the prompt's question count (its frame's ``k``); the answers
+    are read after the markers ``A1:`` … ``Ak:``.
 
     ok: all answer markers present and an explicit summary marker after
     them. fallback: markers present, summary marker missing — the text

@@ -26,11 +26,17 @@ def scripted_reply(scripted):
     """A ``scripted_server`` entry that answers each POST as ``scripted`` does."""
 
     def reply(body: dict) -> Reply:
+        # Every request carries its prompt's one stop. A body without it,
+        # or with other than one string there, gets no reply, so the flow
+        # fails.
+        stops = body["stop"]
+        if not (type(stops) is list and len(stops) == 1 and type(stops[0]) is str):
+            raise ValueError(f"stop is not one string: {stops!r}")
         request = CompletionRequest(
             model=body["model"],
             prompt=body["prompt"],
             max_tokens=body["max_tokens"],
-            stop_sequences=tuple(body.get("stop", ())),
+            stop=stops[0],
         )
         text, finish = scripted.complete(request)
         choices = {"choices": [{"text": text, "finish_reason": finish}]}

@@ -47,7 +47,6 @@ from qasum.lm import (
     _read_reply,
     cache_key,
     compute_max_tokens,
-    truncate_at_stop,
 )
 from qasum.prompting import IclExample, PromptFrame, qa_frame, single_qa_frame
 from qasum.questions import builtin_bank
@@ -55,10 +54,15 @@ from qasum.questions import builtin_bank
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def bare(*stop_sequences):
+# A stop that no stub reply holds, so a completion asked with it comes back
+# whole.
+NO_STOP = "<held by no stub reply>"
+
+
+def bare(stop=NO_STOP):
     """A frame that adds nothing to its article, so the prompt is the
     article itself, asked at k = 0's budget of 512 tokens."""
-    return PromptFrame("", "", 0, stop_sequences)
+    return PromptFrame("", "", 0, stop)
 
 
 def make_client(tmp_path, backend=None, **overrides):
@@ -84,19 +88,19 @@ def test_compute_max_tokens_rejects_negative():
 
 
 def test_cache_key_stable():
-    args = ("m", "prompt", 512, ("stop",))
+    args = ("m", "prompt", 512, "stop")
     assert cache_key(*args) == cache_key(*args)
 
 
 def test_cache_key_sensitive_to_every_field():
-    base = dict(model="m", prompt="p", max_tokens=512, stop_sequences=("s",))
+    base = dict(model="m", prompt="p", max_tokens=512, stop="s")
     baseline = cache_key(**base)
     perturbed = [
         dict(base, model="m2"),
         dict(base, prompt="p2"),
         dict(base, max_tokens=513),
-        dict(base, stop_sequences=("s", "t")),
-        dict(base, stop_sequences=()),
+        dict(base, stop="st"),
+        dict(base, stop="t"),
     ]
     keys = {cache_key(**kw) for kw in perturbed}
     assert baseline not in keys
@@ -104,57 +108,51 @@ def test_cache_key_sensitive_to_every_field():
     # The same bytes cut at another field boundary are another request.
     assert cache_key(**dict(base, model="ab", prompt="c")) != cache_key(
         **dict(base, model="a", prompt="bc"))
-    assert cache_key(**dict(base, stop_sequences=("a", "b"))) != cache_key(
-        **dict(base, stop_sequences=("ab",)))
 
 
 def test_cache_key_known_answer():
     # Each field's UTF-8 bytes after their length in 8 big-endian bytes:
-    # model, prompt, max_tokens, the constant 1, then each stop sequence.
+    # model, prompt, max_tokens, the constant 1, then the stop.
     framed = (
         b"\0\0\0\0\0\0\0\x02m1"
         b"\0\0\0\0\0\0\0\x0acaf\xc3\xa9 \"q\"\n"
         b"\0\0\0\0\0\0\0\x03544"
         b"\0\0\0\0\0\0\0\x011"
         b"\0\0\0\0\0\0\0\x02\n\n"
-        b"\0\0\0\0\0\0\0\x00"
     )
     expected = hashlib.sha256(framed).hexdigest()
-    assert cache_key("m1", 'caf\u00e9 "q"\n', 544, ("\n\n", "")) == expected
+    assert cache_key("m1", 'caf\u00e9 "q"\n', 544, "\n\n") == expected
 
 
 def test_cache_key_random_perturbations():
     rng = random.Random(0)
-    fields = ["model", "prompt", "max_tokens", "stop_sequences"]
-    base = dict(model="m", prompt="p", max_tokens=512, stop_sequences=("s",))
+    fields = ["model", "prompt", "max_tokens", "stop"]
+    base = dict(model="m", prompt="p", max_tokens=512, stop="s")
     for _ in range(100):
         field = rng.choice(fields)
         mutated = dict(base)
         if field == "max_tokens":
             mutated[field] = base[field] + rng.randint(1, 100)
-        elif field == "stop_sequences":
-            mutated[field] = base[field] + (f"x{rng.random()}",)
         else:
             mutated[field] = base[field] + f"-{rng.random()}"
         assert cache_key(**mutated) != cache_key(**base)
 
 
 KEY_TEXT = st.text(alphabet=["a", "b", "\0", '"', "\\", "\n", "\u00e9", "\U0001f600"], max_size=3)
-KEY_REQUEST = st.tuples(KEY_TEXT, KEY_TEXT, st.sampled_from([1, 512, 544]),
-                        st.lists(KEY_TEXT, max_size=3).map(tuple))
+KEY_REQUEST = st.tuples(KEY_TEXT, KEY_TEXT, st.sampled_from([1, 512, 544]), KEY_TEXT)
 
 
 def reframings(request):
-    """Requests like ``request`` whose text fields (model, prompt, each
-    stop sequence) join to the same string, cut at other boundaries."""
-    model, prompt, max_tokens, stops = request
-    text = model + prompt + "".join(stops)
+    """Requests like ``request`` whose text fields (model, prompt, stop)
+    join to the same string, cut at other boundaries."""
+    model, prompt, max_tokens, stop = request
+    text = model + prompt + stop
 
     def cut(points):
-        parts = [text[i:j] for i, j in zip([0, *points], [*points, len(text)])]
-        return (parts[0], parts[1], max_tokens, tuple(parts[2:]))
+        first, second = points
+        return (text[:first], text[first:second], max_tokens, text[second:])
 
-    return st.lists(st.integers(0, len(text)), min_size=1, max_size=4).map(sorted).map(cut)
+    return st.lists(st.integers(0, len(text)), min_size=2, max_size=2).map(sorted).map(cut)
 
 
 @given(KEY_REQUEST, st.data())
@@ -163,11 +161,11 @@ def test_cache_keys_are_equal_iff_requests_are(a, data):
     assert (cache_key(*a) == cache_key(*b)) == (a == b)
 
 
-def framed_sha256(model, prompt, max_tokens, stop_sequences):
+def framed_sha256(model, prompt, max_tokens, stop):
     """SHA-256 over each field's UTF-8 bytes after their length in 8
-    big-endian bytes: model, prompt, max_tokens, the constant 1, each stop."""
+    big-endian bytes: model, prompt, max_tokens, the constant 1, the stop."""
     framed = b""
-    for field in (model, prompt, str(max_tokens), "1", *stop_sequences):
+    for field in (model, prompt, str(max_tokens), "1", stop):
         data = field.encode("utf-8")
         framed += len(data).to_bytes(8, "big") + data
     return hashlib.sha256(framed).hexdigest()
@@ -177,7 +175,7 @@ def framed_sha256(model, prompt, max_tokens, stop_sequences):
 # fields and differ in others, as the requests of one run do.
 MEMO_TEXT = st.sampled_from(["", "m", "m\u00e9", "\U0001f600", "\n\n", "A1:"])
 MEMO_REQUEST = st.tuples(MEMO_TEXT, st.text(max_size=8), st.sampled_from([1, 512, 544]),
-                         st.lists(MEMO_TEXT, max_size=3).map(tuple))
+                         MEMO_TEXT)
 
 
 @given(st.lists(MEMO_REQUEST, min_size=1, max_size=8))
@@ -196,6 +194,12 @@ RECORDED_REQUESTS = {
         qa_frame(builtin_bank()[:2], [IclExample("An example article.", "Its summary.",
                                                  ("a1", "a2"))]),
         "9591991356bff3d439bc3d01d10cebc16ffc40f9709adac2900a9440839ef149", 576),
+    "vanilla": (
+        qa_frame([], []),
+        "6d3d6f2d1fa115ebb44b8c3be9bdf22d012b5d3e4fc70c7655f4777c6ee775ae", 512),
+    "icl": (
+        qa_frame([], [IclExample("An example article.", "Its summary.")]),
+        "264e9cf04cabdcbd875215dc74e54cebe6ccc8c85e0cf5c11c0d7c50cc23c33e", 512),
 }
 
 
@@ -209,14 +213,14 @@ def test_requests_keep_the_keys_recorded_stores_hold(tmp_path, frame, key, max_t
 
 
 def test_request_key_is_its_fields_digest():
-    request = CompletionRequest("m1", "a prompt", 544, ("END",))
-    assert request.key == cache_key("m1", "a prompt", 544, ("END",))
+    request = CompletionRequest("m1", "a prompt", 544, "END")
+    assert request.key == cache_key("m1", "a prompt", 544, "END")
     reprompted = dataclasses.replace(request, prompt="another prompt")
-    assert reprompted.key == cache_key("m1", "another prompt", 544, ("END",))
-    restopped = dataclasses.replace(request, stop_sequences=())
-    assert restopped.key == cache_key("m1", "a prompt", 544, ())
+    assert reprompted.key == cache_key("m1", "another prompt", 544, "END")
+    restopped = dataclasses.replace(request, stop="\n\n")
+    assert restopped.key == cache_key("m1", "a prompt", 544, "\n\n")
     with pytest.raises(TypeError):
-        CompletionRequest("m1", "a prompt", 544, ("END",), request.key)
+        CompletionRequest("m1", "a prompt", 544, "END", request.key)
 
 
 # --- cache -------------------------------------------------------------------
@@ -224,7 +228,7 @@ def test_request_key_is_its_fields_digest():
 
 def request_for(prompt, model="m1"):
     """The request ``CompletionClient.generate(bare(), prompt)`` makes."""
-    return CompletionRequest(model=model, prompt=prompt, max_tokens=512, stop_sequences=())
+    return CompletionRequest(model=model, prompt=prompt, max_tokens=512, stop=NO_STOP)
 
 
 def read_rows(root):
@@ -276,7 +280,7 @@ def test_cache_layout_on_disk(tmp_path):
     assert client.cache_stats().misses == 1
     [row] = read_rows(tmp_path / "cache")
     timestamp = row.pop("timestamp")
-    key = cache_key("m1", "hello world", 512, ("END",))
+    key = cache_key("m1", "hello world", 512, "END")
     assert row == {
         "key": key,
         "model": "m1",
@@ -300,9 +304,8 @@ def test_cache_layout_on_disk(tmp_path):
 
 def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
     # A store another writer made, in the layout above: greedy as 1 and
-    # the stop sequences as JSON text, with json.dumps's default spacing.
-    stops = ("END", "\n\n")
-    key = cache_key("m1", "café prompt", 544, stops)
+    # the stop as a one-string JSON list.
+    key = cache_key("m1", "café prompt", 544, "END")
     conn = sqlite3.connect(tmp_path / "cache.sqlite", isolation_level=None)
     try:
         conn.execute(
@@ -311,11 +314,11 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
             " finish_reason TEXT, timestamp REAL)"
         )
         conn.execute("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                     (key, "m1", "café prompt", 544, 1, '["END", "\\n\\n"]',
+                     (key, "m1", "café prompt", 544, 1, '["END"]',
                       "recorded é", "length", 1700000000.0))
     finally:
         conn.close()
-    request = CompletionRequest("m1", "café prompt", 544, stops)
+    request = CompletionRequest("m1", "café prompt", 544, "END")
     assert request.key == key
     replayed = ReplayBackend(str(tmp_path)).complete(request)
     cache = ResponseCache(str(tmp_path))
@@ -326,8 +329,8 @@ def test_row_written_by_raw_sql_is_read_by_get_and_replay(tmp_path):
 def write_old_row(root, prompt, completion):
     """A row for ``request_for(prompt)`` in the form earlier versions wrote,
     with the prompt text in the ``prompt`` column, put in by raw SQL."""
-    write_sql(root, "INSERT INTO entries VALUES (?, 'm1', ?, 512, 1, '[]', ?, 'stop', 0.0)",
-              (request_for(prompt).key, prompt, completion))
+    write_sql(root, "INSERT INTO entries VALUES (?, 'm1', ?, 512, 1, ?, ?, 'stop', 0.0)",
+              (request_for(prompt).key, prompt, json.dumps([NO_STOP]), completion))
 
 
 def test_old_rows_with_prompt_text_and_new_rows_with_keys_both_hit(tmp_path):
@@ -414,7 +417,7 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, update):
     stats = client.cache_stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
     [row] = read_rows(tmp_path / "cache")
-    assert (row["prompt"], row["completion"]) == (cache_key("m1", "prompt", 512, ()), "fresh")
+    assert (row["prompt"], row["completion"]) == (request_for("prompt").key, "fresh")
     assert client.generate(bare(), "prompt") == ("fresh", "stop")
     assert (len(backend.requests), client.cache_stats().hits) == (1, 1)
 
@@ -483,7 +486,7 @@ def run_writer(root, tag, n, *, start=0.0, linger=0.0):
         "cache = ResponseCache(root)\n"
         "for i in range(int(n)):\n"
         "    prompt = f'{tag} {i}'\n"
-        "    request = CompletionRequest('m1', prompt, 512, ())\n"
+        f"    request = CompletionRequest('m1', prompt, 512, {NO_STOP!r})\n"
         "    cache.put(request, f'completion {prompt}', 'stop')\n"
         "print('done', flush=True)\n"
         "time.sleep(float(linger))\n"
@@ -601,26 +604,23 @@ def test_map_workers_share_one_connection(tmp_path):
 
 
 def test_generate_rejects_empty_prompt(tmp_path):
-    with pytest.raises(ValueError):
-        make_client(tmp_path).generate(bare(), "")
+    backend = StubBackend()
+    client = make_client(tmp_path, backend=backend)
+    with pytest.raises(ValueError, match="prompt"):
+        client.generate(bare(), "")
+    with pytest.raises(ValueError, match="stop"):
+        client.generate(bare(""), "p")
+    assert (backend.requests, client.cache_stats().misses) == ([], 0)
 
 
-def test_truncates_at_first_stop():
-    assert truncate_at_stop("keep this STOP drop this", ("STOP",)) == ("keep this ", True)
-    assert truncate_at_stop("b second a first", ("a ", "b ")) == ("", True)
-    assert truncate_at_stop("no stops here", ("STOP",)) == ("no stops here", False)
-
-
-@given(
-    st.text(alphabet="abcS", max_size=20),
-    st.lists(st.text(alphabet="abcS", max_size=3), max_size=4).map(tuple),
-)
-def test_truncate_at_stop_cuts_at_earliest_occurrence(text, stops):
-    cut, truncated = truncate_at_stop(text, stops)
-    hits = [text.find(s) for s in stops if s and s in text]
-    assert cut == (text[: min(hits)] if hits else text)
-    assert truncated == bool(hits)
-    assert not any(s and s in cut for s in stops)
+@given(st.text(alphabet="abcS", max_size=20), st.text(alphabet="abcS", min_size=1, max_size=3),
+       st.sampled_from(["stop", "length"]))
+def test_generate_cuts_before_the_first_occurrence_of_the_stop(text, stop, finish):
+    client = CompletionClient(LmConfig(model="m1", backend="replay"),
+                              backend=StubBackend(text, finish))
+    cut = text.find(stop)
+    expected = (text, finish) if cut == -1 else (text[:cut], "stop")
+    assert client.generate(bare(stop), "p") == expected
 
 
 def test_generate_applies_stop_sequences(tmp_path):
@@ -688,7 +688,7 @@ def test_replay_unreadable_recording_is_a_miss(tmp_path, update):
     write_sql(tmp_path / "cache", update)
     client = CompletionClient(LmConfig(model="m1", backend="replay"),
                               replay_dir=str(tmp_path / "cache"))
-    key = cache_key("m1", "prompt p", 512, ())
+    key = request_for("prompt p").key
     with pytest.raises(ReplayMiss, match=key) as excinfo:
         client.generate(bare(), "prompt p")
     assert str(tmp_path / "cache" / "cache.sqlite") in str(excinfo.value)
@@ -701,7 +701,7 @@ def test_replay_unreadable_store_is_a_miss(tmp_path, store):
     if store is not None:
         path.write_bytes(store)
     client = CompletionClient(LmConfig(model="m1", backend="replay"), replay_dir=str(tmp_path))
-    with pytest.raises(ReplayMiss, match=cache_key("m1", "p", 512, ())) as excinfo:
+    with pytest.raises(ReplayMiss, match=request_for("p").key) as excinfo:
         client.generate(bare(), "p")
     assert str(path) in str(excinfo.value)
     if store is not None:
@@ -761,17 +761,17 @@ def make_http_backend(endpoint, **overrides):
     return backend
 
 
-def complete(backend, prompt="p", stop_sequences=()):
+def complete(backend, prompt="p", stop=NO_STOP):
     cfg = backend._config
     return backend.complete(CompletionRequest(
-        model=cfg.model, prompt=prompt, max_tokens=512, stop_sequences=stop_sequences))
+        model=cfg.model, prompt=prompt, max_tokens=512, stop=stop))
 
 
 def test_http_success_and_body_shape():
     reply = Reply(body=b'{"choices": [{"text": "out", "finish_reason": "stop"}]}')
     with scripted_server(reply) as server:
         backend = make_http_backend(server.url)
-        assert complete(backend, stop_sequences=("END",)) == ("out", "stop")
+        assert complete(backend, stop="END") == ("out", "stop")
     [post] = server.posts
     assert post.path == "/v1/completions"
     assert post.headers["Content-Type"] == "application/json"
@@ -1092,7 +1092,7 @@ def test_http_request_is_what_http_client_writes_in_one_write(
     else:
         monkeypatch.setenv("QASUM_API_KEY", api_key)
     backend = make_http_backend(endpoint)
-    assert complete(backend, prompt='p é "q"\n', stop_sequences=("END",)) == ("ok", "stop")
+    assert complete(backend, prompt='p é "q"\n', stop="END") == ("ok", "stop")
 
     # The same call as HTTPConnection.request sends it: the headers the
     # backend has always passed, and the same JSON body.
@@ -1350,13 +1350,12 @@ def test_reply_reader_refuses_a_huge_declared_length_before_reading_it(head, bod
 
 
 @settings(max_examples=300)
-@given(st.text(), st.text(), st.integers(), st.lists(st.text(), max_size=3).map(tuple))
-@example("m", 'p é "q"\n\ud800', 512, ("\n\n", "END"))
-def test_request_body_is_json_dumps_of_the_request(model, prompt, max_tokens, stop_sequences):
-    body = {"model": model, "prompt": prompt, "max_tokens": max_tokens, "temperature": 0.0}
-    if stop_sequences:
-        body["stop"] = list(stop_sequences)
-    assert _json_body(model, prompt, max_tokens, stop_sequences) == json.dumps(body).encode()
+@given(st.text(), st.text(), st.integers(), st.text())
+@example("m", 'p é "q"\n\ud800', 512, "\n\n")
+def test_request_body_is_json_dumps_of_the_request(model, prompt, max_tokens, stop):
+    body = {"model": model, "prompt": prompt, "max_tokens": max_tokens, "temperature": 0.0,
+            "stop": [stop]}
+    assert _json_body(model, prompt, max_tokens, stop) == json.dumps(body).encode()
 
 
 # --- bounded concurrency -----------------------------------------------------
@@ -1460,6 +1459,33 @@ def test_map_non_lm_exception_propagates(tmp_path):
 
     with pytest.raises(ValueError):
         client.map(fn, range(6))
+
+
+def test_a_helper_that_fails_to_start_stops_the_helpers_already_running(tmp_path,
+                                                                        monkeypatch):
+    start = threading.Thread.start
+    starts = itertools.count(1)
+
+    def start_fails_the_second_time(thread):
+        if next(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    threads_before = set(threading.enumerate())
+    monkeypatch.setattr(threading.Thread, "start", start_fails_the_second_time)
+    client = make_client(tmp_path, max_in_flight=3)
+    done = []
+
+    def fn(i):
+        time.sleep(0.002)
+        done.append(i)
+
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        client.map(fn, range(60))
+    finished = len(done)
+    time.sleep(0.2)
+    assert len(done) == finished < 60
+    assert set(threading.enumerate()) <= threads_before
 
 
 # --- group commit: when a map's puts reach the store --------------------------
@@ -1698,7 +1724,7 @@ def test_sigterm_ends_rank_with_143_and_every_completion_received_stored(tmp_pat
     assert [row["completion"] for row in rows] == ["ok"] * 3
     assert sorted(row["key"] for row in rows) == sorted(
         CompletionRequest(post.body["model"], post.body["prompt"], post.body["max_tokens"],
-                          tuple(post.body["stop"])).key
+                          *post.body["stop"]).key
         for post in server.posts[:3])
     assert not (tmp_path / "ranking.json").exists()
 

@@ -179,12 +179,12 @@ def test_frame_around_article_is_the_prompt(inputs, question):
     frame = qa_frame(questions, examples)
     assert frame.head + article + frame.tail == joined_prompt(article, questions, examples)
     stop = QA_INSTRUCTION if questions else VANILLA_INSTRUCTION
-    assert (frame.k, frame.stop_sequences) == (len(questions), (stop,))
+    assert (frame.k, frame.stop) == (len(questions), stop)
 
     single = single_qa_frame(question)
     assert (single.head + article + single.tail
             == f"{SINGLE_QA_INSTRUCTION}\n{article}\nQ: {question.text}\nA:")
-    assert (single.k, single.stop_sequences) == (0, (SINGLE_QA_INSTRUCTION,))
+    assert (single.k, single.stop) == (0, SINGLE_QA_INSTRUCTION)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_parse_k0_empty_completion_fails():
 
 def generate_and_parse(reply: str, frame):
     """A completion as a run sees it: cut by ``CompletionClient.generate``
-    at the frame's stop sequences, then parsed."""
+    at the frame's stop, then parsed."""
     client = CompletionClient(make_lm_config(), backend=StubBackend(reply))
     completion, _ = client.generate(frame, TARGET_ARTICLE)
     return parse_output(completion, frame.k)
@@ -332,8 +332,7 @@ model_pieces = st.one_of(
 def test_generated_completion_is_cut_once_before_parsing(reply, k, with_example):
     examples = [IclExample(EX_ARTICLE, EX_REFERENCE, EX_ANSWERS5[:k])] if with_example else []
     frame = qa_frame(QS5[:k], examples)
-    (stop,) = frame.stop_sequences
     parsed = generate_and_parse(reply, frame)
-    assert stop not in parsed.summary
-    assert not any(stop in answer for answer in parsed.answers)
+    assert frame.stop not in parsed.summary
+    assert not any(frame.stop in answer for answer in parsed.answers)
     assert (parsed.parse_status == PARSE_FAILED) == (parsed.summary == "")

@@ -45,7 +45,7 @@ RECORDS = {
     IclExample: (lambda: IclExample("article", "reference", ("one",)), "answers", ()),
     LmConfig: (lambda: LmConfig("m1", endpoint="http://localhost:1/v1"), "max_retries", 5),
     ParsedOutput: (lambda: ParsedOutput(("one",), "summary", "ok"), "parse_status", "failed"),
-    PromptFrame: (lambda: PromptFrame("head", "tail", 1, ("stop",)), "k", 2),
+    PromptFrame: (lambda: PromptFrame("head", "tail", 1, "stop"), "k", 2),
     QuestionSpec: (lambda: QuestionSpec("topic", "What?"), "text", "Why?"),
     RankingTable: (lambda: RankingTable("m1", 0, None, "t",
                                         {"News": (RankedQuestion("topic", 0.5, 1),)}),
