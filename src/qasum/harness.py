@@ -12,6 +12,13 @@ file to reader: the scorers write each row's nine floats into one array in
 ``load_manifest`` fills the columns from the parsed document, and the
 writers and ``aggregate`` read them. No ``ScoreRow`` is built unless a
 caller reads one.
+
+A run with a cache directory scores each (reference, summary) pair once
+per store: the response store's score memo keeps each row's nine values
+under a digest of ``metrics.SCORER_VERSION``, the Unicode version, the
+reference and the summary, so a warm rerun reads its scores and scores
+only the rows the memo lacks. A run with no cache directory has no memo
+and scores every row.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import csv
+import hashlib
 import json
 from json.encoder import encode_basestring
 import math
@@ -30,6 +38,7 @@ import threading
 import time
 import types
 import typing
+import unicodedata
 
 from .corpus import (
     CONTROL_CHARACTER,
@@ -39,8 +48,9 @@ from .corpus import (
     split_corpus,
     subsample_per_domain,
 )
-from .lm import CacheStats, CompletionClient, LmConfig
-from .metrics import Reference, RougeScore, ScoreTable, aggregate, rouge_values, tokenize
+from .lm import CacheStats, CompletionClient, LmConfig, _framed
+from .metrics import (SCORER_VERSION, Reference, RougeScore, ScoreTable, aggregate, rouge_values,
+                      tokenize)
 from .prompting import (IclExample, PARSE_FAILED, PARSE_STATUSES, ParsedOutput, PromptFrame,
                         parse_output, qa_frame)
 from .questions import (
@@ -411,28 +421,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _score(instances, summaries: list[str], per_instance: int) -> array:
-    """ROUGE-1/2/L of each instance's ``per_instance`` summaries against
-    its reference, in order: each row's nine ``rouge_values``, row after
-    row, in one ``array('d')``. Instance by instance, so only one
+def _score(groups) -> array:
+    """ROUGE-1/2/L of each ``(reference, summaries)`` group's summaries
+    against its reference text, in order: each row's nine ``rouge_values``,
+    row after row, in one ``array('d')``. Group by group, so only one
     reference's token table is alive at a time."""
     scores = array("d")
-    for n, inst in enumerate(instances):
-        reference = Reference.from_text(inst.reference)
-        for summary in summaries[n * per_instance : (n + 1) * per_instance]:
+    for reference, summaries in groups:
+        reference = Reference.from_text(reference)
+        for summary in summaries:
             scores.extend(rouge_values(tokenize(summary), reference))
     return scores
 
 
-def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
-    """``_score`` over every instance, on every usable core.
+def _score_rows(groups) -> array:
+    """``_score`` over every group, on every usable core.
 
-    The instances are split into contiguous shares, one per usable CPU and
-    at most one per instance. The caller scores the first share, and a
-    forked helper scores each other one. With no ``os.fork`` (Windows), or
-    while another thread is alive, since a fork copies no other thread and
-    can leave the child waiting on a lock one of them held, the caller
-    scores every share itself.
+    The groups are split into contiguous shares, one per usable CPU and at
+    most one per group. The caller scores the first share, and a forked
+    helper scores each other one. With no ``os.fork`` (Windows), or while
+    another thread is alive, since a fork copies no other thread and can
+    leave the child waiting on a lock one of them held, the caller scores
+    every share itself.
 
     The helpers hand back their scores through one anonymous shared
     mapping of every row's doubles, which each inherits: a helper writes
@@ -447,19 +457,19 @@ def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
     """
     shares = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
-        shares = max(1, min(_usable_cpus(), len(instances)))
+        shares = max(1, min(_usable_cpus(), len(groups)))
     if shares == 1:
-        return _score(instances, summaries, per_instance)
-    bounds = [len(instances) * i // shares for i in range(shares + 1)]
+        return _score(groups)
+    bounds = [len(groups) * i // shares for i in range(shares + 1)]
     spans = list(zip(bounds, bounds[1:]))
-
-    def share(lo, hi):
-        return instances[lo:hi], summaries[lo * per_instance : hi * per_instance], per_instance
+    starts = [0]  # each group's first row, then the row count
+    for _, summaries in groups:
+        starts.append(starts[-1] + len(summaries))
 
     def place(lo, hi):
-        return slice(lo * per_instance * _ROW_BYTES, hi * per_instance * _ROW_BYTES)
+        return slice(starts[lo] * _ROW_BYTES, starts[hi] * _ROW_BYTES)
 
-    shared = mmap.mmap(-1, len(instances) * per_instance * _ROW_BYTES)
+    shared = mmap.mmap(-1, starts[-1] * _ROW_BYTES)
     helpers: list[int] = []  # in share order, each until it is reaped
     try:
         for lo, hi in spans[1:]:
@@ -470,12 +480,13 @@ def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
             if pid == 0:
                 status = 1
                 try:
-                    shared[place(lo, hi)] = _score(*share(lo, hi)).tobytes()
+                    shared[place(lo, hi)] = _score(groups[lo:hi]).tobytes()
                     status = 0
                 finally:
                     os._exit(status)
             helpers.append(pid)
-        scores = _score(*share(*spans[0]))
+        lo, hi = spans[0]
+        scores = _score(groups[lo:hi])
         for lo, hi in spans[1:]:
             status = 1
             if helpers:
@@ -484,13 +495,51 @@ def _score_rows(instances, summaries: list[str], per_instance: int) -> array:
             if status == 0:
                 scores.frombytes(shared[place(lo, hi)])
             else:
-                scores += _score(*share(lo, hi))
+                scores += _score(groups[lo:hi])
         return scores
     finally:
         for pid in helpers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         shared.close()
+
+
+def _pair_keys(instances, summaries: list[str], per_instance: int) -> list[bytes]:
+    """Each row's score memo key: the SHA-256 of ``SCORER_VERSION``, the
+    Unicode version that ``tokenize`` reads, the instance's reference and
+    the row's summary, each framed as ``lm.cache_key`` frames a field. The
+    framed bytes before the summary are digested once per instance."""
+    scorer = _framed(str(SCORER_VERSION)) + _framed(unicodedata.unidata_version)
+    keys = []
+    for n, inst in enumerate(instances):
+        head = hashlib.sha256(scorer + _framed(inst.reference))
+        for summary in summaries[n * per_instance : (n + 1) * per_instance]:
+            digest = head.copy()
+            digest.update(_framed(summary))
+            keys.append(digest.digest())
+    return keys
+
+
+def _memoized_scores(store, instances, summaries: list[str], per_instance: int) -> array:
+    """What ``_score_rows`` gives for every row, each row's values read
+    from ``store``'s score memo where it holds them. The rows it misses
+    are scored, grouped by instance, so each reference is still tokenized
+    once, and then memoized in one transaction."""
+    keys = _pair_keys(instances, summaries, per_instance)
+    found = store.scores(keys)
+    missed = [i for i, key in enumerate(keys) if key not in found]
+    if missed:
+        groups: dict[int, list[str]] = {}  # by instance, in row order
+        for i in missed:
+            groups.setdefault(i // per_instance, []).append(summaries[i])
+        fresh = _score_rows([(instances[n].reference, group) for n, group in groups.items()])
+        rows = [(keys[i], fresh[9 * j : 9 * j + 9]) for j, i in enumerate(missed)]
+        store.put_scores(rows)
+        found.update(rows)
+    scores = array("d")
+    for key in keys:
+        scores.extend(found[key])
+    return scores
 
 
 def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
@@ -503,13 +552,16 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     their answers to them, are resolved once per run, and the cell's
     prompt frame is rendered once from them; then the run issues one
     completion per (instance, k), its prompt the instance's article in
-    its cell's frame. It scores the rows on every usable core: the caller
-    and forked helpers each take a contiguous share of the instances and
-    score it instance by instance (``_score_rows``). The rows come out in
-    the same order, with the same scores, whatever the number of helpers,
-    and no helper outlives the call. A per-request LM error degrades to
-    failed rows; configuration and I/O problems, an unreachable or
-    rate-limiting backend and replay fixture gaps abort the run.
+    its cell's frame. With a cache directory, each row whose pair the
+    store's score memo holds takes its scores from there, and the rest are
+    scored and memoized (``_memoized_scores``). It scores the rows on every
+    usable core: the caller and forked helpers each take a contiguous share
+    of the instances and score it instance by instance (``_score_rows``).
+    The rows come out in the same order, with the same scores, whatever the
+    number of helpers and whatever the memo held, and no helper outlives
+    the call. A per-request LM error degrades to failed rows;
+    configuration and I/O problems, an unreachable or rate-limiting
+    backend and replay fixture gaps abort the run.
     """
     started = time.monotonic()
     corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
@@ -587,11 +639,17 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             for inst in instances for k in k_values]
     outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
 
-    # Stage 4: score every (instance, k) row on every usable core. Each
-    # process scores its share instance by instance, so only one reference's
-    # token table is alive at a time in each.
+    # Stage 4: score every (instance, k) row on every usable core, or, with
+    # a store, every row its score memo lacks. Each process scores its share
+    # instance by instance, so only one reference's token table is alive at
+    # a time in each.
     per_instance = len(k_values)
-    scores = _score_rows(instances, [parsed.summary for parsed in outputs], per_instance)
+    summaries = [parsed.summary for parsed in outputs]
+    if cfg.cache_dir:
+        scores = _memoized_scores(client.store, instances, summaries, per_instance)
+    else:
+        scores = _score_rows([(inst.reference, summaries[n * per_instance : (n + 1) * per_instance])
+                              for n, inst in enumerate(instances)])
 
     # The instances are in id order and each one's rows in ascending k, so
     # the rows are in (id, k) order.

@@ -29,9 +29,11 @@ commits every pending one once the oldest has waited ``_FLUSH_AFTER_S``
 process killed without warning loses at most the completions put in the
 0.1 s before its last put; a put made outside a map commits before it
 returns. A store that is not a database aborts the run with
-``CacheError`` and is never replaced. The replay backend opens a recorded
-store read-only, so a recorded cache directory can be pointed at directly
-as a replay fixture.
+``CacheError`` and is never replaced. The same database holds the score
+memo that ``harness.run_eval`` reads and writes (``ResponseCache.scores``).
+The replay backend opens a recorded store read-only and reads completions
+alone, so a recorded cache directory can be pointed at directly as a
+replay fixture.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import os
 import re
 import sqlite3
 import ssl
+import struct
 import threading
 import time
 import urllib.parse
@@ -202,6 +205,26 @@ _SCHEMA = (
     " max_tokens INTEGER, greedy INTEGER, stop_sequences TEXT, completion TEXT,"
     " finish_reason TEXT, timestamp REAL)"
 )
+# The score memo: a row's nine ROUGE values, keyed by a digest of the
+# scorer and of the (reference, summary) pair they score. The table is
+# made by the first write to it, so a store that memoizes nothing keeps
+# the layout it had before the memo.
+_SCORES_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS scores (key BLOB PRIMARY KEY, value BLOB) WITHOUT ROWID"
+)
+_HAS_SCORES = "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'scores'"
+_SCORES_INSERT = "INSERT OR REPLACE INTO scores VALUES (?, ?)"
+# A memo value is nine doubles in little-endian order. A value of another
+# type or length is left out by the query; one that unpacks to a number
+# outside [0, 1], NaN too, by ``ResponseCache.scores``.
+_SCORE_VALUE = struct.Struct("<9d")
+_SCORES_SELECT = (
+    "SELECT key, value FROM scores WHERE typeof(value) = 'blob'"
+    f" AND length(value) = {_SCORE_VALUE.size} AND key IN "
+)
+# The most keys one memo lookup binds: SQLite's default limit on a
+# statement's bound parameters before 3.32 (SQLITE_MAX_VARIABLE_NUMBER).
+_KEYS_PER_LOOKUP = 999
 _INSERT = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
 # The request fields are compared by SQLite, byte for byte, so a hit reads
 # back only the completion and its finish reason. The prompt column matches
@@ -348,7 +371,16 @@ class ResponseCache:
     the cache is dropped, which folds the write-ahead log back into the
     database. A store that is not a database raises ``CacheError`` and is
     left as it is. With no directory nothing is stored and every lookup is
-    a miss. Hit/miss/entry counters are in-process and monotone.
+    a miss. Hit/miss/entry counters are in-process and monotone, and count
+    completions only.
+
+    The same database holds the score memo, the ``scores`` table, made by
+    the first ``put_scores``: each row's nine ROUGE values under a 32-byte
+    key that the caller derives from the scorer and the scored pair.
+    ``scores`` looks keys up in batches, and ``put_scores`` writes its
+    rows in one transaction. A value that is not nine doubles in [0, 1] is
+    a miss, so the caller scores the row again and ``put_scores`` replaces
+    it.
     """
 
     def __init__(self, root: str | None):
@@ -414,11 +446,20 @@ class ResponseCache:
         """Write every pending row in one transaction, then clear the
         buffer; the caller holds the lock. On any exception the transaction
         is rolled back and the rows stay pending."""
+        self._write(_INSERT, self._pending.values())
+        self._pending.clear()
+
+    def _write(self, statement: str, rows, schema: str | None = None) -> None:
+        """Run ``statement`` over ``rows`` in one transaction, after
+        ``schema``, if given, in the same one; the caller holds the lock. On
+        any exception the transaction is rolled back."""
         conn = self._conn
         try:
             conn.execute("BEGIN IMMEDIATE")
             try:
-                conn.executemany(_INSERT, self._pending.values())
+                if schema is not None:
+                    conn.execute(schema)
+                conn.executemany(statement, rows)
                 conn.execute("COMMIT")
             except BaseException:
                 if conn.in_transaction:
@@ -426,7 +467,40 @@ class ResponseCache:
                 raise
         except sqlite3.Error as exc:
             raise CacheError(f"response store {self._path}: {exc}") from exc
-        self._pending.clear()
+
+    def scores(self, keys: list[bytes]) -> dict[bytes, tuple[float, ...]]:
+        """The memoized nine values of each of ``keys`` that the store
+        holds a usable value for, by key, read with one query per
+        ``_KEYS_PER_LOOKUP`` keys. With no directory, or before the first
+        ``put_scores``, the memo is empty."""
+        found = {}
+        if self._conn is None:
+            return found
+        with self._lock:
+            try:
+                if self._conn.execute(_HAS_SCORES).fetchone() is None:
+                    return found
+                for start in range(0, len(keys), _KEYS_PER_LOOKUP):
+                    batch = keys[start:start + _KEYS_PER_LOOKUP]
+                    query = _SCORES_SELECT + "(" + ",".join("?" * len(batch)) + ")"
+                    for key, value in self._conn.execute(query, batch):
+                        values = _SCORE_VALUE.unpack(value)
+                        if all(0.0 <= v <= 1.0 for v in values):  # false for NaN too
+                            found[key] = values
+            except sqlite3.Error as exc:
+                raise CacheError(f"response store {self._path}: {exc}") from exc
+        return found
+
+    def put_scores(self, rows) -> None:
+        """Memoize each ``(key, values)`` of ``rows``, ``values`` a row's
+        nine floats, in one transaction, replacing what a key held. The
+        first one makes the ``scores`` table."""
+        if self._conn is None:
+            return
+        with self._lock:
+            self._write(_SCORES_INSERT,
+                        ((key, _SCORE_VALUE.pack(*values)) for key, values in rows),
+                        _SCORES_SCHEMA)
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -1015,6 +1089,11 @@ class CompletionClient:
         if errors:
             raise errors[0]
         return results
+
+    @property
+    def store(self) -> ResponseCache:
+        """The response store behind this client, which holds the score memo too."""
+        return self._cache
 
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()

@@ -16,6 +16,12 @@ and nine ``array('d')`` score columns, one per component of ROUGE-1/2/L.
 ``rouge_values`` scores a candidate into those nine floats without
 building a ``RougeScore``, ``aggregate`` means the columns, and a
 ``ScoreRow`` is built only when a table's row is read.
+
+``SCORER_VERSION`` names the scorer: ``tokenize`` and ``rouge_values``
+as they are. A response store memoizes each row's nine values under a key
+that digests it, with the Unicode version ``tokenize`` reads and the
+scored pair, so a change that can move any score must bump it, or a store
+would serve the old scorer's values.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 GROUP_FIELDS = ("method", "domain", "k")
+
+# Bump on any change that can move a score; see the module docstring.
+SCORER_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:

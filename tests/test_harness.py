@@ -10,6 +10,7 @@ from dataclasses import fields
 import hashlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 import random
@@ -17,10 +18,12 @@ import re
 import shutil
 import signal
 import sqlite3
+import struct
 import sys
 import tempfile
 import threading
 import time
+import unicodedata
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -642,24 +645,36 @@ def seeded_reply(prompt: str) -> str:
     return f" A1: {rng.choice(words)}.\nSummary: {' '.join(rng.sample(words, rng.randint(0, 30)))}"
 
 
-def outputs_with_cpus(monkeypatch, cfg, out_dir, backend, cpus):
+def counted_eval(cfg, out_dir, backend, cpus):
+    """``run_eval`` as if ``cpus`` CPUs were usable: the bytes of its CSVs
+    and manifest rows, how many rows it scored, references it tokenized
+    and helpers it forked, in this process, and its manifest."""
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    with mock.patch.object(harness, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(os, "fork", counting("forks", FORK)), \
+            mock.patch.object(harness, "rouge_values", counting("scored", rouge_values)), \
+            mock.patch.object(Reference, "from_text",
+                              staticmethod(counting("references", Reference.from_text))):
+        manifest = run_eval(cfg, out_dir, backend=backend)
+    files = {name: (out_dir / name).read_bytes() for name in OUTPUT_FILES}
+    # The manifest's first line holds the run's fields: its config, cache
+    # counts and wall time.
+    files["manifest rows"] = (out_dir / "manifest.json").read_bytes().split(b"\n", 1)[1]
+    return files, calls, manifest
+
+
+def outputs_with_cpus(cfg, out_dir, backend, cpus):
     """``run_eval`` as if ``cpus`` CPUs were usable: the rows, the bytes of
     its CSVs and manifest rows, and how many helpers it forked."""
-    forks = []
-
-    def counted_fork():
-        pid = FORK()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    manifest = run_eval(cfg, out_dir, backend=backend)
-    files = {name: (out_dir / name).read_bytes() for name in OUTPUT_FILES}
-    # The manifest's first line holds the run's fields, wall time included.
-    files["manifest rows"] = (out_dir / "manifest.json").read_bytes().split(b"\n", 1)[1]
-    return manifest.rows, files, len(forks)
+    files, calls, manifest = counted_eval(cfg, out_dir, backend, cpus)
+    return manifest.rows, files, calls["forks"]
 
 
 def assert_no_child_left():
@@ -689,14 +704,14 @@ def seeded_case(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["acceptance-fixture", "seven-instances", "one-instance",
                                   "two-domains"])
-def test_eval_outputs_are_identical_for_any_helper_count(tmp_path, monkeypatch, case):
+def test_eval_outputs_are_identical_for_any_helper_count(tmp_path, case):
     cfg, backend, instances = seeded_case(tmp_path, case)
-    rows, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "cpus-1", backend, 1)
+    rows, files, forks = outputs_with_cpus(cfg, tmp_path / "cpus-1", backend, 1)
     assert forks == 0
     assert len(rows) == 6 * instances
     for helpers in (1, 3):
         out = tmp_path / f"helpers-{helpers}"
-        got = outputs_with_cpus(monkeypatch, cfg, out, backend, helpers + 1)
+        got = outputs_with_cpus(cfg, out, backend, helpers + 1)
         assert got == (rows, files, min(helpers, instances - 1))
         assert_no_child_left()
 
@@ -712,7 +727,7 @@ def test_eval_rows_are_in_id_order_and_each_holds_its_own_scores(tmp_path, monke
         return reply
 
     monkeypatch.setattr(CompletionClient, "generate", recording_generate)
-    rows, _, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "run", backend, 3)
+    rows, _, forks = outputs_with_cpus(cfg, tmp_path / "run", backend, 3)
     assert forks == 2 and len(rows) == 6 * instances
     assert list(rows.domain) != sorted(rows.domain)  # the ids interleave the domains
     assert list(zip(rows.id, rows.k)) == sorted(zip(rows.id, rows.k))
@@ -835,6 +850,192 @@ def test_eval_never_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
     assert not thread.is_alive()
 
 
+# --- the score memo ----------------------------------------------------------
+
+
+MEMO_WORDS = ["alpha", "beta", "gamma", "x", "42", "café", "Straße", "naïve", "数据", "İstanbul"]
+# Empty, one-token, ASCII and non-ASCII texts, and any text UTF-8 can hold.
+MEMO_TEXTS = st.one_of(
+    st.just(""),
+    st.sampled_from(MEMO_WORDS),
+    st.lists(st.sampled_from(MEMO_WORDS), min_size=2, max_size=20).map(" ".join),
+    st.text(st.characters(codec="utf-8"), max_size=30),
+)
+# The same, less the empty text: a corpus refuses a reference with no tokens.
+MEMO_REFERENCES = st.one_of(
+    st.sampled_from(MEMO_WORDS),
+    st.lists(st.sampled_from(MEMO_WORDS), min_size=2, max_size=20).map(" ".join),
+    st.builds("{} {}".format, st.text(st.characters(codec="utf-8"), max_size=30),
+              st.sampled_from(MEMO_WORDS)),
+)
+MEMO_INSTANCES = 10  # 5 to the ICL pool, 5 to eval
+
+
+class DrawnBackend:
+    """Completes the summary prompt of the article marked ``docN`` at k
+    with ``summaries[N, k]``, after k answer lines, and every answer prompt
+    with one word. The article to summarize is the prompt's last one."""
+
+    def __init__(self, summaries):
+        self.summaries = summaries
+
+    def complete(self, request):
+        if request.prompt.startswith(SINGLE_QA_INSTRUCTION):
+            return "alpha", "stop"
+        k = (request.max_tokens - 512) // 32
+        n = int(re.findall(r"\bdoc(\d+)\b", request.prompt)[-1])
+        answers = "".join(f" A{i}: beta.\n" for i in range(1, k + 1))
+        return answers + ("Summary: " if k else "") + self.summaries[n, k], "stop"
+
+
+def drawn_case(root, references, summaries, k_values):
+    """A qa config over one News instance per reference, instance N's
+    article marked ``docN``, and the ``DrawnBackend`` of ``summaries``."""
+    ranking = root / "ranking.json"
+    synthetic_ranking(ranking, domains=("News",))
+    corpus = root / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for n, reference in enumerate(references):
+            fh.write(json.dumps({"id": f"doc-{n:02d}", "domain": "News", "task": "xsum",
+                                 "article": f"doc{n} " + " ".join(MEMO_WORDS[: n % 5 + 3]),
+                                 "reference": reference}) + "\n")
+    cfg = make_config(method="qa", k_values=k_values, ranking=ranking, corpus=str(corpus))
+    return cfg, DrawnBackend(summaries)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(MEMO_REFERENCES, min_size=MEMO_INSTANCES, max_size=MEMO_INSTANCES),
+       st.lists(MEMO_TEXTS, min_size=3 * MEMO_INSTANCES, max_size=3 * MEMO_INSTANCES))
+def test_a_warm_eval_reads_every_score_from_the_memo(references, drawn):
+    summaries = {(n, k): drawn[3 * n + k] for n in range(MEMO_INSTANCES) for k in range(3)}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, backend = drawn_case(root, references, summaries, (0, 1, 2))
+        stored = dataclasses.replace(cfg, cache_dir=str(root / "cache"))
+        cold, _, _ = counted_eval(stored, root / "cold", backend, 3)
+        warm, calls, manifest = counted_eval(stored, root / "warm", backend, 3)
+        bare, _, _ = counted_eval(cfg, root / "bare", backend, 3)
+    assert warm == cold == bare
+    assert manifest.cache.misses == 0
+    assert calls == Counter()  # no row scored, no helper forked
+
+
+def store_conn(root):
+    return sqlite3.connect(os.path.join(root, "cache.sqlite"), isolation_level=None)
+
+
+def memo_rows(root) -> dict:
+    """Each memo key's value, as its SQLite type and its bytes."""
+    conn = store_conn(root)
+    conn.text_factory = bytes
+    try:
+        return {key: (kind, value) for key, kind, value
+                in conn.execute("SELECT key, typeof(value), value FROM scores")}
+    finally:
+        conn.close()
+
+
+def set_component(value):
+    """A fault that sets each memo value's fifth double, ROUGE-2 recall, to ``value``."""
+    def fault(conn):
+        for key, blob in conn.execute("SELECT key, value FROM scores").fetchall():
+            values = list(struct.unpack("<9d", blob))
+            values[4] = value
+            conn.execute("UPDATE scores SET value = ? WHERE key = ?",
+                         (struct.pack("<9d", *values), key))
+    return fault
+
+
+MEMO_FAULTS = {
+    "short-blob": lambda conn: conn.execute("UPDATE scores SET value = substr(value, 1, 71)"),
+    "text": lambda conn: conn.execute("UPDATE scores SET value = CAST(value AS TEXT)"),
+    "null": lambda conn: conn.execute("UPDATE scores SET value = NULL"),
+    "nan": set_component(math.nan),
+    "above-one": set_component(1.5),
+}
+
+
+@pytest.mark.parametrize("fault", MEMO_FAULTS, ids=MEMO_FAULTS)
+def test_a_bad_memo_value_is_a_miss_rescored_and_rewritten(tmp_path, fault):
+    cfg, backend, instances = seeded_case(tmp_path, "seven-instances")
+    cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+    cold, calls, _ = counted_eval(cfg, tmp_path / "cold", backend, 1)
+    assert calls["scored"] == 6 * instances
+    memo = memo_rows(tmp_path / "cache")
+    conn = store_conn(tmp_path / "cache")
+    try:
+        MEMO_FAULTS[fault](conn)
+    finally:
+        conn.close()
+    assert memo_rows(tmp_path / "cache") != memo
+    files, calls, _ = counted_eval(cfg, tmp_path / "faulty", backend, 1)
+    assert files == cold and calls["scored"] == 6 * instances
+    assert memo_rows(tmp_path / "cache") == memo
+    files, calls, _ = counted_eval(cfg, tmp_path / "again", backend, 1)
+    assert files == cold and calls["scored"] == 0
+
+
+def test_a_store_written_before_the_memo_gains_it_and_keeps_its_completions(tmp_path):
+    cfg, backend, instances = seeded_case(tmp_path, "seven-instances")
+    cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+    cold, _, _ = counted_eval(cfg, tmp_path / "cold", backend, 1)
+    conn = store_conn(tmp_path / "cache")
+    try:
+        conn.execute("DROP TABLE scores")  # the layout of a store written before the memo
+    finally:
+        conn.close()
+    files, calls, manifest = counted_eval(cfg, tmp_path / "warm", backend, 1)
+    assert files == cold and calls["scored"] == 6 * instances
+    assert manifest.cache.misses == 0 and manifest.cache.hits > 0
+    files, calls, _ = counted_eval(cfg, tmp_path / "again", backend, 1)
+    assert files == cold and calls["scored"] == 0
+
+
+def test_a_replay_only_run_writes_nothing(tmp_path, replay_dir):
+    recorded = {path.name: path.read_bytes() for path in replay_dir.iterdir()}
+    cfg = make_config(method="icl", replay_dir=replay_dir)
+    out = tmp_path / "out"
+    run_eval(cfg, out)
+    _, calls, manifest = counted_eval(cfg, tmp_path / "again", None, 1)
+    # The recording holds a memo too, and replay reads none of it.
+    assert calls["scored"] == len(manifest.rows)
+    assert {path.name: path.read_bytes() for path in replay_dir.iterdir()} == recorded
+    assert sorted(os.listdir(tmp_path)) == ["again", "out"]
+    assert sorted(os.listdir(out)) == sorted([*OUTPUT_FILES, "manifest.json"])
+
+
+@pytest.mark.parametrize("change", ["scorer-version", "unicode-version"])
+def test_another_scorer_or_unicode_version_misses_every_row(tmp_path, change):
+    cfg, backend, instances = seeded_case(tmp_path, "seven-instances")
+    cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+    cold, _, _ = counted_eval(cfg, tmp_path / "cold", backend, 1)
+    other = (mock.patch.object(harness, "SCORER_VERSION", harness.SCORER_VERSION + 1)
+             if change == "scorer-version"
+             else mock.patch.object(unicodedata, "unidata_version", "1.1.0"))
+    with other:
+        files, calls, _ = counted_eval(cfg, tmp_path / "other", backend, 1)
+    assert files == cold and calls["scored"] == 6 * instances
+    files, calls, _ = counted_eval(cfg, tmp_path / "again", backend, 1)
+    assert files == cold and calls["scored"] == 0
+
+
+def test_a_rerun_with_one_more_k_scores_only_the_new_rows(tmp_path):
+    rng = random.Random(0)
+    references = [" ".join(rng.choices(MEMO_WORDS, k=rng.randint(1, 12)))
+                  for _ in range(MEMO_INSTANCES)]
+    # A distinct summary for each (instance, k).
+    summaries = {(n, k): f"{k} " + " ".join(rng.choices(MEMO_WORDS, k=rng.randint(0, 12)))
+                 for n in range(MEMO_INSTANCES) for k in range(4)}
+    cfg, backend = drawn_case(tmp_path, references, summaries, (0, 1, 2, 3))
+    stored = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+    counted_eval(dataclasses.replace(stored, k_values=(0, 1, 2)), tmp_path / "three", backend, 1)
+    files, calls, _ = counted_eval(stored, tmp_path / "four", backend, 1)
+    instances = MEMO_INSTANCES // 2
+    # One new row per instance, each scored against its reference tokenized once.
+    assert calls == Counter(scored=instances, references=instances)
+    assert files == counted_eval(cfg, tmp_path / "bare", backend, 1)[0]
+
+
 # --- rows held as columns ----------------------------------------------------
 
 
@@ -853,15 +1054,16 @@ def count_constructions(monkeypatch) -> Counter:
 def test_warm_eval_and_load_build_no_score_objects(tmp_path, monkeypatch):
     cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
     cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
-    cold, _, _ = outputs_with_cpus(monkeypatch, cfg, tmp_path / "cold", backend, 3)
+    cold, _, cold_forks = outputs_with_cpus(cfg, tmp_path / "cold", backend, 3)
     built = count_constructions(monkeypatch)
-    warm, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "warm", backend, 3)
+    warm, files, forks = outputs_with_cpus(cfg, tmp_path / "warm", backend, 3)
     loaded = load_manifest(tmp_path / "warm" / "manifest.json")
     # Only each aggregate CSV line's three means are RougeScores.
     groups = sum(files[name].count(b"\n") - 1
                  for name in ("aggregate_method_k.csv", "aggregate_domain_k.csv"))
     assert built == Counter(RougeScore=3 * groups)
-    assert forks == 2 and len(warm) > groups
+    # The cold run scores on three cores; the warm one reads the score memo.
+    assert cold_forks == 2 and forks == 0 and len(warm) > groups
     assert loaded.cache.misses == 0 and loaded.cache.hits > 0
     assert warm == cold and loaded.rows == warm
 
@@ -873,9 +1075,9 @@ SEVEN_INSTANCE_ROWS_SHA256 = "4771ff48c7ee5fd4ff80da3c971cb7f453f8c271ea088eb91f
 SEVEN_INSTANCE_MANIFEST_ROWS_SHA256 = "cf228af3fb36daf14d745e96d95eaa4cbf2d9e33e32afbf624d14411ab28e2bb"
 
 
-def test_eval_rows_and_manifest_bytes_are_those_of_row_objects(tmp_path, monkeypatch):
+def test_eval_rows_and_manifest_bytes_are_those_of_row_objects(tmp_path):
     cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
-    rows, files, forks = outputs_with_cpus(monkeypatch, cfg, tmp_path / "run", backend, 3)
+    rows, files, forks = outputs_with_cpus(cfg, tmp_path / "run", backend, 3)
     assert forks == 2
     digest = hashlib.sha256(repr(tuple(rows)).encode("utf-8")).hexdigest()
     assert digest == SEVEN_INSTANCE_ROWS_SHA256

@@ -33,6 +33,7 @@ from qasum.lm import (
     FATAL_LM_ERRORS,
     BackendUnreachable,
     CacheError,
+    CacheStats,
     CompletionClient,
     CompletionRequest,
     HttpBackend,
@@ -647,6 +648,34 @@ def test_generate_returns_the_backend_reply_on_every_path(tmp_path):
     assert cut.generate(bare("END"), "p") == ("text ", "stop")
     assert cut.generate(bare("END"), "p") == ("text ", "stop")
     assert cut.cache_stats().hits == 1
+
+
+# --- score memo --------------------------------------------------------------
+
+
+def test_score_memo_writes_once_and_reads_in_batches(tmp_path):
+    cache = ResponseCache(str(tmp_path / "cache"))
+    statements = []
+    cache._conn.set_trace_callback(statements.append)
+    assert cache.scores([b"absent"]) == {}  # no scores table before the first write
+    # Past two lookup batches of 999 keys, with values across [0, 1].
+    rows = [(hashlib.sha256(str(i).encode()).digest(), [i / 2499, 0.0, 1.0] * 3)
+            for i in range(2500)]
+    statements.clear()
+    cache.put_scores(rows)
+    assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+    statements.clear()
+    found = cache.scores([key for key, _ in rows] + [b"absent"])
+    assert found == {key: tuple(values) for key, values in rows}
+    assert sum(s.startswith("SELECT key, value FROM scores") for s in statements) == 3
+    assert cache.stats() == CacheStats(0, 0, 0)  # the counters count completions only
+    assert read_rows(tmp_path / "cache") == []
+
+
+def test_no_store_has_no_score_memo():
+    cache = ResponseCache(None)
+    cache.put_scores([(b"k" * 32, [0.5] * 9)])
+    assert cache.scores([b"k" * 32]) == {}
 
 
 # --- replay backend ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import table_of
 from qasum.metrics import (
+    SCORER_VERSION,
     Reference,
     RougeScore,
     ScoreRow,
@@ -20,6 +22,7 @@ from qasum.metrics import (
     lcs_masks,
     overlap_precision,
     rouge_scores,
+    rouge_values,
     tokenize,
     _prf,
 )
@@ -521,3 +524,34 @@ def test_aggregate_sorts_k_numerically():
     rows = [make_row("a", k=10), make_row("b", k=2), make_row("c", k=0)]
     out = aggregate(table_of(rows), ("k",))
     assert [dict(g.group)["k"] for g in out] == [0, 2, 10]
+
+
+# --- the scorer's version ---------------------------------------------------
+
+
+# Words of every kind ``tokenize`` meets: ASCII, cased and uncased
+# non-ASCII, digits, and the punctuation and underscores it splits on.
+PIN_WORDS = ["the", "Cat", "sat", "mat", "42", "café", "Straße", "İstanbul", "naïve", "数据",
+             "ΣΊΣΥΦΟΣ", "snake_case", "x", "—", "don't", "e.g."]
+
+
+def pin_text(rng: random.Random) -> str:
+    """A text of 0 to 30 words from ``PIN_WORDS``, so empty and one-word
+    texts come up too."""
+    return " ".join(rng.choices(PIN_WORDS, k=rng.randint(0, 30)))
+
+
+# The SHA-256 of the repr of every ``rouge_values`` below, by scorer
+# version. A response store memoizes scores under SCORER_VERSION, so a
+# change that moves any score must bump it and record the new digest here.
+PINNED_SCORES = {1: "e0c018d47a2b3c2433bf089474c7b4a67577b734ddb1693b0b9737ef40c74911"}
+
+
+def test_scores_are_pinned_to_the_scorer_version():
+    rng = random.Random(0)
+    values = []
+    for _ in range(300):
+        reference, candidate = pin_text(rng), pin_text(rng)
+        values.append(rouge_values(tokenize(candidate), Reference.from_text(reference)))
+    digest = hashlib.sha256(repr(values).encode("utf-8")).hexdigest()
+    assert digest == PINNED_SCORES[SCORER_VERSION]
