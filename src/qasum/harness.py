@@ -26,7 +26,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import csv
-import hashlib
 import json
 from json.encoder import encode_basestring
 import math
@@ -38,7 +37,6 @@ import threading
 import time
 import types
 import typing
-import unicodedata
 
 from .corpus import (
     CONTROL_CHARACTER,
@@ -48,8 +46,8 @@ from .corpus import (
     split_corpus,
     subsample_per_domain,
 )
-from .lm import CacheStats, CompletionClient, LmConfig, _framed
-from .metrics import (SCORER_VERSION, Reference, RougeScore, ScoreTable, aggregate, rouge_values,
+from .lm import CacheStats, CompletionClient, LmConfig, score_keys
+from .metrics import (Reference, RougeScore, ScoreTable, aggregate, rouge_values, scorer_fields,
                       tokenize)
 from .prompting import (IclExample, PARSE_FAILED, PARSE_STATUSES, ParsedOutput, PromptFrame,
                         parse_output, qa_frame)
@@ -504,28 +502,17 @@ def _score_rows(groups) -> array:
         shared.close()
 
 
-def _pair_keys(instances, summaries: list[str], per_instance: int) -> list[bytes]:
-    """Each row's score memo key: the SHA-256 of ``SCORER_VERSION``, the
-    Unicode version that ``tokenize`` reads, the instance's reference and
-    the row's summary, each framed as ``lm.cache_key`` frames a field. The
-    framed bytes before the summary are digested once per instance."""
-    scorer = _framed(str(SCORER_VERSION)) + _framed(unicodedata.unidata_version)
-    keys = []
-    for n, inst in enumerate(instances):
-        head = hashlib.sha256(scorer + _framed(inst.reference))
-        for summary in summaries[n * per_instance : (n + 1) * per_instance]:
-            digest = head.copy()
-            digest.update(_framed(summary))
-            keys.append(digest.digest())
-    return keys
-
-
 def _memoized_scores(store, instances, summaries: list[str], per_instance: int) -> array:
     """What ``_score_rows`` gives for every row, each row's values read
     from ``store``'s score memo where it holds them. The rows it misses
     are scored, grouped by instance, so each reference is still tokenized
-    once, and then memoized in one transaction."""
-    keys = _pair_keys(instances, summaries, per_instance)
+    once, and then memoized in one transaction. A store with no directory
+    holds and keeps nothing, so there every row is scored."""
+    scorer = scorer_fields()
+    keys = []
+    for n, inst in enumerate(instances):
+        keys += score_keys(scorer, inst.reference,
+                           summaries[n * per_instance : (n + 1) * per_instance])
     found = store.scores(keys)
     missed = [i for i, key in enumerate(keys) if key not in found]
     if missed:
@@ -639,17 +626,12 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             for inst in instances for k in k_values]
     outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
 
-    # Stage 4: score every (instance, k) row on every usable core, or, with
-    # a store, every row its score memo lacks. Each process scores its share
-    # instance by instance, so only one reference's token table is alive at
-    # a time in each.
-    per_instance = len(k_values)
-    summaries = [parsed.summary for parsed in outputs]
-    if cfg.cache_dir:
-        scores = _memoized_scores(client.store, instances, summaries, per_instance)
-    else:
-        scores = _score_rows([(inst.reference, summaries[n * per_instance : (n + 1) * per_instance])
-                              for n, inst in enumerate(instances)])
+    # Stage 4: score every (instance, k) row that the store's score memo
+    # lacks, every row with no store, on every usable core. Each process
+    # scores its share instance by instance, so only one reference's token
+    # table is alive at a time in each.
+    scores = _memoized_scores(client.store, instances, [parsed.summary for parsed in outputs],
+                              len(k_values))
 
     # The instances are in id order and each one's rows in ascending k, so
     # the rows are in (id, k) order.

@@ -38,6 +38,7 @@ replay fixture.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 import contextlib
 from dataclasses import dataclass, field
 import functools
@@ -156,6 +157,21 @@ def cache_key(model: str, prompt: str, max_tokens: int, stop: str) -> str:
     digest.update(data)
     digest.update(_framed_settings(max_tokens, stop))
     return digest.hexdigest()
+
+
+def score_keys(scorer: Sequence[str], reference: str, summaries: Iterable[str]) -> list[bytes]:
+    """The score memo's key for ``reference`` paired with each of
+    ``summaries``: SHA-256 over the fields that name the scorer
+    (``metrics.scorer_fields``), the reference and the summary, each
+    framed as ``cache_key`` frames a field. The bytes before the summary
+    are digested once."""
+    head = hashlib.sha256(b"".join(map(_framed, (*scorer, reference))))
+    keys = []
+    for summary in summaries:
+        digest = head.copy()
+        digest.update(_framed(summary))
+        keys.append(digest.digest())
+    return keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,11 +392,10 @@ class ResponseCache:
 
     The same database holds the score memo, the ``scores`` table, made by
     the first ``put_scores``: each row's nine ROUGE values under a 32-byte
-    key that the caller derives from the scorer and the scored pair.
-    ``scores`` looks keys up in batches, and ``put_scores`` writes its
-    rows in one transaction. A value that is not nine doubles in [0, 1] is
-    a miss, so the caller scores the row again and ``put_scores`` replaces
-    it.
+    key, ``score_keys`` of the scorer and the scored pair. ``scores``
+    looks keys up in batches, and ``put_scores`` writes its rows in one
+    transaction. A value that is not nine doubles in [0, 1] is a miss, so
+    the caller scores the row again and ``put_scores`` replaces it.
     """
 
     def __init__(self, root: str | None):

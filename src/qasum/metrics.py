@@ -19,9 +19,9 @@ building a ``RougeScore``, ``aggregate`` means the columns, and a
 
 ``SCORER_VERSION`` names the scorer: ``tokenize`` and ``rouge_values``
 as they are. A response store memoizes each row's nine values under a key
-that digests it, with the Unicode version ``tokenize`` reads and the
-scored pair, so a change that can move any score must bump it, or a store
-would serve the old scorer's values.
+that digests ``scorer_fields``, which are it and the Unicode version
+``tokenize`` reads, and the scored pair, so a change that can move any
+score must bump it, or a store would serve the old scorer's values.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 import re
+import unicodedata
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 # Every ASCII character that [^\W_] does not match, mapped to a space.
@@ -42,6 +43,12 @@ GROUP_FIELDS = ("method", "domain", "k")
 
 # Bump on any change that can move a score; see the module docstring.
 SCORER_VERSION = 1
+
+
+def scorer_fields() -> tuple[str, str]:
+    """What a score depends on besides the scored pair: ``SCORER_VERSION``
+    and the Unicode version that ``tokenize`` reads for non-ASCII text."""
+    return str(SCORER_VERSION), unicodedata.unidata_version
 
 
 def tokenize(text: str) -> list[str]:

@@ -48,6 +48,7 @@ from qasum.lm import (
     _read_reply,
     cache_key,
     compute_max_tokens,
+    score_keys,
 )
 from qasum.prompting import IclExample, PromptFrame, qa_frame, single_qa_frame
 from qasum.questions import builtin_bank
@@ -670,6 +671,15 @@ def test_score_memo_writes_once_and_reads_in_batches(tmp_path):
     assert sum(s.startswith("SELECT key, value FROM scores") for s in statements) == 3
     assert cache.stats() == CacheStats(0, 0, 0)  # the counters count completions only
     assert read_rows(tmp_path / "cache") == []
+
+
+def test_score_keys_are_the_framed_digests():
+    reference = "Ref\u00e9rence."
+    summaries = ["", "one", "\U0001f600 two"]
+    framed = [len(f.encode()).to_bytes(8, "big") + f.encode()
+              for f in ("1", "15.0.0", reference, *summaries)]
+    expected = [hashlib.sha256(b"".join(framed[:3]) + s).digest() for s in framed[3:]]
+    assert score_keys(("1", "15.0.0"), reference, summaries) == expected
 
 
 def test_no_store_has_no_score_memo():
