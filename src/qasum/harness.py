@@ -7,7 +7,7 @@ per-instance ROUGE rows, and emits plot-ready CSV aggregates;
 compare/report render cross-run tables from saved run manifests.
 
 A run's rows stay in columns, a ``metrics.ScoreTable``, from scorer to
-file to reader: the scorers write each row's nine floats into one array in
+file to reader: the scorer writes each row's nine floats into one array in
 (id, k) order, the order ``subsample_per_domain`` gives the instances in,
 ``load_manifest`` fills the columns from the parsed document, and the
 writers and ``aggregate`` read them. No ``ScoreRow`` is built unless a
@@ -18,7 +18,7 @@ per store: the response store's score memo keeps each row's nine values
 under a digest of ``metrics.SCORER_VERSION``, the Unicode version, the
 reference and the summary, so a warm rerun reads its scores and scores
 only the rows the memo lacks. A run with no cache directory has no memo
-and scores every row.
+and scores every row. Scoring runs in the calling process.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ import csv
 import json
 from json.encoder import encode_basestring
 import math
-import mmap
 from operator import itemgetter
 import os
-import signal
-import threading
 import time
 import types
 import typing
@@ -407,17 +404,6 @@ def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
 
 _FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
 
-# The bytes of one row's nine scores in an ``array('d')``.
-_ROW_BYTES = 9 * array("d").itemsize
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
 
 def _score(groups) -> array:
     """ROUGE-1/2/L of each ``(reference, summaries)`` group's summaries
@@ -432,81 +418,11 @@ def _score(groups) -> array:
     return scores
 
 
-def _score_rows(groups) -> array:
-    """``_score`` over every group, on every usable core.
-
-    The groups are split into contiguous shares, one per usable CPU and at
-    most one per group. The caller scores the first share, and a forked
-    helper scores each other one. With no ``os.fork`` (Windows), or while
-    another thread is alive, since a fork copies no other thread and can
-    leave the child waiting on a lock one of them held, the caller scores
-    every share itself.
-
-    The helpers hand back their scores through one anonymous shared
-    mapping of every row's doubles, which each inherits: a helper writes
-    its share's ``array('d')`` bytes into the share's slice, touches
-    nothing else it inherited (no store connection, no socket) and leaves
-    through ``os._exit``, so no cleanup of the caller's runs twice. A slice
-    of any other length is refused, and the helper exits 1. The caller
-    reaps the helpers in share order and takes a share's slice only from a
-    helper that exited 0; a share whose helper failed, or could not be
-    forked, it scores itself. Each helper is killed if still running and
-    reaped before this returns or raises.
-    """
-    shares = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        shares = max(1, min(_usable_cpus(), len(groups)))
-    if shares == 1:
-        return _score(groups)
-    bounds = [len(groups) * i // shares for i in range(shares + 1)]
-    spans = list(zip(bounds, bounds[1:]))
-    starts = [0]  # each group's first row, then the row count
-    for _, summaries in groups:
-        starts.append(starts[-1] + len(summaries))
-
-    def place(lo, hi):
-        return slice(starts[lo] * _ROW_BYTES, starts[hi] * _ROW_BYTES)
-
-    shared = mmap.mmap(-1, starts[-1] * _ROW_BYTES)
-    helpers: list[int] = []  # in share order, each until it is reaped
-    try:
-        for lo, hi in spans[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no more processes: the caller scores the rest
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    shared[place(lo, hi)] = _score(groups[lo:hi]).tobytes()
-                    status = 0
-                finally:
-                    os._exit(status)
-            helpers.append(pid)
-        lo, hi = spans[0]
-        scores = _score(groups[lo:hi])
-        for lo, hi in spans[1:]:
-            status = 1
-            if helpers:
-                status = os.waitpid(helpers[0], 0)[1]
-                del helpers[0]
-            if status == 0:
-                scores.frombytes(shared[place(lo, hi)])
-            else:
-                scores += _score(groups[lo:hi])
-        return scores
-    finally:
-        for pid in helpers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        shared.close()
-
-
 def _memoized_scores(store, instances, summaries: list[str], per_instance: int) -> array:
-    """What ``_score_rows`` gives for every row, each row's values read
-    from ``store``'s score memo where it holds them. The rows it misses
-    are scored, grouped by instance, so each reference is still tokenized
-    once, and then memoized in one transaction. A store with no directory
+    """What ``_score`` gives for every row, each row's values read from
+    ``store``'s score memo where it holds them. The rows it misses are
+    scored, grouped by instance, so each reference is still tokenized once,
+    and then memoized in one transaction. A store with no directory
     holds and keeps nothing, so there every row is scored."""
     scorer = scorer_fields()
     keys = []
@@ -519,7 +435,7 @@ def _memoized_scores(store, instances, summaries: list[str], per_instance: int) 
         groups: dict[int, list[str]] = {}  # by instance, in row order
         for i in missed:
             groups.setdefault(i // per_instance, []).append(summaries[i])
-        fresh = _score_rows([(instances[n].reference, group) for n, group in groups.items()])
+        fresh = _score([(instances[n].reference, group) for n, group in groups.items()])
         rows = [(keys[i], fresh[9 * j : 9 * j + 9]) for j, i in enumerate(missed)]
         store.put_scores(rows)
         found.update(rows)
@@ -541,14 +457,11 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     completion per (instance, k), its prompt the instance's article in
     its cell's frame. With a cache directory, each row whose pair the
     store's score memo holds takes its scores from there, and the rest are
-    scored and memoized (``_memoized_scores``). It scores the rows on every
-    usable core: the caller and forked helpers each take a contiguous share
-    of the instances and score it instance by instance (``_score_rows``).
-    The rows come out in the same order, with the same scores, whatever the
-    number of helpers and whatever the memo held, and no helper outlives
-    the call. A per-request LM error degrades to failed rows;
-    configuration and I/O problems, an unreachable or rate-limiting
-    backend and replay fixture gaps abort the run.
+    scored and memoized (``_memoized_scores``), instance by instance in
+    this process. The rows come out in the same order, with the same
+    scores, whatever the memo held. A per-request LM error degrades to
+    failed rows; configuration and I/O problems, an unreachable or
+    rate-limiting backend and replay fixture gaps abort the run.
     """
     started = time.monotonic()
     corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
@@ -627,9 +540,8 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
     outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
 
     # Stage 4: score every (instance, k) row that the store's score memo
-    # lacks, every row with no store, on every usable core. Each process
-    # scores its share instance by instance, so only one reference's token
-    # table is alive at a time in each.
+    # lacks, every row with no store, instance by instance, so only one
+    # reference's token table is alive at a time.
     scores = _memoized_scores(client.store, instances, [parsed.summary for parsed in outputs],
                               len(k_values))
 
