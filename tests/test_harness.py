@@ -740,10 +740,16 @@ def test_eval_rows_are_in_id_order_and_each_holds_its_own_scores(tmp_path, monke
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
-def test_eval_leaves_no_descriptor_open(tmp_path):
+@pytest.mark.parametrize("runs", [1, 4])
+def test_eval_leaves_no_descriptor_open(tmp_path, runs):
+    """One cold eval with a store, or a cold eval and three warm reruns that
+    read their rows from the store, leaves the process's descriptors as
+    they were."""
     cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
+    cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
     before = sorted(os.listdir("/proc/self/fd"))
-    counted_eval(cfg, tmp_path / "out", backend)
+    for run in range(runs):
+        counted_eval(cfg, tmp_path / f"out{run}", backend)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
 
