@@ -2,6 +2,7 @@
 
 Corpus files are newline-delimited JSON, one record per line with fields
 exactly ``id``, ``domain``, ``task``, ``article``, ``reference`` (UTF-8).
+``load_corpus`` returns a ``Corpus``, the tuple of the file's instances.
 """
 
 from __future__ import annotations
@@ -49,14 +50,10 @@ class TaskInstance:
     reference: str
 
 
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    """A validated corpus: its instances in file order."""
+class Corpus(tuple):
+    """A validated corpus: the tuple of its ``TaskInstance``s in file order."""
 
-    instances: tuple[TaskInstance, ...]
-
-    def __len__(self) -> int:
-        return len(self.instances)
+    __slots__ = ()
 
 
 def _validate_record(obj: object, line_no: int) -> None:
@@ -142,7 +139,7 @@ def load_corpus(path, domains: tuple[str, ...] = DEFAULT_DOMAINS) -> Corpus:
             raise CorpusError(f"line {line_no}: reference is empty after tokenization")
         seen.add(id_)
         instances.append(TaskInstance(*values))
-    return Corpus(instances=tuple(instances))
+    return Corpus(instances)
 
 
 def _numbered_records(path):
@@ -254,7 +251,7 @@ def split_corpus(corpus: Corpus, pool_fraction: float, seed: int) -> CorpusSplit
     """
     if not 0 < pool_fraction < 1:
         raise ValueError("pool_fraction must be in (0, 1)")
-    ordered = sorted(corpus.instances, key=_by_id)
+    ordered = sorted(corpus, key=_by_id)
     groups: dict[tuple[str, str], list[TaskInstance]] = {}
     for inst in ordered:
         groups.setdefault((inst.domain, inst.task), []).append(inst)

@@ -15,7 +15,8 @@ A run's rows are held as columns in a ``ScoreTable``: five label columns
 and nine ``array('d')`` score columns, one per component of ROUGE-1/2/L.
 ``rouge_values`` scores a candidate into those nine floats without
 building a ``RougeScore``, ``aggregate`` means the columns, and a
-``ScoreRow`` is built only when a table's row is read.
+``ScoreRow`` is built only when a table is iterated. A table is a frozen
+dataclass of its columns.
 
 ``SCORER_VERSION`` names the scorer: ``tokenize`` and ``rouge_values``
 as they are. A response store memoizes each row's nine values under a key
@@ -107,67 +108,40 @@ class ScoreRow:
 LABEL_FIELDS = ("id", "method", "domain", "k", "parse_status")
 
 
-class ScoreTable(Sequence[ScoreRow]):
-    """A run's rows, in the order given, held as columns: the read-only
-    sequence of ``ScoreRow``s that ``RunManifest.rows`` is and ``aggregate``
-    reads. The constructor, which takes the columns, is the only way a table
-    is built; ``repr`` renders that call.
-
-    Five label columns are named after the ``ScoreRow`` field each holds,
-    so ``table.k[i]`` is ``table[i].k``: ``id``, ``method``, ``domain``,
-    ``k`` and ``parse_status``. ``scores`` holds nine score columns:
+@dataclass(frozen=True, slots=True)
+class ScoreTable:
+    """A run's rows as columns, in the order given: what ``RunManifest.rows``
+    is and ``aggregate`` reads. Each label column is a list named after the
+    ``ScoreRow`` field it holds. ``scores`` is nine ``array('d')`` columns,
     ROUGE-1's precision, recall and F1, then ROUGE-2's and ROUGE-L's, so
-    ``table.scores[4][i]`` is ``table[i].rouge2.recall``. The constructor
-    stores each label column as a list and each score column as an
-    ``array('d')``, so an int score given to it comes back as a float.
+    ``table.scores[4][i]`` is row i's ``rouge2.recall`` and an int score
+    comes back as a float. Iterating builds the ``ScoreRow``s one at a
+    time; a table is not indexed."""
 
-    A row is built only when it is read, by index or by iteration. Two
-    tables are equal when their columns hold equal values, as two tuples of
-    their rows would be. Neither a table nor its columns change once built.
-    """
+    id: list[str]
+    method: list[str]
+    domain: list[str]
+    k: list[int]
+    parse_status: list[str]
+    scores: tuple[array, ...]
 
-    __slots__ = (*LABEL_FIELDS, "scores")
-
-    def __init__(self, id: Iterable[str], method: Iterable[str], domain: Iterable[str],
-                 k: Iterable[int], parse_status: Iterable[str],
-                 scores: Iterable[Iterable[float]]):
-        self.id, self.method, self.domain, self.k, self.parse_status = map(
-            list, (id, method, domain, k, parse_status))
-        self.scores = tuple(array("d", column) for column in scores)
-        if len(self.scores) != 9 or any(len(c) != len(self) for c in self._columns()):
+    def __post_init__(self):
+        for name in LABEL_FIELDS:
+            object.__setattr__(self, name, list(getattr(self, name)))
+        object.__setattr__(self, "scores", tuple(array("d", column) for column in self.scores))
+        lengths = {len(getattr(self, name)) for name in LABEL_FIELDS} | set(map(len, self.scores))
+        if len(self.scores) != 9 or len(lengths) > 1:
             raise ValueError("a ScoreTable takes five label columns and nine score columns,"
                              " all of one length")
 
-    def _columns(self) -> tuple[Sequence, ...]:
-        return (self.id, self.method, self.domain, self.k, self.parse_status, *self.scores)
-
     def __len__(self) -> int:
         return len(self.id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            columns = [column[index] for column in self._columns()]
-            return ScoreTable(*columns[:5], columns[5:])
-        s = self.scores
-        return ScoreRow(self.id[index], self.method[index], self.domain[index], self.k[index],
-                        RougeScore(s[0][index], s[1][index], s[2][index]),
-                        RougeScore(s[3][index], s[4][index], s[5][index]),
-                        RougeScore(s[6][index], s[7][index], s[8][index]),
-                        self.parse_status[index])
 
     def __iter__(self):
         s = self.scores
         return map(ScoreRow, self.id, self.method, self.domain, self.k,
                    map(RougeScore, s[0], s[1], s[2]), map(RougeScore, s[3], s[4], s[5]),
                    map(RougeScore, s[6], s[7], s[8]), self.parse_status)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScoreTable):
-            return NotImplemented
-        return self._columns() == other._columns()
-
-    def __repr__(self) -> str:
-        return type(self).__name__ + repr((*self._columns()[:5], self.scores))
 
 
 def _clipped_score(grams: Iterable, ref: dict, count: Callable[[int], int],

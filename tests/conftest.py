@@ -101,7 +101,7 @@ class ScriptedBackend:
     deterministic, hand-checkable completion."""
 
     def __init__(self, corpus: Corpus):
-        self._by_article = {inst.article: inst for inst in corpus.instances}
+        self._by_article = {inst.article: inst for inst in corpus}
         self._key_by_text = {q.text: q.key for q in builtin_bank()}
         self._text_by_key = {q.key: q.text for q in builtin_bank()}
 

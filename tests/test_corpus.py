@@ -44,7 +44,20 @@ def test_load_small_fixture(tmp_path):
     write_jsonl(path, [record("a"), record("b"), record("c", domain="Reviews", task="amz")])
     corpus = load_corpus(path)
     assert len(corpus) == 3
-    assert [inst.domain for inst in corpus.instances] == ["News", "News", "Reviews"]
+    assert [inst.domain for inst in corpus] == ["News", "News", "Reviews"]
+
+
+def test_a_corpus_is_the_tuple_of_its_instances(tmp_path):
+    path = tmp_path / "c.jsonl"
+    records = [record("b"), record("a", domain="Reviews", task="amz"), record("c"),
+               record("d", domain="Reviews", task="amz")]
+    write_jsonl(path, records)
+    corpus = load_corpus(path)
+    assert type(corpus) is Corpus and isinstance(corpus, tuple)
+    assert corpus == tuple(TaskInstance(**rec) for rec in records)
+    assert hash(corpus) == hash(tuple(corpus))
+    assert not hasattr(corpus, "__dict__")
+    assert split_corpus(corpus, 0.5, seed=3) == split_corpus(tuple(corpus), 0.5, seed=3)
 
 
 def test_missing_reference_field(tmp_path):
@@ -202,14 +215,14 @@ def test_other_unprintable_characters_pass_in_labels_and_controls_in_text(tmp_pa
     rec = record("a\x85\xa0\u2028", task="x\u2029", article="one\ttwo\r\nthree",
                  reference="a\x00b", domain="News")
     write_jsonl(path, [rec])
-    assert load_corpus(path).instances == (TaskInstance(**rec),)
+    assert load_corpus(path) == (TaskInstance(**rec),)
 
 
 def test_custom_registry_admits_new_domains(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record("a", domain="Sports")])
     corpus = load_corpus(path, ("Sports", "News"))
-    assert [inst.domain for inst in corpus.instances] == ["Sports"]
+    assert [inst.domain for inst in corpus] == ["Sports"]
 
 
 def plain_load(path) -> Corpus:
@@ -257,14 +270,14 @@ def plain_load(path) -> Corpus:
                 raise CorpusError(f"line {line_no}: reference is empty after tokenization")
             seen.add(rec["id"])
             instances.append(TaskInstance(**rec))
-    return Corpus(tuple(instances))
+    return Corpus(instances)
 
 
 def load_outcome(load, path):
     """The instances ``load`` returns, or the class and message of the
     error it raises."""
     try:
-        return load(path).instances
+        return load(path)
     except CorpusError as exc:
         return type(exc), str(exc)
 
@@ -368,7 +381,7 @@ def test_load_corpus_agrees_with_the_plain_checks(line, newline, block_bytes):
 
 def ten_instance_corpus():
     instances = tuple(record_to_instance(record(f"i{n:02d}")) for n in range(10))
-    return Corpus(instances=instances)
+    return Corpus(instances)
 
 
 def record_to_instance(rec):
@@ -388,20 +401,20 @@ def test_split_is_deterministic_and_partitions():
     two = split_corpus(corpus, 0.3, seed=42)
     assert one == two
     assert set(one.icl_pool) & set(one.eval_set) == set()
-    assert set(one.icl_pool) | set(one.eval_set) == set(corpus.instances)
+    assert set(one.icl_pool) | set(one.eval_set) == set(corpus)
 
 
 def test_split_is_the_seeded_sample_of_the_id_sorted_group():
-    corpus = Corpus(instances=tuple(reversed(ten_instance_corpus().instances)))
+    corpus = Corpus(reversed(ten_instance_corpus()))
     split = split_corpus(corpus, 0.3, seed=4)
-    shuffled = random.Random("4|News|xsum").sample(sorted(i.id for i in corpus.instances), 10)
+    shuffled = random.Random("4|News|xsum").sample(sorted(i.id for i in corpus), 10)
     assert [i.id for i in split.icl_pool] == sorted(shuffled[:3])
     assert [i.id for i in split.eval_set] == sorted(shuffled[3:])
 
 
 def test_split_depends_only_on_contents_not_order():
     corpus = ten_instance_corpus()
-    reversed_corpus = Corpus(instances=tuple(reversed(corpus.instances)))
+    reversed_corpus = Corpus(reversed(corpus))
     assert split_corpus(corpus, 0.3, seed=5) == split_corpus(reversed_corpus, 0.3, seed=5)
 
 
@@ -411,7 +424,7 @@ def test_split_changes_with_seed():
 
 
 def test_split_group_too_small():
-    corpus = Corpus(instances=(record_to_instance(record("only")),))
+    corpus = Corpus((record_to_instance(record("only")),))
     with pytest.raises(CorpusError, match=re.escape("group ('News', 'xsum') has 1 instance(s)")):
         split_corpus(corpus, 0.5, seed=0)
 

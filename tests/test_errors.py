@@ -56,7 +56,7 @@ def load_records(tmp_path, records):
 
 
 def news(*ids):
-    return Corpus(tuple(TaskInstance(i, "News", "xsum", f"article {i}", "a summary") for i in ids))
+    return Corpus(TaskInstance(i, "News", "xsum", f"article {i}", "a summary") for i in ids)
 
 
 def ordering(*keys):
@@ -65,7 +65,7 @@ def ordering(*keys):
 
 def rank_nothing(tmp_path):
     client = CompletionClient(LmConfig(model="m1", backend="replay"), backend=StubBackend())
-    return rank_questions(client, list(news("a").instances), subsample=0)
+    return rank_questions(client, list(news("a")), subsample=0)
 
 
 # Each refusal's class and its exact message. The prompt builder's class

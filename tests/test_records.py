@@ -10,7 +10,6 @@ import pytest
 from conftest import table_of
 import qasum
 from qasum import (
-    Corpus,
     CorpusSplit,
     ExperimentConfig,
     IclExample,
@@ -23,6 +22,7 @@ from qasum import (
     RougeScore,
     RunManifest,
     ScoreRow,
+    ScoreTable,
     TaskInstance,
 )
 from qasum.lm import CacheStats
@@ -36,7 +36,6 @@ def score_row(id_="i1"):
 
 # Per record type: a function that builds one, and a field with another value.
 RECORDS = {
-    Corpus: (lambda: Corpus((TaskInstance("i1", "News", "t", "a", "r"),)), "instances", ()),
     CorpusSplit: (lambda: CorpusSplit((TaskInstance("i1", "News", "t", "a", "r"),), ()),
                   "eval_set", (TaskInstance("i2", "News", "t", "b", "s"),)),
     ExperimentConfig: (lambda: ExperimentConfig(corpus="c.jsonl", lm=LmConfig("m1"),
@@ -56,6 +55,7 @@ RECORDS = {
                                       2.0),
                   "wall_clock_s", 3.0),
     ScoreRow: (score_row, "k", 3),
+    ScoreTable: (lambda: table_of([score_row()]), "parse_status", ["failed"]),
     TaskInstance: (lambda: TaskInstance("i1", "News", "t", "a", "r"), "reference", "s"),
 }
 
