@@ -17,8 +17,9 @@ A run with a cache directory scores each (reference, summary) pair once
 per store: the response store's score memo keeps each row's nine values
 under a digest of ``metrics.SCORER_VERSION``, the Unicode version, the
 reference and the summary, so a warm rerun reads its scores and scores
-only the rows the memo lacks. A run with no cache directory has no memo
-and scores every row. Scoring runs in the calling process.
+only the pairs the memo lacks. A run with no cache directory has no memo
+and scores each distinct pair of its rows once. Scoring runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .corpus import (
 from .lm import CacheStats, CompletionClient, LmConfig, score_keys
 from .metrics import (Reference, RougeScore, ScoreTable, aggregate, rouge_values, scorer_fields,
                       tokenize)
-from .prompting import (IclExample, PARSE_FAILED, PARSE_STATUSES, ParsedOutput, PromptFrame,
-                        parse_output, qa_frame)
+from .prompting import (IclExample, PARSE_FAILED, PARSE_STATUSES, PromptFrame, parse_output,
+                        qa_frame)
 from .questions import (
     RankingError,
     RankingTable,
@@ -402,9 +403,6 @@ def run_rank(cfg: ExperimentConfig, out_path, *, backend=None) -> RankingTable:
     return table
 
 
-_FAILED = ParsedOutput(answers=(), summary="", parse_status=PARSE_FAILED)
-
-
 def _score(groups) -> array:
     """ROUGE-1/2/L of each ``(reference, summaries)`` group's summaries
     against its reference text, in order: each row's nine ``rouge_values``,
@@ -420,23 +418,29 @@ def _score(groups) -> array:
 
 def _memoized_scores(store, instances, summaries: list[str], per_instance: int) -> array:
     """What ``_score`` gives for every row, each row's values read from
-    ``store``'s score memo where it holds them. The rows it misses are
-    scored, grouped by instance, so each reference is still tokenized once,
-    and then memoized in one transaction. A store with no directory
-    holds and keeps nothing, so there every row is scored."""
+    ``store``'s score memo where it holds them. Each distinct pair the memo
+    lacks is scored once, at its first row, grouped by instance, so each
+    reference is still tokenized once, and then memoized in one
+    transaction; rows that repeat a pair, such as an instance's failed
+    rows with their empty summary, share its values. A store with no
+    directory holds and keeps nothing, so there every distinct pair is
+    scored."""
     scorer = scorer_fields()
     keys = []
     for n, inst in enumerate(instances):
         keys += score_keys(scorer, inst.reference,
                            summaries[n * per_instance : (n + 1) * per_instance])
     found = store.scores(keys)
-    missed = [i for i, key in enumerate(keys) if key not in found]
+    missed: dict[bytes, int] = {}  # each key the memo lacks, at its first row
+    for i, key in enumerate(keys):
+        if key not in found:
+            missed.setdefault(key, i)
     if missed:
         groups: dict[int, list[str]] = {}  # by instance, in row order
-        for i in missed:
+        for i in missed.values():
             groups.setdefault(i // per_instance, []).append(summaries[i])
         fresh = _score([(instances[n].reference, group) for n, group in groups.items()])
-        rows = [(keys[i], fresh[9 * j : 9 * j + 9]) for j, i in enumerate(missed)]
+        rows = [(key, fresh[9 * j : 9 * j + 9]) for j, key in enumerate(missed)]
         store.put_scores(rows)
         found.update(rows)
     scores = array("d")
@@ -445,25 +449,11 @@ def _memoized_scores(store, instances, summaries: list[str], per_instance: int) 
     return scores
 
 
-def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
-    """Evaluate the configured method over the eval set and k sweep.
-
-    Each domain maps to one question ordering: its own, under the global
-    scope the cross-domain one, and for vanilla and icl the empty one, so
-    they run at k = 0. The prompt inputs of each (domain, task, k) cell,
-    the ordering's first k questions and the group's ICL examples with
-    their answers to them, are resolved once per run, and the cell's
-    prompt frame is rendered once from them; then the run issues one
-    completion per (instance, k), its prompt the instance's article in
-    its cell's frame. With a cache directory, each row whose pair the
-    store's score memo holds takes its scores from there, and the rest are
-    scored and memoized (``_memoized_scores``), instance by instance in
-    this process. The rows come out in the same order, with the same
-    scores, whatever the memo held. A per-request LM error degrades to
-    failed rows; configuration and I/O problems, an unreachable or
-    rate-limiting backend and replay fixture gaps abort the run.
-    """
-    started = time.monotonic()
+def _select(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """The run's eval instances, in id order, and the ICL examples of each
+    of their (domain, task) groups (none for vanilla). The corpus and its
+    split are freed when this returns, so a run holds only the instances
+    it reads."""
     corpus = load_corpus(cfg.corpus, cfg.domains or DEFAULT_DOMAINS)
     split = split_corpus(corpus, cfg.pool_fraction, cfg.seed)
     if not split.eval_set:
@@ -472,36 +462,26 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             " to the ICL pool, so eval_subsample has nothing to pick from"
         )
     instances = subsample_per_domain(split.eval_set, cfg.eval_subsample, cfg.seed, "eval")
-    domains = sorted({inst.domain for inst in instances})
-
-    orderings: dict[str, tuple] = dict.fromkeys(domains, ())
-    if cfg.method == "qa":
-        if not cfg.ranking:
-            raise RankingError("method qa requires a ranking file")
-        table = load_ranking(cfg.ranking)
-        ensure_model(table, cfg.lm.model, allow_mismatch=cfg.allow_model_mismatch)
-        orderings = (dict.fromkeys(domains, global_ranking(table)) if cfg.scope == "global"
-                     else table.domains)
-
-    client = _make_client(cfg, backend)
-
-    k_values = tuple(sorted(set(cfg.k_values))) if cfg.method == "qa" else (0,)
-
-    # Stage 1: ICL examples per (domain, task) and questions per (domain, k).
     examples = {
         group: sample_icl_examples(split, *group, cfg.icl_examples, cfg.seed)
         if cfg.method != "vanilla" else []
         for group in dict.fromkeys((inst.domain, inst.task) for inst in instances)
     }
-    questions: dict[tuple[str, int], list] = {}
-    for domain in domains:
-        if domain not in orderings:
-            raise RankingError(f"domain {domain!r} not present in ranking table")
-        for k in k_values:
-            questions[domain, k] = top_k(orderings[domain], k)
+    return instances, examples
 
-    # Stage 2: each example's answer to each question it is shown with,
-    # requested once. Every k's questions are a prefix of the largest k's.
+
+def _summarize(client: CompletionClient, instances, examples: dict, questions: dict,
+               k_values: tuple[int, ...]) -> tuple[list[str], list[str]]:
+    """Stages 2 and 3 of ``run_eval``: each row's summary and parse status,
+    in (id, k) order. A row whose completion failed, or whose prompt needs
+    an example answer that failed, has summary "" and status failed.
+
+    Each example's answer to each question it is shown with is requested
+    once; every k's questions are a prefix of the largest k's. Each
+    (domain, task, k) cell's frame is rendered once from its questions and
+    completed examples. Then each row's completion is parsed as it comes
+    and only its summary and status are kept, so a row's answers are freed
+    once it is parsed, and the answers and frames once this returns."""
     answer_jobs: dict[tuple[str, str], tuple] = {}
     for (domain, _), group in examples.items():
         for example in group:
@@ -526,33 +506,93 @@ def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
             cells[domain, task, k] = (None if any(None in e.answers for e in icl)
                                       else qa_frame(qs, icl))
 
-    # Stage 3: one completion per (instance, k), parsed. ``generate`` glues
-    # the prompt, so only the prompts in flight are alive.
-    def summarize(job) -> ParsedOutput:
-        article, frame = job
-        if frame is None:
-            return _FAILED
-        completion, _ = client.generate(frame, article)
-        return parse_output(completion, frame.k)
+    # One completion per (instance, k). ``generate`` glues the prompt, so
+    # only the prompts in flight are alive; a row left untouched (failed
+    # cell, or an LM error) keeps the failed defaults.
+    per_instance = len(k_values)
+    summaries = [""] * (len(instances) * per_instance)
+    statuses = [PARSE_FAILED] * len(summaries)
 
-    jobs = [(inst.article, cells[inst.domain, inst.task, k])
-            for inst in instances for k in k_values]
-    outputs = [_FAILED if parsed is None else parsed for parsed in client.map(summarize, jobs)]
+    def summarize(row: int) -> None:
+        inst = instances[row // per_instance]
+        frame = cells[inst.domain, inst.task, k_values[row % per_instance]]
+        if frame is not None:
+            completion, _ = client.generate(frame, inst.article)
+            parsed = parse_output(completion, frame.k)
+            summaries[row], statuses[row] = parsed.summary, parsed.parse_status
 
-    # Stage 4: score every (instance, k) row that the store's score memo
-    # lacks, every row with no store, instance by instance, so only one
-    # reference's token table is alive at a time.
-    scores = _memoized_scores(client.store, instances, [parsed.summary for parsed in outputs],
-                              len(k_values))
+    client.map(summarize, range(len(summaries)))
+    return summaries, statuses
+
+
+def _statuses_and_scores(client: CompletionClient, instances, examples: dict, questions: dict,
+                         k_values: tuple[int, ...]) -> tuple[list[str], array]:
+    """Each row's parse status and its nine scores (stages 2 to 4); the
+    summaries are freed when this returns."""
+    summaries, statuses = _summarize(client, instances, examples, questions, k_values)
+    return statuses, _memoized_scores(client.store, instances, summaries, len(k_values))
+
+
+def run_eval(cfg: ExperimentConfig, out_dir, *, backend=None) -> RunManifest:
+    """Evaluate the configured method over the eval set and k sweep.
+
+    Each domain maps to one question ordering: its own, under the global
+    scope the cross-domain one, and for vanilla and icl the empty one, so
+    they run at k = 0. The prompt inputs of each (domain, task, k) cell,
+    the ordering's first k questions and the group's ICL examples with
+    their answers to them, are resolved once per run, and the cell's
+    prompt frame is rendered once from them; then the run issues one
+    completion per (instance, k), its prompt the instance's article in
+    its cell's frame. With a cache directory, each row whose pair the
+    store's score memo holds takes its scores from there, and the rest are
+    scored and memoized (``_memoized_scores``), instance by instance in
+    this process. The rows come out in the same order, with the same
+    scores, whatever the memo held. A per-request LM error degrades to
+    failed rows; configuration and I/O problems, an unreachable or
+    rate-limiting backend and replay fixture gaps abort the run.
+
+    Each stage holds only what the next one reads: the corpus goes once
+    the eval instances and ICL examples are picked (``_select``), and
+    stage 3 keeps each row's summary and status (``_summarize``), whose
+    summaries go once the rows are scored.
+    """
+    started = time.monotonic()
+    # Stage 1: the eval instances and each (domain, task) group's ICL
+    # examples, then the questions per (domain, k).
+    instances, examples = _select(cfg)
+    domains = sorted({inst.domain for inst in instances})
+
+    orderings: dict[str, tuple] = dict.fromkeys(domains, ())
+    if cfg.method == "qa":
+        if not cfg.ranking:
+            raise RankingError("method qa requires a ranking file")
+        table = load_ranking(cfg.ranking)
+        ensure_model(table, cfg.lm.model, allow_mismatch=cfg.allow_model_mismatch)
+        orderings = (dict.fromkeys(domains, global_ranking(table)) if cfg.scope == "global"
+                     else table.domains)
+
+    client = _make_client(cfg, backend)
+
+    k_values = tuple(sorted(set(cfg.k_values))) if cfg.method == "qa" else (0,)
+    questions: dict[tuple[str, int], list] = {}
+    for domain in domains:
+        if domain not in orderings:
+            raise RankingError(f"domain {domain!r} not present in ranking table")
+        for k in k_values:
+            questions[domain, k] = top_k(orderings[domain], k)
+
+    # Stages 2 and 3, the examples' answers and each row's completion, and
+    # stage 4, each row's scores.
+    statuses, scores = _statuses_and_scores(client, instances, examples, questions, k_values)
 
     # The instances are in id order and each one's rows in ascending k, so
     # the rows are in (id, k) order.
     rows = ScoreTable(
         id=[inst.id for inst in instances for _ in k_values],
-        method=[cfg.method] * len(outputs),
+        method=[cfg.method] * len(statuses),
         domain=[inst.domain for inst in instances for _ in k_values],
         k=list(k_values) * len(instances),
-        parse_status=[parsed.parse_status for parsed in outputs],
+        parse_status=statuses,
         scores=(scores[c::9] for c in range(9)),
     )
 

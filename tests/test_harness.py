@@ -8,6 +8,7 @@ from collections import Counter
 import csv
 import dataclasses
 from dataclasses import fields
+import gc
 import hashlib
 import io
 import json
@@ -43,7 +44,7 @@ from conftest import (
 import qasum
 from qasum import harness, metrics
 from qasum.cli import main
-from qasum.corpus import load_corpus, sample_icl_examples, split_corpus
+from qasum.corpus import TaskInstance, load_corpus, sample_icl_examples, split_corpus
 from qasum.harness import (
     ExperimentConfig,
     MismatchedEvalSets,
@@ -64,6 +65,7 @@ from qasum.prompting import (
     SINGLE_QA_INSTRUCTION,
     SUMMARY_MARKER,
     VANILLA_INSTRUCTION,
+    ParsedOutput,
     parse_output,
     single_qa_frame,
 )
@@ -631,7 +633,7 @@ def test_eval_subsample_is_stable(tmp_path):
 OUTPUT_FILES = ("per_instance.csv", "aggregate_method_k.csv", "aggregate_domain_k.csv")
 
 
-def seeded_corpus(path, size, seed=0, domains=("News",)):
+def seeded_corpus(path, size, seed=0, domains=("News",), prefix="doc"):
     """A corpus of ``size`` instances drawn from a small vocabulary, so
     summaries and references share some words and scores differ. The
     instances take ``domains`` in turn, so their ids interleave domains."""
@@ -640,7 +642,7 @@ def seeded_corpus(path, size, seed=0, domains=("News",)):
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(size):
             fh.write(json.dumps({
-                "id": f"doc-{i:02d}", "domain": domains[i % len(domains)], "task": "xsum",
+                "id": f"{prefix}-{i:02d}", "domain": domains[i % len(domains)], "task": "xsum",
                 "article": " ".join(rng.choices(vocab, k=60)),
                 "reference": " ".join(rng.choices(vocab, k=rng.randint(1, 25))),
             }) + "\n")
@@ -723,7 +725,9 @@ def test_eval_outputs_are_identical_cold_warm_and_without_a_store(tmp_path, case
         files, calls, manifest = counted_eval(run_cfg, tmp_path / name, backend)
         runs[name] = manifest.rows, files, calls["scored"]
     rows, files, scored = runs["cold"]
-    assert len(rows) == scored == 6 * instances
+    assert len(rows) == 6 * instances
+    # Each distinct (reference, summary) pair is scored once and memoized.
+    assert scored == len(memo_rows(tmp_path / "cache")) <= len(rows)
     assert runs["warm"] == (rows, files, 0)  # every score read from the memo
     assert runs["bare"] == (rows, files, scored)
 
@@ -764,6 +768,77 @@ def test_eval_leaves_no_descriptor_open(tmp_path, runs):
         counted_eval(cfg, tmp_path / f"out{run}", backend)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
+
+
+def test_an_eval_holds_only_the_instances_it_reads_while_it_scores(tmp_path, monkeypatch):
+    """At stage 4, a cold eval and a warm rerun hold their eval instances
+    and ICL examples, not the rest of the corpus, and no parsed completion:
+    the run keeps each row's summary and status, not its answers."""
+    domains = ("News", "Dialogue")
+    ranking = tmp_path / "ranking.json"
+    synthetic_ranking(ranking, domains=domains)
+    # 200 instances, 80 to the pool and 120 to eval, of which the run reads
+    # 3 per domain and one ICL example per (domain, task) group.
+    corpus = seeded_corpus(tmp_path / "corpus.jsonl", 200, domains=domains, prefix="held")
+    cfg = make_config(method="qa", k_values=range(3), ranking=ranking, corpus=str(corpus),
+                      eval_subsample=3, cache_dir=tmp_path / "cache")
+    memoized_scores = harness._memoized_scores
+    before = [o for o in gc.get_objects() if isinstance(o, ParsedOutput)]
+    seen = []  # per run: this corpus's live instances, and parsed outputs new since ``before``
+
+    def at_stage_4(*args):
+        gc.collect()
+        live = gc.get_objects()
+        seen.append((sum(isinstance(o, TaskInstance) and o.id.startswith("held-") for o in live),
+                     [o for o in live if isinstance(o, ParsedOutput)
+                      and not any(o is old for old in before)]))
+        return memoized_scores(*args)
+
+    monkeypatch.setattr(harness, "_memoized_scores", at_stage_4)
+    backend = StubBackend(seeded_reply)
+    for run in ("cold", "warm"):
+        manifest = run_eval(cfg, tmp_path / run, backend=backend)
+    assert len(manifest.eval_ids) == 3 * len(domains)
+    assert seen == [(len(manifest.eval_ids) + len(domains), [])] * 2
+
+
+def test_a_cold_eval_scores_each_distinct_pair_once(tmp_path, monkeypatch):
+    """The scripted qa summary is the reference at every k >= 1, so each
+    instance's rows repeat pairs: each distinct (reference, summary) pair
+    goes to ``_score`` once, and every row still holds its own pair's
+    scores, with a store or without one."""
+    cfg, backend, instances = seeded_case(tmp_path, "acceptance-fixture")
+    completions = {}
+    generate = CompletionClient.generate
+
+    def recording_generate(self, frame, article):
+        reply = generate(self, frame, article)
+        completions[article, frame.k] = reply[0]
+        return reply
+
+    scored = []
+    score = harness._score
+
+    def recording_score(groups):
+        groups = [(reference, list(summaries)) for reference, summaries in groups]
+        scored.extend((reference, s) for reference, summaries in groups for s in summaries)
+        return score(groups)
+
+    monkeypatch.setattr(CompletionClient, "generate", recording_generate)
+    monkeypatch.setattr(harness, "_score", recording_score)
+    stored = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
+    rows, files = eval_outputs(stored, tmp_path / "cold", backend)
+    by_id = {inst.id: inst for inst in load_corpus(cfg.corpus)}
+    pairs = [(by_id[id_].reference, parse_output(completions[by_id[id_].article, k], k).summary)
+             for id_, k in zip(rows.id, rows.k)]
+    assert len(pairs) == 6 * instances and len(set(pairs)) == 2 * instances
+    assert sorted(scored) == sorted(set(pairs))
+    for n, (reference, summary) in enumerate(pairs):
+        expected = rouge_values(tokenize(summary), Reference.from_text(reference))
+        assert tuple(column[n] for column in rows.scores) == expected, (rows.id[n], rows.k[n])
+    scored.clear()
+    assert eval_outputs(cfg, tmp_path / "bare", backend) == (rows, files)
+    assert sorted(scored) == sorted(set(pairs))
 
 
 def test_an_error_while_scoring_propagates_and_writes_no_output_directory(
@@ -887,11 +962,11 @@ MEMO_FAULTS = {
 
 @pytest.mark.parametrize("fault", MEMO_FAULTS, ids=MEMO_FAULTS)
 def test_a_bad_memo_value_is_a_miss_rescored_and_rewritten(tmp_path, fault):
-    cfg, backend, instances = seeded_case(tmp_path, "seven-instances")
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
     cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
     cold, calls, _ = counted_eval(cfg, tmp_path / "cold", backend)
-    assert calls["scored"] == 6 * instances
     memo = memo_rows(tmp_path / "cache")
+    assert calls["scored"] == len(memo)
     conn = store_conn(tmp_path / "cache")
     try:
         MEMO_FAULTS[fault](conn)
@@ -899,23 +974,24 @@ def test_a_bad_memo_value_is_a_miss_rescored_and_rewritten(tmp_path, fault):
         conn.close()
     assert memo_rows(tmp_path / "cache") != memo
     files, calls, _ = counted_eval(cfg, tmp_path / "faulty", backend)
-    assert files == cold and calls["scored"] == 6 * instances
+    assert files == cold and calls["scored"] == len(memo)
     assert memo_rows(tmp_path / "cache") == memo
     files, calls, _ = counted_eval(cfg, tmp_path / "again", backend)
     assert files == cold and calls["scored"] == 0
 
 
 def test_a_store_written_before_the_memo_gains_it_and_keeps_its_completions(tmp_path):
-    cfg, backend, instances = seeded_case(tmp_path, "seven-instances")
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
     cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
-    cold, _, _ = counted_eval(cfg, tmp_path / "cold", backend)
+    cold, calls, _ = counted_eval(cfg, tmp_path / "cold", backend)
+    scored = calls["scored"]
     conn = store_conn(tmp_path / "cache")
     try:
         conn.execute("DROP TABLE scores")  # the layout of a store written before the memo
     finally:
         conn.close()
     files, calls, manifest = counted_eval(cfg, tmp_path / "warm", backend)
-    assert files == cold and calls["scored"] == 6 * instances
+    assert files == cold and calls["scored"] == scored == len(memo_rows(tmp_path / "cache"))
     assert manifest.cache.misses == 0 and manifest.cache.hits > 0
     files, calls, _ = counted_eval(cfg, tmp_path / "again", backend)
     assert files == cold and calls["scored"] == 0
@@ -936,15 +1012,17 @@ def test_a_replay_only_run_writes_nothing(tmp_path, replay_dir):
 
 @pytest.mark.parametrize("change", ["scorer-version", "unicode-version"])
 def test_another_scorer_or_unicode_version_misses_every_row(tmp_path, change):
-    cfg, backend, instances = seeded_case(tmp_path, "seven-instances")
+    cfg, backend, _ = seeded_case(tmp_path, "seven-instances")
     cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "cache"))
-    cold, _, _ = counted_eval(cfg, tmp_path / "cold", backend)
+    cold, calls, _ = counted_eval(cfg, tmp_path / "cold", backend)
+    scored = calls["scored"]
     other = (mock.patch.object(metrics, "SCORER_VERSION", metrics.SCORER_VERSION + 1)
              if change == "scorer-version"
              else mock.patch.object(unicodedata, "unidata_version", "1.1.0"))
     with other:
         files, calls, _ = counted_eval(cfg, tmp_path / "other", backend)
-    assert files == cold and calls["scored"] == 6 * instances
+    assert files == cold and calls["scored"] == scored
+    assert len(memo_rows(tmp_path / "cache")) == 2 * scored  # both scorers' values
     files, calls, _ = counted_eval(cfg, tmp_path / "again", backend)
     assert files == cold and calls["scored"] == 0
 
